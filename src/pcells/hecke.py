@@ -10,6 +10,13 @@ element C_x is the unique bar-invariant element of H_x + sum of v Z[v] H_y
 over y < x; its coefficients h(y, x) and the mu-coefficients (coefficient
 of v in h) are computed once per group and cached in a KLTable.
 
+compute_kl_table runs the length recursion on packed integers: each h(y, x)
+is one Python int holding its coefficients in fixed-width digits, which is
+exact because h(y, x) has nonnegative coefficients (positivity,
+Elias-Williamson 2014) and a guard raises OverflowError before a coefficient
+could outgrow its digit.  The finished table holds decoded LaurentPoly
+values, one shared immutable object per distinct polynomial.
+
 HeckeElt values are tagged with the basis they are expressed in ("std",
 "kl", or "pcan"); arithmetic across different bases is a hard error, and
 change_basis performs the exact unitriangular conversions.
@@ -196,16 +203,16 @@ class KLTable:
 
     h[x] maps y -> h(y, x), the coefficient of H_y in C_x (with h(x,x) = 1
     and h(y,x) in v Z[v] for y < x).  mu[x] maps y -> mu(y, x), the
-    coefficient of v in h(y, x), storing nonzero values only.
+    coefficient of v in h(y, x), storing nonzero values only.  Both are
+    built by compute_kl_table; equal polynomials in h are one shared
+    immutable LaurentPoly.
     """
 
-    def __init__(self, system: CoxeterSystem, h: list[dict[int, LaurentPoly]]):
+    def __init__(self, system: CoxeterSystem, h: list[dict[int, LaurentPoly]],
+                 mu: list[dict[int, int]]):
         self.system = system
         self.h = h
-        self.mu: list[dict[int, int]] = [
-            {y: m for y, c in col.items() if y != x and (m := c.coefficient_of(1))}
-            for x, col in enumerate(h)
-        ]
+        self.mu = mu
 
     def h_poly(self, y: int, x: int) -> LaurentPoly:
         return self.h[x].get(y, LaurentPoly())
@@ -231,40 +238,82 @@ class KLTable:
         return rows
 
 
+# Packed form of a polynomial with coefficients a_i >= 0 in v^i (i >= 0):
+# the integer sum of a_i * 2^(_WIDTH * i).
+_WIDTH = 32
+_MASK = (1 << _WIDTH) - 1
+_LIMIT = 1 << (_WIDTH - 2)
+
+
+def _unpack(packed: int) -> LaurentPoly:
+    """Decode a packed polynomial; OverflowError if a coefficient reaches
+    _LIMIT, where the packed form is no longer known to be exact."""
+    coeffs = {}
+    e = 0
+    while packed:
+        a = packed & _MASK
+        if a >= _LIMIT:
+            raise OverflowError(
+                f"Kazhdan-Lusztig coefficient {a} of v^{e} reaches "
+                f"2^{_WIDTH - 2}, beyond the packed kernel's width")
+        if a:
+            coeffs[e] = a
+        packed >>= _WIDTH
+        e += 1
+    return LaurentPoly(coeffs)
+
+
 def compute_kl_table(system: CoxeterSystem) -> KLTable:
     """Compute all Kazhdan-Lusztig basis elements by the length recursion.
 
     For x = x's with s a right descent, C_{x'} C_s = C_x plus mu-correction
-    terms C_z over z < x' with s a right descent; elements are processed in
-    id order, which is length order.
+    terms mu(z, x') C_z over z < x' with s a right descent of z; elements
+    are processed in id order, which is length order.
+
+    The kernel holds each h(y, x) as one Python int, the polynomial
+    evaluated at v = 2^_WIDTH (Kronecker substitution).  By positivity
+    (Elias-Williamson), every h(y, x) lies in Z_{>=0}[v], so while its
+    coefficients stay below 2^_WIDTH the int determines it: multiplying
+    by v is a left shift, by v^-1 on v Z[v] an exact right shift,
+    subtracting mu(z, x') C_z an integer multiply-subtract, and mu(y, x)
+    is the second digit.  A step adds at most two coefficients of the
+    previous column and then subtracts nonnegative terms, so a coefficient
+    at most doubles per step; _unpack raises OverflowError at the first
+    coefficient reaching 2^(_WIDTH - 2), which is still decoded exactly,
+    and nothing wraps silently.  Columns are decoded at the end through one
+    cache, so equal polynomials share one LaurentPoly.
     """
-    h: list[dict[int, LaurentPoly]] = [{} for _ in system.elements()]
+    right, descents = system.right, system.right_descents
+    packed: list[dict] = [{} for _ in system.elements()]  # ints, then polys
     mu: list[dict[int, int]] = [{} for _ in system.elements()]
-    h[0] = {0: ONE}
+    packed[0] = {0: 1}
     for x in system.elements():
         if x == 0:
             continue
-        s = min(system.right_descents[x])
-        xp = system.right[x][s]  # x' with x = x's, shorter
-        # expand C_{x'} (H_s + v) in the standard basis
-        col: dict[int, LaurentPoly] = {}
-        for w, c in h[xp].items():
-            ws = system.right[w][s]
-            _acc(col, ws, c)
-            _acc(col, w, c.shift(1))
-            if system.length[ws] < system.length[w]:
-                _acc(col, w, _VINV_MINUS_V * c)
+        s = min(descents[x])
+        xp = right[x][s]  # x' with x = x's, shorter
+        # C_{x'} (H_s + v): H_w (H_s + v) is H_ws + v H_w when ws > w and
+        # H_ws + v^-1 H_w when ws < w; ids are in length order, and
+        # h(w, x') is in v Z[v] whenever ws < w because then w != x'.
+        col: dict[int, int] = {}
+        get = col.get
+        for w, c in packed[xp].items():
+            ws = right[w][s]
+            col[ws] = get(ws, 0) + c
+            col[w] = get(w, 0) + (c >> _WIDTH if ws < w else c << _WIDTH)
         for z, m in mu[xp].items():
-            if s in system.right_descents[z]:
-                for w, c in h[z].items():
-                    _acc(col, w, c.scale(-m))
-        h[x] = col
-        mu[x] = {y: m for y, c in col.items() if y != x and (m := c.coefficient_of(1))}
-    table = KLTable.__new__(KLTable)
-    table.system = system
-    table.h = h
-    table.mu = mu
-    return table
+            if s in descents[z]:
+                for w, c in packed[z].items():
+                    col[w] -= m * c
+        packed[x] = col = {w: c for w, c in col.items() if c}
+        mu[x] = {y: m for y, c in col.items()
+                 if y != x and (m := (c >> _WIDTH) & _MASK)}
+    # decode in place, so each packed column is freed as it is replaced
+    cache: dict[int, LaurentPoly] = {}
+    for x, col in enumerate(packed):
+        packed[x] = {w: cache.get(c) or cache.setdefault(c, _unpack(c))
+                     for w, c in col.items()}
+    return KLTable(system, packed, mu)
 
 
 def kl_multiply_by_generator(table: KLTable, x: int, s: int,

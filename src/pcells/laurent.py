@@ -51,8 +51,19 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "LaurentPoly":
-        """Build from [[exponent, coefficient], ...] (the JSON wire format)."""
-        return cls((int(e), int(v)) for e, v in pairs)
+        """Build from [[exponent, coefficient], ...] (the JSON wire format).
+
+        Raises ValueError on an exponent or coefficient that is not an int
+        (a float or bool from JSON is rejected, not truncated).
+        """
+        terms = []
+        for e, v in pairs:
+            if not all(isinstance(n, int) and not isinstance(n, bool)
+                       for n in (e, v)):
+                raise ValueError(f"polynomial term {[e, v]!r} is not an "
+                                 "integer [exponent, coefficient] pair")
+            terms.append((e, v))
+        return cls(terms)
 
     def to_pairs(self) -> list[list[int]]:
         """Serialize as [[exponent, coefficient], ...] sorted by exponent."""
@@ -185,8 +196,13 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
+        # A constant polynomial equals its int, so it must hash like it.
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._c.items())))
+            c = self._c
+            if not c or c.keys() == {0}:
+                self._hash = hash(c.get(0, 0))
+            else:
+                self._hash = hash(tuple(sorted(c.items())))
         return self._hash
 
     def __bool__(self) -> bool:

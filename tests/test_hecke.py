@@ -2,10 +2,14 @@ import random
 
 import pytest
 
+from pcells.coxeter import CoxeterSystem
 from pcells.hecke import (
+    _VINV_MINUS_V,
     STD,
     BasisMismatchError,
     HeckeElt,
+    _acc,
+    _unpack,
     bar_involution,
     bott_samelson_to_standard,
     change_basis,
@@ -132,6 +136,63 @@ def test_kl_table_against_self_duality_oracle(a2, kl_a2, b2, kl_b2, a3, kl_a3):
         oracle = _kl_by_self_duality(system)
         for x in system.elements():
             assert oracle[x] == table.h[x]
+
+
+def _kl_by_recursion(system):
+    """Oracle: the length recursion on LaurentPoly values, as compute_kl_table
+    ran it before the packed kernel.  Returns (h, mu) in the same layout."""
+    h = [{} for _ in system.elements()]
+    mu = [{} for _ in system.elements()]
+    h[0] = {0: ONE}
+    for x in system.elements():
+        if x == 0:
+            continue
+        s = min(system.right_descents[x])
+        xp = system.right[x][s]
+        col = {}
+        for w, c in h[xp].items():
+            ws = system.right[w][s]
+            _acc(col, ws, c)
+            _acc(col, w, c.shift(1))
+            if system.length[ws] < system.length[w]:
+                _acc(col, w, _VINV_MINUS_V * c)
+        for z, m in mu[xp].items():
+            if s in system.right_descents[z]:
+                for w, c in h[z].items():
+                    _acc(col, w, c.scale(-m))
+        h[x] = col
+        mu[x] = {y: m for y, c in col.items()
+                 if y != x and (m := c.coefficient_of(1))}
+    return h, mu
+
+
+@pytest.mark.parametrize("cartan", [
+    "A4", "C3", "G2",
+    [[2, -2, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],  # B4
+    [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],  # D4
+], ids=["A4", "C3", "G2", "B4", "D4"])
+def test_packed_kernel_matches_recursion_oracle(cartan):
+    system = (CoxeterSystem.from_type(cartan) if isinstance(cartan, str)
+              else CoxeterSystem.from_cartan(cartan))
+    table = compute_kl_table(system)
+    h, mu = _kl_by_recursion(system)
+    assert table.h == h
+    assert table.mu == mu
+
+
+def test_kl_table_shares_equal_polynomials(a3, kl_a3):
+    seen = {}
+    for col in kl_a3.h:
+        for c in col.values():
+            assert seen.setdefault(c, c) is c
+
+
+def test_unpack_rejects_coefficients_at_the_limit():
+    assert _unpack((3 << 32) | 1) == ONE + LaurentPoly.v(1, 3)
+    assert _unpack(((1 << 30) - 1) << 32) == LaurentPoly.v(1, (1 << 30) - 1)
+    for packed in (1 << 30, (1 << 30) << 32, ((1 << 31) + 5) << 64):
+        with pytest.raises(OverflowError):
+            _unpack(packed)
 
 
 def test_kl_multiply_by_generator(a2, kl_a2):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from pcells.laurent import GAUSS, ONE, V, V_INV, ZERO, LaurentPoly
 
 
@@ -83,6 +85,23 @@ def test_pairs_round_trip():
     p = LaurentPoly({-2: 4, 0: -1, 3: 2})
     assert p.to_pairs() == [[-2, 4], [0, -1], [3, 2]]
     assert LaurentPoly.from_pairs(p.to_pairs()) == p
+
+
+@pytest.mark.parametrize("pairs", [[[0, 1.7]], [[0, 2.0]], [[1.0, 1]],
+                                   [[0, "1"]], [[0, True]], [[None, 1]]])
+def test_from_pairs_rejects_non_integers(pairs):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_pairs(pairs)
+
+
+def test_constant_polynomials_hash_like_ints():
+    for n in (0, 1, 3, -7, 2**70):
+        assert LaurentPoly(n) == n
+        assert hash(LaurentPoly(n)) == hash(n)
+    assert hash(ZERO) == hash(0)
+    assert {LaurentPoly(3): 1}.get(3) == 1
+    assert {3: 1}.get(LaurentPoly(3)) == 1
+    assert {ZERO: "z"}.get(0) == "z"
 
 
 def test_int_coercion_and_scale():
