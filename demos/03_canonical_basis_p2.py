@@ -16,7 +16,7 @@ from pcells import (
 
 c3 = CoxeterSystem.from_type("C3")
 kl = compute_kl_table(c3)
-table = load_fixture("c3_p2", c3, kl)
+table = load_fixture("c3_p2", c3)
 
 print("nontrivial rows of the p = 2 table:")
 for x in table.nontrivial_elements():

@@ -34,7 +34,7 @@ sd, pos = string_of(b3, x, r, t)
 print(f"\n121 sits at position {pos} of its string; "
       f"star image: {b3.id_to_digits(star_right(b3, x, r, t))}")
 
-rep = check_base_change_relations(table, kl, r, t)
+rep = check_base_change_relations(table, r, t)
 print(f"\nbase-change relations on all string pairs: "
       f"{'pass' if rep.ok else 'fail'} ({rep.checked} checks)")
 

@@ -41,15 +41,15 @@ class SystemExit2(Exception):
     """Usage error, mapped to exit code 2."""
 
 
-def _build_table(args, system, kl):
+def _build_table(args, system):
     if args.p == 0:
         if args.table or args.fixture:
             raise SystemExit2("p = 0 needs no table")
         return identity_table(system)
     if args.table:
-        return load_table(args.table, system, kl)
+        return load_table(args.table, system)
     if args.fixture:
-        return load_fixture(args.fixture, system, kl)
+        return load_fixture(args.fixture, system)
     raise SystemExit2(f"p = {args.p} needs --table FILE or --fixture NAME")
 
 
@@ -62,8 +62,8 @@ def _emit(text: str, args) -> None:
 
 def cmd_cells(args) -> int:
     system = _build_system(args)
+    table = _build_table(args, system)
     kl = compute_kl_table(system)
-    table = _build_table(args, system, kl)
     side = {"2": "two-sided", "lr": "two-sided"}.get(args.side, args.side)
     partition = compute_cells(table, kl, side)
     if args.format == "json":

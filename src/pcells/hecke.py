@@ -24,6 +24,7 @@ change_basis performs the exact unitriangular conversions.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -91,19 +92,6 @@ class HeckeElt:
         return " + ".join(parts)
 
 
-def _add_dicts(a: Mapping[int, LaurentPoly], b: Mapping[int, LaurentPoly]
-               ) -> dict[int, LaurentPoly]:
-    out = dict(a)
-    for w, c in b.items():
-        s = out.get(w)
-        t = c if s is None else s + c
-        if t:
-            out[w] = t
-        elif w in out:
-            del out[w]
-    return out
-
-
 def _acc(acc: dict[int, LaurentPoly], w: int, c: LaurentPoly) -> None:
     s = acc.get(w)
     t = c if s is None else s + c
@@ -111,6 +99,14 @@ def _acc(acc: dict[int, LaurentPoly], w: int, c: LaurentPoly) -> None:
         acc[w] = t
     elif w in acc:
         del acc[w]
+
+
+def _add_dicts(a: Mapping[int, LaurentPoly], b: Mapping[int, LaurentPoly]
+               ) -> dict[int, LaurentPoly]:
+    out = dict(a)
+    for w, c in b.items():
+        _acc(out, w, c)
+    return out
 
 
 def unit(system: CoxeterSystem, basis: str = STD) -> HeckeElt:
@@ -152,15 +148,11 @@ def std_multiply(a: HeckeElt, b: HeckeElt) -> HeckeElt:
 # ---------------------------------------------------------------------------
 # bar involution and iota
 
-_bar_std_cache: "weakref.WeakKeyDictionary[CoxeterSystem, dict]" = None
+_bar_std_cache = weakref.WeakKeyDictionary()  # system -> {x: bar(H_x)}
 
 
 def _bar_of_std(system: CoxeterSystem, x: int) -> dict[int, LaurentPoly]:
     """Expansion of bar(H_x) = (H at x^-1)^(-1) in the standard basis."""
-    global _bar_std_cache
-    if _bar_std_cache is None:
-        import weakref
-        _bar_std_cache = weakref.WeakKeyDictionary()
     per_system = _bar_std_cache.setdefault(system, {})
     cached = per_system.get(x)
     if cached is not None:
@@ -325,22 +317,18 @@ def kl_multiply_by_generator(table: KLTable, x: int, s: int,
     """
     system = table.system
     if side == "right":
-        if s in system.right_descents[x]:
-            return {x: GAUSS}
-        out = {system.right[x][s]: ONE}
-        for z, m in table.mu[x].items():
-            if s in system.right_descents[z]:
-                out[z] = LaurentPoly(m)
-        return out
-    if side == "left":
-        if s in system.left_descents[x]:
-            return {x: GAUSS}
-        out = {system.left_mult(s, x): ONE}
-        for z, m in table.mu[x].items():
-            if s in system.left_descents[z]:
-                out[z] = LaurentPoly(m)
-        return out
-    raise ValueError("side must be 'left' or 'right'")
+        descents, xs = system.right_descents, system.right[x][s]
+    elif side == "left":
+        descents, xs = system.left_descents, system.left_mult(s, x)
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    if s in descents[x]:
+        return {x: GAUSS}
+    out = {xs: ONE}
+    for z, m in table.mu[x].items():
+        if s in descents[z]:
+            out[z] = LaurentPoly(m)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -233,8 +233,7 @@ def _check_relation_system(m: int, get: Callable[[int, int], LaurentPoly],
     return checked
 
 
-def check_base_change_relations(table: PCanTable, kl: KLTable, r: int, t: int
-                                ) -> Report:
+def check_base_change_relations(table: PCanTable, r: int, t: int) -> Report:
     """The relation systems on base-change coefficients m(z_j, x_i) between
     all pairs of full strings, plus the star symmetry m(z, x) = m(z*, x*)."""
     sys_ = table.system
@@ -360,13 +359,8 @@ def check_coefficient_sliding(table: PCanTable, kl: KLTable, r: int, t: int
     for x in dr:
         a = r if r in sys_.right_descents[x] else t
         b = t if a == r else r
-        acc: dict[int, LaurentPoly] = {}
-        for z0, c in [(x, None)] + list(table.rows.get(x, {}).items()):
-            from .hecke import kl_multiply_by_generator
-            for w, d in kl_multiply_by_generator(kl, z0, b, "right").items():
-                term = d if c is None else c * d
-                prev = acc.get(w)
-                acc[w] = term if prev is None else prev + term
+        acc = table.expand_to_kl_coeffs(
+            structure_coefficients(table, kl, x, b, "right"))
         for z in dr:
             got = acc.get(z, LaurentPoly())
             want = LaurentPoly()

@@ -102,13 +102,12 @@ def test_criterion_8_tau_suite():
 def test_criterion_9_negative_tests():
     t0 = time.monotonic()
     c3 = verify.get_system("C3")
-    kl = verify.get_kl("C3")
     # a corrupted table is rejected with the offending pair located
     with pytest.raises(PCanValidationError) as err:
         load_table({"p": 2, "entries": [{
             "x": [2, 1, 2],
             "terms": [{"y": [2, 1, 2], "coeff": [[0, 1]]},
-                      {"y": [2], "coeff": [[1, 1]]}]}]}, c3, kl)
+                      {"y": [2], "coeff": [[1, 1]]}]}]}, c3)
     assert "y=2, x=212" in str(err.value)
 
     # a perturbed W-graph fails the defining relations with a located report

@@ -1,4 +1,6 @@
+import functools
 import json
+import random
 
 import pytest
 
@@ -24,7 +26,7 @@ def test_identity_table(a2, kl_a2):
     assert tab.is_identity
     assert tab.m(0, 0) == ONE
     assert tab.m(0, a2.digits_to_id("1")).is_zero()
-    assert validate_table(tab, kl_a2) == []
+    assert validate_table(tab) == []
     # B_x in the standard basis equals C_x
     for x in a2.elements():
         elt = HeckeElt(a2, "pcan", {x: ONE})
@@ -53,7 +55,7 @@ def test_load_rejects_non_self_dual(c3, kl_c3):
         "terms": [{"y": [2, 1, 2], "coeff": [[0, 1]]},
                   {"y": [2], "coeff": [[1, 1]]}]}]}
     with pytest.raises(PCanValidationError) as err:
-        load_table(obj, c3, kl_c3)
+        load_table(obj, c3)
     assert "self-dual" in str(err.value)
 
 
@@ -63,7 +65,7 @@ def test_load_rejects_descent_violation(c3, kl_c3):
         "terms": [{"y": [2, 3, 2], "coeff": [[0, 1]]},
                   {"y": [2], "coeff": [[0, 1]]}]}]}
     with pytest.raises(PCanValidationError) as err:
-        load_table(obj, c3, kl_c3)
+        load_table(obj, c3)
     assert "descent" in str(err.value)
 
 
@@ -74,7 +76,7 @@ def test_load_rejects_inverse_asymmetry(c3, kl_c3):
         "terms": [{"y": [3, 2, 1, 2], "coeff": [[0, 1]]},
                   {"y": [3, 2], "coeff": [[0, 1]]}]}]}
     with pytest.raises(PCanValidationError) as err:
-        load_table(obj, c3, kl_c3)
+        load_table(obj, c3)
     assert "inverse" in str(err.value)
 
 
@@ -83,7 +85,34 @@ def test_load_rejects_bad_diagonal(c3, kl_c3):
         "x": [2, 1, 2],
         "terms": [{"y": [2, 1, 2], "coeff": [[0, 2]]}]}]}
     with pytest.raises(PCanValidationError):
-        load_table(obj, c3, kl_c3)
+        load_table(obj, c3)
+
+
+def test_load_rejects_non_reduced_words(c3):
+    # 11212 and 222 reduce to 212 and 2, a valid row if read silently
+    for x_word, y_word, bad in (([1, 1, 2, 1, 2], [2], [1, 1, 2, 1, 2]),
+                                ([2, 1, 2], [2, 2, 2], [2, 2, 2])):
+        obj = {"p": 2, "entries": [{
+            "x": x_word,
+            "terms": [{"y": x_word, "coeff": [[0, 1]]},
+                      {"y": y_word, "coeff": [[0, 1]]}]}]}
+        with pytest.raises(PCanValidationError) as err:
+            load_table(obj, c3)
+        assert f"entry x={x_word}: word {bad} is not reduced" in str(err.value)
+
+
+def test_load_rejects_duplicates(c3):
+    row = {"x": [2, 1, 2],
+           "terms": [{"y": [2, 1, 2], "coeff": [[0, 1]]},
+                     {"y": [2], "coeff": [[0, 1]]}]}
+    load_table({"p": 2, "entries": [row]}, c3)
+    twice = dict(row, terms=row["terms"] + [{"y": [2], "coeff": [[0, 2]]}])
+    with pytest.raises(PCanValidationError) as err:
+        load_table({"p": 2, "entries": [twice]}, c3)
+    assert "entry x=[2, 1, 2]: duplicate term y=[2]" in str(err.value)
+    with pytest.raises(PCanValidationError) as err:
+        load_table({"p": 2, "entries": [row, row]}, c3)
+    assert "entry x=[2, 1, 2]: duplicate entry" in str(err.value)
 
 
 def test_strict_override(c3, kl_c3):
@@ -91,8 +120,8 @@ def test_strict_override(c3, kl_c3):
         "x": [2, 1, 2],
         "terms": [{"y": [2, 1, 2], "coeff": [[0, 1]]},
                   {"y": [2], "coeff": [[1, 1]]}]}]}
-    tab = load_table(obj, c3, kl_c3, strict=False)
-    assert len(validate_table(tab, kl_c3)) > 0
+    tab = load_table(obj, c3, strict=False)
+    assert len(validate_table(tab)) > 0
 
 
 def test_p_h(c3, kl_c3, c3_p2):
@@ -172,6 +201,55 @@ def test_parabolic_factorization(b3, kl_b3, c3, kl_c3, c3_p2):
     assert not verify_parabolic_factorization(bad, kl_c3, [0, 1]).ok
 
 
+def _factorization_by_products(table, kl, gens) -> bool:
+    """Whether mu^{x z}(x y, w) = mu^z(y, w) for all x in W^I and y, z, w in
+    W_I, each side a full product through pcan_general_product: the oracle
+    of the generator check in verify_parabolic_factorization."""
+    sys_ = table.system
+    sub = sorted(sys_.parabolic_elements(gens))
+    product = functools.cache(functools.partial(pcan_general_product, table, kl))
+    for x in sys_.minimal_coset_representatives(gens, "right"):
+        for y in sub:
+            for w in sub:
+                base = product(y, w)
+                lifted = product(sys_.mult(x, y), w)
+                if any(lifted.get(sys_.mult(x, z), LaurentPoly()) !=
+                       base.get(z, LaurentPoly()) for z in sub):
+                    return False
+    return True
+
+
+def test_factorization_on_generators_matches_products(b3, kl_b3, c3, kl_c3,
+                                                      c3_p2):
+    cases = [(identity_table(b3), kl_b3), (c3_p2, kl_c3)]
+    bad_rows = {x: dict(r) for x, r in c3_p2.rows.items()}
+    bad_rows[c3.digits_to_id("23212")] = {c3.digits_to_id("232"): LaurentPoly(2)}
+    cases.append((PCanTable(c3, 2, bad_rows), kl_c3))
+    # seeded corruptions of one coefficient that keep unitriangularity and
+    # the descent condition, the hypotheses of the generator check
+    lower = [(y, x) for x in c3.elements() for y in c3.elements()
+             if y != x and c3.bruhat_leq(y, x)
+             and c3.left_descents[x] <= c3.left_descents[y]
+             and c3.right_descents[x] <= c3.right_descents[y]]
+    rng = random.Random(2)
+    for _ in range(3):
+        y, x = rng.choice(lower)
+        rows = {w: dict(r) for w, r in c3_p2.rows.items()}
+        rows.setdefault(x, {})[y] = rng.choice([ONE, GAUSS, LaurentPoly(2)])
+        cases.append((PCanTable(c3, 2, rows), kl_c3))
+    outcomes = set()
+    for table, kl in cases:
+        assert not [v for v in validate_table(table)
+                    if "unitriangularity" in v or "descent" in v]
+        for gens in ([0, 1], [1, 2]):
+            rep = verify_parabolic_factorization(table, kl, gens)
+            ok = _factorization_by_products(table, kl, gens)
+            assert rep.ok == ok
+            assert any(v.startswith("mu^") for v in rep.violations) != ok
+            outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
 def test_restrict_to_parabolic(c3, c3_p2, kl_c3):
     emb = c3.parabolic_subsystem([0, 1])
     sub = restrict_to_parabolic(c3_p2, emb)
@@ -195,5 +273,5 @@ def test_apply_automorphism(a3, kl_a3, c3, c3_p2):
 
 def test_json_round_trip(c3, kl_c3, c3_p2):
     obj = c3_p2.to_json_obj()
-    again = load_table(json.loads(json.dumps(obj)), c3, kl_c3)
+    again = load_table(json.loads(json.dumps(obj)), c3)
     assert again.rows == c3_p2.rows and again.prime == 2
