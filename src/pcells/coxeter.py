@@ -1,18 +1,35 @@
 """Finite crystallographic Coxeter groups.
 
 A group is built either from a generalized Cartan matrix (integer matrix
-with 2 on the diagonal and non-positive entries off it) or from a Coxeter
-matrix with bond orders in {2, 3, 4, 6, inf}.  The Cartan matrix determines
-bond orders by the product rule: m(s,t) = 2, 3, 4, 6 or inf according to
-whether a(s,t) * a(t,s) is 0, 1, 2, 3 or >= 4.
+with 2 on the diagonal, non-positive entries off it, and a(s,t) = 0 exactly
+when a(t,s) = 0) or from a Coxeter matrix with bond orders in {2, 3, 4, 6,
+inf}.  The Cartan matrix determines bond orders by the product rule:
+m(s,t) = 2, 3, 4, 6 or inf according to whether a(s,t) * a(t,s) is 0, 1,
+2, 3 or >= 4.
 
-Elements are identified through the exact integer geometric representation:
-generator s acts on the root lattice by s(alpha_t) = alpha_t - a(s,t) alpha_s,
-two words are equal iff their matrices agree, and s is a right descent of w
-iff the column w(alpha_s) is a negative root.  Enumeration is breadth-first
-by length, so element ids are stable: id 0 is the identity and ids increase
-with length.  All downstream tables (Kazhdan-Lusztig polynomials, canonical
-basis tables, cell graphs) are keyed by these dense ids.
+Elements are identified through the exact integer geometric representation,
+in which generator s acts on the root lattice by
+s(alpha_t) = alpha_t - a(s,t) alpha_s.  An element w is keyed by its height
+vector h_w[t] = ht(w(alpha_t)), where ht sums the coefficients of a root in
+the simple roots; the identity has h = (1, ..., 1).  Right multiplication
+by s updates only the entries t with a(s,t) != 0, since
+(ws)(alpha_t) = w(alpha_t) - a(s,t) w(alpha_s):
+
+    h_ws[t] = h_w[t] - a(s,t) h_w[s].
+
+Every root is positive or negative, and s is a right descent of w iff
+w(alpha_s) is negative, i.e. iff h_w[s] < 0.  The key is faithful: h_w is
+the linear form ht o w on the simple roots, so h_w = h_v gives
+ht o (v w^-1) = ht; then every v w^-1 (alpha_t) has height 1 and is a
+positive root, so v w^-1 has no right descent and v = w.  (Equivalently, by
+Tits' theorem the group acts simply transitively on chambers, and ht lies
+inside the fundamental chamber of the dual.)  Both facts rest on the
+generalized-Cartan axioms, which is why cartan_to_coxeter enforces them.
+
+Enumeration is breadth-first by length, so element ids are stable: id 0 is
+the identity and ids increase with length.  All downstream tables
+(Kazhdan-Lusztig polynomials, canonical basis tables, cell graphs) are keyed
+by these dense ids.
 
 Words at the API boundary are either tuples of 0-based generator indices or
 "digit strings" such as "23212" meaning s2 s3 s2 s1 s2 under 1-based labels.
@@ -52,6 +69,11 @@ def cartan_to_coxeter(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
                 continue
             if cartan[i][j] > 0:
                 raise ValueError("off-diagonal Cartan entries must be <= 0")
+            if (cartan[i][j] == 0) != (cartan[j][i] == 0):
+                raise ValueError(
+                    f"Cartan entry a({i + 1},{j + 1}) = {cartan[i][j]} but "
+                    f"a({j + 1},{i + 1}) = {cartan[j][i]}: an entry is 0 "
+                    "exactly when its transpose is")
             prod = cartan[i][j] * cartan[j][i]
             if prod == 0:
                 m[i][j] = 2
@@ -176,63 +198,53 @@ class CoxeterSystem:
 
     # -- enumeration -------------------------------------------------------
 
-    def _gen_matrix(self, s: int) -> tuple[tuple[int, ...], ...]:
-        n = self.rank
-        return tuple(
-            tuple((1 if k == j else 0) - (self.cartan[s][j] if k == s else 0)
-                  for j in range(n))
-            for k in range(n)
-        )
-
-    @staticmethod
-    def _mat_mul(a, b):
-        n = len(a)
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-
     def _enumerate(self, cap: int) -> None:
         n = self.rank
-        identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        gens = [self._gen_matrix(s) for s in range(n)]
-
-        index = {identity: 0}
-        matrices = [identity]
+        # h_ws[t] = h_w[t] - a(s,t) h_w[s]: only the t with a(s,t) != 0 move
+        # (t = s included, where a(s,s) = 2 negates the entry).
+        bonds = [[(t, a) for t, a in enumerate(self.cartan[s]) if a]
+                 for s in range(n)]
+        start = (1,) * n
+        index = {start: 0}
+        heights = [start]
         self.words: list[Word] = [()]
         self.length: list[int] = [0]
-        self.right: list[list[int]] = []
+        self.right: list[list[int]] = [[-1] * n]
+        self.right_descents: list[frozenset[int]] = []
 
         frontier = 0
-        while frontier < len(matrices):
+        while frontier < len(heights):
             w = frontier
             frontier += 1
-            row = [-1] * n
+            h = heights[w]
+            row = self.right[w]
+            self.right_descents.append(
+                frozenset(s for s in range(n) if h[s] < 0))
             for s in range(n):
-                m = self._mat_mul(matrices[w], gens[s])
-                ws = index.get(m)
+                if h[s] < 0:
+                    continue  # w s is shorter; row[s] was set from its row
+                new = list(h)
+                for t, a in bonds[s]:
+                    new[t] -= a * h[s]
+                key = tuple(new)
+                ws = index.get(key)
                 if ws is None:
-                    ws = len(matrices)
+                    ws = len(heights)
                     if ws > cap:
                         raise GroupTooLargeError(
                             f"group exceeds cap of {cap} elements; "
                             "raise the cap or check the input matrix")
-                    index[m] = ws
-                    matrices.append(m)
+                    index[key] = ws
+                    heights.append(key)
                     self.words.append(self.words[w] + (s,))
                     self.length.append(self.length[w] + 1)
+                    self.right.append([-1] * n)
                 row[s] = ws
-            self.right.append(row)
+                self.right[ws][s] = w
 
-        self.size = len(matrices)
-        # s is a right descent of w iff w(alpha_s) is a negative root.
-        self.right_descents: list[frozenset[int]] = [
-            frozenset(s for s in range(n)
-                      if all(c <= 0 for c in (col[s] for col in matrices[w])))
-            for w in range(self.size)
-        ]
+        self.size = len(heights)
         self.inverse: list[int] = [
-            self.word_to_id(tuple(reversed(self.words[w]))) for w in range(self.size)
+            self.word_to_id(reversed(self.words[w])) for w in range(self.size)
         ]
         self.left_descents: list[frozenset[int]] = [
             self.right_descents[self.inverse[w]] for w in range(self.size)

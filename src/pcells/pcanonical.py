@@ -147,10 +147,10 @@ def load_table(source, system: CoxeterSystem, *, strict: bool = True,
     """Load a table from a path, file object, or parsed JSON dict.
 
     Malformed input raises PCanValidationError: a missing key or bad value,
-    and, naming the offending entry, a non-reduced word, a repeated x entry
-    or y term, or a diagonal coefficient other than 1.  With strict=True
-    (the default) any invariant violation raises PCanValidationError naming
-    the offending pairs.
+    and, naming the offending entry, a p or word letter that is not a JSON
+    integer, a non-reduced word, a repeated x entry or y term, or a diagonal
+    coefficient other than 1.  With strict=True (the default) any invariant
+    violation raises PCanValidationError naming the offending pairs.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
@@ -167,14 +167,21 @@ def load_table(source, system: CoxeterSystem, *, strict: bool = True,
     schema_bad: list[str] = []
 
     def element(digits, where: str) -> int:
-        word = tuple(int(d) - 1 for d in digits)
+        for d in digits:
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise PCanValidationError(
+                    [f"{where}: letter {d!r} of word {list(digits)} is not "
+                     "an integer"])
+        word = tuple(d - 1 for d in digits)
         w = system.word_to_id(word)
         if system.length[w] != len(word):
             schema_bad.append(f"{where}: word {list(digits)} is not reduced")
         return w
 
     try:
-        prime = int(obj["p"])
+        prime = obj["p"]
+        if isinstance(prime, bool) or not isinstance(prime, int):
+            raise PCanValidationError([f"p = {prime!r} is not an integer"])
         for entry in obj.get("entries", []):
             where = f"entry x={list(entry['x'])}"
             x = element(entry["x"], where)
@@ -193,6 +200,8 @@ def load_table(source, system: CoxeterSystem, *, strict: bool = True,
                     f"diagonal entry at x={system.id_to_digits(x)} "
                     f"is {diagonal}, not 1")
             rows[x] = {y: c for y, c in terms.items() if c}
+    except PCanValidationError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise PCanValidationError([f"schema error: {e!r}"]) from e
     if schema_bad:

@@ -161,6 +161,30 @@ def star_left(system: CoxeterSystem, x: int, r: int, t: int) -> int:
     return system.inverse[star_right(system, system.inverse[x], r, t)]
 
 
+def _string_maps(system: CoxeterSystem, r: int, t: int
+                 ) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """Star image and string-neighbour pair of every x in D_R(r, t), from
+    one walk over the strings: position k goes to m - k, and its neighbours
+    are positions k - 1 and k + 1 inside 1..m-1, the one that exists doubled
+    at a string end (as star_right and t_neighbors give).  Ids increase with
+    length, so each pair is in increasing order, as t_neighbors sorts it."""
+    m = system.coxeter_matrix[r][t]
+    if m == 0:
+        raise ValueError("star operations need a finite bond order")
+    if m < 3:
+        raise ValueError("star operations need bond order >= 3")
+    star: dict[int, int] = {}
+    neighbours: dict[int, tuple[int, int]] = {}
+    for string in all_strings(system, r, t):
+        elements = string.elements
+        for k, x in enumerate(elements):
+            star[x] = elements[m - 2 - k]
+            a = elements[k - 1] if k > 0 else elements[k + 1]
+            b = elements[k + 1] if k < m - 2 else elements[k - 1]
+            neighbours[x] = (a, b)
+    return star, neighbours
+
+
 def t_neighbors(system: CoxeterSystem, x: int, r: int, t: int) -> list[int]:
     """The string neighbours {xr, xt} intersected with D_R(r, t), duplicated
     to a two-element multiset when only one exists."""
@@ -251,8 +275,8 @@ def check_base_change_relations(table: PCanTable, r: int, t: int) -> Report:
                      f" z-string {sys_.id_to_digits(sz.elements[0])}")
             checked += _check_relation_system(m, get, label, bad)
 
-    dr = sorted(d_r_set(sys_, r, t))
-    star = {x: star_right(sys_, x, r, t) for x in dr}
+    star, _ = _string_maps(sys_, r, t)
+    dr = sorted(star)
     for x in dr:
         for z in dr:
             if sys_.length[z] > sys_.length[x]:
@@ -299,8 +323,8 @@ def check_structure_coefficient_relations(table: PCanTable, kl: KLTable,
                          f"{sys_.id_to_digits(sz.elements[0])}")
                 checked += _check_relation_system(m, get, label, bad)
 
-    dr = sorted(d_r_set(sys_, r, t))
-    star = {x: star_right(sys_, x, r, t) for x in dr}
+    star, _ = _string_maps(sys_, r, t)
+    dr = sorted(star)
     for x in dr:
         for s in range(sys_.rank):
             if s in sys_.left_descents[x]:
@@ -443,19 +467,17 @@ def star_closure_check(left: CellPartition, right: CellPartition,
     if not p_bound_ok(prime, m):
         raise PBoundError(
             f"p = {prime} is below the bound for bond order {m}")
-    dr = d_r_set(system, r, t)
-    star = {x: star_right(system, x, r, t) for x in dr}
+    star, _ = _string_maps(system, r, t)
+    dr = frozenset(star)
     bad: list[str] = []
     checked = 0
 
+    string_of_elt = {}
     for s in all_strings(system, r, t):
         checked += 1
         if len({right.cell_of[x] for x in s.elements}) != 1:
             bad.append(f"string at {system.id_to_digits(s.elements[0])} "
                        "crosses right cells")
-
-    string_of_elt = {}
-    for s in all_strings(system, r, t):
         for x in s.elements:
             string_of_elt[x] = s
 
@@ -542,18 +564,20 @@ def tau_partition(system: CoxeterSystem,
     """Iterated refinement of right-descent-set equality through neighbour
     multisets of strings, over pairs with bond order 3 or 4 (restrict with
     orders=(3,) when only those pairs are valid at the working prime)."""
-    pairs = [(r, t) for r in range(system.rank) for t in range(r + 1, system.rank)
-             if system.coxeter_matrix[r][t] in orders]
+    maps = [_string_maps(system, r, t)[1]
+            for r in range(system.rank) for t in range(r + 1, system.rank)
+            if system.coxeter_matrix[r][t] in orders]
 
     def factory(class_of: dict[int, int]):
         def signature(x: int) -> tuple:
             sig = []
-            for (r, t) in pairs:
-                if in_d_r(system, x, r, t):
-                    a, b = t_neighbors(system, x, r, t)
-                    sig.append(tuple(sorted((class_of[a], class_of[b]))))
-                else:
+            for neighbours in maps:
+                pair = neighbours.get(x)
+                if pair is None:
                     sig.append(None)
+                else:
+                    a, b = class_of[pair[0]], class_of[pair[1]]
+                    sig.append((a, b) if a <= b else (b, a))
             return tuple(sig)
         return signature
 
@@ -563,17 +587,16 @@ def tau_partition(system: CoxeterSystem,
 def tau_tilde_partition(system: CoxeterSystem) -> TauPartition:
     """Same fixpoint scheme, refining by star images over every pair with
     finite bond order at least 3."""
-    pairs = [(r, t) for r in range(system.rank) for t in range(r + 1, system.rank)
-             if system.coxeter_matrix[r][t] >= 3]
+    maps = [_string_maps(system, r, t)[0]
+            for r in range(system.rank) for t in range(r + 1, system.rank)
+            if system.coxeter_matrix[r][t] >= 3]
 
     def factory(class_of: dict[int, int]):
         def signature(x: int) -> tuple:
             sig = []
-            for (r, t) in pairs:
-                if in_d_r(system, x, r, t):
-                    sig.append(class_of[star_right(system, x, r, t)])
-                else:
-                    sig.append(None)
+            for star in maps:
+                y = star.get(x)
+                sig.append(None if y is None else class_of[y])
             return tuple(sig)
         return signature
 

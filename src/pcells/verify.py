@@ -37,14 +37,13 @@ from .pcanonical import (
     verify_parabolic_factorization,
 )
 from .stars import (
+    _string_maps,
     check_base_change_relations,
     check_coefficient_sliding,
     check_string_vanishing,
     check_structure_coefficient_relations,
-    d_r_set,
     p_bound_ok,
     star_closure_check,
-    star_right,
     tau_partition,
     tau_tilde_partition,
 )
@@ -356,14 +355,13 @@ def _star_reports(label: str, prime: int) -> list[Report]:
 
 def _wgraph_star_isomorphism(system, table, kl, left: CellPartition,
                              r: int, t: int) -> Report:
-    dr = d_r_set(system, r, t)
+    star, _ = _string_maps(system, r, t)
     bad: list[str] = []
     checked = 0
     for i, cell in enumerate(left.cells):
-        if not cell <= dr:
+        if not cell <= star.keys():
             continue
-        star = {x: star_right(system, x, r, t) for x in cell}
-        image = frozenset(star.values())
+        image = frozenset(star[x] for x in cell)
         g = extract_wgraph(left, i, table, kl)
         try:
             j = left.cell_index_of(image)

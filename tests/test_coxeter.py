@@ -5,6 +5,7 @@ import pytest
 from pcells.coxeter import (
     CoxeterSystem,
     GroupTooLargeError,
+    cartan_matrix_of_type,
     cartan_to_coxeter,
     parse_digits,
 )
@@ -27,6 +28,15 @@ def test_cartan_rejects_bad_input():
         cartan_to_coxeter([[2, 1], [-1, 2]])
 
 
+def test_cartan_rejects_one_sided_zero():
+    # a(s,t) = 0 != a(t,s) is no generalized Cartan matrix; it used to be
+    # read as m = 2 and then ran to the element cap
+    with pytest.raises(ValueError, match=r"a\(1,2\) = 0 but a\(2,1\) = -1"):
+        cartan_to_coxeter([[2, 0], [-1, 2]])
+    with pytest.raises(ValueError, match=r"a\(2,3\) = -2 but a\(3,2\) = 0"):
+        CoxeterSystem.from_cartan([[2, -1, 0], [-1, 2, -2], [0, 0, 2]])
+
+
 def test_enumeration_sizes():
     assert CoxeterSystem.from_type("A2").size == 6
     assert CoxeterSystem.from_type("B2").size == 8
@@ -36,12 +46,90 @@ def test_enumeration_sizes():
     assert c3.length[c3.longest_element()] == 9
 
 
+# Cartan matrices beyond the from_type labels; B5 is the benchmark's.
+CARTAN = {
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "D5": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+           [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
+    "B5": [[2, -2, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
+           [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]],
+}
+AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+
+
+def _enumerate_by_matrices(cartan):
+    """Breadth-first enumeration keyed by the n x n matrix of each element in
+    the geometric representation s(alpha_t) = alpha_t - a(s,t) alpha_s,
+    with s a right descent of w iff the column w(alpha_s) is a negative
+    root: the implementation the height-vector enumeration replaced."""
+    n = len(cartan)
+
+    def mat_mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
+                           for j in range(n)) for i in range(n))
+
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens = [tuple(tuple((1 if k == j else 0) - (cartan[s][j] if k == s else 0)
+                        for j in range(n)) for k in range(n))
+            for s in range(n)]
+    index = {identity: 0}
+    matrices = [identity]
+    words, length, right = [()], [0], []
+    frontier = 0
+    while frontier < len(matrices):
+        w = frontier
+        frontier += 1
+        row = []
+        for s in range(n):
+            m = mat_mul(matrices[w], gens[s])
+            if m not in index:
+                index[m] = len(matrices)
+                matrices.append(m)
+                words.append(words[w] + (s,))
+                length.append(length[w] + 1)
+            row.append(index[m])
+        right.append(row)
+
+    def word_to_id(word):
+        w = 0
+        for s in word:
+            w = right[w][s]
+        return w
+
+    right_descents = [
+        frozenset(s for s in range(n) if all(row[s] <= 0 for row in mat))
+        for mat in matrices]
+    inverse = [word_to_id(reversed(word)) for word in words]
+    left_descents = [right_descents[inverse[w]] for w in range(len(words))]
+    return {"words": words, "length": length, "right": right,
+            "right_descents": right_descents, "left_descents": left_descents,
+            "inverse": inverse}
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "A6", "B2",
+                                   "B3", "C3", "G2", "D4", "F4", "D5", "B5"])
+def test_enumeration_matches_matrix_oracle(label):
+    cartan = CARTAN.get(label) or cartan_matrix_of_type(label)
+    system = CoxeterSystem.from_cartan(cartan)
+    want = _enumerate_by_matrices(cartan)
+    assert system.size == len(want["words"])
+    for key, value in want.items():
+        assert getattr(system, key) == value, key
+
+
 def test_cap_exceeded():
     with pytest.raises(GroupTooLargeError):
         CoxeterSystem.from_type("C3", cap=10)
     # an infinite group hits the cap instead of hanging
     with pytest.raises(GroupTooLargeError):
         CoxeterSystem.from_cartan([[2, -2], [-2, 2]], cap=50)
+
+
+def test_affine_a2_hits_the_cap():
+    # affine A2 is infinite: the enumeration stops at the cap
+    with pytest.raises(GroupTooLargeError):
+        CoxeterSystem.from_cartan(AFFINE_A2, cap=200)
 
 
 def test_from_coxeter_matrix_matches_cartan_build():

@@ -115,6 +115,39 @@ def test_load_rejects_duplicates(c3):
     assert "entry x=[2, 1, 2]: duplicate entry" in str(err.value)
 
 
+def test_load_rejects_non_integers(c3):
+    # each of these used to load as the valid row m(2, 212) = 1 at p = 2
+    def table(p=2, x=(2, 1, 2), y=(2,)):
+        return {"p": p, "entries": [{
+            "x": list(x),
+            "terms": [{"y": list(x), "coeff": [[0, 1]]},
+                      {"y": list(y), "coeff": [[0, 1]]}]}]}
+
+    load_table(table(), c3)
+    found = {"p": 2.9, "entries": [{
+        "x": [2.7, 1, "2"],
+        "terms": [{"y": [2, 1, 2], "coeff": [[0, 1]]},
+                  {"y": [2.2], "coeff": [[0, 1]]}]}]}
+    cases = [
+        (found, "p = 2.9 is not an integer"),
+        (table(p=2.9), "p = 2.9 is not an integer"),
+        (table(p="2"), "p = '2' is not an integer"),
+        (table(p=True), "p = True is not an integer"),
+        (table(x=(2.7, 1, 2)),
+         "entry x=[2.7, 1, 2]: letter 2.7 of word [2.7, 1, 2] is not an integer"),
+        (table(x=(2, 1, "2")),
+         "entry x=[2, 1, '2']: letter '2' of word [2, 1, '2'] is not an integer"),
+        (table(y=(2.2,)),
+         "entry x=[2, 1, 2]: letter 2.2 of word [2.2] is not an integer"),
+        (table(y=(True,)),
+         "entry x=[2, 1, 2]: letter True of word [True] is not an integer"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(PCanValidationError) as err:
+            load_table(obj, c3)
+        assert err.value.violations == [message]
+
+
 def test_strict_override(c3, kl_c3):
     obj = {"p": 2, "entries": [{
         "x": [2, 1, 2],

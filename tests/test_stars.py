@@ -1,10 +1,13 @@
 import pytest
 
 from pcells.cells import compute_cells
+from pcells.coxeter import CoxeterSystem
 from pcells.laurent import ONE
 from pcells.pcanonical import PCanTable, identity_table
 from pcells.stars import (
     PBoundError,
+    TauPartition,
+    _string_maps,
     all_strings,
     check_base_change_relations,
     check_coefficient_sliding,
@@ -12,6 +15,7 @@ from pcells.stars import (
     check_structure_coefficient_relations,
     classify_string_relation,
     d_r_set,
+    in_d_r,
     star_closure_check,
     star_left,
     star_right,
@@ -188,3 +192,83 @@ def test_tau_restricted_to_valid_pairs_at_p2(c3, kl_c3, c3_p2):
     left = compute_cells(c3_p2, kl_c3, "left")
     for cell in left.cells:
         assert len({part.class_of[w] for w in cell}) == 1
+
+
+F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+TAU_GROUPS = ["A3", "B3", "C3", "G2", "F4", "A5"]
+
+
+def _system(label):
+    return CoxeterSystem.from_cartan(F4) if label == "F4" else verify.get_system(label)
+
+
+def _tau_by_strings(system, orders=(3, 4), tilde=False):
+    """The tau (or tau-tilde) fixpoint with each signature read per element
+    and per round from t_neighbors (or star_right): the implementation the
+    string maps replaced, refinement and renumbering included."""
+    pairs = [(r, t) for r in range(system.rank) for t in range(r + 1, system.rank)
+             if (system.coxeter_matrix[r][t] >= 3 if tilde
+                 else system.coxeter_matrix[r][t] in orders)]
+
+    def signature(class_of, x):
+        sig = []
+        for (r, t) in pairs:
+            if not in_d_r(system, x, r, t):
+                sig.append(None)
+            elif tilde:
+                sig.append(class_of[star_right(system, x, r, t)])
+            else:
+                a, b = t_neighbors(system, x, r, t)
+                sig.append(tuple(sorted((class_of[a], class_of[b]))))
+        return tuple(sig)
+
+    def refine(class_of, sig):
+        buckets = {}
+        for x in system.elements():
+            buckets.setdefault((class_of[x],) + sig(x), []).append(x)
+        out = {}
+        for i, key in enumerate(sorted(buckets, key=lambda k: min(buckets[k]))):
+            for x in buckets[key]:
+                out[x] = i
+        return out
+
+    class_of = refine({x: 0 for x in system.elements()},
+                      lambda x: (tuple(sorted(system.right_descents[x])),))
+    iterations = 0
+    while True:
+        nxt = refine(class_of, lambda x: signature(class_of, x))
+        iterations += 1
+        if nxt == class_of:
+            break
+        class_of = nxt
+    classes = [set() for _ in range(max(class_of.values()) + 1)]
+    for x, i in class_of.items():
+        classes[i].add(x)
+    classes.sort(key=lambda c: (min(system.length[x] for x in c), min(c)))
+    return TauPartition(classes=tuple(frozenset(c) for c in classes),
+                        class_of={x: i for i, c in enumerate(classes) for x in c},
+                        stabilized_at=iterations)
+
+
+@pytest.mark.parametrize("label", TAU_GROUPS)
+def test_tau_matches_string_oracle(label):
+    system = _system(label)
+    assert tau_partition(system) == _tau_by_strings(system)
+    assert tau_partition(system, orders=(3,)) == _tau_by_strings(system, (3,))
+    assert tau_tilde_partition(system) == _tau_by_strings(system, tilde=True)
+
+
+@pytest.mark.parametrize("label", TAU_GROUPS)
+def test_string_maps_match_star_right_and_t_neighbors(label):
+    system = _system(label)
+    for r in range(system.rank):
+        for t in range(r + 1, system.rank):
+            if system.coxeter_matrix[r][t] < 3:
+                with pytest.raises(ValueError):
+                    _string_maps(system, r, t)
+                continue
+            star, neighbours = _string_maps(system, r, t)
+            assert star.keys() == neighbours.keys() == d_r_set(system, r, t)
+            for x in star:
+                assert star[x] == star_right(system, x, r, t)
+                assert list(neighbours[x]) == t_neighbors(system, x, r, t)
