@@ -52,14 +52,26 @@ _CARTAN_FOR_ORDER = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3)}
 
 
 class GroupTooLargeError(RuntimeError):
-    """Raised when closure exceeds the configured element cap."""
+    """Raised for an infinite group, or when closure exceeds the configured
+    element cap."""
 
 
 def cartan_to_coxeter(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Bond orders from a generalized Cartan matrix (0 encodes infinity)."""
+    """Bond orders from a generalized Cartan matrix (0 encodes infinity).
+
+    Raises ValueError naming the first entry that breaks an axiom; an entry
+    must be an int (not a bool), so 2.0, -1.7 or "-1" is rejected rather
+    than truncated.
+    """
     n = len(cartan)
     if any(len(row) != n for row in cartan):
         raise ValueError("Cartan matrix must be square")
+    for i, row in enumerate(cartan):
+        for j, a in enumerate(row):
+            if isinstance(a, bool) or not isinstance(a, int):
+                raise ValueError(
+                    f"Cartan entry a({i + 1},{j + 1}) = {a!r} is not an "
+                    "integer")
     m = [[1] * n for _ in range(n)]
     for i in range(n):
         if cartan[i][i] != 2:
@@ -86,6 +98,60 @@ def cartan_to_coxeter(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
             else:
                 m[i][j] = 0
     return m
+
+
+def _infinite_reason(cartan: Sequence[Sequence[int]]) -> str | None:
+    """Why the Coxeter group of a generalized Cartan matrix is infinite, or
+    None when it is finite.
+
+    The Coxeter graph joins s and t when a(s,t) != 0, i.e. m(s,t) >= 3.
+    The graph of a finite Coxeter group is a forest without an m = inf
+    edge.  On a forest the matrix is symmetrisable: walking each tree with
+    d = 1 at its root and d_t = d_s a(s,t) / a(t,s) along each edge makes
+    B = diag(d) A symmetric with d > 0.  B is congruent to
+    diag(d)^(1/2) A diag(d)^(-1/2), whose (s,t) entry is
+    -sqrt(a(s,t) a(t,s)) = -2 cos(pi / m(s,t)), that is twice the cosine
+    form of the Coxeter group; and the group is finite exactly when that
+    form is positive definite (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, Section 4.1; Humphreys, Reflection Groups and Coxeter Groups,
+    Section 6.4).  By Sylvester's criterion B is positive definite exactly
+    when its leading principal minors are positive.  The leading k x k
+    minor of B is d_1 ... d_k times that of A, so the test needs no d: the
+    leading minors of A must be positive.  Bareiss's fraction-free
+    elimination yields them as its pivots, exactly in integers.  Expects a
+    matrix cartan_to_coxeter accepts.
+    """
+    n = len(cartan)
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, -1)]
+        while stack:
+            s, parent = stack.pop()
+            for t in range(n):
+                a = cartan[s][t]
+                if t == s or t == parent or a == 0:
+                    continue
+                if a * cartan[t][s] >= 4:
+                    return f"m({s + 1},{t + 1}) = inf"
+                if seen[t]:
+                    return "the Coxeter graph has a cycle"
+                seen[t] = True
+                stack.append((t, s))
+    work = [list(row) for row in cartan]
+    prev = 1
+    for k in range(n):
+        pivot = work[k][k]  # the leading (k + 1) x (k + 1) minor of A
+        if pivot <= 0:
+            return "the symmetrised Cartan form is not positive definite"
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * pivot
+                              - work[i][k] * work[k][j]) // prev
+        prev = pivot
+    return None
 
 
 def coxeter_to_cartan(coxeter: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -168,10 +234,13 @@ class CoxeterSystem:
 
     def __init__(self, cartan: Sequence[Sequence[int]], cap: int = 10**6,
                  label: str | None = None):
-        self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+        self.cartan = tuple(tuple(row) for row in cartan)
         self.coxeter_matrix = tuple(tuple(row) for row in cartan_to_coxeter(self.cartan))
         self.rank = len(self.cartan)
         self.label = label
+        reason = _infinite_reason(self.cartan)
+        if reason is not None:
+            raise GroupTooLargeError(f"the group is infinite: {reason}")
         self._enumerate(cap)
         self._bruhat_cache: dict[tuple[int, int], bool] = {}
 

@@ -14,8 +14,11 @@ compute_kl_table runs the length recursion on packed integers: each h(y, x)
 is one Python int holding its coefficients in fixed-width digits, which is
 exact because h(y, x) has nonnegative coefficients (positivity,
 Elias-Williamson 2014) and a guard raises OverflowError before a coefficient
-could outgrow its digit.  The finished table holds decoded LaurentPoly
-values, one shared immutable object per distinct polynomial.
+could outgrow its digit.  It computes half of each column: for s a right
+descent of x and ts < t, h(ts, x) = v h(t, x) (P_{y,w} = P_{ys,w} of
+Kazhdan-Lusztig 1979), so only the entries at the tops t are built.  The
+finished table holds decoded LaurentPoly values, one shared immutable object
+per distinct polynomial.
 
 HeckeElt values are tagged with the basis they are expressed in ("std",
 "kl", or "pcan"); arithmetic across different bases is a hard error, and
@@ -262,6 +265,17 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     terms mu(z, x') C_z over z < x' with s a right descent of z; elements
     are processed in id order, which is length order.
 
+    Only the tops t of the pairs {t, ts} with ts < t are computed.  An
+    element sum a_w H_w of the right ideal H C_s has a_ts = v a_t, since
+    H_ts C_s = H_t + v H_ts and H_t C_s = H_ts + v^-1 H_t.  C_{x'} C_s lies
+    in it, and so does every correction C_z, because s in D_R(z) gives
+    C_z C_s = (v + v^-1) C_z and the pair relation is linear over
+    Z[v, v^-1], which has no zero divisors.  Hence so does C_x:
+    h(ts, x) = v h(t, x), and each bottom is written as its top shifted by
+    one digit.  The same relation gives mu: h(ts, x) has a v-coefficient
+    only when h(t, x) has a constant term, i.e. t = x, so mu(y, x) is read
+    off the tops plus mu(xs, x) = 1.
+
     The kernel holds each h(y, x) as one Python int, the polynomial
     evaluated at v = 2^_WIDTH (Kronecker substitution).  By positivity
     (Elias-Williamson), every h(y, x) lies in Z_{>=0}[v], so while its
@@ -273,7 +287,8 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     at most doubles per step; _unpack raises OverflowError at the first
     coefficient reaching 2^(_WIDTH - 2), which is still decoded exactly,
     and nothing wraps silently.  Columns are decoded at the end through one
-    cache, so equal polynomials share one LaurentPoly.
+    cache that unpacks each distinct value once, so equal polynomials share
+    one LaurentPoly.
     """
     right, descents = system.right, system.right_descents
     packed: list[dict] = [{} for _ in system.elements()]  # ints, then polys
@@ -284,28 +299,47 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
             continue
         s = min(descents[x])
         xp = right[x][s]  # x' with x = x's, shorter
-        # C_{x'} (H_s + v): H_w (H_s + v) is H_ws + v H_w when ws > w and
-        # H_ws + v^-1 H_w when ws < w; ids are in length order, and
-        # h(w, x') is in v Z[v] whenever ws < w because then w != x'.
-        col: dict[int, int] = {}
-        get = col.get
+        # h(t, x) over the tops t > ts.  In C_{x'} (H_s + v), H_ts H_s =
+        # H_t and H_t H_s = H_ts + (v^-1 - v) H_t, so H_t gets h(ts, x') +
+        # v^-1 h(t, x'); ids are in length order, and h(t, x') is in v Z[v]
+        # because t != x' (x' s = x is longer).
+        top: dict[int, int] = {}
+        get = top.get
         for w, c in packed[xp].items():
             ws = right[w][s]
-            col[ws] = get(ws, 0) + c
-            col[w] = get(w, 0) + (c >> _WIDTH if ws < w else c << _WIDTH)
+            if ws < w:
+                top[w] = get(w, 0) + (c >> _WIDTH)
+            else:
+                top[ws] = get(ws, 0) + c
         for z, m in mu[xp].items():
             if s in descents[z]:
                 for w, c in packed[z].items():
-                    col[w] -= m * c
-        packed[x] = col = {w: c for w, c in col.items() if c}
-        mu[x] = {y: m for y, c in col.items()
-                 if y != x and (m := (c >> _WIDTH) & _MASK)}
-    # decode in place, so each packed column is freed as it is replaced
-    cache: dict[int, LaurentPoly] = {}
+                    if right[w][s] < w:
+                        top[w] -= m * c
+        # the bottoms: h(ts, x) = v h(t, x)
+        col: dict[int, int] = {}
+        for t, c in top.items():
+            if c:
+                col[t] = c
+                col[right[t][s]] = c << _WIDTH
+        packed[x] = col
+        mu[x] = {t: m for t, c in top.items()
+                 if t != x and (m := (c >> _WIDTH) & _MASK)}
+        mu[x][xp] = 1
+    # decode in place, so each packed column is freed as it is replaced;
+    # each distinct packed value is decoded once and shared
+    cache = _Decoded()
     for x, col in enumerate(packed):
-        packed[x] = {w: cache.get(c) or cache.setdefault(c, _unpack(c))
-                     for w, c in col.items()}
+        packed[x] = dict(zip(col, map(cache.__getitem__, col.values())))
     return KLTable(system, packed, mu)
+
+
+class _Decoded(dict):
+    """Packed int -> its LaurentPoly, decoded on first lookup."""
+
+    def __missing__(self, packed: int) -> LaurentPoly:
+        self[packed] = poly = _unpack(packed)
+        return poly
 
 
 def kl_multiply_by_generator(table: KLTable, x: int, s: int,
@@ -361,8 +395,9 @@ def unitriangular_solve(system: CoxeterSystem,
             if not c:
                 continue
             out[x] = c
+            neg = -c
             for y, m in lower_row(x):
-                _acc(work, y, (m * c).scale(-1))
+                _acc(work, y, m * neg)
                 buckets.setdefault(system.length[y], set()).add(y)
     return out
 

@@ -13,7 +13,8 @@ every such basis satisfies:
 
 Structure coefficients mu^z(x, s) in B_x C_s = sum mu^z B_z (and the left
 mirror) are computed exactly by expanding to the Kazhdan-Lusztig basis,
-multiplying there, and back-substituting through the table.
+multiplying there, and back-substituting through the table when a term of
+the product has a row.
 
 JSON schema (words are 1-based digit lists, coefficients sorted
 [exponent, value] pairs; omitted group elements default to identity rows):
@@ -250,16 +251,22 @@ def structure_coefficients(table: PCanTable, kl: KLTable, x: int, s: int,
 
     Descent case: {x: v + v^-1}.  Otherwise the product is expanded in the
     KL basis through the table, multiplied by the generator there, and
-    back-substituted.
+    back-substituted.  The back-substitution is skipped when no term of the
+    product has a table row: each such C_z is then B_z, so the KL
+    coefficients are already the answer.  At p = 0 that is every call; a
+    p > 0 table solves exactly when a rowed element appears.  Every call
+    returns a fresh dict.
     """
     sys_ = table.system
     descents = sys_.right_descents if side == "right" else sys_.left_descents
     if s in descents[x]:
         return {x: GAUSS}
-    acc: dict[int, LaurentPoly] = {}
-    for z, c in _pcan_row_kl(table, x):
+    acc = kl_multiply_by_generator(kl, x, s, side)
+    for z, c in table.rows.get(x, {}).items():
         for w, d in kl_multiply_by_generator(kl, z, s, side).items():
             _acc(acc, w, c * d)
+    if table.rows.keys().isdisjoint(acc):
+        return acc
     return table.kl_to_pcan_coeffs(acc)
 
 

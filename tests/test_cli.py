@@ -73,6 +73,20 @@ def test_cells_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_cells_cartan_entries_must_be_integers(capsys):
+    for matrix in ("[[2, -1.7], [-1, 2]]", '[[2, "-1"], [-1, 2]]'):
+        code, _, err = run(capsys, "cells", "--cartan", matrix)
+        assert code == 2
+        assert "Cartan entry a(1,2)" in err and "is not an integer" in err
+
+
+def test_cells_infinite_group(capsys):
+    code, _, err = run(capsys, "cells", "--cartan",
+                       "[[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]")
+    assert code == 1
+    assert "infinite" in err
+
+
 def test_rs(capsys):
     code, out, _ = run(capsys, "rs", "312")
     assert code == 0

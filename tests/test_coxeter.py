@@ -5,6 +5,7 @@ import pytest
 from pcells.coxeter import (
     CoxeterSystem,
     GroupTooLargeError,
+    _infinite_reason,
     cartan_matrix_of_type,
     cartan_to_coxeter,
     parse_digits,
@@ -35,6 +36,16 @@ def test_cartan_rejects_one_sided_zero():
         cartan_to_coxeter([[2, 0], [-1, 2]])
     with pytest.raises(ValueError, match=r"a\(2,3\) = -2 but a\(3,2\) = 0"):
         CoxeterSystem.from_cartan([[2, -1, 0], [-1, 2, -2], [0, 0, 2]])
+
+
+def test_cartan_rejects_non_integer_entries():
+    # each of these used to be truncated through int() and build A2
+    for entry, shown in ((-1.7, "-1.7"), ("-1", "'-1'"), (True, "True"),
+                         (-1.0, "-1.0")):
+        with pytest.raises(ValueError, match=rf"a\(1,2\) = {shown} is not "):
+            CoxeterSystem.from_cartan([[2, entry], [-1, 2]])
+    with pytest.raises(ValueError, match=r"a\(2,2\) = 2.0 is not "):
+        cartan_to_coxeter([[2, -1], [-1, 2.0]])
 
 
 def test_enumeration_sizes():
@@ -130,6 +141,51 @@ def test_affine_a2_hits_the_cap():
     # affine A2 is infinite: the enumeration stops at the cap
     with pytest.raises(GroupTooLargeError):
         CoxeterSystem.from_cartan(AFFINE_A2, cap=200)
+
+
+def _enumerates_within(cartan, cap):
+    """Whether the height-vector enumeration, run without the finiteness
+    check, closes within cap elements."""
+    probe = CoxeterSystem.__new__(CoxeterSystem)
+    probe.cartan, probe.rank = cartan, len(cartan)
+    try:
+        probe._enumerate(cap)
+    except GroupTooLargeError:
+        return False
+    return True
+
+
+def test_finiteness_matches_enumeration_in_rank_three():
+    # every rank-3 generalized Cartan matrix over these bonds; a finite
+    # group of rank 3 has at most 48 elements
+    bonds = [(0, 0), (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1),
+             (-2, -2), (-1, -4)]
+    finite = 0
+    for b01, b02, b12 in itertools.product(bonds, repeat=3):
+        cartan = [[2, b01[0], b02[0]], [b01[1], 2, b12[0]],
+                  [b02[1], b12[1], 2]]
+        reason = _infinite_reason(cartan)
+        assert (reason is None) == _enumerates_within(cartan, 48), cartan
+        finite += reason is None
+    assert finite == 31
+
+
+def test_infinite_group_is_rejected_before_enumerating():
+    cases = [
+        ("the Coxeter graph has a cycle", AFFINE_A2),
+        ("m(1,2) = inf", [[2, -1], [-4, 2]]),
+        # affine G2 and affine C2: forests whose form is not definite
+        ("the symmetrised Cartan form is not positive definite",
+         [[2, -1, 0], [-3, 2, -1], [0, -1, 2]]),
+        ("the symmetrised Cartan form is not positive definite",
+         [[2, -2, 0], [-1, 2, -2], [0, -1, 2]]),
+    ]
+    for reason, cartan in cases:
+        with pytest.raises(GroupTooLargeError) as err:
+            CoxeterSystem.from_cartan(cartan, cap=10**9)
+        assert str(err.value) == f"the group is infinite: {reason}"
+    for cartan in CARTAN.values():
+        assert _infinite_reason(cartan) is None
 
 
 def test_from_coxeter_matrix_matches_cartan_build():

@@ -166,18 +166,75 @@ def _kl_by_recursion(system):
     return h, mu
 
 
-@pytest.mark.parametrize("cartan", [
-    "A4", "C3", "G2",
-    [[2, -2, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],  # B4
-    [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],  # D4
-], ids=["A4", "C3", "G2", "B4", "D4"])
-def test_packed_kernel_matches_recursion_oracle(cartan):
-    system = (CoxeterSystem.from_type(cartan) if isinstance(cartan, str)
-              else CoxeterSystem.from_cartan(cartan))
+ORACLE_GROUPS = {
+    "A4": "A4", "C3": "C3", "G2": "G2",
+    "B4": [[2, -2, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+}
+FULL_COLUMN_GROUPS = {
+    **ORACLE_GROUPS,
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+}
+
+
+def _system(cartan):
+    return (CoxeterSystem.from_type(cartan) if isinstance(cartan, str)
+            else CoxeterSystem.from_cartan(cartan))
+
+
+@pytest.mark.parametrize("label", ORACLE_GROUPS)
+def test_packed_kernel_matches_recursion_oracle(label):
+    system = _system(ORACLE_GROUPS[label])
     table = compute_kl_table(system)
     h, mu = _kl_by_recursion(system)
     assert table.h == h
     assert table.mu == mu
+
+
+def _kl_by_full_columns(system):
+    """Oracle: the packed kernel as it ran before the pair symmetry, building
+    every entry of C_{x'} (H_s + v) and of each correction.  Returns (h, mu)
+    with h decoded."""
+    right, descents = system.right, system.right_descents
+    packed = [{} for _ in system.elements()]
+    mu = [{} for _ in system.elements()]
+    packed[0] = {0: 1}
+    for x in system.elements():
+        if x == 0:
+            continue
+        s = min(descents[x])
+        xp = right[x][s]
+        col = {}
+        for w, c in packed[xp].items():
+            ws = right[w][s]
+            col[ws] = col.get(ws, 0) + c
+            col[w] = col.get(w, 0) + (c >> 32 if ws < w else c << 32)
+        for z, m in mu[xp].items():
+            if s in descents[z]:
+                for w, c in packed[z].items():
+                    col[w] -= m * c
+        packed[x] = col = {w: c for w, c in col.items() if c}
+        mu[x] = {y: m for y, c in col.items()
+                 if y != x and (m := (c >> 32) & 0xFFFFFFFF)}
+    decoded = {c: _unpack(c) for col in packed for c in set(col.values())}
+    return [{w: decoded[c] for w, c in col.items()} for col in packed], mu
+
+
+@pytest.mark.parametrize("label", FULL_COLUMN_GROUPS)
+def test_pair_kernel_matches_full_column_oracle(label):
+    system = _system(FULL_COLUMN_GROUPS[label])
+    table = compute_kl_table(system)
+    h, mu = _kl_by_full_columns(system)
+    assert table.h == h
+    assert table.mu == mu
+    # the pair identity the kernel builds on: h(ts, x) = v h(t, x) for
+    # s in D_R(x) and ts < t
+    for x in system.elements():
+        for s in system.right_descents[x]:
+            for t, c in table.h[x].items():
+                ts = system.right[t][s]
+                if ts < t:
+                    assert table.h[x][ts] == c.shift(1)
 
 
 def test_kl_table_shares_equal_polynomials(a3, kl_a3):

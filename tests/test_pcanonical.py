@@ -215,6 +215,52 @@ def test_p0_structure_equals_kl_multiplication(b2, kl_b2):
                     kl_multiply_by_generator(kl_b2, x, s, side)
 
 
+def _structure_by_back_substitution(table, kl, x, s, side):
+    """Oracle: structure_coefficients as it ran before the row-free shortcut,
+    expanding B_x in the KL basis, multiplying by C_s there and always
+    solving back through the table."""
+    descents = (table.system.right_descents if side == "right"
+                else table.system.left_descents)
+    if s in descents[x]:
+        return {x: GAUSS}
+    acc = {}
+    for z, c in [(x, ONE), *table.rows.get(x, {}).items()]:
+        for w, d in kl_multiply_by_generator(kl, z, s, side).items():
+            acc[w] = acc.get(w, LaurentPoly()) + c * d
+    return table.kl_to_pcan_coeffs({w: c for w, c in acc.items() if c})
+
+
+def test_structure_coefficients_match_back_substitution_oracle(
+        b2, kl_b2, b2_p2, c3, kl_c3, c3_p2, b3, kl_b3):
+    touched = 0  # row-free x whose product still needs the solve
+    for table, kl in ((b2_p2, kl_b2), (c3_p2, kl_c3),
+                      (identity_table(b3), kl_b3)):
+        sys_ = table.system
+        for x in sys_.elements():
+            for s in range(sys_.rank):
+                for side in ("left", "right"):
+                    got = structure_coefficients(table, kl, x, s, side)
+                    assert got == _structure_by_back_substitution(
+                        table, kl, x, s, side)
+                    product = kl_multiply_by_generator(kl, x, s, side)
+                    touched += (x not in table.rows
+                                and not table.rows.keys().isdisjoint(product))
+    assert touched > 0
+
+
+def test_structure_coefficients_returns_fresh_dicts(b2, kl_b2, c3, kl_c3,
+                                                   c3_p2):
+    for table, kl in ((identity_table(b2), kl_b2), (c3_p2, kl_c3)):
+        sys_ = table.system
+        for x in sys_.elements():
+            for s in range(sys_.rank):
+                first = structure_coefficients(table, kl, x, s, "right")
+                want = dict(first)
+                first.clear()
+                first[x] = LaurentPoly(7)
+                assert structure_coefficients(table, kl, x, s, "right") == want
+
+
 def test_general_product_agrees_with_generator_path(b2, kl_b2, b2_p2):
     for x in b2.elements():
         for s in range(2):
