@@ -27,7 +27,6 @@ from .hecke import (
 from .pcanonical import (
     PCanTable,
     PCanValidationError,
-    Report,
     apply_automorphism_to_table,
     identity_table,
     load_fixture,
@@ -37,6 +36,7 @@ from .pcanonical import (
     structure_coefficients,
     verify_parabolic_factorization,
 )
+from .report import Report
 from .cells import (
     CellPartition,
     ColouredWGraph,
@@ -50,6 +50,7 @@ from .cells import (
     right_connected_components,
     right_minimal_elements,
     subquotient_wgraph,
+    two_sided_cells,
     verify_wgraph_relations,
 )
 from .stars import (

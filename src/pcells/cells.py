@@ -4,16 +4,20 @@ The left/right cell preorder is generated by one-generator multiplications:
 there is an elementary relation y -> x (meaning x lies below y) whenever
 B_x appears with nonzero coefficient in B_y C_s for some generator s (right
 side; the mirror for left).  Cells are the strongly connected components of
-the elementary-relation graph, the two-sided preorder uses the union of
-both graphs, and the condensation DAG (kept transitively reduced for
-display, with full reachability for queries) is the Hasse diagram of the
-induced order on cells.
+the elementary-relation graph, and the condensation DAG (kept transitively
+reduced for display, with full reachability for queries) is the Hasse
+diagram of the induced order on cells.  Two-sided cells are the join of the
+one-sided cells: the two-sided preorder is the one generated by the left
+and right preorders, so it is read off the two partitions
+(two_sided_cells) and no two-sided relation graph is built.
 
 Also here: the descent and inverse-duality consistency checks, weakly
 right-connected components and right-minimal elements, the decomposition
 criterion comparing a positive-characteristic table against the p = 0
-cells, and coloured W-graphs of cell modules with their defining-relation
-verification.
+cells, parabolic compatibility and propagation checks, and coloured
+W-graphs of cell modules with their defining-relation verification.  The
+checkers take the partitions of W that they read, so a caller computes
+each partition once; partitions of parabolic subgroups are computed inside.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .coxeter import CoxeterSystem
-from .hecke import KLTable
+from .hecke import KLTable, compute_kl_table
 from .laurent import GAUSS, ONE, LaurentPoly
-from .pcanonical import PCanTable, Report, restrict_to_parabolic, structure_coefficients
+from .pcanonical import (PCanTable, identity_table, restrict_to_parabolic,
+                         structure_coefficients)
+from .report import Report
 
 Graph = dict[int, dict[int, LaurentPoly]]
 
@@ -84,15 +90,13 @@ def strongly_connected_components(vertices: Sequence[int],
     return out
 
 
-def transitive_reduction(n: int, edges: set[tuple[int, int]],
-                         reach: list[set[int]]) -> set[tuple[int, int]]:
-    """Remove DAG edges implied by longer paths."""
-    reduced = set()
-    for (u, v) in edges:
-        if not any(w != u and w != v and v in reach[w]
-                   for w in range(n) if (u, w) in edges):
-            reduced.add((u, v))
-    return reduced
+def transitive_reduction(children: Sequence[Iterable[int]],
+                         reach: Sequence[set[int]]) -> set[tuple[int, int]]:
+    """The edges u -> v of a DAG not implied by a longer path: no other
+    child of u reaches v.  reach[w] is the set of vertices reachable from
+    w, w included."""
+    return {(u, v) for u, vs in enumerate(children) for v in vs
+            if not any(w != v and v in reach[w] for w in vs)}
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +114,6 @@ class CellPartition:
     cell_of: dict[int, int]
     hasse_edges: frozenset[tuple[int, int]]
     downsets: tuple[frozenset[int], ...]  # cell indices <= each cell
-
-    def cell_leq(self, i: int, j: int) -> bool:
-        """Is cell i below-or-equal cell j in the preorder?"""
-        return i in self.downsets[j]
 
     def leq(self, x: int, y: int) -> bool:
         """x <= y in the element preorder."""
@@ -165,7 +165,8 @@ def elementary_relations(table: PCanTable, kl: KLTable, side: str = "right"
     return graph
 
 
-def _partition_from_graph(system: CoxeterSystem, graph: Graph, side: str,
+def _partition_from_graph(system: CoxeterSystem,
+                          graph: Mapping[int, Iterable[int]], side: str,
                           prime: int) -> CellPartition:
     succ = {y: [x for x in row if x != y] for y, row in graph.items()}
     comps = strongly_connected_components(list(system.elements()), succ)
@@ -196,32 +197,55 @@ def _partition_from_graph(system: CoxeterSystem, graph: Graph, side: str,
 
     for i in range(n):
         fill(i)
-    hasse = transitive_reduction(n, edges, reach)
+    hasse = transitive_reduction(children, reach)
     return CellPartition(side=side, prime=prime, cells=cells, cell_of=cell_of,
                          hasse_edges=frozenset(hasse),
                          downsets=tuple(frozenset(r) for r in reach))
 
 
+def two_sided_cells(system: CoxeterSystem, left: CellPartition,
+                    right: CellPartition) -> CellPartition:
+    """The two-sided cells: the join of a left and a right partition.
+
+    The successor map has one cycle through each one-sided cell and one
+    edge per Hasse edge of either partition, between the cells' minimal
+    ids.  Condensing it gives exactly the partition that condensing the
+    union of the left and right elementary-relation graphs gives:
+
+      * the map's reachability is the closure of <=_L union <=_R, which is
+        the two-sided preorder <=_LR (Kazhdan-Lusztig 1979);
+      * cells, their order and the downsets depend only on that preorder;
+      * the transitive reduction of a DAG is its covering relation,
+        whichever edges generate the order.
+    """
+    elements = set(system.elements())
+    if ((left.side, right.side) != ("left", "right")
+            or left.prime != right.prime
+            or not left.cell_of.keys() == elements == right.cell_of.keys()):
+        raise ValueError("two_sided_cells needs a left and a right partition "
+                         "of the group at the same prime")
+    succ: dict[int, list[int]] = {w: [] for w in elements}
+    for part in (left, right):
+        for cell in part.cells:
+            ring = sorted(cell)
+            for a, b in zip(ring, ring[1:] + ring[:1]):
+                succ[a].append(b)
+        for (i, j) in part.hasse_edges:
+            succ[min(part.cells[i])].append(min(part.cells[j]))
+    return _partition_from_graph(system, succ, "two-sided", left.prime)
+
+
 def compute_cells(table: PCanTable, kl: KLTable, side: str = "right"
                   ) -> CellPartition:
-    """Cells of the given side; "two-sided" unions the left and right
-    elementary graphs before condensing."""
-    if side in ("left", "right"):
-        return _partition_from_graph(table.system,
-                                     elementary_relations(table, kl, side),
-                                     side, table.prime)
-    if side in ("two-sided", "lr", "2"):
-        left = elementary_relations(table, kl, "left")
-        right = elementary_relations(table, kl, "right")
-        merged: Graph = {y: dict(row) for y, row in right.items()}
-        for y, row in left.items():
-            tgt = merged[y]
-            for x, c in row.items():
-                prev = tgt.get(x)
-                tgt[x] = c if prev is None else prev + c
-        return _partition_from_graph(table.system, merged, "two-sided",
-                                     table.prime)
-    raise ValueError("side must be 'left', 'right' or 'two-sided'")
+    """Cells of the given side: "left", "right", or "two-sided", the join
+    of the left and right cells.  Any other side raises ValueError (from
+    structure_coefficients, before any product is computed)."""
+    if side == "two-sided":
+        return two_sided_cells(table.system, compute_cells(table, kl, "left"),
+                               compute_cells(table, kl, "right"))
+    return _partition_from_graph(table.system,
+                                 elementary_relations(table, kl, side),
+                                 side, table.prime)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +338,14 @@ def right_minimal_elements(system: CoxeterSystem, subset: Iterable[int]
     )
 
 
-def decomposition_criterion(table: PCanTable, kl: KLTable,
-                            kl_right: CellPartition) -> dict[int, Report]:
+def decomposition_criterion(table: PCanTable, kl_right: CellPartition,
+                            p_right: CellPartition) -> dict[int, Report]:
     """For each KL right cell C, check the right-minimal hypothesis: every
     nonzero m(y, x) with x right-minimal in C has y below x in the p = 0
     right preorder.  When the hypothesis holds on C and on every cell below
     it, C must decompose into cells of the table's prime; that conclusion
-    is verified too and reported as part of each cell's checks."""
+    is verified too, against the right cells p_right of the table, and
+    reported as part of each cell's checks."""
     sys_ = table.system
     hypothesis: dict[int, bool] = {}
     out: dict[int, Report] = {}
@@ -338,7 +363,6 @@ def decomposition_criterion(table: PCanTable, kl: KLTable,
         hypothesis[i] = not bad
         out[i] = Report(f"decomposition-criterion cell {i}", bad, checked)
 
-    p_right = compute_cells(table, kl, "right")
     for i, cell in enumerate(kl_right.cells):
         if not all(hypothesis[j] for j in kl_right.downsets[i]):
             continue
@@ -404,6 +428,8 @@ def subquotient_wgraph(table: PCanTable, kl: KLTable, elements: Iterable[int],
                        side: str = "left") -> ColouredWGraph:
     """The coloured W-graph of the generator action on a subquotient
     spanned by canonical basis elements indexed by the given set."""
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
     sys_ = table.system
     vertex_set = frozenset(elements)
     vertices = tuple(sorted(vertex_set, key=lambda w: (sys_.length[w], w)))
@@ -486,19 +512,16 @@ def verify_wgraph_relations(graph: ColouredWGraph, system: CoxeterSystem
     return Report("wgraph-relations", bad, checked)
 
 
-def check_parabolic_compatibility(table: PCanTable, kl: KLTable,
+def check_parabolic_compatibility(table: PCanTable, w_right: CellPartition,
                                   gens: Sequence[int]) -> Report:
     """The transport of the right preorder along a finitary subset I:
     for y, z in W_I, z <= y in W_I iff xz <= xy in W for every x in W^I
-    (the subgroup preorder computed with the restricted table)."""
-    from .hecke import compute_kl_table
-
+    (w_right the right cells of W for the table, the subgroup preorder
+    computed with the restricted table)."""
     sys_ = table.system
     emb = sys_.parabolic_subsystem(gens)
-    sub_kl = compute_kl_table(emb.sub)
     sub_table = restrict_to_parabolic(table, emb)
-    sub_right = compute_cells(sub_table, sub_kl, "right")
-    w_right = compute_cells(table, kl, "right")
+    sub_right = compute_cells(sub_table, compute_kl_table(emb.sub), "right")
     reps = sorted(sys_.minimal_coset_representatives(gens, "right"))
 
     bad: list[str] = []
@@ -520,10 +543,12 @@ def check_parabolic_compatibility(table: PCanTable, kl: KLTable,
 # ---------------------------------------------------------------------------
 # parabolic propagation of (non-)decomposition
 
-def propagate_nondecomposition(system: CoxeterSystem, table: PCanTable,
-                               kl: KLTable, gens: Sequence[int]) -> Report:
+def propagate_nondecomposition(table: PCanTable, kl_right: CellPartition,
+                               p_right: CellPartition, gens: Sequence[int]
+                               ) -> Report:
     """Containment checks behind the lifting of cell structure from a
-    standard parabolic subgroup H to W.
+    standard parabolic subgroup H to W, given the KL right cells kl_right
+    and the table's right cells p_right of W.
 
     Verifies: (a) each KL right cell C of H induces C.X (X the minimal
     representatives of H\\W) as a union of KL right cells of W; (b) each
@@ -532,18 +557,12 @@ def propagate_nondecomposition(system: CoxeterSystem, table: PCanTable,
     containing W-cell meets the two disjoint induced unions, so the KL
     cells of W do not decompose either.
     """
-    from .hecke import compute_kl_table
-
+    system = table.system
     emb = system.parabolic_subsystem(gens)
-    sub = emb.sub
-    sub_kl = compute_kl_table(sub)
-    sub_table = restrict_to_parabolic(table, emb)
-    from .pcanonical import identity_table
-
-    sub_kl_cells = compute_cells(identity_table(sub), sub_kl, "right")
-    sub_p_cells = compute_cells(sub_table, sub_kl, "right")
-    w_kl_cells = compute_cells(identity_table(system), kl, "right")
-    w_p_cells = compute_cells(table, kl, "right")
+    sub_kl = compute_kl_table(emb.sub)
+    sub_kl_cells = compute_cells(identity_table(emb.sub), sub_kl, "right")
+    sub_p_cells = compute_cells(restrict_to_parabolic(table, emb), sub_kl,
+                                "right")
 
     x_reps = sorted(system.minimal_coset_representatives(gens, "left"))
     bad: list[str] = []
@@ -554,15 +573,15 @@ def propagate_nondecomposition(system: CoxeterSystem, table: PCanTable,
         cx = frozenset(system.mult(emb.to_parent[y], x)
                        for y in c for x in x_reps)
         induced.append(cx)
-        touched = {w_kl_cells.cell_of[w] for w in cx}
-        union = frozenset().union(*(w_kl_cells.cells[i] for i in touched))
+        touched = {kl_right.cell_of[w] for w in cx}
+        union = frozenset().union(*(kl_right.cells[i] for i in touched))
         checked += 1
         if union != cx:
             bad.append(f"C.X for H-cell {sorted(c)} is not a union of W-cells")
 
     lifted_cell: dict[int, int] = {}
     for i, c in enumerate(sub_p_cells.cells):
-        parents = {w_p_cells.cell_of[emb.to_parent[y]] for y in c}
+        parents = {p_right.cell_of[emb.to_parent[y]] for y in c}
         checked += 1
         if len(parents) != 1:
             bad.append(f"H p-cell {i} spreads over {len(parents)} W p-cells")
@@ -573,7 +592,7 @@ def propagate_nondecomposition(system: CoxeterSystem, table: PCanTable,
         kl_indices = {sub_kl_cells.cell_of[y] for y in c}
         if len(kl_indices) < 2 or i not in lifted_cell:
             continue
-        big = w_p_cells.cells[lifted_cell[i]]
+        big = p_right.cells[lifted_cell[i]]
         for j in kl_indices:
             checked += 1
             if not (big & induced[j]):

@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite",
-                   choices=["b2", "g2", "c3", "typea", "stars", "parabolic", "all"])
+                   choices=[*verify_mod.SUITES, "all"])
     p.add_argument("--n", type=int, default=5,
                    help="largest symmetric group S_n for the typea suite")
     p.set_defaults(fn=cmd_verify)

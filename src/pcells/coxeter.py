@@ -337,17 +337,11 @@ class CoxeterSystem:
             w = self.right[w][s]
         return w
 
-    def id_to_word(self, w: int) -> Word:
-        return self.words[w]
-
     def digits_to_id(self, digits: str) -> int:
         return self.word_to_id(parse_digits(digits))
 
     def id_to_digits(self, w: int) -> str:
         return word_digits(self.words[w])
-
-    def right_mult(self, w: int, s: int) -> int:
-        return self.right[w][s]
 
     def left_mult(self, s: int, w: int) -> int:
         return self.inverse[self.right[self.inverse[w]][s]]

@@ -172,19 +172,12 @@ class LaurentPoly:
         """The coefficient of v^exponent (0 when absent)."""
         return self._c.get(exponent, 0)
 
-    def degree(self) -> int:
-        """Largest exponent; raises on the zero polynomial."""
-        return max(self._c)
-
     def valuation(self) -> int:
         """Smallest exponent; raises on the zero polynomial."""
         return min(self._c)
 
     def support(self) -> Iterator[int]:
         return iter(sorted(self._c))
-
-    def evaluate_at_one(self) -> int:
-        return sum(self._c.values())
 
     # -- comparisons and display ---------------------------------------------
 

@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, Sequence
 from .coxeter import CoxeterSystem, ParabolicEmbedding
 from .hecke import KLTable, _acc, kl_multiply_by_generator, unitriangular_solve
 from .laurent import GAUSS, ONE, LaurentPoly
+from .report import Report
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -257,6 +258,8 @@ def structure_coefficients(table: PCanTable, kl: KLTable, x: int, s: int,
     p > 0 table solves exactly when a rowed element appears.  Every call
     returns a fresh dict.
     """
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
     sys_ = table.system
     descents = sys_.right_descents if side == "right" else sys_.left_descents
     if s in descents[x]:
@@ -300,32 +303,6 @@ def pcan_general_product(table: PCanTable, kl: KLTable, x: int, w: int
 
 # ---------------------------------------------------------------------------
 # parabolic compatibility and automorphisms
-
-@dataclass
-class Report:
-    """Outcome of a verification pass: ok iff no violations were recorded."""
-
-    name: str
-    violations: list[str]
-    checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json_obj(self) -> dict:
-        return {"check": self.name, "ok": self.ok, "checked": self.checked,
-                "violations": self.violations}
-
-    def __str__(self) -> str:
-        status = "pass" if self.ok else f"FAIL ({len(self.violations)})"
-        out = f"{self.name}: {status} [{self.checked} checks]"
-        for v in self.violations[:10]:
-            out += f"\n  - {v}"
-        if len(self.violations) > 10:
-            out += f"\n  ... {len(self.violations) - 10} more"
-        return out
-
 
 def restrict_to_parabolic(table: PCanTable, emb: ParabolicEmbedding) -> PCanTable:
     """The table of the standard parabolic subgroup, read off the big table.

@@ -28,7 +28,8 @@ from .cells import CellPartition
 from .coxeter import CoxeterSystem
 from .hecke import KLTable
 from .laurent import LaurentPoly
-from .pcanonical import PCanTable, Report, structure_coefficients
+from .pcanonical import PCanTable, structure_coefficients
+from .report import Report
 
 _P_BOUND = {3: 1, 4: 2, 6: 3}
 

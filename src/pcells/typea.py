@@ -19,10 +19,9 @@ import itertools
 from math import factorial
 from typing import Iterable, Sequence
 
-from .cells import CellPartition, compute_cells
+from .cells import CellPartition
 from .coxeter import CoxeterSystem
-from .hecke import KLTable
-from .pcanonical import PCanTable, Report
+from .report import Report
 
 Tableau = tuple[tuple[int, ...], ...]
 Shape = tuple[int, ...]
@@ -266,16 +265,12 @@ def element_of_perm(system: CoxeterSystem, perm: Sequence[int]) -> int:
     return system.word_to_id(perm_to_word(perm))
 
 
-def verify_typea_cell_theorem(system: CoxeterSystem, table: PCanTable,
-                              kl: KLTable,
-                              partitions: dict[str, CellPartition] | None = None
-                              ) -> Report:
-    """Cells of S_n against Robinson-Schensted fibers and the counting
+def verify_typea_cell_theorem(system: CoxeterSystem,
+                              partitions: dict[str, CellPartition]) -> Report:
+    """Cells of S_n, given as the "left", "right" and "two-sided"
+    partitions, against Robinson-Schensted fibers and the counting
     corollaries."""
     n = system.rank + 1
-    if partitions is None:
-        partitions = {side: compute_cells(table, kl, side)
-                      for side in ("left", "right", "two-sided")}
     perms = {w: perm_of_element(system, w) for w in system.elements()}
     rs = {w: rs_correspondence(p) for w, p in perms.items()}
 

@@ -24,18 +24,19 @@ from .cells import (
     inverse_duality_check,
     propagate_nondecomposition,
     subquotient_wgraph,
+    two_sided_cells,
     verify_wgraph_relations,
 )
 from .coxeter import CoxeterSystem
 from .hecke import KLTable, compute_kl_table
 from .pcanonical import (
     PCanTable,
-    Report,
     identity_table,
     load_fixture,
     validate_table,
     verify_parabolic_factorization,
 )
+from .report import Report
 from .stars import (
     _string_maps,
     check_base_change_relations,
@@ -47,7 +48,8 @@ from .stars import (
     tau_partition,
     tau_tilde_partition,
 )
-from .typea import verify_typea_cell_theorem
+from .typea import (enumerate_standard_tableaux, hook_length_count,
+                    involutions, verify_typea_cell_theorem)
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -81,6 +83,11 @@ def get_table(label: str, prime: int) -> PCanTable:
 
 @lru_cache(maxsize=None)
 def get_cells(label: str, prime: int, side: str) -> CellPartition:
+    """The cells of one side; two-sided cells join the cached one-sided
+    partitions."""
+    if side == "two-sided":
+        return two_sided_cells(get_system(label), get_cells(label, prime, "left"),
+                               get_cells(label, prime, "right"))
     return compute_cells(get_table(label, prime), get_kl(label), side)
 
 
@@ -230,13 +237,11 @@ def verify_c3_p2() -> list[Report]:
 
 def verify_typea(n: int) -> list[Report]:
     label = f"A{n - 1}"
-    system, kl = get_system(label), get_kl(label)
-    table = get_table(label, 0)
+    system = get_system(label)
     parts = {side: get_cells(label, 0, side)
              for side in ("left", "right", "two-sided")}
-    out = [verify_typea_cell_theorem(system, table, kl, parts)]
+    out = [verify_typea_cell_theorem(system, parts)]
 
-    from .typea import involutions
     bad = []
     counts = {1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 76}
     for k in range(1, n + 1):
@@ -247,8 +252,6 @@ def verify_typea(n: int) -> list[Report]:
 
 
 def verify_hooks(max_n: int = 8) -> list[Report]:
-    from .typea import enumerate_standard_tableaux, hook_length_count
-
     def partitions(n: int, cap: int | None = None):
         if n == 0:
             yield ()
@@ -311,18 +314,19 @@ def verify_invariants() -> list[Report]:
 def verify_parabolic() -> list[Report]:
     out: list[Report] = []
     for label, prime in (("B3", 0), ("C3", 0), ("C3", 2)):
-        system, kl = get_system(label), get_kl(label)
-        table = get_table(label, prime)
+        kl, table = get_kl(label), get_table(label, prime)
+        right = get_cells(label, prime, "right")
         subsets = [[0], [1], [2], [0, 1], [0, 2], [1, 2]]
         for gens in subsets:
-            rep = check_parabolic_compatibility(table, kl, gens)
+            rep = check_parabolic_compatibility(table, right, gens)
             rep.name = f"{label} p={prime} {rep.name}"
             out.append(rep)
             rep = verify_parabolic_factorization(table, kl, gens)
             rep.name = f"{label} p={prime} {rep.name}"
             out.append(rep)
-    rep = propagate_nondecomposition(get_system("C3"), get_table("C3", 2),
-                                     get_kl("C3"), [0, 1])
+    rep = propagate_nondecomposition(get_table("C3", 2),
+                                     get_cells("C3", 0, "right"),
+                                     get_cells("C3", 2, "right"), [0, 1])
     rep.name = f"C3 p=2 {rep.name}"
     out.append(rep)
     return out
@@ -429,10 +433,10 @@ def verify_tau() -> list[Report]:
     # minimal element 232123 has the term at 232, which sits strictly above)
     # and for C11, whose minimal element 21232 = 23212^-1 carries the
     # inverse-symmetric row; every other cell passes, C6 vacuously
-    system, kl = get_system("C3"), get_kl("C3")
-    table = get_table("C3", 2)
+    system = get_system("C3")
     kl_right = get_cells("C3", 0, "right")
-    reports = decomposition_criterion(table, kl, kl_right)
+    reports = decomposition_criterion(get_table("C3", 2), kl_right,
+                                      get_cells("C3", 2, "right"))
     g = load_golden("c3_kl")
     failing = {kl_right.cell_index_of(_elements(system, g["right_cells"][n]))
                for n in ("C11", "C12")}
@@ -449,8 +453,8 @@ def verify_tau() -> list[Report]:
 
     for n in (3, 4):
         label = f"A{n - 1}"
-        reports = decomposition_criterion(get_table(label, 0), get_kl(label),
-                                          get_cells(label, 0, "right"))
+        right = get_cells(label, 0, "right")
+        reports = decomposition_criterion(get_table(label, 0), right, right)
         bad = [f"cell {i} fails" for i, rep in reports.items() if not rep.ok]
         out.append(Report(f"S_{n} p=0 decomposition criterion all pass", bad,
                           len(reports)))
@@ -460,26 +464,23 @@ def verify_tau() -> list[Report]:
 # ---------------------------------------------------------------------------
 # suite registry
 
+# suite name -> function of the largest symmetric group S_n of the typea
+# suite, returning the suite's reports; "all" runs them in this order
+SUITES = {
+    "b2": lambda typea_n: verify_b2(),
+    "g2": lambda typea_n: verify_g2(),
+    "c3": lambda typea_n: verify_c3_p0() + verify_c3_p2(),
+    "typea": lambda typea_n: [
+        rep for n in range(3, typea_n + 1) for rep in verify_typea(n)
+    ] + verify_hooks(min(typea_n + 2, 8)),
+    "stars": lambda typea_n: verify_stars() + verify_tau(),
+    "parabolic": lambda typea_n: verify_invariants() + verify_parabolic(),
+}
+
+
 def run_suite(name: str, typea_n: int = 5) -> list[Report]:
-    if name == "b2":
-        return verify_b2()
-    if name == "g2":
-        return verify_g2()
-    if name == "c3":
-        return verify_c3_p0() + verify_c3_p2()
-    if name == "typea":
-        out = []
-        for n in range(3, typea_n + 1):
-            out.extend(verify_typea(n))
-        out.extend(verify_hooks(min(typea_n + 2, 8)))
-        return out
-    if name == "stars":
-        return verify_stars() + verify_tau()
-    if name == "parabolic":
-        return verify_invariants() + verify_parabolic()
     if name == "all":
-        out = []
-        for suite in ("b2", "g2", "c3", "typea", "stars", "parabolic"):
-            out.extend(run_suite(suite, typea_n=typea_n))
-        return out
-    raise ValueError(f"unknown suite {name!r}")
+        return [rep for suite in SUITES for rep in run_suite(suite, typea_n)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](typea_n)

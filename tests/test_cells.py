@@ -1,6 +1,10 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcells.cells import (
+    _partition_from_graph,
     check_descent_invariant,
     check_parabolic_compatibility,
     compute_cells,
@@ -13,6 +17,8 @@ from pcells.cells import (
     right_minimal_elements,
     strongly_connected_components,
     subquotient_wgraph,
+    transitive_reduction,
+    two_sided_cells,
     verify_wgraph_relations,
     CellPartition,
 )
@@ -28,6 +34,47 @@ def test_scc_utility():
     comps = {frozenset(c) for c in
              strongly_connected_components([1, 2, 3, 4, 5, 6], graph)}
     assert comps == {frozenset({1, 2, 3}), frozenset({4, 5}), frozenset({6})}
+
+
+def _digraphs(max_vertices=12):
+    return st.integers(1, max_vertices).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=3 * n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_digraphs())
+def test_scc_matches_networkx(graph):
+    n, edges = graph
+    succ = {v: [] for v in range(n)}
+    for u, v in edges:
+        succ[u].append(v)
+    comps = strongly_connected_components(list(range(n)), succ)
+    g = nx.DiGraph(edges)
+    g.add_nodes_from(range(n))
+    assert {frozenset(c) for c in comps} == \
+        {frozenset(c) for c in nx.strongly_connected_components(g)}
+    # reverse topological order: a component comes after every component
+    # it reaches
+    position = {v: i for i, c in enumerate(comps) for v in c}
+    assert all(position[v] <= position[u] for u, v in edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_digraphs(), st.data())
+def test_transitive_reduction_matches_networkx(graph, data):
+    n, pairs = graph
+    # acyclic: edges go up in a random order of the vertices
+    rank = data.draw(st.permutations(range(n)))
+    edges = {(u, v) if rank[u] < rank[v] else (v, u)
+             for u, v in pairs if u != v}
+    g = nx.DiGraph(edges)
+    g.add_nodes_from(range(n))
+    children = [sorted(g.successors(u)) for u in range(n)]
+    reach = [nx.descendants(g, u) | {u} for u in range(n)]
+    assert transitive_reduction(children, reach) == \
+        set(nx.transitive_reduction(g).edges())
 
 
 def test_a1_cells():
@@ -67,6 +114,60 @@ def test_p0_cells_match_mu_graph_oracle(label):
     for side in ("left", "right"):
         assert compute_cells(tab, kl, side).as_sets() == \
             _mu_graph_cells(system, kl, side)
+
+
+def _merged_two_sided_cells(table, kl):
+    """The two-sided cells by condensing the union of the left and right
+    elementary-relation graphs (the previous implementation)."""
+    left = elementary_relations(table, kl, "left")
+    right = elementary_relations(table, kl, "right")
+    merged = {y: dict(row) for y, row in right.items()}
+    for y, row in left.items():
+        tgt = merged[y]
+        for x, c in row.items():
+            prev = tgt.get(x)
+            tgt[x] = c if prev is None else prev + c
+    return _partition_from_graph(table.system, merged, "two-sided",
+                                 table.prime)
+
+
+F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("label,prime", [
+    ("A2", 0), ("A3", 0), ("A4", 0), ("A5", 0), ("B2", 0), ("B3", 0),
+    ("C3", 0), ("G2", 0), ("B2", 2), ("C3", 2), ("F4", 0)])
+def test_two_sided_join_matches_merged_graph_oracle(label, prime):
+    if label == "F4":
+        system = CoxeterSystem.from_cartan(F4)
+        table, kl = identity_table(system), compute_kl_table(system)
+    else:
+        table, kl = verify.get_table(label, prime), verify.get_kl(label)
+    assert compute_cells(table, kl, "two-sided") == \
+        _merged_two_sided_cells(table, kl)
+
+
+def test_two_sided_cells_rejects_mismatched_partitions(a2, b2):
+    left, right, two = (verify.get_cells("B2", 0, side)
+                        for side in ("left", "right", "two-sided"))
+    a2_left, a2_right = (verify.get_cells("A2", 0, side)
+                         for side in ("left", "right"))
+    p2_right = verify.get_cells("B2", 2, "right")
+    # wrong sides, two primes, partitions that do not cover the group
+    for pair in ((right, left), (left, left), (right, right), (two, right),
+                 (left, two), (left, p2_right), (a2_left, a2_right),
+                 (a2_left, right), (left, a2_right)):
+        with pytest.raises(ValueError):
+            two_sided_cells(b2, *pair)
+    with pytest.raises(ValueError):
+        two_sided_cells(a2, left, right)
+
+
+def test_compute_cells_rejects_unknown_side(a2, kl_a2):
+    tab = identity_table(a2)
+    for side in ("lr", "2", "Right", "both"):
+        with pytest.raises(ValueError):
+            compute_cells(tab, kl_a2, side)
 
 
 def test_identity_cell_and_coarsening(b3, kl_b3):
@@ -128,8 +229,10 @@ def test_decomposition_criterion(c3, kl_c3, c3_p2):
     tab0 = identity_table(c3)
     kl_right = compute_cells(tab0, kl_c3, "right")
     # the p = 0 table passes everywhere vacuously
-    assert all(r.ok for r in decomposition_criterion(tab0, kl_c3, kl_right).values())
-    reports = decomposition_criterion(c3_p2, kl_c3, kl_right)
+    assert all(r.ok for r in
+               decomposition_criterion(tab0, kl_right, kl_right).values())
+    reports = decomposition_criterion(c3_p2, kl_right,
+                                      compute_cells(c3_p2, kl_c3, "right"))
     c12 = kl_right.cell_index_of(frozenset(
         c3.digits_to_id(w) for w in ("232123", "232121", "2321213", "23212132")))
     c6 = kl_right.cell_index_of(frozenset(
@@ -211,6 +314,16 @@ def test_b2_p2_cells(b2, kl_b2, b2_p2):
     assert two.hasse_edges == frozenset(zip(chain, chain[1:]))
 
 
+def test_subquotient_wgraph_rejects_unknown_side(a2, kl_a2):
+    # on the longest element alone every generator is a descent, so a
+    # misread side would compute no product and raise nothing
+    tab = identity_table(a2)
+    for elements in (a2.elements(), [a2.digits_to_id("121")]):
+        for side in ("Left", "right ", "two-sided"):
+            with pytest.raises(ValueError):
+                subquotient_wgraph(tab, kl_a2, elements, side=side)
+
+
 def test_c6_c12_subquotient_is_a_module(c3, kl_c3, c3_p2):
     # the right action on the subquotient spanned by the cells of 232 and
     # 232123 satisfies the defining Hecke relations
@@ -221,15 +334,20 @@ def test_c6_c12_subquotient_is_a_module(c3, kl_c3, c3_p2):
 
 
 def test_parabolic_compatibility(b3, kl_b3, c3, kl_c3, c3_p2):
-    assert check_parabolic_compatibility(identity_table(b3), kl_b3, [1, 2]).ok
-    assert check_parabolic_compatibility(c3_p2, kl_c3, [0, 1]).ok
+    tab = identity_table(b3)
+    assert check_parabolic_compatibility(
+        tab, compute_cells(tab, kl_b3, "right"), [1, 2]).ok
+    assert check_parabolic_compatibility(
+        c3_p2, compute_cells(c3_p2, kl_c3, "right"), [0, 1]).ok
 
 
 def test_propagate_nondecomposition(c3, kl_c3, c3_p2):
-    rep = propagate_nondecomposition(c3, c3_p2, kl_c3, [0, 1])
+    kl_right = compute_cells(identity_table(c3), kl_c3, "right")
+    p_right = compute_cells(c3_p2, kl_c3, "right")
+    rep = propagate_nondecomposition(c3_p2, kl_right, p_right, [0, 1])
     assert rep.ok
     # degenerate case: the full group as parabolic
-    rep = propagate_nondecomposition(c3, c3_p2, kl_c3, [0, 1, 2])
+    rep = propagate_nondecomposition(c3_p2, kl_right, p_right, [0, 1, 2])
     assert rep.ok
 
 

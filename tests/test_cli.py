@@ -36,6 +36,10 @@ def test_cells_two_sided_a2(capsys):
                        "--side", "two-sided")
     assert code == 0
     assert "3 two-sided cells" in out
+    # the CLI maps its "lr" and "2" aliases to "two-sided"
+    for alias in ("lr", "2"):
+        assert run(capsys, "cells", "--type", "A2", "--p", "0",
+                   "--side", alias) == (code, out, "")
 
 
 def test_cells_json_and_dot_formats(capsys, tmp_path):

@@ -179,6 +179,16 @@ def test_structure_coefficients_a2(a2, kl_a2):
     assert got == {a2.digits_to_id("12"): ONE}
 
 
+def test_structure_coefficients_rejects_unknown_side(a2, kl_a2):
+    # s = 0 is a left descent of 12 but not a right one, s = 1 neither:
+    # a misread side would answer the first and fail on the second
+    tab, x = identity_table(a2), a2.digits_to_id("12")
+    for side in ("Right", "Left", "two-sided"):
+        for s in (0, 1):
+            with pytest.raises(ValueError):
+                structure_coefficients(tab, kl_a2, x, s, side)
+
+
 def test_structure_coefficients_match_printed_graph(c3, kl_c3, c3_p2):
     # right multiplications of B[23212] per the reference cell-module graph
     x = c3.digits_to_id("23212")
