@@ -1,7 +1,10 @@
 """Command line: cell computation, verification suites, RS tools, tau.
 
-Exit codes: 0 success / all checks pass, 1 a verification failed,
-2 usage or input error.
+Exit codes: 0 success / all checks pass, 1 a verification failed or a
+computation raised (a table failing validation, an infinite or too large
+group, a KL coefficient beyond the packed kernel), 2 usage or input error
+(argparse errors, a malformed Cartan matrix, type label, table file or
+permutation).
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .cells import compute_cells
@@ -25,20 +29,34 @@ from .typea import parse_one_line, rs_correspondence
 from . import verify as verify_mod
 
 
-def _build_system(args) -> CoxeterSystem:
-    if args.type:
-        return CoxeterSystem.from_type(args.type, cap=args.cap)
-    if args.cartan:
-        path = Path(args.cartan)
-        spec = json.loads(path.read_text()) if path.exists() else json.loads(args.cartan)
-        if isinstance(spec, list):
-            spec = {"cartan": spec}
-        return CoxeterSystem.from_spec(spec, cap=args.cap)
-    raise SystemExit2("one of --type or --cartan is required")
-
-
 class SystemExit2(Exception):
     """Usage error, mapped to exit code 2."""
+
+
+@contextmanager
+def _reading_input():
+    """A ValueError raised while reading the command line's input is a usage
+    error; PCanValidationError, a table that parses but fails its checks,
+    is not."""
+    try:
+        yield
+    except PCanValidationError:
+        raise
+    except ValueError as e:
+        raise SystemExit2(str(e)) from e
+
+
+def _build_system(args) -> CoxeterSystem:
+    with _reading_input():
+        if args.type:
+            return CoxeterSystem.from_type(args.type, cap=args.cap)
+        if args.cartan:
+            path = Path(args.cartan)
+            spec = json.loads(path.read_text() if path.exists() else args.cartan)
+            if isinstance(spec, list):
+                spec = {"cartan": spec}
+            return CoxeterSystem.from_spec(spec, cap=args.cap)
+    raise SystemExit2("one of --type or --cartan is required")
 
 
 def _build_table(args, system):
@@ -47,7 +65,8 @@ def _build_table(args, system):
             raise SystemExit2("p = 0 needs no table")
         return identity_table(system)
     if args.table:
-        return load_table(args.table, system)
+        with _reading_input():
+            return load_table(args.table, system)
     if args.fixture:
         return load_fixture(args.fixture, system)
     raise SystemExit2(f"p = {args.p} needs --table FILE or --fixture NAME")
@@ -98,7 +117,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rs(args) -> int:
-    perm = parse_one_line(args.permutation)
+    with _reading_input():
+        perm = parse_one_line(args.permutation)
     p, q = rs_correspondence(perm)
     if args.format == "json":
         print(json.dumps({"P": [list(r) for r in p], "Q": [list(r) for r in q]}))
@@ -185,13 +205,11 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (SystemExit2, ValueError) as e:
-        if isinstance(e, PCanValidationError):
-            print(f"error: {e}", file=sys.stderr)
-            return 1
+    except SystemExit2 as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (GroupTooLargeError, FileNotFoundError) as e:
+    except (ValueError, OverflowError, GroupTooLargeError,
+            FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -16,9 +16,13 @@ exact because h(y, x) has nonnegative coefficients (positivity,
 Elias-Williamson 2014) and a guard raises OverflowError before a coefficient
 could outgrow its digit.  It computes half of each column: for s a right
 descent of x and ts < t, h(ts, x) = v h(t, x) (P_{y,w} = P_{ys,w} of
-Kazhdan-Lusztig 1979), so only the entries at the tops t are built.  The
-finished table holds decoded LaurentPoly values, one shared immutable object
-per distinct polynomial.
+Kazhdan-Lusztig 1979), so only the entries at the tops t are built.  It
+builds one column per inverse pair {x, x^-1}, along the right descent of x
+or of x^-1 whose recursion visits the fewest entries (the choice of descent
+sets the cost, du Cloux 2002), and writes the partner column by relabelling
+through the anti-involution iota: h(y, x) = h(y^-1, x^-1).  The finished
+table holds decoded LaurentPoly values, one shared immutable object per
+distinct polynomial.
 
 HeckeElt values are tagged with the basis they are expressed in ("std",
 "kl", or "pcan"); arithmetic across different bases is a hard error, and
@@ -261,77 +265,119 @@ def _unpack(packed: int) -> LaurentPoly:
 def compute_kl_table(system: CoxeterSystem) -> KLTable:
     """Compute all Kazhdan-Lusztig basis elements by the length recursion.
 
-    For x = x's with s a right descent, C_{x'} C_s = C_x plus mu-correction
-    terms mu(z, x') C_z over z < x' with s a right descent of z; elements
-    are processed in id order, which is length order.
+    For w = w's with s a right descent, C_{w'} C_s = C_w plus mu-correction
+    terms mu(z, w') C_z over z < w' with s a right descent of z.  Any right
+    descent will do, and the one chosen sets the cost.  The ids are walked
+    in order, which is length order, so when an id x is reached every
+    shorter column is known.  If x's column is not yet known, every
+    candidate (w, s) with w in {x, x^-1} and s in D_R(w) is scored by the
+    number of entries the recursion would visit, |col(ws)| plus |col(z)|
+    over the corrections z, and the cheapest is built (ties go to w = x,
+    then to the smaller s).  The partner column is then relabelled:
+    h(y^-1, w^-1) = h(y, w) and mu(y^-1, w^-1) = mu(y, w) (Kazhdan-Lusztig
+    1979).  Indeed iota, H_u -> H at u^-1, fixes the KL basis up to that
+    relabelling: iota(C_w) = H at w^-1 plus h(y, w) H at y^-1 over y < w
+    is bar-invariant, because iota commutes with bar, and y < w iff
+    y^-1 < w^-1, so by uniqueness it is C at w^-1.  Both choices are
+    therefore exact: the table is the same whichever descent and whichever
+    member of the pair is built.
 
-    Only the tops t of the pairs {t, ts} with ts < t are computed.  An
-    element sum a_w H_w of the right ideal H C_s has a_ts = v a_t, since
-    H_ts C_s = H_t + v H_ts and H_t C_s = H_ts + v^-1 H_t.  C_{x'} C_s lies
-    in it, and so does every correction C_z, because s in D_R(z) gives
-    C_z C_s = (v + v^-1) C_z and the pair relation is linear over
-    Z[v, v^-1], which has no zero divisors.  Hence so does C_x:
-    h(ts, x) = v h(t, x), and each bottom is written as its top shifted by
-    one digit.  The same relation gives mu: h(ts, x) has a v-coefficient
-    only when h(t, x) has a constant term, i.e. t = x, so mu(y, x) is read
-    off the tops plus mu(xs, x) = 1.
+    Only the tops t of the pairs {t, ts} with ts < t are computed, for the
+    chosen s.  An element sum a_u H_u of the right ideal H C_s has
+    a_ts = v a_t, since H_ts C_s = H_t + v H_ts and H_t C_s = H_ts +
+    v^-1 H_t.  C_{w'} C_s lies in it, and so does every correction C_z,
+    because s in D_R(z) gives C_z C_s = (v + v^-1) C_z and the pair
+    relation is linear over Z[v, v^-1], which has no zero divisors.  Hence
+    so does C_w: h(ts, w) = v h(t, w) for every right descent s of w, and
+    each bottom is written as its top shifted by one digit.  The same
+    relation gives mu: h(ts, w) has a v-coefficient only when h(t, w) has
+    a constant term, i.e. t = w, so mu(y, w) is read off the tops plus
+    mu(w', w) = 1.
 
-    The kernel holds each h(y, x) as one Python int, the polynomial
+    The kernel holds each h(y, w) as one Python int, the polynomial
     evaluated at v = 2^_WIDTH (Kronecker substitution).  By positivity
-    (Elias-Williamson), every h(y, x) lies in Z_{>=0}[v], so while its
+    (Elias-Williamson), every h(y, w) lies in Z_{>=0}[v], so while its
     coefficients stay below 2^_WIDTH the int determines it: multiplying
     by v is a left shift, by v^-1 on v Z[v] an exact right shift,
-    subtracting mu(z, x') C_z an integer multiply-subtract, and mu(y, x)
-    is the second digit.  A step adds at most two coefficients of the
-    previous column and then subtracts nonnegative terms, so a coefficient
+    subtracting mu(z, w') C_z an integer multiply-subtract, and mu(y, w)
+    is the second digit.  A step adds at most two coefficients of an
+    earlier column and then subtracts nonnegative terms, so a coefficient
     at most doubles per step; _unpack raises OverflowError at the first
     coefficient reaching 2^(_WIDTH - 2), which is still decoded exactly,
-    and nothing wraps silently.  Columns are decoded at the end through one
-    cache that unpacks each distinct value once, so equal polynomials share
-    one LaurentPoly.
+    and nothing wraps silently.  A relabelled column holds the same ints
+    as its partner, so the bound covers it too.  Columns are decoded at the
+    end through one cache that unpacks each distinct value once, so equal
+    polynomials share one LaurentPoly.
     """
-    right, descents = system.right, system.right_descents
-    packed: list[dict] = [{} for _ in system.elements()]  # ints, then polys
-    mu: list[dict[int, int]] = [{} for _ in system.elements()]
-    packed[0] = {0: 1}
-    for x in system.elements():
-        if x == 0:
-            continue
-        s = min(descents[x])
-        xp = right[x][s]  # x' with x = x's, shorter
-        # h(t, x) over the tops t > ts.  In C_{x'} (H_s + v), H_ts H_s =
-        # H_t and H_t H_s = H_ts + (v^-1 - v) H_t, so H_t gets h(ts, x') +
-        # v^-1 h(t, x'); ids are in length order, and h(t, x') is in v Z[v]
-        # because t != x' (x' s = x is longer).
-        top: dict[int, int] = {}
-        get = top.get
-        for w, c in packed[xp].items():
-            ws = right[w][s]
-            if ws < w:
-                top[w] = get(w, 0) + (c >> _WIDTH)
-            else:
-                top[ws] = get(ws, 0) + c
-        for z, m in mu[xp].items():
-            if s in descents[z]:
-                for w, c in packed[z].items():
-                    if right[w][s] < w:
-                        top[w] -= m * c
-        # the bottoms: h(ts, x) = v h(t, x)
-        col: dict[int, int] = {}
-        for t, c in top.items():
-            if c:
-                col[t] = c
-                col[right[t][s]] = c << _WIDTH
-        packed[x] = col
-        mu[x] = {t: m for t, c in top.items()
-                 if t != x and (m := (c >> _WIDTH) & _MASK)}
-        mu[x][xp] = 1
+    packed, mu, _ = _kl_columns(system)
     # decode in place, so each packed column is freed as it is replaced;
     # each distinct packed value is decoded once and shared
     cache = _Decoded()
     for x, col in enumerate(packed):
         packed[x] = dict(zip(col, map(cache.__getitem__, col.values())))
     return KLTable(system, packed, mu)
+
+
+def _kl_columns(system: CoxeterSystem
+                ) -> tuple[list[dict[int, int]], list[dict[int, int]],
+                           dict[int, int]]:
+    """The packed columns and mu rows of compute_kl_table, and the columns
+    it built: w -> the right descent s it was built along.  Every other
+    nonidentity column is the relabelled column of its inverse."""
+    inv, descents = system.inverse, system.right_descents
+    by_gen = [[row[s] for row in system.right] for s in range(system.rank)]
+    packed: list = [None] * system.size
+    mu: list = [None] * system.size
+    packed[0], mu[0] = {0: 1}, {}
+    built: dict[int, int] = {}
+    for x in system.elements():
+        if packed[x] is not None:
+            continue
+        best = None
+        for w in (x,) if inv[x] == x else (x, inv[x]):
+            for s in sorted(descents[w]):
+                wp = by_gen[s][w]
+                cost = len(packed[wp]) + sum(
+                    [len(packed[z]) for z in mu[wp] if s in descents[z]])
+                if best is None or cost < best[0]:
+                    best = (cost, w, s)
+        _, w, s = best
+        rs = by_gen[s]
+        wp = rs[w]  # w' with w = w's, shorter
+        # h(t, w) over the tops t > ts.  In C_{w'} (H_s + v), H_ts H_s =
+        # H_t and H_t H_s = H_ts + (v^-1 - v) H_t, so H_t gets h(ts, w') +
+        # v^-1 h(t, w'); ids are in length order, and h(t, w') is in v Z[v]
+        # because t != w' (w' s = w is longer).
+        top: dict[int, int] = {}
+        get = top.get
+        for u, c in packed[wp].items():
+            us = rs[u]
+            if us < u:
+                top[u] = get(u, 0) + (c >> _WIDTH)
+            else:
+                top[us] = get(us, 0) + c
+        for z, m in mu[wp].items():
+            if s in descents[z]:
+                for u, c in packed[z].items():
+                    if rs[u] < u:
+                        top[u] -= m * c
+        # the bottoms: h(ts, w) = v h(t, w); mu(w, w) = 0 is the second
+        # digit of h(w, w) = 1
+        col: dict[int, int] = {}
+        row = {wp: 1}
+        for t, c in top.items():
+            if c:
+                col[t] = c
+                col[rs[t]] = c << _WIDTH
+                if m := (c >> _WIDTH) & _MASK:
+                    row[t] = m
+        packed[w], mu[w] = col, row
+        built[w] = s
+        wi = inv[w]
+        if wi != w:
+            packed[wi] = dict(zip(map(inv.__getitem__, col), col.values()))
+            mu[wi] = dict(zip(map(inv.__getitem__, row), row.values()))
+    return packed, mu, built
 
 
 class _Decoded(dict):

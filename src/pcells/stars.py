@@ -482,12 +482,13 @@ def star_closure_check(left: CellPartition, right: CellPartition,
         for x in s.elements:
             string_of_elt[x] = s
 
+    left_cells = left.as_sets()
     for i, cell in enumerate(left.cells):
         if not cell <= dr:
             continue
         image = frozenset(star[x] for x in cell)
         checked += 1
-        if image not in left.as_sets():
+        if image not in left_cells:
             bad.append(f"star image of left cell {i} is not a left cell")
         completion = frozenset(
             y for x in cell for y in string_of_elt[x].elements) - cell

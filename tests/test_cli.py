@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pcells.cli import main
+from pcells.stars import PBoundError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,6 +141,44 @@ def test_verify_suite(capsys):
 
 def test_usage_error(capsys):
     assert main(["cells"]) == 2  # no group spec
+
+
+@pytest.mark.parametrize("error", [
+    OverflowError("Kazhdan-Lusztig coefficient 1073741824 of v^3 reaches "
+                  "2^30, beyond the packed kernel's width"),
+    PBoundError("p = 2 is below the bound for bond order 4"),
+    ValueError("an internal invariant failed"),
+])
+def test_errors_while_computing_exit_1(capsys, monkeypatch, error):
+    def fail(system):
+        raise error
+
+    monkeypatch.setattr("pcells.cli.compute_kl_table", fail)
+    code, out, err = run(capsys, "cells", "--type", "A2")
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cells", "--type", "Q3"),
+    ("cells", "--cartan", "[[2, -1], [-1"),
+    ("cells", "--cartan", "[[2, 1], [1, 2]]"),
+    ("cells", "--type", "A2", "--side", "up"),
+    ("tau", "--cartan", '{"rank": 2}'),
+    ("rs", "1 3"),
+])
+def test_input_errors_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error" in err
+
+
+def test_unparsable_table_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\"p\": 2, ")
+    code, _, err = run(capsys, "cells", "--type", "C3", "--p", "2",
+                       "--table", str(bad))
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

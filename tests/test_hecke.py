@@ -9,6 +9,7 @@ from pcells.hecke import (
     BasisMismatchError,
     HeckeElt,
     _acc,
+    _kl_columns,
     _unpack,
     bar_involution,
     bott_samelson_to_standard,
@@ -235,6 +236,116 @@ def test_pair_kernel_matches_full_column_oracle(label):
                 ts = system.right[t][s]
                 if ts < t:
                     assert table.h[x][ts] == c.shift(1)
+
+
+def _kl_by_min_descent(system):
+    """Oracle: the packed tops kernel as it ran before inverse pairs,
+    building every column along min(D_R(x)).  Returns (h, mu) with h
+    decoded."""
+    right, descents = system.right, system.right_descents
+    packed = [{} for _ in system.elements()]
+    mu = [{} for _ in system.elements()]
+    packed[0] = {0: 1}
+    for x in system.elements():
+        if x == 0:
+            continue
+        s = min(descents[x])
+        xp = right[x][s]
+        top = {}
+        for w, c in packed[xp].items():
+            ws = right[w][s]
+            if ws < w:
+                top[w] = top.get(w, 0) + (c >> 32)
+            else:
+                top[ws] = top.get(ws, 0) + c
+        for z, m in mu[xp].items():
+            if s in descents[z]:
+                for w, c in packed[z].items():
+                    if right[w][s] < w:
+                        top[w] -= m * c
+        col = {}
+        for t, c in top.items():
+            if c:
+                col[t] = c
+                col[right[t][s]] = c << 32
+        packed[x] = col
+        mu[x] = {t: m for t, c in top.items()
+                 if t != x and (m := (c >> 32) & 0xFFFFFFFF)}
+        mu[x][xp] = 1
+    decoded = {c: _unpack(c) for col in packed for c in set(col.values())}
+    return [{w: decoded[c] for w, c in col.items()} for col in packed], mu
+
+
+MIN_DESCENT_GROUPS = {
+    **FULL_COLUMN_GROUPS,
+    "D5": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+           [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
+}
+
+
+@pytest.fixture(scope="module")
+def f4_kl():
+    system = _system(FULL_COLUMN_GROUPS["F4"])
+    return system, compute_kl_table(system)
+
+
+@pytest.mark.parametrize("label", MIN_DESCENT_GROUPS)
+def test_inverse_pair_kernel_matches_min_descent_oracle(label):
+    system = _system(MIN_DESCENT_GROUPS[label])
+    table = compute_kl_table(system)
+    h, mu = _kl_by_min_descent(system)
+    assert table.h == h
+    assert table.mu == mu
+    # relabelled columns decode through the same cache: equal polynomials
+    # are still one object
+    seen = {}
+    for col in table.h:
+        for c in col.values():
+            assert seen.setdefault(c, c) is c
+
+
+def test_kl_table_is_iota_symmetric(f4_kl):
+    # h(y, x) = h(y^-1, x^-1) and mu(y, x) = mu(y^-1, x^-1) on every entry
+    system, table = f4_kl
+    inv = system.inverse
+    for x in system.elements():
+        assert {inv[y]: c for y, c in table.h[x].items()} == table.h[inv[x]]
+        assert {inv[y]: m for y, m in table.mu[x].items()} == table.mu[inv[x]]
+
+
+def test_kl_columns_build_the_cheapest_candidate(f4_kl):
+    system, table = f4_kl
+    inv, descents, right = system.inverse, system.right_descents, system.right
+    packed, mu, built = _kl_columns(system)
+    decoded = {c: _unpack(c) for col in packed for c in set(col.values())}
+    assert [{y: decoded[c] for y, c in col.items()} for col in packed] \
+        == table.h
+    assert mu == table.mu
+
+    def cost(w, s):
+        wp = right[w][s]
+        return len(packed[wp]) + sum(len(packed[z]) for z in mu[wp]
+                                     if s in descents[z])
+
+    for x in system.elements():
+        if x == 0 or x > inv[x]:
+            continue
+        # one column per inverse pair is built, along the cheapest (w, s),
+        # ties going to w = x and then to the smaller s
+        done = [w for w in {x, inv[x]} if w in built]
+        assert len(done) == 1
+        w = done[0]
+        candidates = [(cost(v, s), v != x, s, v)
+                      for v in {x, inv[x]} for s in descents[v]]
+        assert min(candidates)[2:] == (built[w], w)
+        # a partner column holds the same int objects
+        if inv[w] != w:
+            for y, c in packed[w].items():
+                assert packed[inv[w]][inv[y]] is c
+    # F4 exercises both branches: relabelled columns, and columns built
+    # along a descent of x^-1 (x being the smaller id of the pair)
+    assert len(built) < system.size - 1
+    assert any(w > inv[w] for w in built)
 
 
 def test_kl_table_shares_equal_polynomials(a3, kl_a3):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcells.laurent import GAUSS, ONE, V, V_INV, ZERO, LaurentPoly
 
@@ -114,3 +116,49 @@ def test_display():
     assert str(ZERO) == "0"
     assert str(GAUSS) == "v^-1 + v"
     assert str(ONE - LaurentPoly({2: 1})) == "1 - v^2"
+
+
+# -- property tests: Z[v, v^-1] is a commutative ring, bar an involutive
+# automorphism of it ------------------------------------------------------
+
+polys = st.dictionaries(st.integers(-6, 6), st.integers(-2**40, 2**40),
+                        max_size=6).map(LaurentPoly)
+ring_laws = settings(max_examples=200, deadline=None)
+
+
+@ring_laws
+@given(polys, polys, polys)
+def test_addition_is_an_abelian_group(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a + ZERO == a == ZERO + a
+    assert a - a == ZERO
+    assert a + (-a) == ZERO
+    assert a - b == a + (-b)
+
+
+@ring_laws
+@given(polys, polys, polys)
+def test_multiplication_is_commutative_associative_distributive(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a * ONE == a == ONE * a
+    assert a * ZERO == ZERO
+
+
+@ring_laws
+@given(polys, polys)
+def test_bar_is_an_involutive_ring_automorphism(a, b):
+    assert a.bar().bar() == a
+    assert (a + b).bar() == a.bar() + b.bar()
+    assert (a * b).bar() == a.bar() * b.bar()
+    assert ONE.bar() == ONE and ZERO.bar() == ZERO
+
+
+@ring_laws
+@given(st.integers())
+def test_constant_polynomials_hash_like_their_ints(n):
+    assert LaurentPoly(n) == n
+    assert hash(LaurentPoly(n)) == hash(n)
