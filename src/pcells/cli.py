@@ -151,6 +151,18 @@ def cmd_tau(args) -> int:
     return 0
 
 
+def _typea_n(text: str) -> int:
+    """The --n of verify: the typea suite checks S_3 to S_n, so n >= 3."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 3:
+        raise argparse.ArgumentTypeError(
+            f"{n} is below 3: the typea suite would check no symmetric group")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcells",
@@ -178,8 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite",
                    choices=[*verify_mod.SUITES, "all"])
-    p.add_argument("--n", type=int, default=5,
-                   help="largest symmetric group S_n for the typea suite")
+    p.add_argument("--n", type=_typea_n, default=5,
+                   help="largest symmetric group S_n for the typea suite "
+                        "(n >= 3)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("rs", help="Robinson-Schensted symbols of a permutation")

@@ -30,10 +30,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .coxeter import CoxeterSystem, ParabolicEmbedding
-from .hecke import KLTable, _acc, kl_multiply_by_generator, unitriangular_solve
+from .hecke import (PCAN, STD, HeckeElt, KLTable, _acc, change_basis,
+                    kl_multiply_by_generator, std_multiply,
+                    unitriangular_solve)
 from .laurent import GAUSS, ONE, LaurentPoly
 from .report import Report
 
@@ -118,9 +120,9 @@ def _digit_list(system: CoxeterSystem, w: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # construction, loading, validation
 
-def identity_table(system: CoxeterSystem, prime: int = 0) -> PCanTable:
+def identity_table(system: CoxeterSystem) -> PCanTable:
     """The p = 0 table: the canonical basis equals the KL basis."""
-    return PCanTable(system, prime, {}, provenance="identity(p=0)")
+    return PCanTable(system, 0, {}, provenance="identity(p=0)")
 
 
 def validate_table(table: PCanTable) -> list[str]:
@@ -273,32 +275,13 @@ def structure_coefficients(table: PCanTable, kl: KLTable, x: int, s: int,
     return table.kl_to_pcan_coeffs(acc)
 
 
-def _pcan_row_kl(table: PCanTable, x: int) -> Iterable[tuple[int, LaurentPoly]]:
-    yield x, ONE
-    yield from table.rows.get(x, {}).items()
-
-
-def _kl_times_kl(kl: KLTable, a: Mapping[int, LaurentPoly], w: int
-                 ) -> dict[int, LaurentPoly]:
-    """(sum a_z C_z) * C_w in the KL basis, via the standard basis."""
-    from .hecke import HeckeElt, change_basis, std_multiply, KL as KLB, STD
-
-    sys_ = kl.system
-    left = change_basis(HeckeElt(sys_, KLB, dict(a)), STD, kl=kl)
-    right = change_basis(HeckeElt(sys_, KLB, {w: ONE}), STD, kl=kl)
-    prod = std_multiply(left, right)
-    return change_basis(prod, KLB, kl=kl).coeffs
-
-
 def pcan_general_product(table: PCanTable, kl: KLTable, x: int, w: int
                          ) -> dict[int, LaurentPoly]:
-    """B_x B_w in the canonical basis, exact through the standard basis."""
-    kl_x = dict(_pcan_row_kl(table, x))
-    acc: dict[int, LaurentPoly] = {}
-    for u, d in _pcan_row_kl(table, w):
-        for b, cb in _kl_times_kl(kl, kl_x, u).items():
-            _acc(acc, b, cb * d)
-    return table.kl_to_pcan_coeffs(acc)
+    """B_x B_w in the canonical basis: both factors are converted to the
+    standard basis, multiplied there and converted back, all exactly."""
+    bx, bw = (change_basis(HeckeElt(table.system, PCAN, {u: ONE}), STD,
+                           kl=kl, pcan=table) for u in (x, w))
+    return change_basis(std_multiply(bx, bw), PCAN, kl=kl, pcan=table).coeffs
 
 
 # ---------------------------------------------------------------------------

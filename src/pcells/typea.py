@@ -16,6 +16,7 @@ rule, hook-length counts).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -93,13 +94,9 @@ def rs_correspondence(perm: Sequence[int]) -> tuple[Tableau, Tableau]:
                 q_rows.append([step])
                 break
             current = p_rows[row]
-            # bump the leftmost entry strictly greater than x
-            bump_at = None
-            for i, entry in enumerate(current):
-                if entry > x:
-                    bump_at = i
-                    break
-            if bump_at is None:
+            # bump the leftmost entry strictly greater than x (rows increase)
+            bump_at = bisect_right(current, x)
+            if bump_at == len(current):
                 current.append(x)
                 q_rows[row].append(step)
                 break
@@ -125,10 +122,11 @@ def inverse_rs(p: Tableau, q: Tableau) -> tuple[int, ...]:
         for row in range(r - 1, -1, -1):
             target = rows[row]
             # reverse bumping: displace the rightmost entry smaller than x
-            for i in range(len(target) - 1, -1, -1):
-                if target[i] < x:
-                    target[i], x = x, target[i]
-                    break
+            i = bisect_left(target, x) - 1
+            if i < 0:
+                raise ValueError(f"P is not standard: row {row + 1} has no "
+                                 f"entry smaller than {x}")
+            target[i], x = x, target[i]
         out.append(x)
     return tuple(reversed(out))
 

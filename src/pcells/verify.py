@@ -143,30 +143,36 @@ def _compare_two_sided_groups(system: CoxeterSystem, right: CellPartition,
 # ---------------------------------------------------------------------------
 # golden suites
 
+def _golden_reports(g: dict) -> list[Report]:
+    """Compare the cells of a loaded reference file, at its own type and p:
+    the right cells and their Hasse diagram, then the two-sided cells by
+    whichever keys the file has (cells and Hasse diagram, or the grouping
+    of its right cells)."""
+    label, prime = g["type"], g["p"]
+    system = get_system(label)
+    right = get_cells(label, prime, "right")
+    two = get_cells(label, prime, "two-sided")
+    tag = f"{label} KL" if prime == 0 else f"{label} p={prime}"
+    if "two_sided_groups" in g:
+        two_report = _compare_two_sided_groups(
+            system, right, two, g["right_cells"], g["two_sided_groups"],
+            f"{tag} two-sided grouping")
+    else:
+        two_report = _compare_partition(
+            system, two, g["two_sided_cells"], g["two_sided_hasse"],
+            f"{tag} two-sided cells + Hasse")
+    return [_compare_partition(system, right, g["right_cells"],
+                               g["right_hasse"], f"{tag} right cells + Hasse"),
+            two_report]
+
+
 def verify_b2() -> list[Report]:
-    system = get_system("B2")
-    g = load_golden("b2_kl")
-    right = get_cells("B2", 0, "right")
-    two = get_cells("B2", 0, "two-sided")
-    return [
-        _compare_partition(system, right, g["right_cells"], g["right_hasse"],
-                           "B2 KL right cells + Hasse"),
-        _compare_partition(system, two, g["two_sided_cells"], g["two_sided_hasse"],
-                           "B2 KL two-sided cells + Hasse"),
-    ]
+    return _golden_reports(load_golden("b2_kl"))
 
 
 def verify_g2() -> list[Report]:
     system = get_system("G2")
     g = load_golden("g2_kl")
-    right = get_cells("G2", 0, "right")
-    two = get_cells("G2", 0, "two-sided")
-    out = [
-        _compare_partition(system, right, g["right_cells"], g["right_hasse"],
-                           "G2 KL right cells + Hasse"),
-        _compare_partition(system, two, g["two_sided_cells"], g["two_sided_hasse"],
-                           "G2 KL two-sided cells + Hasse"),
-    ]
     # the middle two-sided cell is the set of nontrivial elements with a
     # unique reduced expression, split by left descent into the right cells
     unique_rex = frozenset(w for w in system.elements()
@@ -180,41 +186,21 @@ def verify_g2() -> list[Report]:
         descents = {system.left_descents[w] for w in cell}
         if len(descents) != 1 or not cell <= unique_rex:
             bad.append(f"{name} is not a fixed-descent slice of the set")
-    out.append(Report("G2 unique-reduced-expression characterization", bad, 3))
-    return out
+    return _golden_reports(g) + [
+        Report("G2 unique-reduced-expression characterization", bad, 3)]
 
 
 def verify_c3_p0() -> list[Report]:
-    system = get_system("C3")
-    g = load_golden("c3_kl")
-    right = get_cells("C3", 0, "right")
-    two = get_cells("C3", 0, "two-sided")
-    return [
-        _compare_partition(system, right, g["right_cells"], g["right_hasse"],
-                           "C3 KL right cells + Hasse"),
-        _compare_two_sided_groups(system, right, two, g["right_cells"],
-                                  g["two_sided_groups"],
-                                  "C3 KL two-sided grouping"),
-    ]
+    return _golden_reports(load_golden("c3_kl"))
 
 
 def verify_c3_p2() -> list[Report]:
     system, kl = get_system("C3"), get_kl("C3")
-    table = get_table("C3", 2)
     g = load_golden("c3_p2_cells")
-    right = get_cells("C3", 2, "right")
-    two = get_cells("C3", 2, "two-sided")
-    out = [
-        _compare_partition(system, right, g["right_cells"], g["right_hasse"],
-                           "C3 p=2 right cells + Hasse"),
-        _compare_two_sided_groups(system, right, two, g["right_cells"],
-                                  g["two_sided_groups"],
-                                  "C3 p=2 two-sided grouping"),
-    ]
     spec = g["subquotient_c6_c12"]
     graph = subquotient_wgraph(
-        table, kl, [system.digits_to_id(w) for w in spec["elements"]],
-        side="right")
+        get_table("C3", 2), kl,
+        [system.digits_to_id(w) for w in spec["elements"]], side="right")
     got = {
         (system.id_to_digits(a), s + 1, system.id_to_digits(b)):
             labels[s].to_pairs()
@@ -231,8 +217,8 @@ def verify_c3_p2() -> list[Report]:
     for key in sorted(set(got) | set(want)):
         if got.get(key) != want.get(key):
             bad.append(f"edge {key}: computed {got.get(key)}, reference {want.get(key)}")
-    out.append(Report("C3 p=2 cell-module graph on C6 u C12", bad, len(want)))
-    return out
+    return _golden_reports(g) + [
+        Report("C3 p=2 cell-module graph on C6 u C12", bad, len(want))]
 
 
 def verify_typea(n: int) -> list[Report]:
@@ -479,6 +465,11 @@ SUITES = {
 
 
 def run_suite(name: str, typea_n: int = 5) -> list[Report]:
+    """The reports of one suite, or of all of them; the typea suite checks
+    S_3 to S_typea_n, so it rejects typea_n below 3."""
+    if name in ("typea", "all") and typea_n < 3:
+        raise ValueError(f"typea_n = {typea_n} is below 3: the typea suite "
+                         "would check no symmetric group")
     if name == "all":
         return [rep for suite in SUITES for rep in run_suite(suite, typea_n)]
     if name not in SUITES:

@@ -136,3 +136,28 @@ def test_criterion_9_negative_tests():
     dt = time.monotonic() - t0
     print(f"[PASS] criterion 9: corrupted tables and perturbed W-graphs are "
           f"rejected with located violations ({dt:.2f}s)")
+
+
+def test_golden_report_names():
+    names = {fn.__name__: [rep.name for rep in fn()]
+             for fn in (verify.verify_b2, verify.verify_g2,
+                        verify.verify_c3_p0, verify.verify_c3_p2)}
+    assert names == {
+        "verify_b2": ["B2 KL right cells + Hasse",
+                      "B2 KL two-sided cells + Hasse"],
+        "verify_g2": ["G2 KL right cells + Hasse",
+                      "G2 KL two-sided cells + Hasse",
+                      "G2 unique-reduced-expression characterization"],
+        "verify_c3_p0": ["C3 KL right cells + Hasse",
+                         "C3 KL two-sided grouping"],
+        "verify_c3_p2": ["C3 p=2 right cells + Hasse",
+                         "C3 p=2 two-sided grouping",
+                         "C3 p=2 cell-module graph on C6 u C12"],
+    }
+
+
+@pytest.mark.parametrize("suite", ["typea", "all"])
+@pytest.mark.parametrize("n", [-1, 0, 2])
+def test_run_suite_rejects_typea_n_below_3(suite, n):
+    with pytest.raises(ValueError, match="below 3"):
+        verify.run_suite(suite, typea_n=n)

@@ -165,6 +165,10 @@ def test_errors_while_computing_exit_1(capsys, monkeypatch, error):
     ("cells", "--type", "A2", "--side", "up"),
     ("tau", "--cartan", '{"rank": 2}'),
     ("rs", "1 3"),
+    ("verify", "typea", "--n", "-1"),
+    ("verify", "typea", "--n", "2"),
+    ("verify", "all", "--n", "0"),
+    ("verify", "typea", "--n", "three"),
 ])
 def test_input_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from pcells.hecke import KL, STD, HeckeElt, change_basis, kl_multiply_by_generator
+from pcells.hecke import (KL, STD, HeckeElt, change_basis,
+                          kl_multiply_by_generator, std_multiply)
 from pcells.laurent import GAUSS, ONE, V, LaurentPoly
 from pcells.pcanonical import (
     PCanTable,
@@ -277,6 +278,32 @@ def test_general_product_agrees_with_generator_path(b2, kl_b2, b2_p2):
             w = b2.right[0][s]
             assert pcan_general_product(b2_p2, kl_b2, x, w) == \
                 structure_coefficients(b2_p2, kl_b2, x, s, "right")
+
+
+def _product_by_kl_round_trip(table, kl, x, w):
+    """B_x B_w through the KL basis: each C_u of B_w times the KL expansion
+    of B_x, via the standard basis, then solved back through the table.
+    The oracle of pcan_general_product."""
+    sys_ = table.system
+    left = change_basis(HeckeElt(sys_, KL, table.expand_to_kl_coeffs({x: ONE})),
+                        STD, kl=kl)
+    acc = {}
+    for u, d in table.expand_to_kl_coeffs({w: ONE}).items():
+        right = change_basis(HeckeElt(sys_, KL, {u: ONE}), STD, kl=kl)
+        prod = change_basis(std_multiply(left, right), KL, kl=kl)
+        for b, cb in prod.coeffs.items():
+            acc[b] = acc.get(b, LaurentPoly()) + cb * d
+    return table.kl_to_pcan_coeffs({b: c for b, c in acc.items() if c})
+
+
+def test_general_product_matches_kl_round_trip_oracle(b2, kl_b2, b2_p2, c3,
+                                                      kl_c3, c3_p2):
+    pairs = [(b2_p2, kl_b2, x, w) for x in b2.elements() for w in b2.elements()]
+    c3_ws = sorted(set(c3_p2.rows) | {0, c3.longest_element()})
+    pairs += [(c3_p2, kl_c3, x, w) for x in c3_p2.rows for w in c3_ws]
+    for table, kl, x, w in pairs:
+        assert pcan_general_product(table, kl, x, w) == \
+            _product_by_kl_round_trip(table, kl, x, w)
 
 
 def test_parabolic_factorization(b3, kl_b3, c3, kl_c3, c3_p2):

@@ -1,16 +1,18 @@
-"""The benchmark's tracing targets name live pcells functions.
+"""Source-level checks of the package and of the benchmark's hooks into it.
 
 perfbench/tracing.py wraps each (module, attribute path) in its FUNCTIONS
 list; a target renamed in pcells would break ``--trace 1`` runs only.  The
 file is read as source, not imported, so this test runs nothing of the
-benchmark.
+benchmark.  Imports in src/pcells sit at module level, where they are seen
+at once and resolve once.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing_targets() -> list[tuple[str, str]]:
@@ -37,3 +39,14 @@ def test_tracing_targets_resolve_in_pcells():
         if not callable(obj):
             missing.append(f"{module}.{path}")
     assert not missing, f"tracing targets missing from pcells: {missing}"
+
+
+def test_no_imports_inside_functions():
+    found = []
+    for path in sorted((ROOT / "src" / "pcells").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} in {fn.name}"
+                          for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, f"imports inside functions: {found}"

@@ -42,6 +42,64 @@ def test_inverse_rs():
         assert inverse_rs(p, q) == perm
     with pytest.raises(ValueError):
         inverse_rs(((1, 2),), ((1,), (2,)))
+    # reverse bumping 1 out of the second row of a nonstandard P finds no
+    # smaller entry in the first row
+    with pytest.raises(ValueError, match="not standard"):
+        inverse_rs(((2,), (1,)), ((1,), (2,)))
+
+
+def _rs_by_scan(perm):
+    """rs_correspondence with a linear scan for the bumped entry: the
+    oracle of its bisect search."""
+    p_rows, q_rows = [], []
+    for step, x in enumerate(perm, start=1):
+        row = 0
+        while True:
+            if row == len(p_rows):
+                p_rows.append([x])
+                q_rows.append([step])
+                break
+            current = p_rows[row]
+            bump_at = None
+            for i, entry in enumerate(current):
+                if entry > x:
+                    bump_at = i
+                    break
+            if bump_at is None:
+                current.append(x)
+                q_rows[row].append(step)
+                break
+            current[bump_at], x = x, current[bump_at]
+            row += 1
+    return (tuple(tuple(r) for r in p_rows), tuple(tuple(r) for r in q_rows))
+
+
+def _inverse_rs_by_scan(p, q):
+    """inverse_rs with a reverse linear scan for the displaced entry: the
+    oracle of its bisect search."""
+    rows = [list(r) for r in p]
+    order = {entry: (r, c) for r, row in enumerate(q)
+             for c, entry in enumerate(row)}
+    out = []
+    for step in range(len(order), 0, -1):
+        r, c = order[step]
+        x = rows[r].pop(c)
+        for row in range(r - 1, -1, -1):
+            target = rows[row]
+            for i in range(len(target) - 1, -1, -1):
+                if target[i] < x:
+                    target[i], x = x, target[i]
+                    break
+        out.append(x)
+    return tuple(reversed(out))
+
+
+def test_rs_bisect_matches_scan_oracle():
+    for n in range(1, 9):
+        for perm in all_permutations(n):
+            p, q = rs_correspondence(perm)
+            assert (p, q) == _rs_by_scan(perm)
+            assert inverse_rs(p, q) == _inverse_rs_by_scan(p, q) == perm
 
 
 def test_symmetry_theorem():
