@@ -20,9 +20,11 @@ Kazhdan-Lusztig 1979), so only the entries at the tops t are built.  It
 builds one column per inverse pair {x, x^-1}, along the right descent of x
 or of x^-1 whose recursion visits the fewest entries (the choice of descent
 sets the cost, du Cloux 2002), and writes the partner column by relabelling
-through the anti-involution iota: h(y, x) = h(y^-1, x^-1).  The finished
-table holds decoded LaurentPoly values, one shared immutable object per
-distinct polynomial.
+through the anti-involution iota: h(y, x) = h(y^-1, x^-1).  Each distinct
+packed value is one int object, shared by every entry and column holding
+it (a table has few distinct polynomials and many entries, du Cloux 2002),
+and the finished table holds decoded LaurentPoly values, one shared
+immutable object per distinct polynomial.
 
 HeckeElt values are tagged with the basis they are expressed in ("std",
 "kl", or "pcan"); arithmetic across different bases is a hard error, and
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .coxeter import CoxeterSystem
-from .laurent import GAUSS, ONE, LaurentPoly
+from .laurent import GAUSS, ONE, ZERO, LaurentPoly
 
 STD, KL, PCAN = "std", "kl", "pcan"
 
@@ -81,7 +83,7 @@ class HeckeElt:
                         {w: c * x for w, x in self.coeffs.items()})
 
     def coefficient(self, w: int) -> LaurentPoly:
-        return self.coeffs.get(w, LaurentPoly())
+        return self.coeffs.get(w, ZERO)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HeckeElt) and self.basis == other.basis
@@ -214,7 +216,7 @@ class KLTable:
         self.mu = mu
 
     def h_poly(self, y: int, x: int) -> LaurentPoly:
-        return self.h[x].get(y, LaurentPoly())
+        return self.h[x].get(y, ZERO)
 
     def mu_coeff(self, y: int, x: int) -> int:
         return self.mu[x].get(y, 0)
@@ -305,9 +307,11 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     at most doubles per step; _unpack raises OverflowError at the first
     coefficient reaching 2^(_WIDTH - 2), which is still decoded exactly,
     and nothing wraps silently.  A relabelled column holds the same ints
-    as its partner, so the bound covers it too.  Columns are decoded at the
-    end through one cache that unpacks each distinct value once, so equal
-    polynomials share one LaurentPoly.
+    as its partner, so the bound covers it too.  Every value written is
+    interned, so each distinct h(y, w) is one int object in all the
+    columns, not one object per entry.  Columns are
+    decoded at the end through one cache that unpacks each distinct value
+    once, so equal polynomials share one LaurentPoly.
     """
     packed, mu, _ = _kl_columns(system)
     # decode in place, so each packed column is freed as it is replaced;
@@ -330,6 +334,10 @@ def _kl_columns(system: CoxeterSystem
     mu: list = [None] * system.size
     packed[0], mu[0] = {0: 1}, {}
     built: dict[int, int] = {}
+    # every value written is interned: shared maps a value to its one int
+    # object, pairs a top's value to its shared (top, top << _WIDTH) pair
+    shared: dict[int, int] = {}
+    pairs: dict[int, tuple[int, int]] = {}
     for x in system.elements():
         if packed[x] is not None:
             continue
@@ -367,8 +375,12 @@ def _kl_columns(system: CoxeterSystem
         row = {wp: 1}
         for t, c in top.items():
             if c:
-                col[t] = c
-                col[rs[t]] = c << _WIDTH
+                pair = pairs.get(c)
+                if pair is None:
+                    c = shared.setdefault(c, c)
+                    b = c << _WIDTH
+                    pair = pairs[c] = c, shared.setdefault(b, b)
+                col[t], col[rs[t]] = pair
                 if m := (c >> _WIDTH) & _MASK:
                     row[t] = m
         packed[w], mu[w] = col, row

@@ -16,7 +16,8 @@ True
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from collections.abc import Iterable, Iterator
+from typing import Union
 
 Coeffs = Union[int, dict, Iterable[tuple[int, int]], None]
 
@@ -27,17 +28,34 @@ class LaurentPoly:
     __slots__ = ("_c", "_hash")
 
     def __init__(self, coeffs: Coeffs = None):
-        if coeffs is None:
-            c = {}
-        elif isinstance(coeffs, int):
+        """Build from an int (a constant), a dict {exponent: coefficient}
+        or an iterable of (exponent, coefficient) pairs, summing repeated
+        exponents.  Raises ValueError on a term whose exponent or
+        coefficient is not of type int: 2.5, '2' and True are rejected,
+        not truncated, parsed or read as 1."""
+        if type(coeffs) is int:
             c = {0: coeffs} if coeffs else {}
-        elif isinstance(coeffs, dict):
-            c = {int(e): int(v) for e, v in coeffs.items() if v}
-        else:
+        elif coeffs is None:
             c = {}
-            for e, v in coeffs:
+        else:
+            if isinstance(coeffs, dict):
+                terms = coeffs.items()
+            elif isinstance(coeffs, Iterable) and not isinstance(coeffs, str):
+                terms = coeffs
+            else:
+                terms = ((0, coeffs),)
+            c = {}
+            for term in terms:
+                try:
+                    e, v = term
+                except (TypeError, ValueError):
+                    raise ValueError(f"polynomial term {term!r} is not an "
+                                     "[exponent, coefficient] pair") from None
+                if type(e) is not int or type(v) is not int:
+                    raise ValueError(f"polynomial term {[e, v]!r} is not an "
+                                     "integer [exponent, coefficient] pair")
                 if v:
-                    c[int(e)] = c.get(int(e), 0) + int(v)
+                    c[e] = c.get(e, 0) + v
             c = {e: v for e, v in c.items() if v}
         self._c = c
         self._hash = None
@@ -53,17 +71,11 @@ class LaurentPoly:
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "LaurentPoly":
         """Build from [[exponent, coefficient], ...] (the JSON wire format).
 
-        Raises ValueError on an exponent or coefficient that is not an int
-        (a float or bool from JSON is rejected, not truncated).
+        The constructor rejects a term that is not an int pair (a float or
+        bool from JSON is rejected, not truncated); iter() keeps a bare int
+        or a dict from being read as a constant or a coefficient map.
         """
-        terms = []
-        for e, v in pairs:
-            if not all(isinstance(n, int) and not isinstance(n, bool)
-                       for n in (e, v)):
-                raise ValueError(f"polynomial term {[e, v]!r} is not an "
-                                 "integer [exponent, coefficient] pair")
-            terms.append((e, v))
-        return cls(terms)
+        return cls(iter(pairs))
 
     def to_pairs(self) -> list[list[int]]:
         """Serialize as [[exponent, coefficient], ...] sorted by exponent."""

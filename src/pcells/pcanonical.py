@@ -36,7 +36,7 @@ from .coxeter import CoxeterSystem, ParabolicEmbedding
 from .hecke import (PCAN, STD, HeckeElt, KLTable, _acc, change_basis,
                     kl_multiply_by_generator, std_multiply,
                     unitriangular_solve)
-from .laurent import GAUSS, ONE, LaurentPoly
+from .laurent import GAUSS, ONE, ZERO, LaurentPoly
 from .report import Report
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -75,7 +75,7 @@ class PCanTable:
         """The base-change coefficient m(y, x)."""
         if y == x:
             return ONE
-        return self.rows.get(x, {}).get(y, LaurentPoly())
+        return self.rows.get(x, {}).get(y, ZERO)
 
     def nontrivial_elements(self) -> list[int]:
         return sorted(self.rows)
@@ -240,7 +240,7 @@ def load_fixture(name: str, system: CoxeterSystem) -> PCanTable:
 
 def p_h(table: PCanTable, kl: KLTable, y: int, x: int) -> LaurentPoly:
     """Coefficient of H_y in B_x: sum over z of m(z, x) h(y, z)."""
-    out = kl.h[x].get(y, LaurentPoly())
+    out = kl.h[x].get(y, ZERO)
     for z, m in table.rows.get(x, {}).items():
         hyz = kl.h[z].get(y)
         if hyz:

@@ -21,7 +21,7 @@ from pcells.hecke import (
     std_multiply,
     unit,
 )
-from pcells.laurent import GAUSS, ONE, V, V_INV, LaurentPoly
+from pcells.laurent import GAUSS, ONE, V, V_INV, ZERO, LaurentPoly
 
 
 def H(system, digits):
@@ -348,6 +348,15 @@ def test_kl_columns_build_the_cheapest_candidate(f4_kl):
     assert any(w > inv[w] for w in built)
 
 
+@pytest.mark.parametrize("label", ["D4", "B4", "F4"])
+def test_kl_columns_hold_one_int_per_distinct_value(label):
+    # each distinct packed h(y, x) is one int object, shared by every column
+    # that holds it, relabelled partner columns and bottoms included
+    packed, _, _ = _kl_columns(_system(FULL_COLUMN_GROUPS[label]))
+    values = [c for col in packed for c in col.values()]
+    assert len({id(c) for c in values}) == len(set(values))
+
+
 def test_kl_table_shares_equal_polynomials(a3, kl_a3):
     seen = {}
     for col in kl_a3.h:
@@ -435,6 +444,12 @@ def test_change_basis_round_trip(a3, kl_a3):
         elt = HeckeElt(a3, STD, coeffs)
         back = change_basis(change_basis(elt, "kl", kl=kl_a3), STD, kl=kl_a3)
         assert back == elt
+
+
+def test_missing_entries_are_the_shared_zero(a2, kl_a2):
+    s, t = a2.digits_to_id("1"), a2.digits_to_id("2")
+    assert kl_a2.h_poly(t, s) is ZERO
+    assert unit(a2).coefficient(s) is ZERO
 
 
 def test_kl_table_json_export(a2, kl_a2):

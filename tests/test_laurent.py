@@ -96,6 +96,21 @@ def test_from_pairs_rejects_non_integers(pairs):
         LaurentPoly.from_pairs(pairs)
 
 
+@pytest.mark.parametrize("coeffs", [
+    {0: 2.5}, {1.7: 1}, {"2": 1}, {True: 1}, {0: False}, True, 2.5, "2",
+    [(0, 1.0)], [(None, 1)], [(1,)], [(1, 2, 3)], [7]])
+def test_constructor_rejects_non_integer_terms(coeffs):
+    with pytest.raises(ValueError, match="polynomial term"):
+        LaurentPoly(coeffs)
+
+
+def test_from_pairs_rejects_a_constant_or_a_coefficient_map():
+    with pytest.raises(TypeError):
+        LaurentPoly.from_pairs(3)
+    with pytest.raises(ValueError, match="polynomial term"):
+        LaurentPoly.from_pairs({0: 1})
+
+
 def test_constant_polynomials_hash_like_ints():
     for n in (0, 1, 3, -7, 2**70):
         assert LaurentPoly(n) == n

@@ -3,10 +3,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcells.hecke import (KL, STD, HeckeElt, change_basis,
+from pcells import verify
+from pcells.hecke import (KL, PCAN, STD, HeckeElt, change_basis,
                           kl_multiply_by_generator, std_multiply)
-from pcells.laurent import GAUSS, ONE, V, LaurentPoly
+from pcells.laurent import GAUSS, ONE, V, ZERO, LaurentPoly
 from pcells.pcanonical import (
     PCanTable,
     PCanValidationError,
@@ -166,6 +169,13 @@ def test_p_h(c3, kl_c3, c3_p2):
         assert p_h(tab0, kl_c3, w, x) == kl_c3.h_poly(w, x)
     assert p_h(c3_p2, kl_c3, x, x) == ONE
     assert p_h(c3_p2, kl_c3, y, x) == kl_c3.h_poly(y, x) + ONE
+
+
+def test_missing_entries_are_the_shared_zero(c3, kl_c3, c3_p2):
+    # 1 is not below 2 in the Bruhat order, and B_2 = C_2 has no row
+    x, y = c3.digits_to_id("2"), c3.digits_to_id("1")
+    assert c3_p2.m(y, x) is ZERO
+    assert p_h(c3_p2, kl_c3, y, x) is ZERO
 
 
 def test_structure_coefficients_descent_case(c3, kl_c3, c3_p2):
@@ -391,3 +401,36 @@ def test_json_round_trip(c3, kl_c3, c3_p2):
     obj = c3_p2.to_json_obj()
     again = load_table(json.loads(json.dumps(obj)), c3)
     assert again.rows == c3_p2.rows and again.prime == 2
+
+
+# -- property test: change_basis round trips through any unitriangular table
+
+_polys = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4),
+                         max_size=3).map(LaurentPoly)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_change_basis_round_trips_on_random_unitriangular_tables(label, data):
+    system, kl = verify.get_system(label), verify.get_kl(label)
+    elements = list(system.elements())
+    rows = {}
+    for x in data.draw(st.lists(st.sampled_from(elements[1:]), max_size=5,
+                                unique=True)):
+        lower = [y for y in elements if system.length[y] < system.length[x]]
+        rows[x] = data.draw(st.dictionaries(st.sampled_from(lower),
+                                            _polys.filter(bool), max_size=4))
+    table = PCanTable(system, 0, rows)
+
+    def element(basis):
+        return HeckeElt(system, basis, data.draw(
+            st.dictionaries(st.sampled_from(elements), _polys, max_size=4)))
+
+    def to(elt, basis):
+        return change_basis(elt, basis, kl=kl, pcan=table)
+
+    b = element(PCAN)
+    assert to(to(b, STD), PCAN) == b
+    h = element(STD)
+    assert to(to(to(h, KL), PCAN), STD) == h

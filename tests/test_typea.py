@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcells.stars import star_right, in_d_r
 from pcells.typea import (
@@ -18,8 +20,21 @@ from pcells.typea import (
     perm_of_element,
     perm_to_word,
     rs_correspondence,
+    shape_of,
 )
 from pcells import verify
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(tuple)))
+def test_rs_is_a_bijection_onto_pairs_of_standard_tableaux(w):
+    p, q = rs_correspondence(w)
+    assert is_standard(p) and is_standard(q)
+    assert shape_of(p) == shape_of(q)
+    assert inverse_rs(p, q) == w
+    # Schutzenberger's symmetry: inverting w swaps P and Q
+    assert rs_correspondence(perm_inverse(w)) == (q, p)
 
 
 def test_rs_identity_and_w0():
