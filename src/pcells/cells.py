@@ -32,8 +32,6 @@ from .pcanonical import (PCanTable, identity_table, restrict_to_parabolic,
                          structure_coefficients)
 from .report import Report
 
-Graph = dict[int, dict[int, LaurentPoly]]
-
 
 # ---------------------------------------------------------------------------
 # graph utilities
@@ -151,56 +149,34 @@ class CellPartition:
 
 
 def elementary_relations(table: PCanTable, kl: KLTable, side: str = "right"
-                         ) -> Graph:
-    """Labelled elementary-relation graph: edge y -> x with label mu^x(y, s)
-    summed over generators (the descent self-loops are included)."""
+                         ) -> dict[int, set[int]]:
+    """Successor sets of the elementary relation: y -> x whenever B_x
+    occurs in B_y C_s for some generator s (descent self-loops included).
+    Only the support of each product matters, so no labels are kept."""
     sys_ = table.system
-    graph: Graph = {y: {} for y in sys_.elements()}
-    for y in sys_.elements():
-        row = graph[y]
-        for s in range(sys_.rank):
-            for x, c in structure_coefficients(table, kl, y, s, side).items():
-                prev = row.get(x)
-                row[x] = c if prev is None else prev + c
-    return graph
+    return {y: {x for s in range(sys_.rank)
+                for x in structure_coefficients(table, kl, y, s, side)}
+            for y in sys_.elements()}
 
 
 def _partition_from_graph(system: CoxeterSystem,
-                          graph: Mapping[int, Iterable[int]], side: str,
+                          succ: Mapping[int, Iterable[int]], side: str,
                           prime: int) -> CellPartition:
-    succ = {y: [x for x in row if x != y] for y, row in graph.items()}
     comps = strongly_connected_components(list(system.elements()), succ)
-    comps.sort(key=lambda c: (min(system.length[w] for w in c), min(c)))
-    cells = tuple(frozenset(c) for c in comps)
+    cells = tuple(sorted(
+        (frozenset(c) for c in comps),
+        key=lambda c: (min(system.length[w] for w in c), min(c))))
     cell_of = {w: i for i, c in enumerate(cells) for w in c}
-
-    n = len(cells)
-    edges = set()
-    for y, row in graph.items():
-        for x in row:
-            i, j = cell_of[y], cell_of[x]
-            if i != j:
-                edges.add((i, j))
-    children: list[list[int]] = [[] for _ in range(n)]
-    for (i, j) in edges:
-        children[i].append(j)
-    reach: list[set[int]] = [set() for _ in range(n)]
-
-    def fill(i: int) -> set[int]:
-        if reach[i]:
-            return reach[i]
-        acc = {i}
-        for j in children[i]:
-            acc |= fill(j)
-        reach[i] = acc
-        return acc
-
-    for i in range(n):
-        fill(i)
-    hasse = transitive_reduction(children, reach)
+    children: list[set[int]] = [set() for _ in cells]
+    reach: list[frozenset[int]] = [frozenset()] * len(cells)
+    for comp in comps:  # sinks first, so each child's reach is complete
+        i = cell_of[comp[0]]
+        children[i] = {cell_of[x] for y in comp for x in succ.get(y, ())} - {i}
+        reach[i] = frozenset({i}).union(*(reach[j] for j in children[i]))
     return CellPartition(side=side, prime=prime, cells=cells, cell_of=cell_of,
-                         hasse_edges=frozenset(hasse),
-                         downsets=tuple(frozenset(r) for r in reach))
+                         hasse_edges=frozenset(
+                             transitive_reduction(children, reach)),
+                         downsets=tuple(reach))
 
 
 def two_sided_cells(system: CoxeterSystem, left: CellPartition,

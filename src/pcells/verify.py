@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .cells import (
     CellPartition,
+    ColouredWGraph,
     check_descent_invariant,
     check_parabolic_compatibility,
     compute_cells,
@@ -329,6 +330,7 @@ def _star_reports(label: str, prime: int) -> list[Report]:
     pairs = [(r, t) for r in range(system.rank) for t in range(r + 1, system.rank)
              if system.coxeter_matrix[r][t] >= 3
              and p_bound_ok(prime, system.coxeter_matrix[r][t])]
+    graphs = [extract_wgraph(left, i, table, kl) for i in range(len(left.cells))]
     out: list[Report] = []
     for (r, t) in pairs:
         out.append(check_coefficient_sliding(table, kl, r, t))
@@ -336,15 +338,17 @@ def _star_reports(label: str, prime: int) -> list[Report]:
         out.append(check_structure_coefficient_relations(table, kl, r, t))
         out.append(check_string_vanishing(table, kl, r, t))
         out.append(star_closure_check(left, right, system, r, t, prime))
-        out.append(_wgraph_star_isomorphism(system, table, kl, left, r, t))
-    out.append(_all_cell_wgraphs_satisfy_relations(system, table, kl, left))
+        out.append(_wgraph_star_isomorphism(system, left, graphs, r, t))
+    out.append(_all_cell_wgraphs_satisfy_relations(system, graphs))
     for rep in out:
         rep.name = f"{label} p={prime}: {rep.name}"
     return out
 
 
-def _wgraph_star_isomorphism(system, table, kl, left: CellPartition,
-                             r: int, t: int) -> Report:
+def _wgraph_star_isomorphism(system, left: CellPartition,
+                             graphs: list[ColouredWGraph], r: int, t: int
+                             ) -> Report:
+    """graphs[i] is the W-graph of left cell i."""
     star, _ = _string_maps(system, r, t)
     bad: list[str] = []
     checked = 0
@@ -352,13 +356,12 @@ def _wgraph_star_isomorphism(system, table, kl, left: CellPartition,
         if not cell <= star.keys():
             continue
         image = frozenset(star[x] for x in cell)
-        g = extract_wgraph(left, i, table, kl)
         try:
             j = left.cell_index_of(image)
         except KeyError:
             bad.append(f"star image of left cell {i} is not a cell")
             continue
-        h = extract_wgraph(left, j, table, kl)
+        g, h = graphs[i], graphs[j]
         checked += 1
         if any(g.descent_sets[x] != h.descent_sets[star[x]] for x in cell):
             bad.append(f"descent decoration not preserved on cell {i}")
@@ -368,12 +371,11 @@ def _wgraph_star_isomorphism(system, table, kl, left: CellPartition,
     return Report(f"wgraph-star-isomorphism (r={r + 1}, t={t + 1})", bad, checked)
 
 
-def _all_cell_wgraphs_satisfy_relations(system, table, kl,
-                                        left: CellPartition) -> Report:
+def _all_cell_wgraphs_satisfy_relations(system, graphs: list[ColouredWGraph]
+                                        ) -> Report:
     bad: list[str] = []
     checked = 0
-    for i in range(len(left.cells)):
-        g = extract_wgraph(left, i, table, kl)
+    for i, g in enumerate(graphs):
         rep = verify_wgraph_relations(g, system)
         checked += rep.checked
         if not rep.ok:

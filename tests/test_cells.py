@@ -1,10 +1,11 @@
+import functools
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcells.cells import (
-    _partition_from_graph,
     check_descent_invariant,
     check_parabolic_compatibility,
     compute_cells,
@@ -24,8 +25,8 @@ from pcells.cells import (
 )
 from pcells.coxeter import CoxeterSystem
 from pcells.hecke import compute_kl_table
-from pcells.laurent import GAUSS, ONE, LaurentPoly
-from pcells.pcanonical import identity_table
+from pcells.laurent import ONE, LaurentPoly
+from pcells.pcanonical import identity_table, structure_coefficients
 from pcells import verify
 
 
@@ -82,8 +83,8 @@ def test_a1_cells():
     kl = compute_kl_table(a1)
     tab = identity_table(a1)
     graph = elementary_relations(tab, kl, "right")
-    assert graph[0] == {1: ONE}          # B_e C_s = B_s
-    assert graph[1] == {1: GAUSS}        # descent self-loop
+    assert graph[0] == {1}               # B_e C_s = B_s
+    assert graph[1] == {1}               # descent self-loop
     part = compute_cells(tab, kl, "right")
     assert part.as_sets() == {frozenset({0}), frozenset({1})}
 
@@ -116,35 +117,125 @@ def test_p0_cells_match_mu_graph_oracle(label):
             _mu_graph_cells(system, kl, side)
 
 
+def _labelled_relations(table, kl, side):
+    """The elementary-relation graph with edge y -> x labelled by mu^x(y, s)
+    summed over generators, keeping keys whose sum is zero (the previous
+    elementary_relations)."""
+    sys_ = table.system
+    graph = {y: {} for y in sys_.elements()}
+    for y in sys_.elements():
+        row = graph[y]
+        for s in range(sys_.rank):
+            for x, c in structure_coefficients(table, kl, y, s, side).items():
+                prev = row.get(x)
+                row[x] = c if prev is None else prev + c
+    return graph
+
+
+def _partition_by_recursive_fill(system, graph, side, prime):
+    """Condense a graph into a CellPartition, filling reachability by
+    recursion over an edge set without self-loops (the previous
+    _partition_from_graph)."""
+    succ = {y: [x for x in row if x != y] for y, row in graph.items()}
+    comps = strongly_connected_components(list(system.elements()), succ)
+    comps.sort(key=lambda c: (min(system.length[w] for w in c), min(c)))
+    cells = tuple(frozenset(c) for c in comps)
+    cell_of = {w: i for i, c in enumerate(cells) for w in c}
+
+    n = len(cells)
+    edges = set()
+    for y, row in graph.items():
+        for x in row:
+            i, j = cell_of[y], cell_of[x]
+            if i != j:
+                edges.add((i, j))
+    children = [[] for _ in range(n)]
+    for (i, j) in edges:
+        children[i].append(j)
+    reach = [set() for _ in range(n)]
+
+    def fill(i):
+        if reach[i]:
+            return reach[i]
+        acc = {i}
+        for j in children[i]:
+            acc |= fill(j)
+        reach[i] = acc
+        return acc
+
+    for i in range(n):
+        fill(i)
+    hasse = transitive_reduction(children, reach)
+    return CellPartition(side=side, prime=prime, cells=cells, cell_of=cell_of,
+                         hasse_edges=frozenset(hasse),
+                         downsets=tuple(frozenset(r) for r in reach))
+
+
 def _merged_two_sided_cells(table, kl):
     """The two-sided cells by condensing the union of the left and right
-    elementary-relation graphs (the previous implementation)."""
-    left = elementary_relations(table, kl, "left")
-    right = elementary_relations(table, kl, "right")
+    labelled elementary-relation graphs (the implementation before
+    two_sided_cells)."""
+    left = _labelled_relations(table, kl, "left")
+    right = _labelled_relations(table, kl, "right")
     merged = {y: dict(row) for y, row in right.items()}
     for y, row in left.items():
         tgt = merged[y]
         for x, c in row.items():
             prev = tgt.get(x)
             tgt[x] = c if prev is None else prev + c
-    return _partition_from_graph(table.system, merged, "two-sided",
-                                 table.prime)
+    return _partition_by_recursive_fill(table.system, merged, "two-sided",
+                                        table.prime)
 
 
 F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 
 
-@pytest.mark.parametrize("label,prime", [
+_ORACLE_CASES = [
     ("A2", 0), ("A3", 0), ("A4", 0), ("A5", 0), ("B2", 0), ("B3", 0),
-    ("C3", 0), ("G2", 0), ("B2", 2), ("C3", 2), ("F4", 0)])
-def test_two_sided_join_matches_merged_graph_oracle(label, prime):
+    ("C3", 0), ("G2", 0), ("B2", 2), ("C3", 2), ("F4", 0)]
+
+
+@functools.cache
+def _table_and_kl(label, prime):
     if label == "F4":
         system = CoxeterSystem.from_cartan(F4)
-        table, kl = identity_table(system), compute_kl_table(system)
-    else:
-        table, kl = verify.get_table(label, prime), verify.get_kl(label)
+        return identity_table(system), compute_kl_table(system)
+    return verify.get_table(label, prime), verify.get_kl(label)
+
+
+@pytest.mark.parametrize("label,prime", _ORACLE_CASES)
+def test_two_sided_join_matches_merged_graph_oracle(label, prime):
+    table, kl = _table_and_kl(label, prime)
     assert compute_cells(table, kl, "two-sided") == \
         _merged_two_sided_cells(table, kl)
+
+
+def _old_two_sided_cells(system, left, right):
+    """two_sided_cells over the previous condensation."""
+    succ = {w: {} for w in system.elements()}
+    for part in (left, right):
+        for cell in part.cells:
+            ring = sorted(cell)
+            for a, b in zip(ring, ring[1:] + ring[:1]):
+                succ[a][b] = None
+        for (i, j) in part.hasse_edges:
+            succ[min(part.cells[i])][min(part.cells[j])] = None
+    return _partition_by_recursive_fill(system, succ, "two-sided", left.prime)
+
+
+@pytest.mark.parametrize("label,prime", _ORACLE_CASES)
+def test_cells_match_labelled_graph_oracle(label, prime):
+    # whole partitions (cells and their order, cell_of, Hasse edges,
+    # downsets), one-sided and joined, against the previous path
+    table, kl = _table_and_kl(label, prime)
+    old = {side: _partition_by_recursive_fill(
+               table.system, _labelled_relations(table, kl, side), side,
+               table.prime)
+           for side in ("left", "right")}
+    new = {side: compute_cells(table, kl, side) for side in ("left", "right")}
+    assert new == old
+    assert two_sided_cells(table.system, new["left"], new["right"]) == \
+        _old_two_sided_cells(table.system, old["left"], old["right"])
 
 
 def test_two_sided_cells_rejects_mismatched_partitions(a2, b2):

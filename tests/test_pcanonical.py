@@ -37,6 +37,21 @@ def test_identity_table(a2, kl_a2):
         assert change_basis(elt, STD, kl=kl_a2, pcan=tab) == kl_a2.kl_element(x)
 
 
+def test_construction_drops_zero_entries(a2):
+    # a zero coefficient is no entry: the table is the identity
+    table = PCanTable(a2, 0, {3: {0: ZERO}})
+    assert table.is_identity and table.rows == {}
+    assert table.nontrivial_elements() == []
+    s = a2.digits_to_id("1")
+    x = a2.digits_to_id("121")
+    assert PCanTable(a2, 0, {x: {0: ZERO, s: ONE}}).rows == {x: {s: ONE}}
+    # load_table leaves the filtering to construction
+    obj = {"p": 0, "entries": [{"x": [1, 2, 1], "terms": [
+        {"y": [1], "coeff": []}, {"y": [2], "coeff": [[0, 1]]}]}]}
+    assert load_table(obj, a2, strict=False).rows == \
+        {x: {a2.digits_to_id("2"): ONE}}
+
+
 def test_c3_fixture_rows(c3, c3_p2):
     m232 = c3.digits_to_id("232")
     assert c3_p2.prime == 2
@@ -329,8 +344,8 @@ def test_parabolic_factorization(b3, kl_b3, c3, kl_c3, c3_p2):
 
 def _factorization_by_products(table, kl, gens) -> bool:
     """Whether mu^{x z}(x y, w) = mu^z(y, w) for all x in W^I and y, z, w in
-    W_I, each side a full product through pcan_general_product: the oracle
-    of the generator check in verify_parabolic_factorization."""
+    W_I, each side a full product through pcan_general_product: the
+    identities that verify_parabolic_factorization's p_h check implies."""
     sys_ = table.system
     sub = sorted(sys_.parabolic_elements(gens))
     product = functools.cache(functools.partial(pcan_general_product, table, kl))
@@ -351,8 +366,8 @@ def test_factorization_on_generators_matches_products(b3, kl_b3, c3, kl_c3,
     bad_rows = {x: dict(r) for x, r in c3_p2.rows.items()}
     bad_rows[c3.digits_to_id("23212")] = {c3.digits_to_id("232"): LaurentPoly(2)}
     cases.append((PCanTable(c3, 2, bad_rows), kl_c3))
-    # seeded corruptions of one coefficient that keep unitriangularity and
-    # the descent condition, the hypotheses of the generator check
+    # seeded corruptions of one coefficient that keep unitriangularity, the
+    # hypothesis of the p_h check's proof, and the descent condition
     lower = [(y, x) for x in c3.elements() for y in c3.elements()
              if y != x and c3.bruhat_leq(y, x)
              and c3.left_descents[x] <= c3.left_descents[y]
@@ -371,7 +386,6 @@ def test_factorization_on_generators_matches_products(b3, kl_b3, c3, kl_c3,
             rep = verify_parabolic_factorization(table, kl, gens)
             ok = _factorization_by_products(table, kl, gens)
             assert rep.ok == ok
-            assert any(v.startswith("mu^") for v in rep.violations) != ok
             outcomes.add(ok)
     assert outcomes == {True, False}
 

@@ -3,16 +3,21 @@
 perfbench/tracing.py wraps each (module, attribute path) in its FUNCTIONS
 list; a target renamed in pcells would break ``--trace 1`` runs only.  The
 file is read as source, not imported, so this test runs nothing of the
-benchmark.  Imports in src/pcells sit at module level, where they are seen
-at once and resolve once.
+benchmark; likewise perfbench/expected.json is read as JSON for the report
+count the benchmark's verify-all workload expects.  Imports in src/pcells
+sit at module level, where they are seen at once and resolve once.
 """
 
 import ast
 import importlib
+import json
 from pathlib import Path
+
+from pcells import verify
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+EXPECTED = ROOT / "perfbench" / "expected.json"
 
 
 def _tracing_targets() -> list[tuple[str, str]]:
@@ -50,3 +55,10 @@ def test_no_imports_inside_functions():
                           for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, f"imports inside functions: {found}"
+
+
+def test_verify_all_matches_the_benchmark_report_count():
+    want = json.loads(EXPECTED.read_text())["verify-all"]["reports"]
+    reports = verify.run_suite("all", 6)
+    assert len(reports) == want
+    assert [r.name for r in reports if not r.ok] == []
