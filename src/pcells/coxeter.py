@@ -388,25 +388,6 @@ class CoxeterSystem:
         self._bruhat_cache[key] = res
         return res
 
-    def bruhat_leq_by_subword(self, x: int, y: int) -> bool:
-        """Subword characterization of Bruhat order (cross-check oracle)."""
-        word_y = self.words[y]
-        lx = self.length[x]
-
-        def walk(pos: int, current: int, taken: int) -> bool:
-            if taken == lx:
-                return current == x
-            if lx - taken > len(word_y) - pos:
-                return False
-            if walk(pos + 1, current, taken):
-                return True
-            nxt = self.right[current][word_y[pos]]
-            if self.length[nxt] > self.length[current]:
-                return walk(pos + 1, nxt, taken + 1)
-            return False
-
-        return walk(0, 0, 0)
-
     # -- parabolic subgroups ----------------------------------------------------
 
     def parabolic_elements(self, gens: Iterable[int]) -> frozenset[int]:

@@ -22,7 +22,7 @@ variant refines through star images for every finite m >= 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .cells import CellPartition
 from .coxeter import CoxeterSystem
@@ -101,17 +101,22 @@ def _coset_min(system: CoxeterSystem, x: int, r: int, t: int) -> int:
         x = system.right[x][min(ds)]
 
 
-def _string_from(system: CoxeterSystem, w_min: int, start: int, other: int,
-                 m: int, r: int, t: int) -> StringDecomposition:
-    elements = []
-    x = w_min
-    letter = start
-    for _ in range(m - 1):
-        x = system.right[x][letter]
-        elements.append(x)
-        letter = other if letter == start else start
-    return StringDecomposition(r=r, t=t, m=m, coset_min=w_min, start=start,
-                               elements=tuple(elements))
+def _strings(system: CoxeterSystem, r: int, t: int, m: int,
+             minima: Iterable[int]) -> Iterator[tuple[int, int, list[int]]]:
+    """Both right <r, t>-strings above each coset minimum, as (minimum,
+    starting letter, elements): the elements are the minimum times the
+    prefixes of length 1 .. m - 1 of the alternating word in that letter,
+    walked over system.right."""
+    right = system.right
+    words = (((r, t) * m)[:m - 1], ((t, r) * m)[:m - 1])
+    for w_min in minima:
+        for word in words:
+            x = w_min
+            elements = []
+            for s in word:
+                x = right[x][s]
+                elements.append(x)
+            yield w_min, word[0], elements
 
 
 def string_of(system: CoxeterSystem, x: int, r: int, t: int
@@ -124,9 +129,10 @@ def string_of(system: CoxeterSystem, x: int, r: int, t: int
         raise ValueError(
             f"element {system.id_to_digits(x) or 'e'} is not in D_R(r, t)")
     w_min = _coset_min(system, x, r, t)
-    for start, other in ((r, t), (t, r)):
-        s = _string_from(system, w_min, start, other, m, r, t)
-        if x in s.elements:
+    for _, start, elements in _strings(system, r, t, m, (w_min,)):
+        if x in elements:
+            s = StringDecomposition(r=r, t=t, m=m, coset_min=w_min,
+                                    start=start, elements=tuple(elements))
             return s, s.position(x)
     raise AssertionError("element escaped both strings of its coset")
 
@@ -136,11 +142,10 @@ def all_strings(system: CoxeterSystem, r: int, t: int) -> list[StringDecompositi
     m = system.coxeter_matrix[r][t]
     if m == 0:
         raise ValueError("infinite bond order")
-    out = []
-    for w_min in sorted(system.minimal_coset_representatives({r, t}, "right")):
-        out.append(_string_from(system, w_min, r, t, m, r, t))
-        out.append(_string_from(system, w_min, t, r, m, r, t))
-    return out
+    minima = sorted(system.minimal_coset_representatives({r, t}, "right"))
+    return [StringDecomposition(r=r, t=t, m=m, coset_min=w_min, start=start,
+                                elements=tuple(elements))
+            for w_min, start, elements in _strings(system, r, t, m, minima)]
 
 
 def star_right(system: CoxeterSystem, x: int, r: int, t: int) -> int:
@@ -176,13 +181,13 @@ def _string_maps(system: CoxeterSystem, r: int, t: int
         raise ValueError("star operations need bond order >= 3")
     star: dict[int, int] = {}
     neighbours: dict[int, tuple[int, int]] = {}
-    for string in all_strings(system, r, t):
-        elements = string.elements
-        for k, x in enumerate(elements):
-            star[x] = elements[m - 2 - k]
-            a = elements[k - 1] if k > 0 else elements[k + 1]
-            b = elements[k + 1] if k < m - 2 else elements[k - 1]
-            neighbours[x] = (a, b)
+    minima = sorted(system.minimal_coset_representatives({r, t}, "right"))
+    for _, _, elements in _strings(system, r, t, m, minima):
+        star.update(zip(elements, reversed(elements)))
+        # x_k pairs ends[k - 1] with ends[k + 1]: x_{k-1} and x_{k+1}, or at
+        # an end of the string the one neighbour twice
+        ends = [elements[1], *elements, elements[-2]]
+        neighbours.update(zip(elements, zip(ends, ends[2:])))
     return star, neighbours
 
 
@@ -528,37 +533,36 @@ class TauPartition:
         return set(self.classes)
 
 
-def _refine(system: CoxeterSystem, class_of: dict[int, int],
-            signature: Callable[[int], tuple]) -> dict[int, int]:
-    buckets: dict[tuple, list[int]] = {}
-    for x in system.elements():
-        buckets.setdefault((class_of[x],) + signature(x), []).append(x)
-    out: dict[int, int] = {}
-    for i, key in enumerate(sorted(buckets, key=lambda k: min(buckets[k]))):
-        for x in buckets[key]:
-            out[x] = i
-    return out
+def _refine(columns: list) -> list[int]:
+    """Class ids by element id of the partition into equal rows of the
+    columns (lists indexed by element id), numbered by first occurrence."""
+    ids: dict[tuple, int] = {}
+    return [ids.setdefault(key, len(ids)) for key in zip(*columns)]
 
 
-def _fixpoint(system: CoxeterSystem, signature_factory) -> TauPartition:
-    class_of = {x: 0 for x in system.elements()}
-    class_of = _refine(system, class_of, lambda x: (tuple(sorted(system.right_descents[x])),))
+def _fixpoint(system: CoxeterSystem,
+              signature: Callable[[list[int]], list[list]]) -> TauPartition:
+    """Refine the partition by right descent sets until the columns of
+    signature(class ids) split no class.  Ids increase with length, so the
+    numbering by first occurrence is already the order of the classes by
+    least length, then least id.
+
+    The callers' string maps send an element outside D_R(r, t) to itself:
+    its class, refined from right descent sets, already sets it apart from
+    D_R(r, t), so the entry it reads never splits a class."""
+    cls = _refine([system.right_descents])
     iterations = 0
     while True:
-        signature = signature_factory(class_of)
-        nxt = _refine(system, class_of, signature)
+        nxt = _refine([cls, *signature(cls)])
         iterations += 1
-        if nxt == class_of:
+        if nxt == cls:
             break
-        class_of = nxt
-    n = max(class_of.values()) + 1
-    classes = [set() for _ in range(n)]
-    for x, i in class_of.items():
-        classes[i].add(x)
-    classes.sort(key=lambda c: (min(system.length[x] for x in c), min(c)))
-    class_of = {x: i for i, c in enumerate(classes) for x in c}
-    return TauPartition(classes=tuple(frozenset(c) for c in classes),
-                        class_of=class_of, stabilized_at=iterations)
+        cls = nxt
+    classes: list[list[int]] = [[] for _ in range(max(cls) + 1)]
+    for x, i in enumerate(cls):
+        classes[i].append(x)
+    return TauPartition(classes=tuple(map(frozenset, classes)),
+                        class_of=dict(enumerate(cls)), stabilized_at=iterations)
 
 
 def tau_partition(system: CoxeterSystem,
@@ -566,40 +570,29 @@ def tau_partition(system: CoxeterSystem,
     """Iterated refinement of right-descent-set equality through neighbour
     multisets of strings, over pairs with bond order 3 or 4 (restrict with
     orders=(3,) when only those pairs are valid at the working prime)."""
-    maps = [_string_maps(system, r, t)[1]
+    # one map at a time, each dict freed once its list is built
+    maps = (_string_maps(system, r, t)[1]
             for r in range(system.rank) for t in range(r + 1, system.rank)
-            if system.coxeter_matrix[r][t] in orders]
+            if system.coxeter_matrix[r][t] in orders)
+    bonds = [[pairs.get(x, (x, x)) for x in system.elements()] for pairs in maps]
 
-    def factory(class_of: dict[int, int]):
-        def signature(x: int) -> tuple:
-            sig = []
-            for neighbours in maps:
-                pair = neighbours.get(x)
-                if pair is None:
-                    sig.append(None)
-                else:
-                    a, b = class_of[pair[0]], class_of[pair[1]]
-                    sig.append((a, b) if a <= b else (b, a))
-            return tuple(sig)
-        return signature
+    def signature(cls: list[int]) -> list[list]:
+        # the class multiset of each element's two neighbours, sorted
+        return [[(a, b) if (a := cls[i]) <= (b := cls[j]) else (b, a)
+                 for i, j in pairs] for pairs in bonds]
 
-    return _fixpoint(system, factory)
+    return _fixpoint(system, signature)
 
 
 def tau_tilde_partition(system: CoxeterSystem) -> TauPartition:
     """Same fixpoint scheme, refining by star images over every pair with
     finite bond order at least 3."""
-    maps = [_string_maps(system, r, t)[0]
+    maps = (_string_maps(system, r, t)[0]
             for r in range(system.rank) for t in range(r + 1, system.rank)
-            if system.coxeter_matrix[r][t] >= 3]
+            if system.coxeter_matrix[r][t] >= 3)
+    bonds = [[star.get(x, x) for x in system.elements()] for star in maps]
 
-    def factory(class_of: dict[int, int]):
-        def signature(x: int) -> tuple:
-            sig = []
-            for star in maps:
-                y = star.get(x)
-                sig.append(None if y is None else class_of[y])
-            return tuple(sig)
-        return signature
+    def signature(cls: list[int]) -> list[list]:
+        return [[cls[y] for y in images] for images in bonds]
 
-    return _fixpoint(system, factory)
+    return _fixpoint(system, signature)

@@ -85,15 +85,9 @@ def rs_correspondence(perm: Sequence[int]) -> tuple[Tableau, Tableau]:
     """Row insertion of w(1), w(2), ...; Q records the box-addition order."""
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
-    for step, value in enumerate(perm, start=1):
-        x = value
+    for step, x in enumerate(perm, start=1):
         row = 0
-        while True:
-            if row == len(p_rows):
-                p_rows.append([x])
-                q_rows.append([step])
-                break
-            current = p_rows[row]
+        for current in p_rows:
             # bump the leftmost entry strictly greater than x (rows increase)
             bump_at = bisect_right(current, x)
             if bump_at == len(current):
@@ -102,37 +96,50 @@ def rs_correspondence(perm: Sequence[int]) -> tuple[Tableau, Tableau]:
                 break
             current[bump_at], x = x, current[bump_at]
             row += 1
-    return (tuple(tuple(r) for r in p_rows), tuple(tuple(r) for r in q_rows))
+        else:
+            p_rows.append([x])
+            q_rows.append([step])
+    return tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows))
 
 
 def inverse_rs(p: Tableau, q: Tableau) -> tuple[int, ...]:
-    """The unique permutation with the given P and Q symbols."""
-    if shape_of(p) != shape_of(q):
+    """The unique permutation with the given P and Q symbols.
+
+    Steps n, ..., 1 undo the insertions.  The box of step k is a corner of
+    the shape left by the larger steps: present in Q, last in its row, and
+    under a row at least as long.  Checking that for every k is checking
+    that Q is standard, and a nonstandard Q raises ValueError.  P is not
+    checked, but a reverse bump that finds no smaller entry raises."""
+    if list(map(len, p)) != list(map(len, q)):
         raise ValueError("P and Q must have the same shape")
-    rows = [list(r) for r in p]
-    n = sum(len(r) for r in rows)
-    order = {}
-    for r, row in enumerate(q):
-        for c, entry in enumerate(row):
-            order[entry] = (r, c)
-    out: list[int] = []
+    rows = list(map(list, p))
+    n = sum(map(len, rows))
+    row_of = {entry: r for r, q_row in enumerate(q) for entry in q_row}
+    out = [0] * n
     for step in range(n, 0, -1):
-        r, c = order[step]
-        x = rows[r].pop(c)
-        for row in range(r - 1, -1, -1):
-            target = rows[row]
+        r = row_of.get(step)
+        if r is None:
+            raise ValueError(f"Q is not standard: it has no entry {step}")
+        row = rows[r]
+        if q[r][len(row) - 1] != step or (r and len(rows[r - 1]) < len(row)):
+            raise ValueError(f"Q is not standard: {step} is not in a corner "
+                             "once the larger entries are removed")
+        x = row.pop()
+        while r:
+            r -= 1
+            target = rows[r]
             # reverse bumping: displace the rightmost entry smaller than x
             i = bisect_left(target, x) - 1
             if i < 0:
-                raise ValueError(f"P is not standard: row {row + 1} has no "
+                raise ValueError(f"P is not standard: row {r + 1} has no "
                                  f"entry smaller than {x}")
             target[i], x = x, target[i]
-        out.append(x)
-    return tuple(reversed(out))
+        out[step - 1] = x
+    return tuple(out)
 
 
 def shape_of(tableau: Tableau) -> Shape:
-    return tuple(len(r) for r in tableau)
+    return tuple(map(len, tableau))
 
 
 def is_standard(tableau: Tableau) -> bool:

@@ -194,12 +194,18 @@ def test_tau_restricted_to_valid_pairs_at_p2(c3, kl_c3, c3_p2):
         assert len({part.class_of[w] for w in cell}) == 1
 
 
-F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-TAU_GROUPS = ["A3", "B3", "C3", "G2", "F4", "A5"]
+CARTAN = {
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    # generator 1 (0-based) is the branch node, in three m = 3 pairs
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+}
+TAU_GROUPS = ["A3", "B3", "C3", "G2", "D4", "F4", "A5"]
 
 
 def _system(label):
-    return CoxeterSystem.from_cartan(F4) if label == "F4" else verify.get_system(label)
+    if label in CARTAN:
+        return CoxeterSystem.from_cartan(CARTAN[label])
+    return verify.get_system(label)
 
 
 def _tau_by_strings(system, orders=(3, 4), tilde=False):

@@ -4,8 +4,9 @@ perfbench/tracing.py wraps each (module, attribute path) in its FUNCTIONS
 list; a target renamed in pcells would break ``--trace 1`` runs only.  The
 file is read as source, not imported, so this test runs nothing of the
 benchmark; likewise perfbench/expected.json is read as JSON for the report
-count the benchmark's verify-all workload expects.  Imports in src/pcells
-sit at module level, where they are seen at once and resolve once.
+count that the benchmark's verify-all workload expects and the A6 tau class
+counts that its tau-rs workload expects.  Imports in src/pcells sit at
+module level, where they are seen at once and resolve once.
 """
 
 import ast
@@ -14,6 +15,8 @@ import json
 from pathlib import Path
 
 from pcells import verify
+from pcells.coxeter import CoxeterSystem
+from pcells.stars import tau_partition, tau_tilde_partition
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -62,3 +65,10 @@ def test_verify_all_matches_the_benchmark_report_count():
     reports = verify.run_suite("all", 6)
     assert len(reports) == want
     assert [r.name for r in reports if not r.ok] == []
+
+
+def test_a6_tau_matches_the_benchmark_class_counts():
+    want = json.loads(EXPECTED.read_text())["tau-rs"]["A6"]
+    a6 = CoxeterSystem.from_type("A6")
+    assert len(tau_partition(a6).classes) == want["tau"] == 232
+    assert len(tau_tilde_partition(a6).classes) == want["tau-tilde"] == 232

@@ -61,6 +61,17 @@ def test_inverse_rs():
     # smaller entry in the first row
     with pytest.raises(ValueError, match="not standard"):
         inverse_rs(((2,), (1,)), ((1,), (2,)))
+    # a nonstandard Q is named, whichever way it fails: a row out of order,
+    # a missing or repeated entry, an entry out of range, a column out of
+    # order, and a shape that is not a partition (where the reverse bumps
+    # alone would return (3, 2, 1))
+    for p, q in ((((1, 2),), ((2, 1),)),
+                 (((1, 3), (2,)), ((1, 2), (2,))),
+                 (((1, 3), (2,)), ((1, 2), (4,))),
+                 (((1, 3), (2,)), ((2, 3), (1,))),
+                 (((1,), (3, 2)), ((1,), (2, 3)))):
+        with pytest.raises(ValueError, match="Q is not standard"):
+            inverse_rs(p, q)
 
 
 def _rs_by_scan(perm):
