@@ -4,13 +4,15 @@ Exit codes: 0 success / all checks pass, 1 a verification failed or a
 computation raised (a table failing validation, an infinite or too large
 group, a KL coefficient beyond the packed kernel), 2 usage or input error
 (argparse errors, a malformed Cartan matrix, type label, table file or
-permutation).
+permutation).  A reader that closes the output pipe early (`| head`) gets
+exit code 1 and one error line, not a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -217,7 +219,18 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout stays unwritable: point it at devnull so the flush at exit
+        # has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output pipe closed before all output was written",
+              file=sys.stderr)
+        return 1
     except SystemExit2 as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -20,11 +20,12 @@ Kazhdan-Lusztig 1979), so only the entries at the tops t are built.  It
 builds one column per inverse pair {x, x^-1}, along the right descent of x
 or of x^-1 whose recursion visits the fewest entries (the choice of descent
 sets the cost, du Cloux 2002), and writes the partner column by relabelling
-through the anti-involution iota: h(y, x) = h(y^-1, x^-1).  Each distinct
-packed value is one int object, shared by every entry and column holding
-it (a table has few distinct polynomials and many entries, du Cloux 2002),
-and the finished table holds decoded LaurentPoly values, one shared
-immutable object per distinct polynomial.
+through the anti-involution iota: h(y, x) = h(y^-1, x^-1).  A table has
+few distinct polynomials and many entries (du Cloux 2002), so per-value
+work is done once per distinct value: each value is decoded once, when it
+is first written, into one immutable LaurentPoly shared by every entry and
+column holding it, and change_basis multiplies each distinct polynomial
+once per coefficient.
 
 HeckeElt values are tagged with the basis they are expressed in ("std",
 "kl", or "pcan"); arithmetic across different bases is a hard error, and
@@ -246,22 +247,31 @@ _MASK = (1 << _WIDTH) - 1
 _LIMIT = 1 << (_WIDTH - 2)
 
 
-def _unpack(packed: int) -> LaurentPoly:
+class _Packed(LaurentPoly):
+    """A table value: the LaurentPoly decoded from a packed int, keeping
+    that int for the kernel's integer arithmetic."""
+
+    __slots__ = ("packed",)
+
+
+def _unpack(packed: int) -> _Packed:
     """Decode a packed polynomial; OverflowError if a coefficient reaches
     _LIMIT, where the packed form is no longer known to be exact."""
     coeffs = {}
-    e = 0
-    while packed:
-        a = packed & _MASK
+    rest, e = packed, 0
+    while rest:
+        a = rest & _MASK
         if a >= _LIMIT:
             raise OverflowError(
                 f"Kazhdan-Lusztig coefficient {a} of v^{e} reaches "
                 f"2^{_WIDTH - 2}, beyond the packed kernel's width")
         if a:
             coeffs[e] = a
-        packed >>= _WIDTH
+        rest >>= _WIDTH
         e += 1
-    return LaurentPoly(coeffs)
+    poly = _Packed(coeffs)
+    poly.packed = packed
+    return poly
 
 
 def compute_kl_table(system: CoxeterSystem) -> KLTable:
@@ -296,7 +306,7 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     a constant term, i.e. t = w, so mu(y, w) is read off the tops plus
     mu(w', w) = 1.
 
-    The kernel holds each h(y, w) as one Python int, the polynomial
+    The kernel computes each h(y, w) as one Python int, the polynomial
     evaluated at v = 2^_WIDTH (Kronecker substitution).  By positivity
     (Elias-Williamson), every h(y, w) lies in Z_{>=0}[v], so while its
     coefficients stay below 2^_WIDTH the int determines it: multiplying
@@ -304,49 +314,41 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     subtracting mu(z, w') C_z an integer multiply-subtract, and mu(y, w)
     is the second digit.  A step adds at most two coefficients of an
     earlier column and then subtracts nonnegative terms, so a coefficient
-    at most doubles per step; _unpack raises OverflowError at the first
-    coefficient reaching 2^(_WIDTH - 2), which is still decoded exactly,
-    and nothing wraps silently.  A relabelled column holds the same ints
-    as its partner, so the bound covers it too.  Every value written is
-    interned, so each distinct h(y, w) is one int object in all the
-    columns, not one object per entry.  Columns are
-    decoded at the end through one cache that unpacks each distinct value
-    once, so equal polynomials share one LaurentPoly.
+    at most doubles per step.  Each value is decoded once, when it is
+    first written: _unpack raises OverflowError at the first coefficient
+    reaching 2^(_WIDTH - 2), which is still decoded exactly, and nothing
+    wraps silently.  The columns hold the decoded LaurentPoly, one shared
+    object per distinct polynomial in all the columns, relabelled ones
+    included; it keeps its packed int, which the later steps read.
     """
-    packed, mu, _ = _kl_columns(system)
-    # decode in place, so each packed column is freed as it is replaced;
-    # each distinct packed value is decoded once and shared
-    cache = _Decoded()
-    for x, col in enumerate(packed):
-        packed[x] = dict(zip(col, map(cache.__getitem__, col.values())))
-    return KLTable(system, packed, mu)
+    return KLTable(system, *_kl_columns(system)[:2])
 
 
 def _kl_columns(system: CoxeterSystem
-                ) -> tuple[list[dict[int, int]], list[dict[int, int]],
+                ) -> tuple[list[dict[int, LaurentPoly]], list[dict[int, int]],
                            dict[int, int]]:
-    """The packed columns and mu rows of compute_kl_table, and the columns
-    it built: w -> the right descent s it was built along.  Every other
+    """The columns and mu rows of compute_kl_table, and the columns it
+    built: w -> the right descent s it was built along.  Every other
     nonidentity column is the relabelled column of its inverse."""
     inv, descents = system.inverse, system.right_descents
     by_gen = [[row[s] for row in system.right] for s in range(system.rank)]
-    packed: list = [None] * system.size
+    h: list = [None] * system.size
     mu: list = [None] * system.size
-    packed[0], mu[0] = {0: 1}, {}
+    # pairs maps the packed value of each top written to its shared (top,
+    # bottom) values; one = h(e, e) is the first top
+    one = _unpack(1)
+    pairs = {1: (one, _unpack(1 << _WIDTH))}
+    h[0], mu[0] = {0: one}, {}
     built: dict[int, int] = {}
-    # every value written is interned: shared maps a value to its one int
-    # object, pairs a top's value to its shared (top, top << _WIDTH) pair
-    shared: dict[int, int] = {}
-    pairs: dict[int, tuple[int, int]] = {}
     for x in system.elements():
-        if packed[x] is not None:
+        if h[x] is not None:
             continue
         best = None
         for w in (x,) if inv[x] == x else (x, inv[x]):
             for s in sorted(descents[w]):
                 wp = by_gen[s][w]
-                cost = len(packed[wp]) + sum(
-                    [len(packed[z]) for z in mu[wp] if s in descents[z]])
+                cost = len(h[wp]) + sum(
+                    [len(h[z]) for z in mu[wp] if s in descents[z]])
                 if best is None or cost < best[0]:
                     best = (cost, w, s)
         _, w, s = best
@@ -358,46 +360,44 @@ def _kl_columns(system: CoxeterSystem
         # because t != w' (w' s = w is longer).
         top: dict[int, int] = {}
         get = top.get
-        for u, c in packed[wp].items():
+        for u, c in h[wp].items():
             us = rs[u]
             if us < u:
-                top[u] = get(u, 0) + (c >> _WIDTH)
+                top[u] = get(u, 0) + (c.packed >> _WIDTH)
             else:
-                top[us] = get(us, 0) + c
+                top[us] = get(us, 0) + c.packed
         for z, m in mu[wp].items():
             if s in descents[z]:
-                for u, c in packed[z].items():
+                for u, c in h[z].items():
                     if rs[u] < u:
-                        top[u] -= m * c
+                        top[u] -= m * c.packed
         # the bottoms: h(ts, w) = v h(t, w); mu(w, w) = 0 is the second
         # digit of h(w, w) = 1
-        col: dict[int, int] = {}
+        col: dict[int, LaurentPoly] = {}
         row = {wp: 1}
         for t, c in top.items():
             if c:
                 pair = pairs.get(c)
                 if pair is None:
-                    c = shared.setdefault(c, c)
+                    # the bottoms so far are the tops in pairs shifted by
+                    # one digit, so c is held iff it is the bottom of
+                    # c >> _WIDTH, and b iff it is a top; else decode once
                     b = c << _WIDTH
-                    pair = pairs[c] = c, shared.setdefault(b, b)
+                    below = pairs.get(c >> _WIDTH) if not c & _MASK else None
+                    above = pairs.get(b)
+                    pair = pairs[c] = (
+                        _unpack(c) if below is None else below[1],
+                        _unpack(b) if above is None else above[0])
                 col[t], col[rs[t]] = pair
                 if m := (c >> _WIDTH) & _MASK:
                     row[t] = m
-        packed[w], mu[w] = col, row
+        h[w], mu[w] = col, row
         built[w] = s
         wi = inv[w]
         if wi != w:
-            packed[wi] = dict(zip(map(inv.__getitem__, col), col.values()))
+            h[wi] = dict(zip(map(inv.__getitem__, col), col.values()))
             mu[wi] = dict(zip(map(inv.__getitem__, row), row.values()))
-    return packed, mu, built
-
-
-class _Decoded(dict):
-    """Packed int -> its LaurentPoly, decoded on first lookup."""
-
-    def __missing__(self, packed: int) -> LaurentPoly:
-        self[packed] = poly = _unpack(packed)
-        return poly
+    return h, mu, built
 
 
 def kl_multiply_by_generator(table: KLTable, x: int, s: int,
@@ -435,6 +435,19 @@ def bott_samelson_to_standard(system: CoxeterSystem, word: Sequence[int]) -> Hec
     return HeckeElt(system, STD, out)
 
 
+def _products(terms, c: LaurentPoly):
+    """(y, m * c) over the (y, m) in terms, multiplying each distinct m
+    once: a table row holds many entries and few distinct polynomials.
+    The memo is keyed on m itself, never on its id, so terms may be
+    temporaries."""
+    memo: dict[LaurentPoly, LaurentPoly] = {}
+    for y, m in terms:
+        p = memo.get(m)
+        if p is None:
+            p = memo[m] = m * c
+        yield y, p
+
+
 def unitriangular_solve(system: CoxeterSystem,
                         coeffs: Mapping[int, LaurentPoly],
                         lower_row) -> dict[int, LaurentPoly]:
@@ -453,9 +466,8 @@ def unitriangular_solve(system: CoxeterSystem,
             if not c:
                 continue
             out[x] = c
-            neg = -c
-            for y, m in lower_row(x):
-                _acc(work, y, m * neg)
+            for y, m in _products(lower_row(x), -c):
+                _acc(work, y, m)
                 buckets.setdefault(system.length[y], set()).add(y)
     return out
 
@@ -472,8 +484,8 @@ def _kl_to_std(system: CoxeterSystem, coeffs: Mapping[int, LaurentPoly],
                table: KLTable) -> dict[int, LaurentPoly]:
     out: dict[int, LaurentPoly] = {}
     for x, c in coeffs.items():
-        for y, hyx in table.h[x].items():
-            _acc(out, y, hyx * c)
+        for y, p in _products(table.h[x].items(), c):
+            _acc(out, y, p)
     return out
 
 

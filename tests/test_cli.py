@@ -185,6 +185,21 @@ def test_unparsable_table_file_exits_2(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_closed_output_pipe_exits_1_without_traceback():
+    # the reader is gone before the first write, as when `| head -2` exits
+    # before the output ends
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pcells", "tau", "--type", "A5", "--tilde"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: output pipe closed before all output was written"]
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from pcells import hecke
 from pcells.coxeter import CoxeterSystem
 from pcells.hecke import (
     _VINV_MINUS_V,
+    KL,
     STD,
     BasisMismatchError,
     HeckeElt,
+    KLTable,
     _acc,
     _kl_columns,
     _unpack,
@@ -20,6 +23,7 @@ from pcells.hecke import (
     std_basis_element,
     std_multiply,
     unit,
+    unitriangular_solve,
 )
 from pcells.laurent import GAUSS, ONE, V, V_INV, ZERO, LaurentPoly
 
@@ -316,16 +320,16 @@ def test_kl_table_is_iota_symmetric(f4_kl):
 def test_kl_columns_build_the_cheapest_candidate(f4_kl):
     system, table = f4_kl
     inv, descents, right = system.inverse, system.right_descents, system.right
-    packed, mu, built = _kl_columns(system)
-    decoded = {c: _unpack(c) for col in packed for c in set(col.values())}
-    assert [{y: decoded[c] for y, c in col.items()} for col in packed] \
-        == table.h
+    h, mu, built = _kl_columns(system)
+    assert h == table.h
     assert mu == table.mu
+    # each value keeps the packed int the kernel read, and decodes from it
+    assert all(_unpack(c.packed) == c for col in h for c in col.values())
 
     def cost(w, s):
         wp = right[w][s]
-        return len(packed[wp]) + sum(len(packed[z]) for z in mu[wp]
-                                     if s in descents[z])
+        return len(h[wp]) + sum(len(h[z]) for z in mu[wp]
+                                if s in descents[z])
 
     for x in system.elements():
         if x == 0 or x > inv[x]:
@@ -338,10 +342,10 @@ def test_kl_columns_build_the_cheapest_candidate(f4_kl):
         candidates = [(cost(v, s), v != x, s, v)
                       for v in {x, inv[x]} for s in descents[v]]
         assert min(candidates)[2:] == (built[w], w)
-        # a partner column holds the same int objects
+        # a partner column holds the same objects
         if inv[w] != w:
-            for y, c in packed[w].items():
-                assert packed[inv[w]][inv[y]] is c
+            for y, c in h[w].items():
+                assert h[inv[w]][inv[y]] is c
     # F4 exercises both branches: relabelled columns, and columns built
     # along a descent of x^-1 (x being the smaller id of the pair)
     assert len(built) < system.size - 1
@@ -350,10 +354,10 @@ def test_kl_columns_build_the_cheapest_candidate(f4_kl):
 
 @pytest.mark.parametrize("label", ["D4", "B4", "F4"])
 def test_kl_columns_hold_one_int_per_distinct_value(label):
-    # each distinct packed h(y, x) is one int object, shared by every column
-    # that holds it, relabelled partner columns and bottoms included
-    packed, _, _ = _kl_columns(_system(FULL_COLUMN_GROUPS[label]))
-    values = [c for col in packed for c in col.values()]
+    # each distinct h(y, x) is one object, shared by every column that
+    # holds it, relabelled partner columns and bottoms included
+    h, _, _ = _kl_columns(_system(FULL_COLUMN_GROUPS[label]))
+    values = [c for col in h for c in col.values()]
     assert len({id(c) for c in values}) == len(set(values))
 
 
@@ -370,6 +374,29 @@ def test_unpack_rejects_coefficients_at_the_limit():
     for packed in (1 << 30, (1 << 30) << 32, ((1 << 31) + 5) << 64):
         with pytest.raises(OverflowError):
             _unpack(packed)
+
+
+def test_every_table_value_passes_the_overflow_guard(monkeypatch):
+    # A4's largest coefficient is 2: a guard at 2 must fire, at 3 it must not
+    a4 = CoxeterSystem.from_type("A4")
+    want = compute_kl_table(a4)
+    monkeypatch.setattr(hecke, "_LIMIT", 2)
+    with pytest.raises(OverflowError):
+        compute_kl_table(a4)
+    monkeypatch.setattr(hecke, "_LIMIT", 3)
+    assert compute_kl_table(a4).h == want.h
+    # every stored value, top, bottom or relabelled, comes from one call of
+    # _unpack on its own packed int, and no value is decoded twice
+    decoded = []
+
+    def counting(packed):
+        decoded.append(packed)
+        return _unpack(packed)
+
+    monkeypatch.setattr(hecke, "_unpack", counting)
+    table = compute_kl_table(a4)
+    values = {id(c): c for col in table.h for c in col.values()}.values()
+    assert sorted(decoded) == sorted(c.packed for c in values)
 
 
 def test_kl_multiply_by_generator(a2, kl_a2):
@@ -444,6 +471,104 @@ def test_change_basis_round_trip(a3, kl_a3):
         elt = HeckeElt(a3, STD, coeffs)
         back = change_basis(change_basis(elt, "kl", kl=kl_a3), STD, kl=kl_a3)
         assert back == elt
+
+
+def _kl_to_std_per_entry(coeffs, table):
+    """Oracle: kl -> std as change_basis ran it before the product memo,
+    one multiply per table entry."""
+    out = {}
+    for x, c in coeffs.items():
+        for y, hyx in table.h[x].items():
+            _acc(out, y, hyx * c)
+    return out
+
+
+def _solve_per_entry(system, coeffs, lower_row):
+    """Oracle: unitriangular_solve before the product memo, one multiply
+    per term of each lower row."""
+    work = dict(coeffs)
+    buckets = {}
+    for x in work:
+        buckets.setdefault(system.length[x], set()).add(x)
+    out = {}
+    for level in range(max(buckets, default=0), -1, -1):
+        for x in sorted(buckets.get(level, ())):
+            c = work.get(x)
+            if not c:
+                continue
+            out[x] = c
+            neg = -c
+            for y, m in lower_row(x):
+                _acc(work, y, m * neg)
+                buckets.setdefault(system.length[y], set()).add(y)
+    return out
+
+
+def _std_to_kl_per_entry(system, coeffs, table):
+    return _solve_per_entry(system, coeffs, lambda x: (
+        (y, h) for y, h in table.h[x].items() if y != x))
+
+
+def _kl_sample(system, seed, count=6, terms=3):
+    rng = random.Random(seed)
+    return [{rng.randrange(system.size):
+             LaurentPoly.v(rng.randint(-3, 3), rng.choice((-2, -1, 1, 2)))
+             for _ in range(terms)} for _ in range(count)]
+
+
+def _check_change_basis_against_oracles(system, table, seed):
+    for coeffs in _kl_sample(system, seed):
+        std = change_basis(HeckeElt(system, KL, coeffs), STD, kl=table)
+        assert std.coeffs == _kl_to_std_per_entry(coeffs, table)
+        back = change_basis(std, KL, kl=table)
+        assert back.coeffs == _std_to_kl_per_entry(system, std.coeffs, table)
+        assert back.coeffs == coeffs
+
+
+@pytest.fixture(scope="module")
+def d5_kl():
+    system = _system(MIN_DESCENT_GROUPS["D5"])
+    return system, compute_kl_table(system)
+
+
+@pytest.mark.parametrize("group", ["f4_kl", "d5_kl"])
+def test_change_basis_matches_per_entry_oracles(group, request):
+    system, table = request.getfixturevalue(group)
+    _check_change_basis_against_oracles(system, table, seed=21)
+
+
+def test_change_basis_memo_reads_values_not_objects():
+    # a table holding a fresh copy of each polynomial in each entry, and a
+    # lower row yielding temporaries (whose ids get reused), give the same
+    # results as the per-entry oracles
+    system = _system(ORACLE_GROUPS["B4"])
+    table = compute_kl_table(system)
+    fresh = KLTable(system, [
+        {y: LaurentPoly.from_pairs(c.to_pairs()) for y, c in col.items()}
+        for col in table.h], table.mu)
+    assert fresh.h == table.h
+    assert len({id(c) for col in fresh.h for c in col.values()}) \
+        == sum(map(len, fresh.h))
+    _check_change_basis_against_oracles(system, fresh, seed=22)
+
+    def temporaries(x):
+        return ((y, LaurentPoly.from_pairs(h.to_pairs()))
+                for y, h in table.h[x].items() if y != x)
+
+    for coeffs in _kl_sample(system, 23):
+        std = change_basis(HeckeElt(system, KL, coeffs), STD, kl=table).coeffs
+        assert unitriangular_solve(system, std, temporaries) \
+            == _std_to_kl_per_entry(system, std, table) == coeffs
+
+
+def test_kl_to_pcan_matches_per_entry_oracle(c3, c3_p2):
+    def row(x):
+        return c3_p2.rows.get(x, {}).items()
+
+    for coeffs in _kl_sample(c3, 24, count=12):
+        got = c3_p2.kl_to_pcan_coeffs(coeffs)
+        assert got == _solve_per_entry(c3, coeffs, row)
+        assert c3_p2.expand_to_kl_coeffs(got) == coeffs
 
 
 def test_missing_entries_are_the_shared_zero(a2, kl_a2):

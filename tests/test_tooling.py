@@ -1,7 +1,8 @@
 """Source-level checks of the package and of the benchmark's hooks into it.
 
 perfbench/tracing.py wraps each (module, attribute path) in its FUNCTIONS
-list; a target renamed in pcells would break ``--trace 1`` runs only.  The
+and ARITHMETIC lists; a target renamed in pcells would break ``--trace 1``
+runs only.  The
 file is read as source, not imported, so this test runs nothing of the
 benchmark; likewise perfbench/expected.json is read as JSON for the report
 count that the benchmark's verify-all workload expects and the A6 tau class
@@ -16,6 +17,7 @@ from pathlib import Path
 
 from pcells import verify
 from pcells.coxeter import CoxeterSystem
+from pcells.hecke import compute_kl_table
 from pcells.stars import tau_partition, tau_tilde_partition
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,30 +25,41 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 EXPECTED = ROOT / "perfbench" / "expected.json"
 
 
-def _tracing_targets() -> list[tuple[str, str]]:
+def _tracing_targets(name: str) -> list[tuple[str, str]]:
     tree = ast.parse(TRACING.read_text())
     for node in tree.body:
         if (isinstance(node, ast.Assign)
-                and [getattr(t, "id", None) for t in node.targets]
-                == ["FUNCTIONS"]):
+                and [getattr(t, "id", None) for t in node.targets] == [name]):
             return [(ast.literal_eval(entry.elts[0]),
                      ast.literal_eval(entry.elts[1]))
                     for entry in node.value.elts]
-    raise AssertionError(f"no FUNCTIONS list in {TRACING}")
+    raise AssertionError(f"no {name} list in {TRACING}")
+
+
+def _resolve(module: str, path: str):
+    obj = importlib.import_module(module)
+    for name in path.split("."):
+        obj = getattr(obj, name, None)
+    return obj
 
 
 def test_tracing_targets_resolve_in_pcells():
-    targets = _tracing_targets()
-    assert targets
     missing = []
-    for module, path in targets:
-        assert module.startswith("pcells.")
-        obj = importlib.import_module(module)
-        for name in path.split("."):
-            obj = getattr(obj, name, None)
-        if not callable(obj):
-            missing.append(f"{module}.{path}")
+    for name in ("FUNCTIONS", "ARITHMETIC"):
+        targets = _tracing_targets(name)
+        assert targets
+        for module, path in targets:
+            assert module.startswith("pcells.")
+            if not callable(_resolve(module, path)):
+                missing.append(f"{module}.{path}")
     assert not missing, f"tracing targets missing from pcells: {missing}"
+    # the counting pass replaces the ring operations on their class; a KL
+    # table value must reach those same methods, not overrides of its own
+    table = compute_kl_table(CoxeterSystem.from_type("A2"))
+    value_type = type(table.h[0][0])
+    for module, path in _tracing_targets("ARITHMETIC"):
+        method = path.rsplit(".", 1)[1]
+        assert getattr(value_type, method) is _resolve(module, path), path
 
 
 def test_no_imports_inside_functions():
