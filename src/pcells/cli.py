@@ -4,8 +4,11 @@ Exit codes: 0 success / all checks pass, 1 a verification failed or a
 computation raised (a table failing validation, an infinite or too large
 group, a KL coefficient beyond the packed kernel), 2 usage or input error
 (argparse errors, a malformed Cartan matrix, type label, table file or
-permutation).  A reader that closes the output pipe early (`| head`) gets
-exit code 1 and one error line, not a traceback.
+permutation, a --p that is neither 0 nor a prime or differs from the
+table's, a --cap below 1).  A file that cannot be read or written, such as
+a directory given as --out, --cartan or --table, exits 1.  A reader that
+closes the output pipe early (`| head`) gets exit code 1 and one error
+line, not a traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from math import isqrt
 from pathlib import Path
 
 from .cells import compute_cells
@@ -68,10 +72,15 @@ def _build_table(args, system):
         return identity_table(system)
     if args.table:
         with _reading_input():
-            return load_table(args.table, system)
-    if args.fixture:
-        return load_fixture(args.fixture, system)
-    raise SystemExit2(f"p = {args.p} needs --table FILE or --fixture NAME")
+            table = load_table(args.table, system)
+    elif args.fixture:
+        table = load_fixture(args.fixture, system)
+    else:
+        raise SystemExit2(f"p = {args.p} needs --table FILE or --fixture NAME")
+    if table.prime != args.p:
+        raise SystemExit2(
+            f"--p {args.p} differs from the table's p = {table.prime}")
+    return table
 
 
 def _emit(text: str, args) -> None:
@@ -153,12 +162,33 @@ def cmd_tau(args) -> int:
     return 0
 
 
-def _typea_n(text: str) -> int:
-    """The --n of verify: the typea suite checks S_3 to S_n, so n >= 3."""
+def _int_arg(text: str) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _cap(text: str) -> int:
+    """The --cap of the group closure: a positive number of elements."""
+    n = _int_arg(text)
+    if n <= 0:
+        raise argparse.ArgumentTypeError(
+            f"{n} is not positive: no group fits under it")
+    return n
+
+
+def _prime_or_zero(text: str) -> int:
+    """The --p of cells: 0 for the KL basis, else a prime."""
+    p = _int_arg(text)
+    if p != 0 and (p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1))):
+        raise argparse.ArgumentTypeError(f"{p} is neither 0 nor a prime")
+    return p
+
+
+def _typea_n(text: str) -> int:
+    """The --n of verify: the typea suite checks S_3 to S_n, so n >= 3."""
+    n = _int_arg(text)
     if n < 3:
         raise argparse.ArgumentTypeError(
             f"{n} is below 3: the typea suite would check no symmetric group")
@@ -175,12 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_group_args(p):
         p.add_argument("--type", help="type label, e.g. A3, B2, C3, G2")
         p.add_argument("--cartan", help="Cartan matrix as JSON (inline or file)")
-        p.add_argument("--cap", type=int, default=10**6,
+        p.add_argument("--cap", type=_cap, default=10**6,
                        help="element cap for the group closure")
 
     p = sub.add_parser("cells", help="compute a cell partition")
     add_group_args(p)
-    p.add_argument("--p", type=int, default=0, help="prime (0 = KL basis)")
+    p.add_argument("--p", type=_prime_or_zero, default=0,
+                   help="prime of the table (0 = KL basis)")
     p.add_argument("--fixture", help="name of a shipped table (e.g. c3_p2)")
     p.add_argument("--table", help="path to a table JSON file")
     p.add_argument("--side", default="right",
@@ -234,8 +265,7 @@ def main(argv=None) -> int:
     except SystemExit2 as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError, GroupTooLargeError,
-            FileNotFoundError) as e:
+    except (ValueError, OverflowError, GroupTooLargeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

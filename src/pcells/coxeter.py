@@ -254,7 +254,8 @@ class CoxeterSystem:
 
     @classmethod
     def from_type(cls, label: str, cap: int = 10**6) -> "CoxeterSystem":
-        return cls(cartan_matrix_of_type(label), cap=cap, label=label.upper())
+        return cls(cartan_matrix_of_type(label), cap=cap,
+                   label=label.strip().upper())
 
     @classmethod
     def from_spec(cls, spec: dict, cap: int = 10**6) -> "CoxeterSystem":

@@ -19,8 +19,9 @@ descent of x and ts < t, h(ts, x) = v h(t, x) (P_{y,w} = P_{ys,w} of
 Kazhdan-Lusztig 1979), so only the entries at the tops t are built.  It
 builds one column per inverse pair {x, x^-1}, along the right descent of x
 or of x^-1 whose recursion visits the fewest entries (the choice of descent
-sets the cost, du Cloux 2002), and writes the partner column by relabelling
-through the anti-involution iota: h(y, x) = h(y^-1, x^-1).  A table has
+sets the cost, du Cloux 2002), and stores the partner column as a read-only
+view of the built one, relabelled through the anti-involution iota:
+h(y, x) = h(y^-1, x^-1).  A table has
 few distinct polynomials and many entries (du Cloux 2002), so per-value
 work is done once per distinct value: each value is decoded once, when it
 is first written, into one immutable LaurentPoly shared by every entry and
@@ -35,8 +36,9 @@ change_basis performs the exact unitriangular conversions.
 from __future__ import annotations
 
 import weakref
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .coxeter import CoxeterSystem
 from .laurent import GAUSS, ONE, ZERO, LaurentPoly
@@ -207,11 +209,15 @@ class KLTable:
     and h(y,x) in v Z[v] for y < x).  mu[x] maps y -> mu(y, x), the
     coefficient of v in h(y, x), storing nonzero values only.  Both are
     built by compute_kl_table; equal polynomials in h are one shared
-    immutable LaurentPoly.
+    immutable LaurentPoly.  Of each inverse pair {x, x^-1} one column is a
+    dict, the built one, and the other is a read-only Mapping over it,
+    relabelled through system.inverse (h(y, x) = h(y^-1, x^-1)).  The
+    partner view shares the built column's storage, so a caller writing
+    into a built column changes its partner too.  The mu rows are dicts.
     """
 
-    def __init__(self, system: CoxeterSystem, h: list[dict[int, LaurentPoly]],
-                 mu: list[dict[int, int]]):
+    def __init__(self, system: CoxeterSystem,
+                 h: list[Mapping[int, LaurentPoly]], mu: list[dict[int, int]]):
         self.system = system
         self.h = h
         self.mu = mu
@@ -224,7 +230,7 @@ class KLTable:
 
     def kl_element(self, x: int) -> HeckeElt:
         """C_x expanded in the standard basis."""
-        return HeckeElt(self.system, STD, dict(self.h[x]))
+        return HeckeElt(self.system, STD, dict(self.h[x].items()))
 
     def export_json(self) -> list[dict]:
         """Triangular list of {y, x, h} rows with digit-string labels."""
@@ -238,6 +244,54 @@ class KLTable:
                     "h": self.h[x][y].to_pairs(),
                 })
         return rows
+
+
+class _PartnerColumn(Mapping):
+    """The column h at w^-1, read through the built column col = h at w:
+    it maps y^-1 to col[y], in col's order, so it equals the dict
+    {inv[y]: c for y, c in col.items()} without storing it.  index maps
+    each id u to inv[u]; a key that is not an id gets None from it, which
+    no column holds, so get, in and [] answer as that dict would."""
+
+    __slots__ = ("_col", "_inv", "_index")
+
+    def __init__(self, col: dict[int, LaurentPoly], inv: list[int],
+                 index: dict[int, int]):
+        self._col, self._inv, self._index = col, inv, index
+
+    def __getitem__(self, y):
+        c = self._col.get(self._index.get(y))
+        if c is None:
+            raise KeyError(y)
+        return c
+
+    def get(self, y, default=None):
+        return self._col.get(self._index.get(y), default)
+
+    def __contains__(self, y) -> bool:
+        return self._index.get(y) in self._col
+
+    def __len__(self) -> int:
+        return len(self._col)
+
+    def __iter__(self):
+        return map(self._inv.__getitem__, self._col)
+
+    def values(self):
+        return self._col.values()
+
+    def items(self):
+        return _PartnerItems(self)
+
+
+class _PartnerItems(ItemsView):
+    """items() of a _PartnerColumn, iterated at C speed."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        col = self._mapping._col
+        return zip(map(self._mapping._inv.__getitem__, col), col.values())
 
 
 # Packed form of a polynomial with coefficients a_i >= 0 in v^i (i >= 0):
@@ -318,19 +372,23 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     first written: _unpack raises OverflowError at the first coefficient
     reaching 2^(_WIDTH - 2), which is still decoded exactly, and nothing
     wraps silently.  The columns hold the decoded LaurentPoly, one shared
-    object per distinct polynomial in all the columns, relabelled ones
-    included; it keeps its packed int, which the later steps read.
+    object per distinct polynomial in all the columns; it keeps its packed
+    int, which the later steps read.  Each partner column is a read-only
+    view of the built one (see KLTable), so the table stores one dict of
+    entries per inverse pair.
     """
     return KLTable(system, *_kl_columns(system)[:2])
 
 
 def _kl_columns(system: CoxeterSystem
-                ) -> tuple[list[dict[int, LaurentPoly]], list[dict[int, int]],
-                           dict[int, int]]:
+                ) -> tuple[list[Mapping[int, LaurentPoly]],
+                           list[dict[int, int]], dict[int, int]]:
     """The columns and mu rows of compute_kl_table, and the columns it
     built: w -> the right descent s it was built along.  Every other
-    nonidentity column is the relabelled column of its inverse."""
+    nonidentity column is a _PartnerColumn over the column of its
+    inverse."""
     inv, descents = system.inverse, system.right_descents
+    index = dict(enumerate(inv))
     by_gen = [[row[s] for row in system.right] for s in range(system.rank)]
     h: list = [None] * system.size
     mu: list = [None] * system.size
@@ -395,7 +453,7 @@ def _kl_columns(system: CoxeterSystem
         built[w] = s
         wi = inv[w]
         if wi != w:
-            h[wi] = dict(zip(map(inv.__getitem__, col), col.values()))
+            h[wi] = _PartnerColumn(col, inv, index)
             mu[wi] = dict(zip(map(inv.__getitem__, row), row.values()))
     return h, mu, built
 

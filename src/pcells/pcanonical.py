@@ -153,7 +153,8 @@ def load_table(source, system: CoxeterSystem, *, strict: bool = True,
                provenance: str | None = None) -> PCanTable:
     """Load a table from a path, file object, or parsed JSON dict.
 
-    Malformed input raises PCanValidationError: a missing key or bad value,
+    Malformed input raises PCanValidationError: a "type" other than the
+    label of a system built from a type label, a missing key or bad value,
     and, naming the offending entry, a p or word letter that is not a JSON
     integer, a non-reduced word, a repeated x entry or y term, or a diagonal
     coefficient other than 1.  With strict=True (the default) any invariant
@@ -189,6 +190,11 @@ def load_table(source, system: CoxeterSystem, *, strict: bool = True,
         prime = obj["p"]
         if isinstance(prime, bool) or not isinstance(prime, int):
             raise PCanValidationError([f"p = {prime!r} is not an integer"])
+        label = obj.get("type")
+        if (label is not None and system.label is not None
+                and str(label).strip().upper() != system.label):
+            raise PCanValidationError(
+                [f"table is for type {label!r}, not {system.label}"])
         for entry in obj.get("entries", []):
             where = f"entry x={list(entry['x'])}"
             x = element(entry["x"], where)

@@ -176,6 +176,62 @@ def test_input_errors_exit_2(capsys, argv):
     assert "error" in err
 
 
+def _one_error_line(err: str) -> str:
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1 and "Traceback" not in err
+    return lines[0]
+
+
+@pytest.mark.parametrize("p", ["3", "5"])
+def test_p_other_than_the_tables_is_a_usage_error(capsys, p):
+    # the table is c3_p2: its prime is 2, whatever --p says
+    code, out, err = run(capsys, "cells", "--type", "C3", "--p", p,
+                         "--fixture", "c3_p2")
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) == \
+        f"error: --p {p} differs from the table's p = 2"
+
+
+@pytest.mark.parametrize("p", ["4", "-2", "1", "-3", "9", "two"])
+def test_p_neither_0_nor_prime_is_a_usage_error(capsys, p):
+    code, out, err = run(capsys, "cells", "--type", "C3", "--p", p,
+                         "--fixture", "c3_p2")
+    assert (code, out) == (2, "")
+    assert "--p" in _one_error_line(err)
+
+
+@pytest.mark.parametrize("command", ["cells", "tau"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_1_is_a_usage_error(capsys, command, cap):
+    code, out, err = run(capsys, command, "--type", "B2", "--cap", cap)
+    assert (code, out) == (2, "")
+    assert "--cap" in _one_error_line(err)
+    # the smallest cap that holds B2 still works
+    assert run(capsys, command, "--type", "B2", "--cap", "8")[0] == 0
+
+
+def test_table_of_another_type_is_rejected(capsys):
+    # c3_p2 names type C3; B3 has as many elements, and words of C3 are
+    # words of B3, so without the check it would load
+    code, out, err = run(capsys, "cells", "--type", "B3", "--p", "2",
+                         "--fixture", "c3_p2")
+    assert (code, out) == (1, "")
+    assert _one_error_line(err) == "error: table is for type 'C3', not B3"
+
+
+@pytest.mark.parametrize("argv", [
+    ("cells", "--type", "A2", "--out", "{dir}"),
+    ("tau", "--type", "A2", "--out", "{dir}"),
+    ("cells", "--cartan", "{dir}"),
+    ("cells", "--type", "C3", "--p", "2", "--table", "{dir}"),
+])
+def test_directory_at_a_file_option_exits_1(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (code, out) == (1, "")
+    line = _one_error_line(err)
+    assert line.startswith("error: ") and str(tmp_path) in line
+
+
 def test_unparsable_table_file_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"p\": 2, ")

@@ -361,6 +361,77 @@ def test_kl_columns_hold_one_int_per_distinct_value(label):
     assert len({id(c) for c in values}) == len(set(values))
 
 
+def _relabel(col, inv):
+    """Oracle for a partner column: the dict the kernel copied it into,
+    {inv[y]: c for y, c in col.items()}, in col's order."""
+    return dict(zip(map(inv.__getitem__, col), col.values()))
+
+
+def _odd_keys(system):
+    """Keys that are not ids of the group, next to the ends of the id range.
+    A dict with int keys answers True and 1.0 as it answers 1."""
+    n = system.size
+    return [-n - 1, -n, -2, -1, n, n + 1, 2 * n, True, False, 1.0, 2.5,
+            "1", None, (1,), 10**30]
+
+
+def _assert_reads_like(view, oracle, keys):
+    for y in keys:
+        assert view.get(y) is oracle.get(y)
+        assert view.get(y, ZERO) is oracle.get(y, ZERO)
+        assert (y in view) == (y in oracle)
+        if y in oracle:
+            assert view[y] is oracle[y]
+        else:
+            with pytest.raises(KeyError):
+                view[y]
+
+
+@pytest.mark.parametrize("label", ["D4", "B4", "F4"])
+def test_partner_columns_are_read_only_views(label):
+    system = _system(FULL_COLUMN_GROUPS[label])
+    inv = system.inverse
+    h, mu, built = _kl_columns(system)
+    table = KLTable(system, h, mu)
+    keys = _odd_keys(system)
+    for w in system.elements():
+        wi = inv[w]
+        # one dict of entries per inverse pair: the identity's and the
+        # built columns
+        assert (type(h[w]) is dict) == (w == 0 or w in built)
+        if wi == w or type(h[w]) is not dict:
+            continue
+        view, oracle = h[wi], _relabel(h[w], inv)
+        assert type(view) is not dict and not hasattr(view, "__setitem__")
+        with pytest.raises(TypeError):
+            view[w] = ONE
+        # the same entries in the same order, as the same objects
+        assert view == oracle and len(view) == len(oracle)
+        assert list(view) == list(oracle)
+        assert list(view.items()) == list(oracle.items())
+        assert list(view.keys()) == list(oracle.keys())
+        assert all(a is b for a, b in zip(view.values(), oracle.values()))
+        assert all(view[inv[y]] is c for y, c in h[w].items())
+        assert (inv[w], h[w][w]) in view.items()
+        assert table.kl_element(wi).coeffs == oracle
+        _assert_reads_like(view, oracle, keys)
+        with pytest.raises(TypeError):
+            view.get([])
+    assert sum(type(col) is dict for col in h) \
+        == len({min(x, inv[x]) for x in system.elements()})
+
+
+def test_partner_columns_read_every_int_key_like_the_copied_dict(a3, kl_a3):
+    # a view reading col.get(inv[y]) would answer for negative ids, which
+    # index inv from its end, and raise for ids >= |W|
+    inv, n = a3.inverse, a3.size
+    keys = [*range(-n - 2, n + 3), *_odd_keys(a3)]
+    partners = [x for x in a3.elements() if type(kl_a3.h[x]) is not dict]
+    assert partners
+    for x in partners:
+        _assert_reads_like(kl_a3.h[x], _relabel(kl_a3.h[inv[x]], inv), keys)
+
+
 def test_kl_table_shares_equal_polynomials(a3, kl_a3):
     seen = {}
     for col in kl_a3.h:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcells import verify
+from pcells.coxeter import CoxeterSystem
 from pcells.hecke import (KL, PCAN, STD, HeckeElt, change_basis,
                           kl_multiply_by_generator, std_multiply)
 from pcells.laurent import GAUSS, ONE, V, ZERO, LaurentPoly
@@ -14,7 +15,9 @@ from pcells.pcanonical import (
     PCanTable,
     PCanValidationError,
     apply_automorphism_to_table,
+    fixture_path,
     identity_table,
+    load_fixture,
     load_table,
     p_h,
     pcan_general_product,
@@ -165,6 +168,30 @@ def test_load_rejects_non_integers(c3):
         with pytest.raises(PCanValidationError) as err:
             load_table(obj, c3)
         assert err.value.violations == [message]
+
+
+def test_load_checks_the_tables_type(b2, b3, c3):
+    # the shipped tables name their own types and load there
+    for name, system in (("b2_p2", b2), ("c3_p2", c3)):
+        assert load_fixture(name, system).prime == 2
+    obj = json.loads(fixture_path("c3_p2").read_text())
+    assert obj["type"] == "C3"
+    # B3 has C3's elements and reduced words, so only the type tells them
+    # apart
+    with pytest.raises(PCanValidationError) as err:
+        load_table(obj, b3)
+    assert err.value.violations == ["table is for type 'C3', not B3"]
+    for other in ("B2", 3, ""):
+        with pytest.raises(PCanValidationError):
+            load_table({**obj, "type": other}, c3)
+    # a label is read as CoxeterSystem.from_type reads it
+    assert load_table({**obj, "type": " c3"}, c3).rows == \
+        load_table(obj, c3).rows
+    assert CoxeterSystem.from_type(" c3 ").label == "C3"
+    # a system built from a Cartan matrix has no label to compare with
+    unlabelled = CoxeterSystem(c3.cartan)
+    assert unlabelled.label is None
+    assert load_table(obj, unlabelled).prime == 2
 
 
 def test_strict_override(c3, kl_c3):
