@@ -46,6 +46,7 @@ from .cells import (
     elementary_relations,
     extract_wgraph,
     inverse_duality_check,
+    left_cells_from_right,
     propagate_nondecomposition,
     right_connected_components,
     right_minimal_elements,

@@ -6,7 +6,9 @@ B_x appears with nonzero coefficient in B_y C_s for some generator s (right
 side; the mirror for left).  Cells are the strongly connected components of
 the elementary-relation graph, and the condensation DAG (kept transitively
 reduced for display, with full reachability for queries) is the Hasse
-diagram of the induced order on cells.  Two-sided cells are the join of the
+diagram of the induced order on cells.  Only the right relation is built:
+for an inverse-symmetric table the left cells are the inverse image of the
+right ones (left_cells_from_right).  Two-sided cells are the join of the
 one-sided cells: the two-sided preorder is the one generated by the left
 and right preorders, so it is read off the two partitions
 (two_sided_cells) and no two-sided relation graph is built.
@@ -40,51 +42,51 @@ def strongly_connected_components(vertices: Sequence[int],
                                   succ: Mapping[int, Iterable[int]]
                                   ) -> list[list[int]]:
     """Tarjan's algorithm, iterative.  Components in reverse topological
-    order (sources last)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    order (sources last).  The state lives in lists indexed by vertex, so
+    vertices are non-negative ints and every successor is a vertex."""
+    size = max(vertices, default=-1) + 1
+    index = [-1] * size
+    low = [0] * size
+    on_stack = [False] * size
     stack: list[int] = []
     out: list[list[int]] = []
     counter = 0
 
     for root in vertices:
-        if root in index:
+        if index[root] >= 0:
             continue
         work = [(root, iter(succ.get(root, ())))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
+                    on_stack[w] = True
                     work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
     return out
 
 
@@ -211,17 +213,64 @@ def two_sided_cells(system: CoxeterSystem, left: CellPartition,
     return _partition_from_graph(system, succ, "two-sided", left.prime)
 
 
+def left_cells_from_right(table: PCanTable, right: CellPartition
+                          ) -> CellPartition:
+    """The left cells of an inverse-symmetric table, read off its right
+    cells: the inverse image of each right cell, re-sorted by (minimum
+    length, minimum id), with cell_of, Hasse edges and downsets carried
+    along.
+
+    When m(y, x) = m(y^-1, x^-1) for all y, x, the anti-involution iota
+    sends B_x to B_{x^-1} and B_y C_s to C_s B_{y^-1}, so y -> x is a right
+    elementary relation iff y^-1 -> x^-1 is a left one: the left relation
+    graph is the right one relabelled through x -> x^-1, and so are its
+    cells, reachability and covering relation.  Raises ValueError naming
+    a pair that breaks the symmetry.
+    """
+    system = table.system
+    inv = system.inverse
+    if right.side != "right":
+        raise ValueError("left_cells_from_right needs a right partition")
+    for x, row in table.rows.items():
+        for y, m in row.items():
+            partner = table.m(inv[y], inv[x])
+            if partner != m:
+                digits = system.id_to_digits
+                raise ValueError(
+                    f"the table is not inverse-symmetric: m({digits(y)}, "
+                    f"{digits(x)}) = {m} but m({digits(inv[y])}, "
+                    f"{digits(inv[x])}) = {partner}")
+    images = [frozenset(map(inv.__getitem__, c)) for c in right.cells]
+    order = sorted(range(len(images)), key=lambda i: (
+        min(system.length[w] for w in images[i]), min(images[i])))
+    new = {i: k for k, i in enumerate(order)}
+    cells = tuple(images[i] for i in order)
+    return CellPartition(
+        side="left", prime=right.prime, cells=cells,
+        cell_of={w: k for k, c in enumerate(cells) for w in c},
+        hasse_edges=frozenset((new[i], new[j]) for i, j in right.hasse_edges),
+        downsets=tuple(frozenset(map(new.__getitem__, right.downsets[i]))
+                       for i in order))
+
+
 def compute_cells(table: PCanTable, kl: KLTable, side: str = "right"
                   ) -> CellPartition:
     """Cells of the given side: "left", "right", or "two-sided", the join
-    of the left and right cells.  Any other side raises ValueError (from
-    structure_coefficients, before any product is computed)."""
-    if side == "two-sided":
-        return two_sided_cells(table.system, compute_cells(table, kl, "left"),
-                               compute_cells(table, kl, "right"))
-    return _partition_from_graph(table.system,
-                                 elementary_relations(table, kl, side),
-                                 side, table.prime)
+    of the left and right cells.  Only the right relation is built: left
+    cells are its inverse image (left_cells_from_right), so "left" and
+    "two-sided" raise ValueError on a table that is not inverse-symmetric.
+    Any other side raises ValueError before any product is computed."""
+    if side not in ("left", "right", "two-sided"):
+        raise ValueError(
+            f"unknown side {side!r}: use 'left', 'right' or 'two-sided'")
+    right = _partition_from_graph(table.system,
+                                  elementary_relations(table, kl, "right"),
+                                  "right", table.prime)
+    if side == "right":
+        return right
+    left = left_cells_from_right(table, right)
+    return left if side == "left" else two_sided_cells(table.system, left,
+                                                       right)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +310,12 @@ def check_descent_invariant(partition: CellPartition, system: CoxeterSystem
 
 def inverse_duality_check(left: CellPartition, right: CellPartition,
                           system: CoxeterSystem) -> Report:
-    """x <= y on one side iff x^-1 <= y^-1 on the other, on full preorders."""
+    """x <= y on one side iff x^-1 <= y^-1 on the other, on full preorders.
+
+    compute_cells derives left cells from right ones through the inverse
+    map (left_cells_from_right), so on its partitions this checks that
+    relabelling; it is an independent check only on a left partition
+    condensed from elementary_relations(table, kl, "left")."""
     bad: list[str] = []
     checked = 0
     inv = system.inverse

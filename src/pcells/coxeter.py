@@ -179,8 +179,11 @@ def cartan_matrix_of_type(label: str) -> list[list[int]]:
     The fixed small-rank matrices follow the conventions used throughout
     the shipped reference tables; in particular C3 has a(2,1) = -2 under
     1-based row/column labels, i.e. generator 1 is attached to the double
-    bond and is the long root.
+    bond and is the long root.  A label that is not a string raises
+    ValueError.
     """
+    if not isinstance(label, str):
+        raise ValueError(f"type label {label!r} is not a string")
     label = label.strip().upper()
     family, rank = label[0], label[1:]
     if not rank.isdigit():
@@ -259,11 +262,24 @@ class CoxeterSystem:
 
     @classmethod
     def from_spec(cls, spec: dict, cap: int = 10**6) -> "CoxeterSystem":
-        """Build from a JSON-style spec: {"type": "C3"} or {"cartan": [[..]]}."""
+        """Build from a JSON-style spec: {"type": "C3"} or {"cartan": [[..]]}.
+
+        Raises ValueError for a spec that is not an object, has neither key
+        or both, has a type that is not a string, or a "cartan" that is not
+        a list of lists."""
+        if not isinstance(spec, dict):
+            raise ValueError(f"group spec {spec!r} is not an object")
+        if "type" in spec and "cartan" in spec:
+            raise ValueError("group spec has both a 'type' and a 'cartan' key")
         if "type" in spec:
             return cls.from_type(spec["type"], cap=cap)
         if "cartan" in spec:
-            return cls.from_cartan(spec["cartan"], cap=cap)
+            cartan = spec["cartan"]
+            if not (isinstance(cartan, list)
+                    and all(isinstance(row, list) for row in cartan)):
+                raise ValueError(
+                    f"Cartan matrix {cartan!r} is not a list of lists")
+            return cls.from_cartan(cartan, cap=cap)
         raise ValueError("group spec needs a 'type' or 'cartan' key")
 
     # -- enumeration -------------------------------------------------------

@@ -49,6 +49,18 @@ _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 _V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
 
 
+class _Constants(dict):
+    """One shared constant polynomial per int, built on first use: mu
+    values are few, and products read them over and over."""
+
+    def __missing__(self, m: int) -> LaurentPoly:
+        poly = self[m] = LaurentPoly(m)
+        return poly
+
+
+_CONSTANT = _Constants({1: ONE})
+
+
 class BasisMismatchError(TypeError):
     """Arithmetic between elements expressed in different bases."""
 
@@ -477,7 +489,7 @@ def kl_multiply_by_generator(table: KLTable, x: int, s: int,
     out = {xs: ONE}
     for z, m in table.mu[x].items():
         if s in descents[z]:
-            out[z] = LaurentPoly(m)
+            out[z] = _CONSTANT[m]
     return out
 
 

@@ -23,6 +23,7 @@ from .cells import (
     decomposition_criterion,
     extract_wgraph,
     inverse_duality_check,
+    left_cells_from_right,
     propagate_nondecomposition,
     subquotient_wgraph,
     two_sided_cells,
@@ -84,8 +85,15 @@ def get_table(label: str, prime: int) -> PCanTable:
 
 @lru_cache(maxsize=None)
 def get_cells(label: str, prime: int, side: str) -> CellPartition:
-    """The cells of one side; two-sided cells join the cached one-sided
-    partitions."""
+    """The cells of one side.  Only the right relation is built: left cells
+    relabel the cached right partition through the inverse map
+    (left_cells_from_right), and two-sided cells join the cached one-sided
+    partitions.  The inverse-duality reports of the invariant suite
+    therefore check that relabelling; the tests check the derived left
+    cells against the left relation itself."""
+    if side == "left":
+        return left_cells_from_right(get_table(label, prime),
+                                     get_cells(label, prime, "right"))
     if side == "two-sided":
         return two_sided_cells(get_system(label), get_cells(label, prime, "left"),
                                get_cells(label, prime, "right"))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcells.cells import (
+    _partition_from_graph,
     check_descent_invariant,
     check_parabolic_compatibility,
     compute_cells,
@@ -13,6 +14,7 @@ from pcells.cells import (
     elementary_relations,
     extract_wgraph,
     inverse_duality_check,
+    left_cells_from_right,
     propagate_nondecomposition,
     right_connected_components,
     right_minimal_elements,
@@ -26,7 +28,8 @@ from pcells.cells import (
 from pcells.coxeter import CoxeterSystem
 from pcells.hecke import compute_kl_table
 from pcells.laurent import ONE, LaurentPoly
-from pcells.pcanonical import identity_table, structure_coefficients
+from pcells.pcanonical import (PCanTable, identity_table,
+                               structure_coefficients)
 from pcells import verify
 
 
@@ -60,6 +63,73 @@ def test_scc_matches_networkx(graph):
     # it reaches
     position = {v: i for i, c in enumerate(comps) for v in c}
     assert all(position[v] <= position[u] for u, v in edges)
+
+
+def _dict_strongly_connected_components(vertices, succ):
+    """Tarjan's algorithm with index/low dicts and an on-stack set (the
+    previous strongly_connected_components)."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    out: list[list[int]] = []
+    counter = 0
+
+    for root in vertices:
+        if root in index:
+            continue
+        work = [(root, iter(succ.get(root, ())))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs(), st.integers(0, 5), st.data())
+def test_scc_matches_dict_oracle(graph, offset, data):
+    # the same components, each in the same order, on vertex sets that need
+    # not start at 0, visited in any order, where some vertices have no
+    # successor entry at all
+    n, edges = graph
+    vertices = data.draw(st.permutations(range(offset, offset + n)))
+    succ: dict[int, list[int]] = {}
+    for u, v in edges:
+        succ.setdefault(u + offset, []).append(v + offset)
+    for v in data.draw(st.sets(st.sampled_from(vertices))):
+        succ.pop(v, None)
+    assert strongly_connected_components(vertices, succ) == \
+        _dict_strongly_connected_components(vertices, succ)
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,6 +258,7 @@ def _merged_two_sided_cells(table, kl):
 
 
 F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 
 
 _ORACLE_CASES = [
@@ -197,8 +268,8 @@ _ORACLE_CASES = [
 
 @functools.cache
 def _table_and_kl(label, prime):
-    if label == "F4":
-        system = CoxeterSystem.from_cartan(F4)
+    if label in ("F4", "D4"):
+        system = CoxeterSystem.from_cartan({"F4": F4, "D4": D4}[label])
         return identity_table(system), compute_kl_table(system)
     return verify.get_table(label, prime), verify.get_kl(label)
 
@@ -236,6 +307,58 @@ def test_cells_match_labelled_graph_oracle(label, prime):
     assert new == old
     assert two_sided_cells(table.system, new["left"], new["right"]) == \
         _old_two_sided_cells(table.system, old["left"], old["right"])
+
+
+def _direct_partition(table, kl, side):
+    """The partition of one side condensed from its own relation."""
+    return _partition_from_graph(table.system,
+                                 elementary_relations(table, kl, side), side,
+                                 table.prime)
+
+
+@pytest.mark.parametrize("label,prime", _ORACLE_CASES + [("D4", 0)])
+def test_left_cells_match_the_direct_left_relation(label, prime):
+    # left cells relabel the right ones through the inverse map; field by
+    # field they equal the condensation of the left relation itself
+    table, kl = _table_and_kl(label, prime)
+    direct = {side: _direct_partition(table, kl, side)
+              for side in ("left", "right")}
+    left = compute_cells(table, kl, "left")
+    for field in ("side", "prime", "cells", "cell_of", "hasse_edges",
+                  "downsets"):
+        assert getattr(left, field) == getattr(direct["left"], field), field
+    assert left_cells_from_right(table, direct["right"]) == direct["left"]
+    assert compute_cells(table, kl, "two-sided") == \
+        two_sided_cells(table.system, direct["left"], direct["right"])
+
+
+def test_inverse_duality_of_the_direct_left_relation(a3, kl_a3, c3, kl_c3,
+                                                     c3_p2):
+    # compute_cells derives left cells from right ones, so the check is
+    # independent only against the left relation condensed on its own
+    for table, kl in ((identity_table(a3), kl_a3), (c3_p2, kl_c3)):
+        left = _direct_partition(table, kl, "left")
+        right = compute_cells(table, kl, "right")
+        assert inverse_duality_check(left, right, table.system).ok
+
+
+def test_left_cells_need_an_inverse_symmetric_table(c3, kl_c3, c3_p2):
+    # without the row of 2123 the entry m(23, 2123) = 1 is gone while its
+    # partner m(32, 3212) = 1 stays
+    partner = c3.digits_to_id("2123")
+    assert c3.inverse[c3.digits_to_id("3212")] == partner
+    table = PCanTable(c3, 2, {x: row for x, row in c3_p2.rows.items()
+                              if x != partner})
+    for side in ("left", "two-sided"):
+        with pytest.raises(ValueError, match=r"m\(32, 3212\) = 1 but "
+                                             r"m\(23, 2123\) = 0"):
+            compute_cells(table, kl_c3, side)
+    right = compute_cells(table, kl_c3, "right")
+    assert right == _direct_partition(table, kl_c3, "right")
+    with pytest.raises(ValueError, match="not inverse-symmetric"):
+        left_cells_from_right(table, right)
+    with pytest.raises(ValueError, match="needs a right partition"):
+        left_cells_from_right(c3_p2, compute_cells(c3_p2, kl_c3, "left"))
 
 
 def test_two_sided_cells_rejects_mismatched_partitions(a2, b2):

@@ -263,3 +263,23 @@ def test_demo_runs(demo, tmp_path):
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("command", ["cells", "tau"])
+@pytest.mark.parametrize("spec,message", [
+    ('{"type": 3}', "type label 3 is not a string"),
+    ('{"type": ["A", 2]}', "type label ['A', 2] is not a string"),
+    ("[1]", "Cartan matrix [1] is not a list of lists"),
+    ('{"cartan": 5}', "Cartan matrix 5 is not a list of lists"),
+    ("5", "group spec 5 is not an object"),
+    ("null", "group spec None is not an object"),
+    ('{"cartan": [[2, -1], [-1, 2]], "type": "B2"}',
+     "group spec has both a 'type' and a 'cartan' key"),
+])
+def test_malformed_group_specs_are_usage_errors(capsys, command, spec,
+                                                message):
+    # each of these ended in an AttributeError or TypeError traceback, and
+    # the last one built B2 without reading its matrix
+    code, out, err = run(capsys, command, "--cartan", spec)
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) == f"error: {message}"

@@ -336,3 +336,29 @@ def test_parabolic_subsystem(c3):
     assert emb.sub.coxeter_matrix[0][1] == 4
     for w in emb.sub.elements():
         assert c3.length[emb.to_parent[w]] == emb.sub.length[w]
+
+
+def test_type_label_must_be_a_string():
+    for label in (3, ["A", 2], None, b"A2"):
+        with pytest.raises(ValueError, match="is not a string"):
+            cartan_matrix_of_type(label)
+        with pytest.raises(ValueError, match="is not a string"):
+            CoxeterSystem.from_type(label)
+
+
+def test_from_spec_rejects_malformed_specs():
+    for spec in (5, None, "A3", [[2, -1], [-1, 2]]):
+        with pytest.raises(ValueError, match="is not an object"):
+            CoxeterSystem.from_spec(spec)
+    for spec in ({"type": 3}, {"type": ["A", 2]}):
+        with pytest.raises(ValueError, match="is not a string"):
+            CoxeterSystem.from_spec(spec)
+    for cartan in (5, [1], [[2, -1], 3], "[[2]]", ((2, -1), (-1, 2))):
+        with pytest.raises(ValueError, match="is not a list of lists"):
+            CoxeterSystem.from_spec({"cartan": cartan})
+    with pytest.raises(ValueError, match="both"):
+        CoxeterSystem.from_spec({"cartan": [[2, -1], [-1, 2]], "type": "B2"})
+    with pytest.raises(ValueError, match="needs a 'type' or 'cartan' key"):
+        CoxeterSystem.from_spec({"rank": 2})
+    assert CoxeterSystem.from_spec({"type": "B2"}).size == 8
+    assert CoxeterSystem.from_spec({"cartan": [[2, -1], [-1, 2]]}).size == 6
