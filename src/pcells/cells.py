@@ -154,11 +154,21 @@ def elementary_relations(table: PCanTable, kl: KLTable, side: str = "right"
                          ) -> dict[int, set[int]]:
     """Successor sets of the elementary relation: y -> x whenever B_x
     occurs in B_y C_s for some generator s (descent self-loops included).
-    Only the support of each product matters, so no labels are kept."""
+    Only the support of each product matters, so no labels are kept.  For
+    s in the descent set of y, B_y C_s = (v + v^-1) B_y for every table
+    (structure_coefficients), so the descents give the self-loop alone and
+    only the other generators are multiplied."""
     sys_ = table.system
-    return {y: {x for s in range(sys_.rank)
-                for x in structure_coefficients(table, kl, y, s, side)}
-            for y in sys_.elements()}
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
+    descents = sys_.right_descents if side == "right" else sys_.left_descents
+    gens = frozenset(range(sys_.rank))
+    succ: dict[int, set[int]] = {}
+    for y in sys_.elements():
+        succ[y] = {y} if descents[y] else set()
+        for s in gens - descents[y]:
+            succ[y].update(structure_coefficients(table, kl, y, s, side))
+    return succ
 
 
 def _partition_from_graph(system: CoxeterSystem,

@@ -221,11 +221,13 @@ class KLTable:
     and h(y,x) in v Z[v] for y < x).  mu[x] maps y -> mu(y, x), the
     coefficient of v in h(y, x), storing nonzero values only.  Both are
     built by compute_kl_table; equal polynomials in h are one shared
-    immutable LaurentPoly.  Of each inverse pair {x, x^-1} one column is a
-    dict, the built one, and the other is a read-only Mapping over it,
-    relabelled through system.inverse (h(y, x) = h(y^-1, x^-1)).  The
-    partner view shares the built column's storage, so a caller writing
-    into a built column changes its partner too.  The mu rows are dicts.
+    immutable LaurentPoly.  Every column is a read-only Mapping.  Of each
+    inverse pair {x, x^-1} one column is built: its ids and values are two
+    tuples, iterated in the order the kernel wrote them, and a dict index
+    of its entries is built on its first point lookup (get, in, []) and
+    kept.  The other column is a view over it, relabelled through
+    system.inverse (h(y, x) = h(y^-1, x^-1)).  The mu rows are dicts.  The
+    constructor takes any Mapping per column.
     """
 
     def __init__(self, system: CoxeterSystem,
@@ -249,13 +251,66 @@ class KLTable:
         sys_ = self.system
         rows = []
         for x in sys_.elements():
-            for y in sorted(self.h[x], key=lambda w: (sys_.length[w], w)):
+            for y, c in sorted(self.h[x].items(),
+                               key=lambda e: (sys_.length[e[0]], e[0])):
                 rows.append({
                     "y": sys_.id_to_digits(y),
                     "x": sys_.id_to_digits(x),
-                    "h": self.h[x][y].to_pairs(),
+                    "h": c.to_pairs(),
                 })
         return rows
+
+
+class _Column(Mapping):
+    """A built column: its ids and values as two tuples, in the order the
+    kernel wrote them.  Iterating reads the tuples, and values() is the
+    tuple of values; a point lookup (get, in, []) goes through the dict of
+    the same entries, built on the first lookup and kept, so every key gets
+    the answer that dict gives.  The index takes no lock: threads that
+    build it at once build equal dicts."""
+
+    __slots__ = ("_ids", "_vals", "_index")
+
+    def __init__(self, entries: dict[int, LaurentPoly]):
+        self._ids, self._vals = tuple(entries), tuple(entries.values())
+        self._index = None
+
+    def _lookup(self) -> dict[int, LaurentPoly]:
+        index = self._index
+        if index is None:
+            index = self._index = dict(zip(self._ids, self._vals))
+        return index
+
+    def __getitem__(self, y):
+        return self._lookup()[y]
+
+    def get(self, y, default=None):
+        return self._lookup().get(y, default)
+
+    def __contains__(self, y) -> bool:
+        return y in self._lookup()
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def values(self) -> tuple[LaurentPoly, ...]:
+        return self._vals
+
+    def items(self):
+        return _ColumnItems(self)
+
+
+class _ColumnItems(ItemsView):
+    """items() of a _Column, iterated at C speed."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        col = self._mapping
+        return zip(col._ids, col._vals)
 
 
 class _PartnerColumn(Mapping):
@@ -267,8 +322,7 @@ class _PartnerColumn(Mapping):
 
     __slots__ = ("_col", "_inv", "_index")
 
-    def __init__(self, col: dict[int, LaurentPoly], inv: list[int],
-                 index: dict[int, int]):
+    def __init__(self, col: _Column, inv: list[int], index: dict[int, int]):
         self._col, self._inv, self._index = col, inv, index
 
     def __getitem__(self, y):
@@ -385,9 +439,12 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     reaching 2^(_WIDTH - 2), which is still decoded exactly, and nothing
     wraps silently.  The columns hold the decoded LaurentPoly, one shared
     object per distinct polynomial in all the columns; it keeps its packed
-    int, which the later steps read.  Each partner column is a read-only
-    view of the built one (see KLTable), so the table stores one dict of
-    entries per inverse pair.
+    int, which the later steps read.  Each built column is stored as two
+    tuples, ids and values, which cost about 16 B per entry where a dict
+    costs about 40 B, and each partner column is a read-only view of the
+    built one (see KLTable): the table stores one pair of tuples per
+    inverse pair, and a column's lookup dict exists only once something
+    has looked a key up in it.
     """
     return KLTable(system, *_kl_columns(system)[:2])
 
@@ -396,9 +453,9 @@ def _kl_columns(system: CoxeterSystem
                 ) -> tuple[list[Mapping[int, LaurentPoly]],
                            list[dict[int, int]], dict[int, int]]:
     """The columns and mu rows of compute_kl_table, and the columns it
-    built: w -> the right descent s it was built along.  Every other
-    nonidentity column is a _PartnerColumn over the column of its
-    inverse."""
+    built: w -> the right descent s it was built along.  The identity's
+    and the built columns are _Columns; every other column is a
+    _PartnerColumn over the column of its inverse."""
     inv, descents = system.inverse, system.right_descents
     index = dict(enumerate(inv))
     by_gen = [[row[s] for row in system.right] for s in range(system.rank)]
@@ -408,7 +465,10 @@ def _kl_columns(system: CoxeterSystem
     # bottom) values; one = h(e, e) is the first top
     one = _unpack(1)
     pairs = {1: (one, _unpack(1 << _WIDTH))}
-    h[0], mu[0] = {0: one}, {}
+    h[0], mu[0] = _Column({0: one}), {}
+    # size[w] = len(h[w]), which the scoring reads without calling a
+    # column's Python-level __len__
+    size = [1] * system.size
     built: dict[int, int] = {}
     for x in system.elements():
         if h[x] is not None:
@@ -417,8 +477,8 @@ def _kl_columns(system: CoxeterSystem
         for w in (x,) if inv[x] == x else (x, inv[x]):
             for s in sorted(descents[w]):
                 wp = by_gen[s][w]
-                cost = len(h[wp]) + sum(
-                    [len(h[z]) for z in mu[wp] if s in descents[z]])
+                cost = size[wp] + sum(
+                    [size[z] for z in mu[wp] if s in descents[z]])
                 if best is None or cost < best[0]:
                     best = (cost, w, s)
         _, w, s = best
@@ -461,11 +521,12 @@ def _kl_columns(system: CoxeterSystem
                 col[t], col[rs[t]] = pair
                 if m := (c >> _WIDTH) & _MASK:
                     row[t] = m
-        h[w], mu[w] = col, row
+        h[w], mu[w] = _Column(col), row
         built[w] = s
         wi = inv[w]
+        size[w] = size[wi] = len(col)
         if wi != w:
-            h[wi] = _PartnerColumn(col, inv, index)
+            h[wi] = _PartnerColumn(h[w], inv, index)
             mu[wi] = dict(zip(map(inv.__getitem__, row), row.values()))
     return h, mu, built
 

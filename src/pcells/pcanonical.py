@@ -334,6 +334,9 @@ def verify_parabolic_factorization(table: PCanTable, kl: KLTable,
     """
     sys_ = table.system
     sub_elements = sorted(sys_.parabolic_elements(gens))
+    # the right-hand sides depend on y and z only
+    sub_p_h = {(y, z): p_h(table, kl, y, z)
+               for y in sub_elements for z in sub_elements}
     bad: list[str] = []
     checked = 0
     for x in sorted(sys_.minimal_coset_representatives(gens, "right")):
@@ -342,7 +345,7 @@ def verify_parabolic_factorization(table: PCanTable, kl: KLTable,
             for z in sub_elements:
                 checked += 1
                 lhs = p_h(table, kl, prods[y], prods[z])
-                rhs = p_h(table, kl, y, z)
+                rhs = sub_p_h[y, z]
                 if lhs != rhs:
                     bad.append(
                         f"p_h({sys_.id_to_digits(prods[y])}, "

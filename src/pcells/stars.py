@@ -22,7 +22,7 @@ variant refines through star images for every finite m >= 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .cells import CellPartition
 from .coxeter import CoxeterSystem
@@ -101,22 +101,22 @@ def _coset_min(system: CoxeterSystem, x: int, r: int, t: int) -> int:
         x = system.right[x][min(ds)]
 
 
-def _strings(system: CoxeterSystem, r: int, t: int, m: int,
-             minima: Iterable[int]) -> Iterator[tuple[int, int, list[int]]]:
-    """Both right <r, t>-strings above each coset minimum, as (minimum,
-    starting letter, elements): the elements are the minimum times the
-    prefixes of length 1 .. m - 1 of the alternating word in that letter,
-    walked over system.right."""
+def _string_walk(system: CoxeterSystem, r: int, t: int, m: int,
+                 minima: list[int]) -> list[list[list[int]]]:
+    """The right <r, t>-strings above the coset minima, position by
+    position: for each starting letter, r then t, the positions 1 .. m - 1,
+    where position k lists the minima, in their order, times the prefix of
+    length k of the alternating word in that letter.  Each position is one
+    pass over the one before, walked over system.right."""
     right = system.right
-    words = (((r, t) * m)[:m - 1], ((t, r) * m)[:m - 1])
-    for w_min in minima:
-        for word in words:
-            x = w_min
-            elements = []
-            for s in word:
-                x = right[x][s]
-                elements.append(x)
-            yield w_min, word[0], elements
+    walks = []
+    for word in (((r, t) * m)[:m - 1], ((t, r) * m)[:m - 1]):
+        layer, walk = minima, []
+        for s in word:
+            layer = [right[x][s] for x in layer]
+            walk.append(layer)
+        walks.append(walk)
+    return walks
 
 
 def string_of(system: CoxeterSystem, x: int, r: int, t: int
@@ -129,10 +129,11 @@ def string_of(system: CoxeterSystem, x: int, r: int, t: int
         raise ValueError(
             f"element {system.id_to_digits(x) or 'e'} is not in D_R(r, t)")
     w_min = _coset_min(system, x, r, t)
-    for _, start, elements in _strings(system, r, t, m, (w_min,)):
+    for start, walk in zip((r, t), _string_walk(system, r, t, m, [w_min])):
+        elements = tuple(layer[0] for layer in walk)
         if x in elements:
             s = StringDecomposition(r=r, t=t, m=m, coset_min=w_min,
-                                    start=start, elements=tuple(elements))
+                                    start=start, elements=elements)
             return s, s.position(x)
     raise AssertionError("element escaped both strings of its coset")
 
@@ -143,9 +144,13 @@ def all_strings(system: CoxeterSystem, r: int, t: int) -> list[StringDecompositi
     if m == 0:
         raise ValueError("infinite bond order")
     minima = sorted(system.minimal_coset_representatives({r, t}, "right"))
-    return [StringDecomposition(r=r, t=t, m=m, coset_min=w_min, start=start,
-                                elements=tuple(elements))
-            for w_min, start, elements in _strings(system, r, t, m, minima)]
+    # one (minimum, x_1, .., x_{m-1}) row per coset and starting letter
+    by_r, by_t = (zip(minima, *walk)
+                  for walk in _string_walk(system, r, t, m, minima))
+    return [StringDecomposition(r=r, t=t, m=m, coset_min=row[0],
+                                start=start, elements=row[1:])
+            for pair in zip(by_r, by_t)
+            for start, row in zip((r, t), pair)]
 
 
 def star_right(system: CoxeterSystem, x: int, r: int, t: int) -> int:
@@ -182,12 +187,14 @@ def _string_maps(system: CoxeterSystem, r: int, t: int
     star: dict[int, int] = {}
     neighbours: dict[int, tuple[int, int]] = {}
     minima = sorted(system.minimal_coset_representatives({r, t}, "right"))
-    for _, _, elements in _strings(system, r, t, m, minima):
-        star.update(zip(elements, reversed(elements)))
-        # x_k pairs ends[k - 1] with ends[k + 1]: x_{k-1} and x_{k+1}, or at
-        # an end of the string the one neighbour twice
-        ends = [elements[1], *elements, elements[-2]]
-        neighbours.update(zip(elements, zip(ends, ends[2:])))
+    for walk in _string_walk(system, r, t, m, minima):
+        for layer, image in zip(walk, reversed(walk)):
+            star.update(zip(layer, image))
+        # position k pairs ends[k - 1] with ends[k + 1]: positions k - 1
+        # and k + 1, or at an end of the string the one neighbour twice
+        ends = [walk[1], *walk, walk[-2]]
+        for layer, before, after in zip(walk, ends, ends[2:]):
+            neighbours.update(zip(layer, zip(before, after)))
     return star, neighbours
 
 

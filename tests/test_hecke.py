@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -11,6 +14,7 @@ from pcells.hecke import (
     BasisMismatchError,
     HeckeElt,
     KLTable,
+    _Column,
     _acc,
     _kl_columns,
     _unpack,
@@ -396,10 +400,10 @@ def test_partner_columns_are_read_only_views(label):
     keys = _odd_keys(system)
     for w in system.elements():
         wi = inv[w]
-        # one dict of entries per inverse pair: the identity's and the
+        # one stored column per inverse pair: the identity's and the
         # built columns
-        assert (type(h[w]) is dict) == (w == 0 or w in built)
-        if wi == w or type(h[w]) is not dict:
+        assert (type(h[w]) is _Column) == (w == 0 or w in built)
+        if wi == w or type(h[w]) is not _Column:
             continue
         view, oracle = h[wi], _relabel(h[w], inv)
         assert type(view) is not dict and not hasattr(view, "__setitem__")
@@ -417,7 +421,7 @@ def test_partner_columns_are_read_only_views(label):
         _assert_reads_like(view, oracle, keys)
         with pytest.raises(TypeError):
             view.get([])
-    assert sum(type(col) is dict for col in h) \
+    assert sum(type(col) is _Column for col in h) \
         == len({min(x, inv[x]) for x in system.elements()})
 
 
@@ -426,10 +430,84 @@ def test_partner_columns_read_every_int_key_like_the_copied_dict(a3, kl_a3):
     # index inv from its end, and raise for ids >= |W|
     inv, n = a3.inverse, a3.size
     keys = [*range(-n - 2, n + 3), *_odd_keys(a3)]
-    partners = [x for x in a3.elements() if type(kl_a3.h[x]) is not dict]
+    partners = [x for x in a3.elements() if type(kl_a3.h[x]) is not _Column]
     assert partners
     for x in partners:
         _assert_reads_like(kl_a3.h[x], _relabel(kl_a3.h[inv[x]], inv), keys)
+
+
+def _built(table):
+    return [col for col in table.h if type(col) is _Column]
+
+
+@pytest.mark.parametrize("label", ["B4", "F4"])
+def test_built_columns_are_read_only_and_read_like_a_dict(label):
+    system = _system(FULL_COLUMN_GROUPS[label])
+    table = compute_kl_table(system)
+    keys = [*range(-3, 3), *range(system.size - 3, system.size),
+            *_odd_keys(system)]
+    built = _built(table)
+    assert table.h[0] in built
+    assert not any(isinstance(col, dict) for col in table.h)
+    for col in built:
+        oracle = dict(col.items())
+        assert not hasattr(col, "__setitem__")
+        with pytest.raises(TypeError):
+            col[0] = ONE
+        assert col == oracle and len(col) == len(oracle)
+        assert list(col) == list(oracle)
+        assert list(col.keys()) == list(oracle.keys())
+        assert all(a is b for a, b in zip(col.values(), oracle.values()))
+        _assert_reads_like(col, oracle, keys + list(col)[:3])
+        with pytest.raises(TypeError):
+            col.get([])
+        with pytest.raises(TypeError):
+            [] in col
+
+
+def test_iterating_a_column_builds_no_lookup_index(b3):
+    table = compute_kl_table(b3)
+    built = _built(table)
+    for col in table.h:
+        list(col.items()), list(col.keys()), list(col.values()), list(col)
+        len(col), len(col.items()), len(col.values())
+    # the kernel and change_basis iterate columns and look nothing up
+    c = HeckeElt(b3, KL, {x: ONE for x in b3.elements()})
+    change_basis(change_basis(c, STD, kl=table), KL, kl=table)
+    assert all(col._index is None for col in built)
+    longest = b3.longest_element()
+    table.h_poly(0, longest)
+    indexed = [col for col in built if col._index is not None]
+    assert len(indexed) == 1 and indexed[0]._index == dict(indexed[0].items())
+
+
+def test_first_lookup_from_threads_reads_like_the_dict():
+    # every thread looks up in every column of a fresh table at once, so
+    # first lookups race to build the same index
+    system = _system(FULL_COLUMN_GROUPS["B4"])
+    table = compute_kl_table(system)
+    n = system.size
+    keys = [-1, 0, n - 1, n, True, 1.0, None,
+            *random.Random(8).sample(range(n), 40)]
+    want = [[dict(col.items()).get(y) for y in keys] for col in table.h]
+    start = threading.Barrier(8, timeout=60)
+
+    def read(_):
+        start.wait()
+        return [[col.get(y) for y in keys] for col in table.h]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(read, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for answers in got:
+        assert len(answers) == len(want)
+        assert all(p is q for a, b in zip(answers, want)
+                   for p, q in zip(a, b, strict=True))
+    assert all(col._index == dict(col.items()) for col in _built(table))
 
 
 def test_kl_table_shares_equal_polynomials(a3, kl_a3):

@@ -278,3 +278,49 @@ def test_string_maps_match_star_right_and_t_neighbors(label):
             for x in star:
                 assert star[x] == star_right(system, x, r, t)
                 assert list(neighbours[x]) == t_neighbors(system, x, r, t)
+
+
+def _strings_one_by_one(system, r, t, m, minima):
+    """Oracle for the string walk: both right <r, t>-strings above each
+    coset minimum, as (minimum, starting letter, elements), walked one
+    string at a time (the generator the position-by-position walk
+    replaced)."""
+    right = system.right
+    words = (((r, t) * m)[:m - 1], ((t, r) * m)[:m - 1])
+    for w_min in minima:
+        for word in words:
+            x = w_min
+            elements = []
+            for s in word:
+                x = right[x][s]
+                elements.append(x)
+            yield w_min, word[0], elements
+
+
+@pytest.mark.parametrize("label", TAU_GROUPS)
+def test_strings_match_the_one_by_one_walk(label):
+    system = _system(label)
+    for r in range(system.rank):
+        for t in range(system.rank):
+            if r == t:
+                continue
+            m = system.coxeter_matrix[r][t]
+            minima = sorted(system.minimal_coset_representatives({r, t},
+                                                                 "right"))
+            want = list(_strings_one_by_one(system, r, t, m, minima))
+            # all_strings: the same strings in the same order
+            assert [(s.coset_min, s.start, list(s.elements))
+                    for s in all_strings(system, r, t)] == want
+            for w_min, start, elements in want:
+                for k, x in enumerate(elements, 1):
+                    s, pos = string_of(system, x, r, t)
+                    assert (s.coset_min, s.start, list(s.elements), pos) \
+                        == (w_min, start, elements, k)
+            if m < 3:
+                continue
+            star, neighbours = {}, {}
+            for _, _, elements in want:
+                star.update(zip(elements, reversed(elements)))
+                ends = [elements[1], *elements, elements[-2]]
+                neighbours.update(zip(elements, zip(ends, ends[2:])))
+            assert _string_maps(system, r, t) == (star, neighbours)
