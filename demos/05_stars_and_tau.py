@@ -8,31 +8,30 @@ neighbourhoods and, in type A, recovers the left cells exactly.
 
 from pcells import (
     CoxeterSystem,
+    DihedralStrings,
     compute_cells,
     compute_kl_table,
     identity_table,
     check_base_change_relations,
-    star_right,
-    string_of,
     tau_partition,
     tau_tilde_partition,
 )
-from pcells.stars import all_strings, d_r_set
 
 b3 = CoxeterSystem.from_type("B3")
 kl = compute_kl_table(b3)
 table = identity_table(b3)
 
 r, t = 0, 1  # the bond of order 4
-print(f"strings for the pair (1, 2), m = {b3.coxeter_matrix[r][t]}:")
-for s in all_strings(b3, r, t)[:4]:
+pair = DihedralStrings(b3, r, t)
+print(f"strings for the pair (1, 2), m = {pair.m}:")
+for s in pair.strings[:4]:
     words = [b3.id_to_digits(x) for x in s.elements]
     print(f"  minimal {b3.id_to_digits(s.coset_min) or 'e'} -> {words}")
 
 x = b3.digits_to_id("121")
-sd, pos = string_of(b3, x, r, t)
+pos = next(s.elements.index(x) + 1 for s in pair.strings if x in s.elements)
 print(f"\n121 sits at position {pos} of its string; "
-      f"star image: {b3.id_to_digits(star_right(b3, x, r, t))}")
+      f"star image: {b3.id_to_digits(pair.star[x])}")
 
 rep = check_base_change_relations(table, r, t)
 print(f"\nbase-change relations on all string pairs: "

@@ -55,6 +55,7 @@ from .cells import (
     verify_wgraph_relations,
 )
 from .stars import (
+    DihedralStrings,
     PBoundError,
     StringDecomposition,
     TauPartition,
@@ -63,10 +64,6 @@ from .stars import (
     check_structure_coefficient_relations,
     classify_string_relation,
     star_closure_check,
-    star_left,
-    star_right,
-    string_of,
-    t_neighbors,
     tau_partition,
     tau_tilde_partition,
 )

@@ -268,6 +268,12 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, GroupTooLargeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass
+    # outside the handler, so the traceback and the computation's frames
+    # are freed before printing
+    print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -5,8 +5,11 @@ the dihedral parabolic <r, t> consists of its minimal element, its maximal
 element, and two "strings" of m - 1 elements (one per starting letter);
 the union of the strings of all cosets is D_R(r, t), the set of elements
 with exactly one of r, t as a right descent.  The right star operation
-flips position k of a string to position m - k; the left operation is
-conjugate under inversion.
+flips position k of a string to position m - k.  DihedralStrings(system,
+r, t) reads all of this for one pair from one walk over the cosets: the
+strings, the right star map `star` and the string neighbours
+`neighbours`.  The left star operation is `star` conjugated by inversion,
+x -> inverse[star[inverse[x]]] on D_L(r, t).
 
 The checkers in this module verify the numerical consequences of the star
 operations for base-change and structure coefficients (the m = 3, 4, 6
@@ -22,6 +25,7 @@ variant refines through star images for every finite m >= 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .cells import CellPartition
@@ -66,40 +70,6 @@ class StringDecomposition:
     start: int  # the generator the alternating word starts with
     elements: tuple[int, ...]
 
-    def position(self, x: int) -> int:
-        """1-based position of x in the string."""
-        return self.elements.index(x) + 1
-
-    def neighbours(self, x: int) -> list[int]:
-        k = self.position(x)
-        out = []
-        if k > 1:
-            out.append(self.elements[k - 2])
-        if k < len(self.elements):
-            out.append(self.elements[k])
-        return out
-
-
-def in_d_r(system: CoxeterSystem, x: int, r: int, t: int) -> bool:
-    return len(system.right_descents[x] & {r, t}) == 1
-
-
-def in_d_l(system: CoxeterSystem, x: int, r: int, t: int) -> bool:
-    return len(system.left_descents[x] & {r, t}) == 1
-
-
-def d_r_set(system: CoxeterSystem, r: int, t: int) -> frozenset[int]:
-    return frozenset(x for x in system.elements() if in_d_r(system, x, r, t))
-
-
-def _coset_min(system: CoxeterSystem, x: int, r: int, t: int) -> int:
-    pair = {r, t}
-    while True:
-        ds = system.right_descents[x] & pair
-        if not ds:
-            return x
-        x = system.right[x][min(ds)]
-
 
 def _string_walk(system: CoxeterSystem, r: int, t: int, m: int,
                  minima: list[int]) -> list[list[list[int]]]:
@@ -119,95 +89,67 @@ def _string_walk(system: CoxeterSystem, r: int, t: int, m: int,
     return walks
 
 
-def string_of(system: CoxeterSystem, x: int, r: int, t: int
-              ) -> tuple[StringDecomposition, int]:
-    """The right <r, t>-string through x and the 1-based position of x."""
-    m = system.coxeter_matrix[r][t]
-    if m == 0:
-        raise ValueError("infinite bond order: strings are unbounded")
-    if not in_d_r(system, x, r, t):
-        raise ValueError(
-            f"element {system.id_to_digits(x) or 'e'} is not in D_R(r, t)")
-    w_min = _coset_min(system, x, r, t)
-    for start, walk in zip((r, t), _string_walk(system, r, t, m, [w_min])):
-        elements = tuple(layer[0] for layer in walk)
-        if x in elements:
-            s = StringDecomposition(r=r, t=t, m=m, coset_min=w_min,
-                                    start=start, elements=elements)
-            return s, s.position(x)
-    raise AssertionError("element escaped both strings of its coset")
+class DihedralStrings:
+    """The right <r, t>-strings of one generator pair, read from one walk.
 
+    `strings` lists both strings of every coset, by increasing minimum,
+    the one starting with r first.  `star` sends each x in D_R(r, t) to
+    its right star image (position k to position m - k), and `neighbours`
+    to its string neighbours (positions k - 1 and k + 1 inside 1..m-1, the
+    one that exists doubled at a string end).  Ids increase with length,
+    so each neighbour pair is in increasing order.  The keys of both maps
+    are D_R(r, t).  Each view is built on first use, and `star` and
+    `neighbours` need m >= 3."""
 
-def all_strings(system: CoxeterSystem, r: int, t: int) -> list[StringDecomposition]:
-    """Both strings of every <r, t>-coset, minimal representative order."""
-    m = system.coxeter_matrix[r][t]
-    if m == 0:
-        raise ValueError("infinite bond order")
-    minima = sorted(system.minimal_coset_representatives({r, t}, "right"))
-    # one (minimum, x_1, .., x_{m-1}) row per coset and starting letter
-    by_r, by_t = (zip(minima, *walk)
-                  for walk in _string_walk(system, r, t, m, minima))
-    return [StringDecomposition(r=r, t=t, m=m, coset_min=row[0],
-                                start=start, elements=row[1:])
-            for pair in zip(by_r, by_t)
-            for start, row in zip((r, t), pair)]
+    def __init__(self, system: CoxeterSystem, r: int, t: int):
+        if r == t:
+            raise ValueError("strings need two distinct generators")
+        m = system.coxeter_matrix[r][t]
+        if m == 0:
+            raise ValueError("infinite bond order: strings are unbounded")
+        self.system, self.r, self.t, self.m = system, r, t, m
 
+    @cached_property
+    def _walk(self) -> tuple[list[int], list[list[list[int]]]]:
+        minima = sorted(self.system.minimal_coset_representatives(
+            {self.r, self.t}, "right"))
+        return minima, _string_walk(self.system, self.r, self.t, self.m,
+                                    minima)
 
-def star_right(system: CoxeterSystem, x: int, r: int, t: int) -> int:
-    """The right star operation: position k goes to position m - k."""
-    m = system.coxeter_matrix[r][t]
-    if m == 0:
-        raise ValueError("star operations need a finite bond order")
-    if m < 3:
-        raise ValueError("star operations need bond order >= 3")
-    s, k = string_of(system, x, r, t)
-    return s.elements[m - k - 1]
+    def _star_walks(self) -> list[list[list[int]]]:
+        if self.m < 3:
+            raise ValueError("star operations need bond order >= 3")
+        return self._walk[1]
 
+    @cached_property
+    def strings(self) -> list[StringDecomposition]:
+        minima, walks = self._walk
+        # one (minimum, x_1, .., x_{m-1}) row per coset and starting letter
+        by_r, by_t = (zip(minima, *walk) for walk in walks)
+        return [StringDecomposition(r=self.r, t=self.t, m=self.m,
+                                    coset_min=row[0], start=start,
+                                    elements=row[1:])
+                for pair in zip(by_r, by_t)
+                for start, row in zip((self.r, self.t), pair)]
 
-def star_left(system: CoxeterSystem, x: int, r: int, t: int) -> int:
-    """The left star operation, via *w = ((w^-1)*)^-1."""
-    if not in_d_l(system, x, r, t):
-        raise ValueError(
-            f"element {system.id_to_digits(x) or 'e'} is not in D_L(r, t)")
-    return system.inverse[star_right(system, system.inverse[x], r, t)]
+    @cached_property
+    def star(self) -> dict[int, int]:
+        star: dict[int, int] = {}
+        for walk in self._star_walks():
+            for layer, image in zip(walk, reversed(walk)):
+                star.update(zip(layer, image))
+        return star
 
-
-def _string_maps(system: CoxeterSystem, r: int, t: int
-                 ) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
-    """Star image and string-neighbour pair of every x in D_R(r, t), from
-    one walk over the strings: position k goes to m - k, and its neighbours
-    are positions k - 1 and k + 1 inside 1..m-1, the one that exists doubled
-    at a string end (as star_right and t_neighbors give).  Ids increase with
-    length, so each pair is in increasing order, as t_neighbors sorts it."""
-    m = system.coxeter_matrix[r][t]
-    if m == 0:
-        raise ValueError("star operations need a finite bond order")
-    if m < 3:
-        raise ValueError("star operations need bond order >= 3")
-    star: dict[int, int] = {}
-    neighbours: dict[int, tuple[int, int]] = {}
-    minima = sorted(system.minimal_coset_representatives({r, t}, "right"))
-    for walk in _string_walk(system, r, t, m, minima):
-        for layer, image in zip(walk, reversed(walk)):
-            star.update(zip(layer, image))
-        # position k pairs ends[k - 1] with ends[k + 1]: positions k - 1
-        # and k + 1, or at an end of the string the one neighbour twice
-        ends = [walk[1], *walk, walk[-2]]
-        for layer, before, after in zip(walk, ends, ends[2:]):
-            neighbours.update(zip(layer, zip(before, after)))
-    return star, neighbours
-
-
-def t_neighbors(system: CoxeterSystem, x: int, r: int, t: int) -> list[int]:
-    """The string neighbours {xr, xt} intersected with D_R(r, t), duplicated
-    to a two-element multiset when only one exists."""
-    out = [y for y in (system.right[x][r], system.right[x][t])
-           if in_d_r(system, y, r, t)]
-    if len(out) == 1:
-        out = out * 2
-    if len(out) != 2:
-        raise ValueError("element is not inside a string")
-    return sorted(out)
+    @cached_property
+    def neighbours(self) -> dict[int, tuple[int, int]]:
+        neighbours: dict[int, tuple[int, int]] = {}
+        for walk in self._star_walks():
+            # position k pairs ends[k - 1] with ends[k + 1]: positions k - 1
+            # and k + 1, or at an end of the string the one neighbour twice
+            ends = [walk[1], *walk, walk[-2]]
+            for layer, before, after in zip(walk, ends, ends[2:]):
+                neighbours.update(zip(layer, zip(before, after)))
+        return neighbours
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +216,20 @@ def check_base_change_relations(table: PCanTable, r: int, t: int) -> Report:
     """The relation systems on base-change coefficients m(z_j, x_i) between
     all pairs of full strings, plus the star symmetry m(z, x) = m(z*, x*)."""
     sys_ = table.system
-    m = sys_.coxeter_matrix[r][t]
-    _require_bound(table, m)
-    strings = all_strings(sys_, r, t)
+    pair = DihedralStrings(sys_, r, t)
+    _require_bound(table, pair.m)
+    star = pair.star
     bad: list[str] = []
     checked = 0
-    for sx in strings:
-        for sz in strings:
+    for sx in pair.strings:
+        for sz in pair.strings:
             def get(j: int, i: int) -> LaurentPoly:
                 return table.m(sz.elements[j - 1], sx.elements[i - 1])
 
             label = (f"m-relations x-string {sys_.id_to_digits(sx.elements[0])}"
                      f" z-string {sys_.id_to_digits(sz.elements[0])}")
-            checked += _check_relation_system(m, get, label, bad)
+            checked += _check_relation_system(pair.m, get, label, bad)
 
-    star, _ = _string_maps(sys_, r, t)
     dr = sorted(star)
     for x in dr:
         for z in dr:
@@ -308,9 +249,9 @@ def check_structure_coefficient_relations(table: PCanTable, kl: KLTable,
     mu^{z_j}(s, x_i) for every generator s raising the x-string on the left,
     plus the star symmetry of structure coefficients."""
     sys_ = table.system
-    m = sys_.coxeter_matrix[r][t]
-    _require_bound(table, m)
-    strings = all_strings(sys_, r, t)
+    pair = DihedralStrings(sys_, r, t)
+    _require_bound(table, pair.m)
+    star = pair.star
     bad: list[str] = []
     checked = 0
     cache: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
@@ -321,12 +262,12 @@ def check_structure_coefficient_relations(table: PCanTable, kl: KLTable,
             cache[key] = structure_coefficients(table, kl, x, s, "left")
         return cache[key]
 
-    for sx in strings:
+    for sx in pair.strings:
         x1 = sx.elements[0]
         for s in range(sys_.rank):
             if s in sys_.left_descents[x1]:
                 continue
-            for sz in strings:
+            for sz in pair.strings:
                 def get(j: int, i: int) -> LaurentPoly:
                     return left_mu(s, sx.elements[i - 1]).get(
                         sz.elements[j - 1], LaurentPoly())
@@ -334,9 +275,8 @@ def check_structure_coefficient_relations(table: PCanTable, kl: KLTable,
                 label = (f"mu-relations s={s + 1} x-string "
                          f"{sys_.id_to_digits(sx.elements[0])} z-string "
                          f"{sys_.id_to_digits(sz.elements[0])}")
-                checked += _check_relation_system(m, get, label, bad)
+                checked += _check_relation_system(pair.m, get, label, bad)
 
-    star, _ = _string_maps(sys_, r, t)
     dr = sorted(star)
     for x in dr:
         for s in range(sys_.rank):
@@ -360,17 +300,16 @@ def check_string_vanishing(table: PCanTable, kl: KLTable, r: int, t: int
     reaches string neighbours: mu^z(x, u) = 0 for z in D_R(r, t) unless z
     neighbours x in its string."""
     sys_ = table.system
-    m = sys_.coxeter_matrix[r][t]
-    _require_bound(table, m)
-    dr = d_r_set(sys_, r, t)
+    pair = DihedralStrings(sys_, r, t)
+    _require_bound(table, pair.m)
+    neighbours = pair.neighbours
     bad: list[str] = []
     checked = 0
-    for x in sorted(dr):
-        sx, _ = string_of(sys_, x, r, t)
-        allowed = set(sx.neighbours(x))
+    for x in sorted(neighbours):
+        allowed = set(neighbours[x])
         u = t if t not in sys_.right_descents[x] else r
         for z, c in structure_coefficients(table, kl, x, u, "right").items():
-            if z == x or z not in dr:
+            if z == x or z not in neighbours:
                 continue
             checked += 1
             if c and z not in allowed:
@@ -387,10 +326,9 @@ def check_coefficient_sliding(table: PCanTable, kl: KLTable, r: int, t: int
     B_x C_b equals m(za, x) [za in D_R] + m(zb, x) [zb in D_R] for every
     z in D_R(r, t)."""
     sys_ = table.system
-    m = sys_.coxeter_matrix[r][t]
-    if m == 0:
-        raise ValueError("infinite bond order")
-    dr = sorted(d_r_set(sys_, r, t))
+    strings = DihedralStrings(sys_, r, t).strings
+    in_dr = {x for s in strings for x in s.elements}
+    dr = sorted(in_dr)
     bad: list[str] = []
     checked = 0
     for x in dr:
@@ -402,9 +340,9 @@ def check_coefficient_sliding(table: PCanTable, kl: KLTable, r: int, t: int
             got = acc.get(z, LaurentPoly())
             want = LaurentPoly()
             za, zb = sys_.right[z][a], sys_.right[z][b]
-            if in_d_r(sys_, za, r, t):
+            if za in in_dr:
                 want = want + table.m(za, x)
-            if in_d_r(sys_, zb, r, t):
+            if zb in in_dr:
                 want = want + table.m(zb, x)
             checked += 1
             if got != want:
@@ -476,17 +414,17 @@ def star_closure_check(left: CellPartition, right: CellPartition,
     (d) the string-completion of a left cell minus the cell is a union of
         at most m - 2 left cells.
     """
-    m = system.coxeter_matrix[r][t]
-    if not p_bound_ok(prime, m):
+    pair = DihedralStrings(system, r, t)
+    if not p_bound_ok(prime, pair.m):
         raise PBoundError(
-            f"p = {prime} is below the bound for bond order {m}")
-    star, _ = _string_maps(system, r, t)
+            f"p = {prime} is below the bound for bond order {pair.m}")
+    star = pair.star
     dr = frozenset(star)
     bad: list[str] = []
     checked = 0
 
     string_of_elt = {}
-    for s in all_strings(system, r, t):
+    for s in pair.strings:
         checked += 1
         if len({right.cell_of[x] for x in s.elements}) != 1:
             bad.append(f"string at {system.id_to_digits(s.elements[0])} "
@@ -510,7 +448,7 @@ def star_closure_check(left: CellPartition, right: CellPartition,
         if union != completion:
             bad.append(f"string completion of left cell {i} is not a union "
                        "of left cells")
-        if len(touched) > m - 2:
+        if len(touched) > pair.m - 2:
             bad.append(f"string completion of left cell {i} uses "
                        f"{len(touched)} > m - 2 left cells")
 
@@ -578,7 +516,7 @@ def tau_partition(system: CoxeterSystem,
     multisets of strings, over pairs with bond order 3 or 4 (restrict with
     orders=(3,) when only those pairs are valid at the working prime)."""
     # one map at a time, each dict freed once its list is built
-    maps = (_string_maps(system, r, t)[1]
+    maps = (DihedralStrings(system, r, t).neighbours
             for r in range(system.rank) for t in range(r + 1, system.rank)
             if system.coxeter_matrix[r][t] in orders)
     bonds = [[pairs.get(x, (x, x)) for x in system.elements()] for pairs in maps]
@@ -594,7 +532,7 @@ def tau_partition(system: CoxeterSystem,
 def tau_tilde_partition(system: CoxeterSystem) -> TauPartition:
     """Same fixpoint scheme, refining by star images over every pair with
     finite bond order at least 3."""
-    maps = (_string_maps(system, r, t)[0]
+    maps = (DihedralStrings(system, r, t).star
             for r in range(system.rank) for t in range(r + 1, system.rank)
             if system.coxeter_matrix[r][t] >= 3)
     bonds = [[star.get(x, x) for x in system.elements()] for star in maps]

@@ -40,7 +40,7 @@ from .pcanonical import (
 )
 from .report import Report
 from .stars import (
-    _string_maps,
+    DihedralStrings,
     check_base_change_relations,
     check_coefficient_sliding,
     check_string_vanishing,
@@ -357,7 +357,7 @@ def _wgraph_star_isomorphism(system, left: CellPartition,
                              graphs: list[ColouredWGraph], r: int, t: int
                              ) -> Report:
     """graphs[i] is the W-graph of left cell i."""
-    star, _ = _string_maps(system, r, t)
+    star = DihedralStrings(system, r, t).star
     bad: list[str] = []
     checked = 0
     for i, cell in enumerate(left.cells):

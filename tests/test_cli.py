@@ -158,6 +158,15 @@ def test_errors_while_computing_exit_1(capsys, monkeypatch, error):
     assert (code, out, err) == (1, "", f"error: {error}\n")
 
 
+def test_out_of_memory_exits_1(capsys, monkeypatch):
+    def fail(system):
+        raise MemoryError
+
+    monkeypatch.setattr("pcells.cli.compute_kl_table", fail)
+    code, out, err = run(capsys, "cells", "--type", "A2")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("cells", "--type", "Q3"),
     ("cells", "--cartan", "[[2, -1], [-1"),

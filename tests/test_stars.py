@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from pcells.cells import compute_cells
@@ -5,78 +7,91 @@ from pcells.coxeter import CoxeterSystem
 from pcells.laurent import ONE
 from pcells.pcanonical import PCanTable, identity_table
 from pcells.stars import (
+    DihedralStrings,
     PBoundError,
     TauPartition,
-    _string_maps,
-    all_strings,
     check_base_change_relations,
     check_coefficient_sliding,
     check_string_vanishing,
     check_structure_coefficient_relations,
     classify_string_relation,
-    d_r_set,
-    in_d_r,
     star_closure_check,
-    star_left,
-    star_right,
-    string_of,
-    t_neighbors,
     tau_partition,
     tau_tilde_partition,
 )
 from pcells import verify
 
 
+def _in_d_r(system, x, r, t):
+    return len(system.right_descents[x] & {r, t}) == 1
+
+
+def _strings_through(pair, x):
+    """The strings of the pair through x, each with the 1-based position
+    of x in it."""
+    return [(s.elements, s.elements.index(x) + 1)
+            for s in pair.strings if x in s.elements]
+
+
+def _star_left(pair, x):
+    """The left star operation, *x = ((x^-1)*)^-1."""
+    inverse = pair.system.inverse
+    return inverse[pair.star[inverse[x]]]
+
+
 def test_string_of_a2(a2):
     s, st = a2.digits_to_id("1"), a2.digits_to_id("12")
-    sd, pos = string_of(a2, s, 0, 1)
-    assert sd.elements == (s, st) and pos == 1
-    sd2, pos2 = string_of(a2, st, 0, 1)
-    assert sd2.elements == (s, st) and pos2 == 2
-    with pytest.raises(ValueError):
-        string_of(a2, 0, 0, 1)
-    w0 = a2.longest_element()
-    with pytest.raises(ValueError):
-        string_of(a2, w0, 0, 1)
+    pair = DihedralStrings(a2, 0, 1)
+    assert _strings_through(pair, s) == [((s, st), 1)]
+    assert _strings_through(pair, st) == [((s, st), 2)]
+    # e and w0 are outside D_R(r, t): in no string, with no star image
+    for x in (0, a2.longest_element()):
+        assert _strings_through(pair, x) == []
+        assert x not in pair.star and x not in pair.neighbours
 
 
 def test_string_of_b2(b2):
     sts = b2.digits_to_id("121")
-    sd, pos = string_of(b2, sts, 0, 1)
-    assert pos == 3
-    assert sd.elements == tuple(b2.digits_to_id(w) for w in ("1", "12", "121"))
+    want = tuple(b2.digits_to_id(w) for w in ("1", "12", "121"))
+    assert _strings_through(DihedralStrings(b2, 0, 1), sts) == [(want, 3)]
 
 
 def test_star_right(a2, b2):
     s, st = a2.digits_to_id("1"), a2.digits_to_id("12")
-    assert star_right(a2, s, 0, 1) == st
-    assert star_right(a2, st, 0, 1) == s
+    star = DihedralStrings(a2, 0, 1).star
+    assert star[s] == st
+    assert star[st] == s
     # the middle of an m = 4 string is fixed
     st_b = b2.digits_to_id("12")
-    assert star_right(b2, st_b, 0, 1) == st_b
-    for x in d_r_set(b2, 0, 1):
-        assert star_right(b2, star_right(b2, x, 0, 1), 0, 1) == x
+    star_b = DihedralStrings(b2, 0, 1).star
+    assert star_b[st_b] == st_b
+    for x in b2.elements():
+        if _in_d_r(b2, x, 0, 1):
+            assert star_b[star_b[x]] == x
 
 
 def test_star_left(a2, b2):
     s, ts = a2.digits_to_id("1"), a2.digits_to_id("21")
-    assert star_left(a2, s, 0, 1) == ts
-    assert star_left(a2, ts, 0, 1) == s
+    pair = DihedralStrings(a2, 0, 1)
+    assert _star_left(pair, s) == ts
+    assert _star_left(pair, ts) == s
     sts = b2.digits_to_id("121")
-    assert star_left(b2, sts, 0, 1) == b2.digits_to_id("1")
-    with pytest.raises(ValueError):
-        star_left(a2, 0, 0, 1)
+    assert _star_left(DihedralStrings(b2, 0, 1), sts) == b2.digits_to_id("1")
+    # e is outside D_L(r, t), so it has no left star image
+    with pytest.raises(KeyError):
+        _star_left(pair, 0)
 
 
 def test_t_neighbors(a2, b2):
     st = b2.digits_to_id("12")
-    assert t_neighbors(b2, st, 0, 1) == sorted(
-        (b2.digits_to_id("1"), b2.digits_to_id("121")))
+    neighbours = DihedralStrings(b2, 0, 1).neighbours
+    assert neighbours[st] == tuple(sorted(
+        (b2.digits_to_id("1"), b2.digits_to_id("121"))))
     s = b2.digits_to_id("1")
-    assert t_neighbors(b2, s, 0, 1) == [st, st]
+    assert neighbours[s] == (st, st)
     sa = a2.digits_to_id("1")
     sta = a2.digits_to_id("12")
-    assert t_neighbors(a2, sa, 0, 1) == [sta, sta]
+    assert DihedralStrings(a2, 0, 1).neighbours[sa] == (sta, sta)
 
 
 @pytest.mark.parametrize("label,pairs", [("A3", [(0, 1), (1, 2)]),
@@ -127,7 +142,7 @@ def test_classification_cases(a3, kl_a3):
     tab = identity_table(a3)
     left = compute_cells(tab, kl_a3, "left")
     for (r, t) in ((0, 1), (1, 2)):
-        strings = all_strings(a3, r, t)
+        strings = DihedralStrings(a3, r, t).strings
         labels = set()
         for sx in strings:
             assert classify_string_relation(left, sx, sx) != "empty"
@@ -141,8 +156,9 @@ def test_classification_b3(b3, kl_b3):
     tab = identity_table(b3)
     left = compute_cells(tab, kl_b3, "left")
     for (r, t) in ((0, 1), (1, 2)):
-        for sx in all_strings(b3, r, t):
-            for sz in all_strings(b3, r, t):
+        strings = DihedralStrings(b3, r, t).strings
+        for sx in strings:
+            for sz in strings:
                 assert classify_string_relation(left, sx, sz) != "nonstandard"
 
 
@@ -210,7 +226,7 @@ def _system(label):
 
 def _tau_by_strings(system, orders=(3, 4), tilde=False):
     """The tau (or tau-tilde) fixpoint with each signature read per element
-    and per round from t_neighbors (or star_right): the implementation the
+    and per round from _t_neighbors (or _star_right): the implementation the
     string maps replaced, refinement and renumbering included."""
     pairs = [(r, t) for r in range(system.rank) for t in range(r + 1, system.rank)
              if (system.coxeter_matrix[r][t] >= 3 if tilde
@@ -219,12 +235,12 @@ def _tau_by_strings(system, orders=(3, 4), tilde=False):
     def signature(class_of, x):
         sig = []
         for (r, t) in pairs:
-            if not in_d_r(system, x, r, t):
+            if not _in_d_r(system, x, r, t):
                 sig.append(None)
             elif tilde:
-                sig.append(class_of[star_right(system, x, r, t)])
+                sig.append(class_of[_star_right(system, x, r, t)])
             else:
-                a, b = t_neighbors(system, x, r, t)
+                a, b = _t_neighbors(system, x, r, t)
                 sig.append(tuple(sorted((class_of[a], class_of[b]))))
         return tuple(sig)
 
@@ -264,20 +280,61 @@ def test_tau_matches_string_oracle(label):
     assert tau_tilde_partition(system) == _tau_by_strings(system, tilde=True)
 
 
+def _coset_min(system, x, r, t):
+    while ds := system.right_descents[x] & {r, t}:
+        x = system.right[x][min(ds)]
+    return x
+
+
+def _string_of(system, x, r, t):
+    """Oracle: the right <r, t>-string through x, as its elements, and the
+    1-based position of x, walked from the coset minimum of x alone."""
+    m = system.coxeter_matrix[r][t]
+    for _, _, elements in _strings_one_by_one(
+            system, r, t, m, [_coset_min(system, x, r, t)]):
+        if x in elements:
+            return elements, elements.index(x) + 1
+    raise AssertionError("element escaped both strings of its coset")
+
+
+def _star_right(system, x, r, t):
+    """Oracle: the right star operation, position k to position m - k."""
+    elements, k = _string_of(system, x, r, t)
+    return elements[-k]
+
+
+def _t_neighbors(system, x, r, t):
+    """Oracle: the string neighbours {xr, xt} intersected with D_R(r, t),
+    duplicated to a two-element multiset when only one exists."""
+    out = [y for y in (system.right[x][r], system.right[x][t])
+           if _in_d_r(system, y, r, t)]
+    if len(out) == 1:
+        out = out * 2
+    if len(out) != 2:
+        raise ValueError("element is not inside a string")
+    return sorted(out)
+
+
 @pytest.mark.parametrize("label", TAU_GROUPS)
 def test_string_maps_match_star_right_and_t_neighbors(label):
     system = _system(label)
     for r in range(system.rank):
-        for t in range(r + 1, system.rank):
-            if system.coxeter_matrix[r][t] < 3:
-                with pytest.raises(ValueError):
-                    _string_maps(system, r, t)
+        for t in range(system.rank):
+            if r == t:
                 continue
-            star, neighbours = _string_maps(system, r, t)
-            assert star.keys() == neighbours.keys() == d_r_set(system, r, t)
+            pair = DihedralStrings(system, r, t)
+            if pair.m < 3:
+                with pytest.raises(ValueError, match="bond order >= 3"):
+                    pair.star
+                with pytest.raises(ValueError, match="bond order >= 3"):
+                    pair.neighbours
+                continue
+            star, neighbours = pair.star, pair.neighbours
+            assert star.keys() == neighbours.keys() == {
+                x for x in system.elements() if _in_d_r(system, x, r, t)}
             for x in star:
-                assert star[x] == star_right(system, x, r, t)
-                assert list(neighbours[x]) == t_neighbors(system, x, r, t)
+                assert star[x] == _star_right(system, x, r, t)
+                assert list(neighbours[x]) == _t_neighbors(system, x, r, t)
 
 
 def _strings_one_by_one(system, r, t, m, minima):
@@ -308,14 +365,14 @@ def test_strings_match_the_one_by_one_walk(label):
             minima = sorted(system.minimal_coset_representatives({r, t},
                                                                  "right"))
             want = list(_strings_one_by_one(system, r, t, m, minima))
-            # all_strings: the same strings in the same order
+            # the same strings in the same order
+            pair = DihedralStrings(system, r, t)
             assert [(s.coset_min, s.start, list(s.elements))
-                    for s in all_strings(system, r, t)] == want
-            for w_min, start, elements in want:
+                    for s in pair.strings] == want
+            # each element lies in one string, at its place in the walk
+            for _, _, elements in want:
                 for k, x in enumerate(elements, 1):
-                    s, pos = string_of(system, x, r, t)
-                    assert (s.coset_min, s.start, list(s.elements), pos) \
-                        == (w_min, start, elements, k)
+                    assert _strings_through(pair, x) == [(tuple(elements), k)]
             if m < 3:
                 continue
             star, neighbours = {}, {}
@@ -323,4 +380,33 @@ def test_strings_match_the_one_by_one_walk(label):
                 star.update(zip(elements, reversed(elements)))
                 ends = [elements[1], *elements, elements[-2]]
                 neighbours.update(zip(elements, zip(ends, ends[2:])))
-            assert _string_maps(system, r, t) == (star, neighbours)
+            assert (pair.star, pair.neighbours) == (star, neighbours)
+
+
+@pytest.mark.parametrize("label", TAU_GROUPS)
+def test_a_generator_paired_with_itself_is_rejected(label):
+    system = _system(label)
+    for r in range(system.rank):
+        with pytest.raises(ValueError, match="two distinct generators"):
+            DihedralStrings(system, r, r)
+
+
+def test_infinite_bond_order_is_rejected():
+    # no infinite group can be enumerated, so a bare Coxeter matrix stands in
+    system = SimpleNamespace(coxeter_matrix=[[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="infinite bond order"):
+        DihedralStrings(system, 0, 1)
+
+
+def test_tau_reads_only_neighbours_and_tau_tilde_only_star(monkeypatch, b3):
+    want = tau_partition(b3), tau_tilde_partition(b3)
+
+    def unread(self):
+        raise AssertionError("view read by the other refinement")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DihedralStrings, "star", property(unread))
+        assert tau_partition(b3) == want[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(DihedralStrings, "neighbours", property(unread))
+        assert tau_tilde_partition(b3) == want[1]

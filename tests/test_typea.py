@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcells.stars import star_right, in_d_r
+from pcells.stars import DihedralStrings
 from pcells.typea import (
     all_permutations,
     column_superstandard,
@@ -166,16 +166,17 @@ def test_knuth_moves_are_star_operations():
     # K_i applies exactly on D_R(s_{i-1}, s_i) and equals the right star
     for n in range(2, 6):
         system = verify.get_system(f"A{n - 1}")
+        # the right star map of the pair (s_{i-1}, s_i), 0-based (i-2, i-1)
+        star_of = {i: DihedralStrings(system, i - 2, i - 1).star
+                   for i in range(2, n)}
         for w in system.elements():
             perm = perm_of_element(system, w)
             applicable = {i for i, _ in knuth_moves(perm)}
             for i in range(2, n):
-                r, t = i - 2, i - 1
-                assert (i in applicable) == in_d_r(system, w, r, t)
+                assert (i in applicable) == (w in star_of[i])
                 if i in applicable:
                     moved = dict(knuth_moves(perm))[i]
-                    assert element_of_perm(system, moved) == \
-                        star_right(system, w, r, t)
+                    assert element_of_perm(system, moved) == star_of[i][w]
 
 
 def test_hook_lengths():
