@@ -24,7 +24,6 @@ each partition once; partitions of parabolic subgroups are computed inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .coxeter import CoxeterSystem
@@ -102,18 +101,35 @@ def transitive_reduction(children: Sequence[Iterable[int]],
 # ---------------------------------------------------------------------------
 # cell partitions
 
-@dataclass
 class CellPartition:
     """A partition of the group into cells plus the condensation of the
     preorder.  Cells are ordered by (minimum element length, minimum id);
     downsets give full reachability, hasse_edges the reduced diagram."""
 
-    side: str
-    prime: int
-    cells: tuple[frozenset[int], ...]
-    cell_of: dict[int, int]
-    hasse_edges: frozenset[tuple[int, int]]
-    downsets: tuple[frozenset[int], ...]  # cell indices <= each cell
+    def __init__(self, side: str, prime: int,
+                 cells: tuple[frozenset[int], ...], cell_of: dict[int, int],
+                 hasse_edges: frozenset[tuple[int, int]],
+                 downsets: tuple[frozenset[int], ...]):
+        self.side = side
+        self.prime = prime
+        self.cells = cells
+        self.cell_of = cell_of
+        self.hasse_edges = hasse_edges
+        self.downsets = downsets  # cell indices <= each cell
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.side, self.prime, self.cells, self.cell_of,
+                 self.hasse_edges, self.downsets)
+                == (other.side, other.prime, other.cells, other.cell_of,
+                    other.hasse_edges, other.downsets))
+
+    def __repr__(self) -> str:
+        return (f"CellPartition(side={self.side!r}, prime={self.prime!r}, "
+                f"cells={self.cells!r}, cell_of={self.cell_of!r}, "
+                f"hasse_edges={self.hasse_edges!r}, "
+                f"downsets={self.downsets!r})")
 
     def leq(self, x: int, y: int) -> bool:
         """x <= y in the element preorder."""
@@ -419,7 +435,6 @@ def decomposition_criterion(table: PCanTable, kl_right: CellPartition,
 # ---------------------------------------------------------------------------
 # coloured W-graphs
 
-@dataclass
 class ColouredWGraph:
     """A based module over the Hecke algebra presented as a decorated graph.
 
@@ -429,10 +444,25 @@ class ColouredWGraph:
     out-edges whose target has s in its descent set.
     """
 
-    side: str
-    vertices: tuple[int, ...]
-    descent_sets: dict[int, frozenset[int]]
-    edges: dict[tuple[int, int], dict[int, LaurentPoly]]
+    def __init__(self, side: str, vertices: tuple[int, ...],
+                 descent_sets: dict[int, frozenset[int]],
+                 edges: dict[tuple[int, int], dict[int, LaurentPoly]]):
+        self.side = side
+        self.vertices = vertices
+        self.descent_sets = descent_sets
+        self.edges = edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.side, self.vertices, self.descent_sets, self.edges)
+                == (other.side, other.vertices, other.descent_sets,
+                    other.edges))
+
+    def __repr__(self) -> str:
+        return (f"ColouredWGraph(side={self.side!r}, "
+                f"vertices={self.vertices!r}, "
+                f"descent_sets={self.descent_sets!r}, edges={self.edges!r})")
 
     def tau_matrix(self, s: int) -> list[list[LaurentPoly]]:
         """Column-convention matrix of tau_s on the free module over the

@@ -38,8 +38,7 @@ Words at the API boundary are either tuples of 0-based generator indices or
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 
@@ -179,14 +178,14 @@ def cartan_matrix_of_type(label: str) -> list[list[int]]:
     The fixed small-rank matrices follow the conventions used throughout
     the shipped reference tables; in particular C3 has a(2,1) = -2 under
     1-based row/column labels, i.e. generator 1 is attached to the double
-    bond and is the long root.  A label that is not a string raises
-    ValueError.
+    bond and is the long root.  A label that is not a string, or that is
+    not a letter followed by an ASCII rank, raises ValueError.
     """
     if not isinstance(label, str):
         raise ValueError(f"type label {label!r} is not a string")
-    label = label.strip().upper()
-    family, rank = label[0], label[1:]
-    if not rank.isdigit():
+    name = label.strip().upper()
+    family, rank = name[:1], name[1:]
+    if not (family.isalpha() and rank.isascii() and rank.isdigit()):
         raise ValueError(f"bad type label {label!r}")
     n = int(rank)
     if family == "A" and n >= 1:
@@ -200,14 +199,14 @@ def cartan_matrix_of_type(label: str) -> list[list[int]]:
         "B3": [[2, -2, 0], [-1, 2, -1], [0, -1, 2]],
         "C3": [[2, -1, 0], [-2, 2, -1], [0, -1, 2]],
     }
-    if label in fixed:
-        return fixed[label]
+    if name in fixed:
+        return fixed[name]
     raise ValueError(f"unsupported type label {label!r}")
 
 
 def parse_digits(digits: str) -> Word:
     """Parse a 1-based digit string like "23212" into a 0-based word."""
-    if not all(ch.isdigit() and ch != "0" for ch in digits):
+    if not all(ch in "123456789" for ch in digits):
         raise ValueError(f"bad digit string {digits!r}")
     return tuple(int(ch) - 1 for ch in digits)
 
@@ -216,8 +215,7 @@ def word_digits(word: Iterable[int]) -> str:
     return "".join(str(s + 1) for s in word)
 
 
-@dataclass(frozen=True)
-class DecoratedSubexpression:
+class DecoratedSubexpression(NamedTuple):
     """A 01-sequence through an expression, with its Bruhat-stroll decorations.
 
     Each position carries U/D (whether the stroll element would go up or down
@@ -265,22 +263,24 @@ class CoxeterSystem:
         """Build from a JSON-style spec: {"type": "C3"} or {"cartan": [[..]]}.
 
         Raises ValueError for a spec that is not an object, has neither key
-        or both, has a type that is not a string, or a "cartan" that is not
-        a list of lists."""
+        or both, has any other key, has a type that is not a string, or a
+        "cartan" that is not a list of lists."""
         if not isinstance(spec, dict):
             raise ValueError(f"group spec {spec!r} is not an object")
         if "type" in spec and "cartan" in spec:
             raise ValueError("group spec has both a 'type' and a 'cartan' key")
+        if "type" not in spec and "cartan" not in spec:
+            raise ValueError("group spec needs a 'type' or 'cartan' key")
+        other = [key for key in spec if key not in ("type", "cartan")]
+        if other:
+            raise ValueError(f"group spec has an unknown key {other[0]!r}")
         if "type" in spec:
             return cls.from_type(spec["type"], cap=cap)
-        if "cartan" in spec:
-            cartan = spec["cartan"]
-            if not (isinstance(cartan, list)
-                    and all(isinstance(row, list) for row in cartan)):
-                raise ValueError(
-                    f"Cartan matrix {cartan!r} is not a list of lists")
-            return cls.from_cartan(cartan, cap=cap)
-        raise ValueError("group spec needs a 'type' or 'cartan' key")
+        cartan = spec["cartan"]
+        if not (isinstance(cartan, list)
+                and all(isinstance(row, list) for row in cartan)):
+            raise ValueError(f"Cartan matrix {cartan!r} is not a list of lists")
+        return cls.from_cartan(cartan, cap=cap)
 
     # -- enumeration -------------------------------------------------------
 
@@ -507,8 +507,7 @@ class CoxeterSystem:
         return self.word_to_id(tuple(phi[s] for s in self.words[w]))
 
 
-@dataclass(frozen=True)
-class ParabolicEmbedding:
+class ParabolicEmbedding(NamedTuple):
     """A standard parabolic subgroup together with its inclusion into W."""
 
     sub: CoxeterSystem

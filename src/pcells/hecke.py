@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .coxeter import CoxeterSystem
@@ -65,16 +64,18 @@ class BasisMismatchError(TypeError):
     """Arithmetic between elements expressed in different bases."""
 
 
-@dataclass
 class HeckeElt:
-    """A finitely supported Z[v,v^-1]-combination of basis elements."""
+    """A finitely supported Z[v,v^-1]-combination of basis elements.
 
-    system: CoxeterSystem
-    basis: str
-    coeffs: dict[int, LaurentPoly] = field(default_factory=dict)
+    Construction copies coeffs into a dict of its own and drops the zero
+    terms.
+    """
 
-    def __post_init__(self):
-        self.coeffs = {w: c for w, c in self.coeffs.items() if c}
+    def __init__(self, system: CoxeterSystem, basis: str,
+                 coeffs: Mapping[int, LaurentPoly] | None = None):
+        self.system = system
+        self.basis = basis
+        self.coeffs = {w: c for w, c in (coeffs or {}).items() if c}
 
     def _check(self, other: "HeckeElt") -> None:
         if self.system is not other.system:
@@ -103,6 +104,10 @@ class HeckeElt:
     def __eq__(self, other) -> bool:
         return (isinstance(other, HeckeElt) and self.basis == other.basis
                 and self.coeffs == other.coeffs)
+
+    def __repr__(self) -> str:
+        return (f"HeckeElt(system={self.system!r}, basis={self.basis!r}, "
+                f"coeffs={self.coeffs!r})")
 
     def __str__(self) -> str:
         if not self.coeffs:

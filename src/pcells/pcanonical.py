@@ -28,7 +28,6 @@ JSON schema (words are 1-based digit lists, coefficients sorted
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -50,7 +49,6 @@ class PCanValidationError(ValueError):
         super().__init__("; ".join(violations))
 
 
-@dataclass
 class PCanTable:
     """Base change from the canonical basis at prime p to the KL basis.
 
@@ -60,15 +58,24 @@ class PCanTable:
     rows holds exactly the nonzero terms.
     """
 
-    system: CoxeterSystem
-    prime: int
-    rows: dict[int, dict[int, LaurentPoly]]
-    provenance: str = "unspecified"
-
-    def __post_init__(self):
-        rows = ((x, {y: m for y, m in r.items() if m})
-                for x, r in self.rows.items())
+    def __init__(self, system: CoxeterSystem, prime: int,
+                 rows: Mapping[int, Mapping[int, LaurentPoly]],
+                 provenance: str = "unspecified"):
+        self.system = system
+        self.prime = prime
+        rows = ((x, {y: m for y, m in r.items() if m}) for x, r in rows.items())
         self.rows = {x: r for x, r in rows if r}
+        self.provenance = provenance
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.system, self.prime, self.rows, self.provenance)
+                == (other.system, other.prime, other.rows, other.provenance))
+
+    def __repr__(self) -> str:
+        return (f"PCanTable(system={self.system!r}, prime={self.prime!r}, "
+                f"rows={self.rows!r}, provenance={self.provenance!r})")
 
     @property
     def is_identity(self) -> bool:

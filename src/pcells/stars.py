@@ -24,9 +24,8 @@ variant refines through star images for every finite m >= 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cells import CellPartition
 from .coxeter import CoxeterSystem
@@ -57,8 +56,7 @@ def _require_bound(table: PCanTable, m: int) -> None:
 # ---------------------------------------------------------------------------
 # strings and stars
 
-@dataclass(frozen=True)
-class StringDecomposition:
+class StringDecomposition(NamedTuple):
     """One right <r, t>-string: the m - 1 elements obtained from the coset
     minimum by the alternating words in a fixed starting letter, listed by
     increasing length."""
@@ -465,8 +463,7 @@ def star_closure_check(left: CellPartition, right: CellPartition,
 # ---------------------------------------------------------------------------
 # generalized tau invariants
 
-@dataclass(frozen=True)
-class TauPartition:
+class TauPartition(NamedTuple):
     """The limit of the refinement sequence, with the iteration count at
     which it stabilized."""
 

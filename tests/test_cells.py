@@ -24,12 +24,14 @@ from pcells.cells import (
     two_sided_cells,
     verify_wgraph_relations,
     CellPartition,
+    ColouredWGraph,
 )
 from pcells.coxeter import CoxeterSystem
 from pcells.hecke import compute_kl_table
 from pcells.laurent import ONE, LaurentPoly
 from pcells.pcanonical import (PCanTable, identity_table,
                                structure_coefficients)
+from pcells.report import Report
 from pcells import verify
 
 
@@ -582,3 +584,39 @@ def test_exports_are_deterministic(b2, kl_b2):
     assert part1.to_dot(b2) == part2.to_dot(b2)
     assert part1.to_json_obj(b2) == part2.to_json_obj(b2)
     assert "digraph" in part1.to_dot(b2)
+
+
+def test_partitions_and_wgraphs_compare_field_by_field(a2, kl_a2):
+    tab = identity_table(a2)
+    right = compute_cells(tab, kl_a2, "right")
+    fields = (right.side, right.prime, right.cells, right.cell_of,
+              right.hasse_edges, right.downsets)
+    assert CellPartition(*fields) == right and right != fields
+    assert CellPartition("left", *fields[1:]) != right
+
+    class Twin(CellPartition):
+        pass
+
+    assert Twin(*fields) != right and right != Twin(*fields)
+    assert repr(right) == (
+        f"CellPartition(side='right', prime=0, cells={right.cells!r}, "
+        f"cell_of={right.cell_of!r}, hasse_edges={right.hasse_edges!r}, "
+        f"downsets={right.downsets!r})")
+    with pytest.raises(TypeError):
+        hash(right)
+    left = compute_cells(tab, kl_a2, "left")
+    g = extract_wgraph(left, left.cell_index_of({0}), tab, kl_a2)
+    assert ColouredWGraph(g.side, g.vertices, g.descent_sets, g.edges) == g
+    assert ColouredWGraph("right", g.vertices, g.descent_sets, g.edges) != g
+    assert repr(g) == (
+        f"ColouredWGraph(side={g.side!r}, vertices={g.vertices!r}, "
+        f"descent_sets={g.descent_sets!r}, edges={g.edges!r})")
+
+
+def test_reports_count_in_place():
+    rep = Report("r", [])
+    rep.checked += 1
+    rep.violations.append("v")
+    assert rep == Report("r", ["v"], 1) and rep != Report("r", ["v"])
+    assert not rep.ok
+    assert repr(rep) == "Report(name='r', violations=['v'], checked=1)"

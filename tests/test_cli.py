@@ -104,8 +104,13 @@ def test_rs(capsys):
 
 
 def test_rs_malformed(capsys):
-    code, _, err = run(capsys, "rs", "322")
-    assert code == 2
+    # "1a" reported int()'s message, and Arabic-Indic or fullwidth digits
+    # were read as the ASCII ones
+    for text in ("322", "1a", "\u0663\u0661\u0662", "\uff13 1 2"):
+        code, out, err = run(capsys, "rs", text)
+        assert (code, out) == (2, "")
+        assert _one_error_line(err) == (
+            f"error: {text!r} is not a permutation in one-line notation")
 
 
 def test_tau(capsys):
@@ -284,11 +289,23 @@ def test_demo_runs(demo, tmp_path):
     ("null", "group spec None is not an object"),
     ('{"cartan": [[2, -1], [-1, 2]], "type": "B2"}',
      "group spec has both a 'type' and a 'cartan' key"),
+    ('{"type": "  "}', "bad type label '  '"),
+    ('{"type": "A\uff12"}', "bad type label 'A\uff12'"),
+    ('{"type": "A3", "extra": 1}', "group spec has an unknown key 'extra'"),
 ])
 def test_malformed_group_specs_are_usage_errors(capsys, command, spec,
                                                 message):
-    # each of these ended in an AttributeError or TypeError traceback, and
-    # the last one built B2 without reading its matrix
+    # each of these ended in an AttributeError, TypeError or IndexError
+    # traceback, or built a group the spec does not name: B2 without
+    # reading the matrix, A2 from a fullwidth rank, A3 ignoring a key
     code, out, err = run(capsys, command, "--cartan", spec)
     assert (code, out) == (2, "")
     assert _one_error_line(err) == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", ["cells", "tau"])
+@pytest.mark.parametrize("label", [" ", "A\uff12", "A\u0663"])
+def test_malformed_type_labels_are_usage_errors(capsys, command, label):
+    code, out, err = run(capsys, command, "--type", label)
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) == f"error: bad type label {label!r}"

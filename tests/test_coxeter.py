@@ -314,8 +314,12 @@ def test_digit_strings(c3):
     w = c3.digits_to_id("23212")
     assert c3.length[w] == 5
     assert c3.digits_to_id(c3.id_to_digits(w)) == w
-    with pytest.raises(ValueError):
-        parse_digits("2a1")
+    assert parse_digits("231") == (1, 2, 0) and parse_digits("") == ()
+    # ASCII 1-9 only: fullwidth, Arabic-Indic and superscript digits were
+    # read as the ASCII ones
+    for digits in ("2a1", "１２", "٣", "1²", "0", "10", "1 2"):
+        with pytest.raises(ValueError, match="bad digit string"):
+            parse_digits(digits)
 
 
 def test_reduced_words(b2):
@@ -360,5 +364,37 @@ def test_from_spec_rejects_malformed_specs():
         CoxeterSystem.from_spec({"cartan": [[2, -1], [-1, 2]], "type": "B2"})
     with pytest.raises(ValueError, match="needs a 'type' or 'cartan' key"):
         CoxeterSystem.from_spec({"rank": 2})
+    # any other key is an input error, not ignored
+    for spec in ({"type": "A3", "extra": 1}, {"cartan": [[2]], "rank": 1}):
+        with pytest.raises(ValueError, match="unknown key '(extra|rank)'"):
+            CoxeterSystem.from_spec(spec)
     assert CoxeterSystem.from_spec({"type": "B2"}).size == 8
     assert CoxeterSystem.from_spec({"cartan": [[2, -1], [-1, 2]]}).size == 6
+
+
+def test_type_labels_are_validated_before_parsing():
+    # an empty label was an IndexError; a rank in other scripts' digits
+    # (fullwidth, Arabic-Indic, superscript) was read as the ASCII rank
+    for label in ("", " ", "A", "2", "AB", "A 2", "A２", "A٣", "A²"):
+        with pytest.raises(ValueError, match="bad type label"):
+            cartan_matrix_of_type(label)
+        with pytest.raises(ValueError, match="bad type label"):
+            CoxeterSystem.from_type(label)
+    assert CoxeterSystem.from_type(" a2 ").size == 6
+
+
+def test_subexpressions_and_embeddings_are_immutable_tuples(c3):
+    sub = c3.subexpressions((0, 1))[0]
+    emb = c3.parabolic_subsystem([0, 1])
+    for record, field in ((sub, "defect"), (emb, "gens")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    # a record is the tuple of its fields
+    assert sub == tuple(sub) and hash(sub) == hash(tuple(sub))
+    assert emb[1] == emb.gens == (0, 1)
+    assert repr(sub) == (
+        f"DecoratedSubexpression(word={sub.word!r}, bits={sub.bits!r}, "
+        f"decorations={sub.decorations!r}, terminal={sub.terminal!r}, "
+        f"defect={sub.defect!r})")
+    assert repr(emb) == (f"ParabolicEmbedding(sub={emb.sub!r}, "
+                         f"gens={emb.gens!r}, to_parent={emb.to_parent!r})")

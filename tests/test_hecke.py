@@ -740,3 +740,16 @@ def test_mixed_basis_is_an_error(a2, kl_a2):
         a + b
     with pytest.raises(ValueError):
         change_basis(a, "kl")  # table missing
+
+
+def test_elements_get_a_coeffs_dict_of_their_own(a2):
+    x, y = HeckeElt(a2, STD), HeckeElt(a2, STD)
+    x.coeffs[0] = ONE
+    assert y.coeffs == {} and x != y
+    coeffs = {0: ONE, 1: ZERO}
+    z = HeckeElt(a2, STD, coeffs=coeffs)
+    assert z.coeffs == {0: ONE} and z.coeffs is not coeffs
+    assert repr(z) == (f"HeckeElt(system={a2!r}, basis='std', "
+                       f"coeffs={{0: {ONE!r}}})")
+    with pytest.raises(TypeError):
+        hash(z)

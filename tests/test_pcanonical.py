@@ -475,3 +475,24 @@ def test_change_basis_round_trips_on_random_unitriangular_tables(label, data):
     assert to(to(b, STD), PCAN) == b
     h = element(STD)
     assert to(to(to(h, KL), PCAN), STD) == h
+
+
+def test_tables_construct_and_compare_as_records(a2):
+    s, x = a2.digits_to_id("1"), a2.digits_to_id("121")
+    rows = {x: {0: ZERO, s: ONE}}
+    table = PCanTable(a2, 0, rows, provenance="x")
+    assert table.rows == {x: {s: ONE}} and table.provenance == "x"
+    assert table == PCanTable(system=a2, prime=0, rows=rows, provenance="x")
+    assert table == PCanTable(a2, 0, table.rows, "x")
+    assert PCanTable(a2, 0, rows).provenance == "unspecified"
+    assert table != PCanTable(a2, 0, rows)
+    assert table != PCanTable(a2, 2, rows, "x")
+
+    class Twin(PCanTable):
+        pass
+
+    assert table != Twin(a2, 0, rows, "x") and Twin(a2, 0, rows, "x") != table
+    assert repr(table) == (f"PCanTable(system={a2!r}, prime=0, "
+                           f"rows={table.rows!r}, provenance='x')")
+    with pytest.raises(TypeError):
+        hash(table)

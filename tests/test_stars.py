@@ -9,6 +9,7 @@ from pcells.pcanonical import PCanTable, identity_table
 from pcells.stars import (
     DihedralStrings,
     PBoundError,
+    StringDecomposition,
     TauPartition,
     check_base_change_relations,
     check_coefficient_sliding,
@@ -410,3 +411,20 @@ def test_tau_reads_only_neighbours_and_tau_tilde_only_star(monkeypatch, b3):
     with monkeypatch.context() as patch:
         patch.setattr(DihedralStrings, "neighbours", property(unread))
         assert tau_tilde_partition(b3) == want[1]
+
+
+def test_strings_and_tau_partitions_are_immutable_tuples(a2):
+    string = DihedralStrings(a2, 0, 1).strings[0]
+    tau = tau_partition(a2)
+    for record, field in ((string, "elements"), (tau, "classes")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
+    assert hash(string) == hash(StringDecomposition(*string))
+    assert string == tuple(string) and tau[2] == tau.stabilized_at
+    assert repr(string) == (
+        f"StringDecomposition(r={string.r!r}, t={string.t!r}, m={string.m!r}, "
+        f"coset_min={string.coset_min!r}, start={string.start!r}, "
+        f"elements={string.elements!r})")
+    assert repr(tau) == (
+        f"TauPartition(classes={tau.classes!r}, class_of={tau.class_of!r}, "
+        f"stabilized_at={tau.stabilized_at!r})")

@@ -7,12 +7,16 @@ file is read as source, not imported, so this test runs nothing of the
 benchmark; likewise perfbench/expected.json is read as JSON for the report
 count that the benchmark's verify-all workload expects and the A6 tau class
 counts that its tau-rs workload expects.  Imports in src/pcells sit at
-module level, where they are seen at once and resolve once.
+module level, where they are seen at once and resolve once, and a fresh
+interpreter's import of pcells loads neither dataclasses nor inspect.
 """
 
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from pcells import verify
@@ -71,6 +75,17 @@ def test_no_imports_inside_functions():
                           for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, f"imports inside functions: {found}"
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # every short CLI run pays for what import pcells loads; dataclasses
+    # and the inspect, dis and ast modules under it were half of that
+    code = ("import sys, pcells, pcells.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_verify_all_matches_the_benchmark_report_count():
