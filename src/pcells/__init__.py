@@ -51,6 +51,7 @@ from .cells import (
     right_connected_components,
     right_minimal_elements,
     subquotient_wgraph,
+    transport_preorder,
     two_sided_cells,
     verify_wgraph_relations,
 )

@@ -27,8 +27,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .coxeter import CoxeterSystem
-from .hecke import KLTable, compute_kl_table
-from .laurent import GAUSS, ONE, LaurentPoly
+from .hecke import KLTable, _acc, compute_kl_table
+from .laurent import GAUSS, ONE, V, LaurentPoly
 from .pcanonical import (PCanTable, identity_table, restrict_to_parabolic,
                          structure_coefficients)
 from .report import Report
@@ -334,25 +334,60 @@ def check_descent_invariant(partition: CellPartition, system: CoxeterSystem
     return Report(f"descent-invariant[{partition.side}]", bad, checked)
 
 
+def transport_preorder(source: CellPartition, target: CellPartition,
+                       f: Mapping[int, int]
+                       ) -> tuple[dict[int, int], list[str], int]:
+    """Check that x <= y in source iff f(x) <= f(y) in target, for all x, y
+    in the keys of f (the domain D), cell by cell.
+
+    Write D_i for the part of source cell i inside D.  Whether x <= y
+    depends only on the cells of x and y, and two distinct cells are never
+    each <= the other (the downsets are the reachability of a DAG).  So the
+    statement holds iff
+      (1) f sends each nonempty D_i into one target cell phi(i), and
+      (2) j is in source.downsets[i] iff phi(j) is in
+          target.downsets[phi(i)], for all cells i, j meeting D.
+    If the statement holds, any x, y in one D_i are each <= the other, so
+    f(x) and f(y) are too and lie in one target cell, which is (1); then
+    for x in D_j and y in D_i, (2) reads x <= y iff f(x) <= f(y).
+    Conversely (1) and (2) give x <= y iff j in downsets[i] iff phi(j) in
+    target.downsets[phi(i)] iff f(x) <= f(y).  D_i may be a proper part
+    of its cell.  The cost is O(|D| + cells^2), not |D|^2 element pairs.
+
+    Returns phi on the cells that satisfy (1), the violations, and the
+    number of checks: one per source cell meeting D plus one per pair of
+    cells in phi compared under (2).
+    """
+    images: dict[int, set[int]] = {}
+    for x, fx in f.items():
+        images.setdefault(source.cell_of[x], set()).add(target.cell_of[fx])
+    bad = [f"{source.side} cell {i} is sent into {len(images[i])} "
+           f"{target.side} cells" for i in sorted(images)
+           if len(images[i]) > 1]
+    phi = {i: min(js) for i, js in sorted(images.items()) if len(js) == 1}
+    checked = len(images)
+    for i, fi in phi.items():
+        for j, fj in phi.items():
+            checked += 1
+            below = j in source.downsets[i]
+            if below != (fj in target.downsets[fi]):
+                bad.append(f"{source.side} cells {j} <= {i} is {below}, but "
+                           f"for their {target.side} images {fj} <= {fi} "
+                           f"is {not below}")
+    return phi, bad, checked
+
+
 def inverse_duality_check(left: CellPartition, right: CellPartition,
                           system: CoxeterSystem) -> Report:
-    """x <= y on one side iff x^-1 <= y^-1 on the other, on full preorders.
+    """x <= y on one side iff x^-1 <= y^-1 on the other, on full preorders,
+    checked cell by cell (transport_preorder).
 
     compute_cells derives left cells from right ones through the inverse
     map (left_cells_from_right), so on its partitions this checks that
     relabelling; it is an independent check only on a left partition
     condensed from elementary_relations(table, kl, "left")."""
-    bad: list[str] = []
-    checked = 0
-    inv = system.inverse
-    for x in system.elements():
-        for y in system.elements():
-            checked += 1
-            if left.leq(x, y) != right.leq(inv[x], inv[y]):
-                bad.append(
-                    f"{system.id_to_digits(x)} <=L {system.id_to_digits(y)} "
-                    f"is {left.leq(x, y)} but inverses give "
-                    f"{right.leq(inv[x], inv[y])}")
+    _, bad, checked = transport_preorder(left, right,
+                                         dict(enumerate(system.inverse)))
     return Report("inverse-duality", bad, checked)
 
 
@@ -464,22 +499,6 @@ class ColouredWGraph:
                 f"vertices={self.vertices!r}, "
                 f"descent_sets={self.descent_sets!r}, edges={self.edges!r})")
 
-    def tau_matrix(self, s: int) -> list[list[LaurentPoly]]:
-        """Column-convention matrix of tau_s on the free module over the
-        vertices."""
-        n = len(self.vertices)
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        zero = LaurentPoly()
-        mat = [[zero] * n for _ in range(n)]
-        for j, x in enumerate(self.vertices):
-            if s in self.descent_sets[x]:
-                mat[j][j] = GAUSS
-                continue
-            for (a, b), labels in self.edges.items():
-                if a == x and s in labels and s in self.descent_sets[b]:
-                    mat[pos[b]][j] = mat[pos[b]][j] + labels[s]
-        return mat
-
     def to_dot(self, system: CoxeterSystem, name: str = "wgraph") -> str:
         lines = [f"digraph {name} {{"]
         for v in self.vertices:
@@ -527,57 +546,56 @@ def extract_wgraph(partition: CellPartition, cell_index: int, table: PCanTable,
                               partition.side)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    zero = LaurentPoly()
-    out = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            c = a[i][k]
-            if not c:
-                continue
-            row = b[k]
-            for j in range(n):
-                if row[j]:
-                    out[i][j] = out[i][j] + c * row[j]
-    return out
-
-
 def verify_wgraph_relations(graph: ColouredWGraph, system: CoxeterSystem
                             ) -> Report:
-    """Check that the tau matrices define a Hecke-algebra module: each
+    """Check that the generator actions define a Hecke-algebra module: each
     tau_s satisfies tau^2 = (v + v^-1) tau, and the shifted operators
-    T_s = tau_s - v satisfy the braid relations."""
-    n = len(graph.vertices)
-    zero, one = LaurentPoly(), ONE
+    T_s = tau_s - v satisfy the braid relations.  Two operators are equal
+    iff they agree on every vertex, so each side is applied to each vertex
+    as a sparse vector."""
+    tau: list[dict[int, dict[int, LaurentPoly]]] = [
+        {x: {x: GAUSS} if s in graph.descent_sets[x] else {}
+         for x in graph.vertices} for s in range(system.rank)]
+    for (a, b), labels in graph.edges.items():
+        for s, c in labels.items():
+            if s not in graph.descent_sets[a] and s in graph.descent_sets[b]:
+                _acc(tau[s][a], b, c)
+    shifted = [{x: dict(col) for x, col in columns.items()}
+               for columns in tau]
+    for columns in shifted:
+        for x, col in columns.items():
+            _acc(col, x, -V)
+
+    def apply(columns: dict[int, dict[int, LaurentPoly]],
+              vec: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
+        out: dict[int, LaurentPoly] = {}
+        for x, c in vec.items():
+            for y, d in columns[x].items():
+                _acc(out, y, d * c)
+        return out
+
+    def braid_word(x: int, first: int, second: int, m: int
+                   ) -> dict[int, LaurentPoly]:
+        vec = {x: ONE}
+        for k in range(m):
+            vec = apply(shifted[(first, second)[k % 2]], vec)
+        return vec
+
     bad: list[str] = []
     checked = 0
-    taus = [graph.tau_matrix(s) for s in range(system.rank)]
-    shifted = []
-    for s, tau in enumerate(taus):
-        sq = _mat_mul(tau, tau)
-        expect = [[GAUSS * c for c in row] for row in tau]
+    for s, columns in enumerate(tau):
         checked += 1
-        if sq != expect:
+        if any(apply(columns, col) != {y: GAUSS * c for y, c in col.items()}
+               for col in columns.values()):
             bad.append(f"tau_{s + 1}^2 != (v + v^-1) tau_{s + 1}")
-        shifted.append([
-            [tau[i][j] - (LaurentPoly.v(1) if i == j else zero) for j in range(n)]
-            for i in range(n)
-        ])
     for s in range(system.rank):
         for t in range(s + 1, system.rank):
             m = system.coxeter_matrix[s][t]
             if m == 0:
                 continue
-            a = [[one if i == j else zero for j in range(n)] for i in range(n)]
-            b = [[one if i == j else zero for j in range(n)] for i in range(n)]
-            x, y = s, t
-            for _ in range(m):
-                a = _mat_mul(a, shifted[x])
-                b = _mat_mul(b, shifted[y])
-                x, y = y, x
             checked += 1
-            if a != b:
+            if any(braid_word(x, s, t, m) != braid_word(x, t, s, m)
+                   for x in graph.vertices):
                 bad.append(f"braid relation fails for pair ({s + 1}, {t + 1})")
     return Report("wgraph-relations", bad, checked)
 

@@ -179,13 +179,15 @@ def cartan_matrix_of_type(label: str) -> list[list[int]]:
     the shipped reference tables; in particular C3 has a(2,1) = -2 under
     1-based row/column labels, i.e. generator 1 is attached to the double
     bond and is the long root.  A label that is not a string, or that is
-    not a letter followed by an ASCII rank, raises ValueError.
+    not a letter followed by an ASCII rank without leading zeros, raises
+    ValueError.
     """
     if not isinstance(label, str):
         raise ValueError(f"type label {label!r} is not a string")
     name = label.strip().upper()
     family, rank = name[:1], name[1:]
-    if not (family.isalpha() and rank.isascii() and rank.isdigit()):
+    if not (family.isalpha() and rank.isascii() and rank.isdigit()
+            and rank == str(int(rank))):
         raise ValueError(f"bad type label {label!r}")
     n = int(rank)
     if family == "A" and n >= 1:

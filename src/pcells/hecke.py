@@ -102,8 +102,8 @@ class HeckeElt:
         return self.coeffs.get(w, ZERO)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, HeckeElt) and self.basis == other.basis
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, HeckeElt) and self.system is other.system
+                and self.basis == other.basis and self.coeffs == other.coeffs)
 
     def __repr__(self) -> str:
         return (f"HeckeElt(system={self.system!r}, basis={self.basis!r}, "

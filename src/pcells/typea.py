@@ -64,7 +64,7 @@ def perm_inverse(perm: Sequence[int]) -> tuple[int, ...]:
 def parse_one_line(text: str) -> tuple[int, ...]:
     """Parse "312" (or "3 1 2" / "10 2 1 ..." with spaces) as a permutation."""
     parts = text.split() if " " in text.strip() else list(text.strip())
-    if all(p.isascii() and p.isdigit() for p in parts):
+    if parts and all(p.isascii() and p.isdigit() for p in parts):
         perm = tuple(int(p) for p in parts)
         if sorted(perm) == list(range(1, len(perm) + 1)):
             return perm

@@ -26,6 +26,7 @@ from .cells import (
     left_cells_from_right,
     propagate_nondecomposition,
     subquotient_wgraph,
+    transport_preorder,
     two_sided_cells,
     verify_wgraph_relations,
 )
@@ -356,17 +357,17 @@ def _star_reports(label: str, prime: int) -> list[Report]:
 def _wgraph_star_isomorphism(system, left: CellPartition,
                              graphs: list[ColouredWGraph], r: int, t: int
                              ) -> Report:
-    """graphs[i] is the W-graph of left cell i."""
+    """graphs[i] is the W-graph of left cell i; star sends a cell inside
+    D_R(r, t) to the cell phi[i] of its image (transport_preorder)."""
     star = DihedralStrings(system, r, t).star
+    phi, _, _ = transport_preorder(left, left, star)
     bad: list[str] = []
     checked = 0
     for i, cell in enumerate(left.cells):
         if not cell <= star.keys():
             continue
-        image = frozenset(star[x] for x in cell)
-        try:
-            j = left.cell_index_of(image)
-        except KeyError:
+        j = phi.get(i)
+        if j is None or len(left.cells[j]) != len(cell):
             bad.append(f"star image of left cell {i} is not a cell")
             continue
         g, h = graphs[i], graphs[j]

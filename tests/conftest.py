@@ -1,6 +1,10 @@
+import functools
+
 import pytest
 
 from pcells import verify
+from pcells.cells import _partition_from_graph
+from pcells.stars import DihedralStrings
 
 
 @pytest.fixture(scope="session")
@@ -66,3 +70,57 @@ def c3_p2():
 @pytest.fixture(scope="session")
 def b2_p2():
     return verify.get_table("B2", 2)
+
+
+def _rebuilt(partition, system, edit):
+    """A copy of the partition condensed from its full preorder graph
+    (y -> x whenever x <= y) after edit(succ) changed the graph."""
+    succ = {y: set().union(*(partition.cells[j] for j in
+                             partition.downsets[partition.cell_of[y]]))
+            for y in system.elements()}
+    edit(succ)
+    return _partition_from_graph(system, succ, partition.side,
+                                 partition.prime)
+
+
+@functools.cache
+def _left_mutants(label):
+    system = verify.get_system(label)
+    left = verify.get_cells(label, 0, "left")
+    star = DihedralStrings(system, 0, 1).star
+    image = {i: left.cell_of[star[min(c)]] for i, c in enumerate(left.cells)
+             if c <= star.keys()}
+    i = next(i for i in image if image[i] != i and len(left.cells[i]) > 1)
+    j = next(j for j in image
+             if j != i and not {image[i], image[j]} & {i, j})
+    a, b = min(left.cells[i]), min(left.cells[j])
+
+    def merge(succ):
+        succ[a].add(b)
+        succ[b].add(a)
+
+    def split(succ):  # a ends up strictly above the rest of its cell
+        for y in left.cells[i] - {a}:
+            succ[y].discard(a)
+
+    def move(succ):  # a joins the cell of b, with b's relations
+        for row in succ.values():
+            row.discard(a)
+        succ[a] = succ[b] | {a}
+        for row in succ.values():
+            if b in row:
+                row.add(a)
+
+    return {name: _rebuilt(left, system, edit)
+            for name, edit in (("merge", merge), ("split", split),
+                               ("move", move))}
+
+
+@pytest.fixture(scope="session")
+def left_mutants():
+    """Broken copies of the p = 0 left cells of a group by label: two cells
+    merged, one split in two, one element moved into another cell.  The
+    cells are inside D_R(1, 2), and neither star image is one of them, so
+    each mutant breaks star invariance on D_R(1, 2) as well as inverse
+    duality."""
+    return _left_mutants

@@ -28,7 +28,7 @@ from pcells.cells import (
 )
 from pcells.coxeter import CoxeterSystem
 from pcells.hecke import compute_kl_table
-from pcells.laurent import ONE, LaurentPoly
+from pcells.laurent import GAUSS, ONE, LaurentPoly
 from pcells.pcanonical import (PCanTable, identity_table,
                                structure_coefficients)
 from pcells.report import Report
@@ -423,6 +423,51 @@ def test_inverse_duality(a3, kl_a3, c3, kl_c3, c3_p2):
     assert inverse_duality_check(left2, right2, c3).ok
 
 
+def _pairwise_inverse_duality(left, right, system):
+    """The pairs (x, y) of W with x <= y on the left but not x^-1 <= y^-1
+    on the right, or the reverse (the previous inverse_duality_check)."""
+    inv = system.inverse
+    return [(x, y) for x in system.elements() for y in system.elements()
+            if left.leq(x, y) != right.leq(inv[x], inv[y])]
+
+
+_CELL_ORACLE_CASES = [("A3", 0), ("B3", 0), ("C3", 0), ("G2", 0), ("A4", 0),
+                      ("C3", 2)]
+
+
+def _left_partitions(table, kl):
+    """The left cells derived from the right ones, and the ones condensed
+    from the left relation itself."""
+    return (compute_cells(table, kl, "left"),
+            _direct_partition(table, kl, "left"))
+
+
+@pytest.mark.parametrize("label,prime", _CELL_ORACLE_CASES)
+def test_inverse_duality_matches_the_pairwise_oracle(label, prime):
+    table, kl = _table_and_kl(label, prime)
+    system = table.system
+    right = compute_cells(table, kl, "right")
+    for left in _left_partitions(table, kl):
+        assert inverse_duality_check(left, right, system).ok
+        assert not _pairwise_inverse_duality(left, right, system)
+    # and on a pair that fails: a side against itself
+    assert not inverse_duality_check(right, right, system).ok
+    assert _pairwise_inverse_duality(right, right, system)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3"])
+def test_inverse_duality_rejects_broken_partitions(label, left_mutants):
+    system = verify.get_system(label)
+    left = verify.get_cells(label, 0, "left")
+    right = verify.get_cells(label, 0, "right")
+    mutants = left_mutants(label)
+    assert sorted(mutants) == ["merge", "move", "split"]
+    for name, mutant in mutants.items():
+        assert mutant.cells != left.cells, name
+        assert not inverse_duality_check(mutant, right, system).ok, name
+        assert _pairwise_inverse_duality(mutant, right, system), name
+
+
 def test_right_connected_components(a2):
     s, t = a2.digits_to_id("1"), a2.digits_to_id("2")
     st = a2.digits_to_id("12")
@@ -499,6 +544,104 @@ def test_perturbed_wgraph_fails(b2, kl_b2):
     (a, b), labels = next(iter(sorted(g.edges.items())))
     labels[next(iter(labels))] = LaurentPoly(2)
     assert not verify_wgraph_relations(g, b2).ok
+
+
+def _tau_matrix(graph, s):
+    """Column-convention matrix of tau_s on the free module over the
+    vertices (the previous ColouredWGraph.tau_matrix)."""
+    n = len(graph.vertices)
+    pos = {v: i for i, v in enumerate(graph.vertices)}
+    zero = LaurentPoly()
+    mat = [[zero] * n for _ in range(n)]
+    for j, x in enumerate(graph.vertices):
+        if s in graph.descent_sets[x]:
+            mat[j][j] = GAUSS
+            continue
+        for (a, b), labels in graph.edges.items():
+            if a == x and s in labels and s in graph.descent_sets[b]:
+                mat[pos[b]][j] = mat[pos[b]][j] + labels[s]
+    return mat
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    zero = LaurentPoly()
+    out = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            c = a[i][k]
+            if not c:
+                continue
+            row = b[k]
+            for j in range(n):
+                if row[j]:
+                    out[i][j] = out[i][j] + c * row[j]
+    return out
+
+
+def _dense_wgraph_relations(graph, system):
+    """verify_wgraph_relations over dense matrix products (the previous
+    implementation)."""
+    n = len(graph.vertices)
+    zero, one = LaurentPoly(), ONE
+    bad = []
+    checked = 0
+    taus = [_tau_matrix(graph, s) for s in range(system.rank)]
+    shifted = []
+    for s, tau in enumerate(taus):
+        sq = _mat_mul(tau, tau)
+        expect = [[GAUSS * c for c in row] for row in tau]
+        checked += 1
+        if sq != expect:
+            bad.append(f"tau_{s + 1}^2 != (v + v^-1) tau_{s + 1}")
+        shifted.append([
+            [tau[i][j] - (LaurentPoly.v(1) if i == j else zero)
+             for j in range(n)]
+            for i in range(n)
+        ])
+    for s in range(system.rank):
+        for t in range(s + 1, system.rank):
+            m = system.coxeter_matrix[s][t]
+            if m == 0:
+                continue
+            a = [[one if i == j else zero for j in range(n)] for i in range(n)]
+            b = [[one if i == j else zero for j in range(n)] for i in range(n)]
+            x, y = s, t
+            for _ in range(m):
+                a = _mat_mul(a, shifted[x])
+                b = _mat_mul(b, shifted[y])
+                x, y = y, x
+            checked += 1
+            if a != b:
+                bad.append(f"braid relation fails for pair ({s + 1}, {t + 1})")
+    return Report("wgraph-relations", bad, checked)
+
+
+@pytest.mark.parametrize("label,prime", _CELL_ORACLE_CASES)
+def test_wgraph_relations_match_the_dense_oracle(label, prime):
+    table, kl = _table_and_kl(label, prime)
+    for left in _left_partitions(table, kl):
+        for i in range(len(left.cells)):
+            g = extract_wgraph(left, i, table, kl)
+            rep = verify_wgraph_relations(g, table.system)
+            assert rep.ok and rep == _dense_wgraph_relations(g, table.system)
+
+
+@pytest.mark.parametrize("label,prime", [("B3", 0), ("C3", 2)])
+def test_wgraphs_with_a_changed_edge_label_fail_both_checks(label, prime):
+    # one label that the action reads (s a descent of the edge's target) is
+    # raised by one, in the largest left cell
+    table, kl = _table_and_kl(label, prime)
+    left = compute_cells(table, kl, "left")
+    biggest = max(range(len(left.cells)), key=lambda i: len(left.cells[i]))
+    g = extract_wgraph(left, biggest, table, kl)
+    assert verify_wgraph_relations(g, table.system).ok
+    (a, b), s = next(((a, b), s) for (a, b), labels in sorted(g.edges.items())
+                     for s in sorted(labels) if s in g.descent_sets[b])
+    g.edges[(a, b)][s] = g.edges[(a, b)][s] + ONE
+    rep = verify_wgraph_relations(g, table.system)
+    assert not rep.ok
+    assert rep == _dense_wgraph_relations(g, table.system)
 
 
 def test_two_sided_cells_are_inverse_closed(c3, kl_c3, c3_p2):

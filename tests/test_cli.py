@@ -104,9 +104,9 @@ def test_rs(capsys):
 
 
 def test_rs_malformed(capsys):
-    # "1a" reported int()'s message, and Arabic-Indic or fullwidth digits
-    # were read as the ASCII ones
-    for text in ("322", "1a", "\u0663\u0661\u0662", "\uff13 1 2"):
+    # "1a" reported int()'s message, Arabic-Indic or fullwidth digits were
+    # read as the ASCII ones, and an empty or blank input printed P = []
+    for text in ("322", "1a", "\u0663\u0661\u0662", "\uff13 1 2", "", " "):
         code, out, err = run(capsys, "rs", text)
         assert (code, out) == (2, "")
         assert _one_error_line(err) == (
@@ -304,7 +304,7 @@ def test_malformed_group_specs_are_usage_errors(capsys, command, spec,
 
 
 @pytest.mark.parametrize("command", ["cells", "tau"])
-@pytest.mark.parametrize("label", [" ", "A\uff12", "A\u0663"])
+@pytest.mark.parametrize("label", [" ", "A\uff12", "A\u0663", "A01"])
 def test_malformed_type_labels_are_usage_errors(capsys, command, label):
     code, out, err = run(capsys, command, "--type", label)
     assert (code, out) == (2, "")

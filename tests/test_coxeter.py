@@ -375,12 +375,15 @@ def test_from_spec_rejects_malformed_specs():
 def test_type_labels_are_validated_before_parsing():
     # an empty label was an IndexError; a rank in other scripts' digits
     # (fullwidth, Arabic-Indic, superscript) was read as the ASCII rank
-    for label in ("", " ", "A", "2", "AB", "A 2", "A２", "A٣", "A²"):
+    # a leading zero built A1 labelled "A01"
+    for label in ("", " ", "A", "2", "AB", "A 2", "A２", "A٣", "A²", "A01",
+                  "B02"):
         with pytest.raises(ValueError, match="bad type label"):
             cartan_matrix_of_type(label)
         with pytest.raises(ValueError, match="bad type label"):
             CoxeterSystem.from_type(label)
     assert CoxeterSystem.from_type(" a2 ").size == 6
+    assert CoxeterSystem.from_type("A1").label == "A1"
 
 
 def test_subexpressions_and_embeddings_are_immutable_tuples(c3):

@@ -753,3 +753,11 @@ def test_elements_get_a_coeffs_dict_of_their_own(a2):
                        f"coeffs={{0: {ONE!r}}})")
     with pytest.raises(TypeError):
         hash(z)
+
+
+def test_elements_over_different_groups_are_unequal(a2, b2):
+    # equal ids and coefficients name different elements in different
+    # groups, as __add__'s check on the system already says
+    assert HeckeElt(a2, STD, {1: ONE}) != HeckeElt(b2, STD, {1: ONE})
+    assert HeckeElt(a2, STD, {1: ONE}) == HeckeElt(a2, STD, {1: ONE})
+    assert HeckeElt(a2, STD) != HeckeElt(CoxeterSystem.from_type("A2"), STD)

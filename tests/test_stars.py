@@ -2,7 +2,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from pcells.cells import compute_cells
+from pcells.cells import (_partition_from_graph, compute_cells,
+                          elementary_relations, transport_preorder)
 from pcells.coxeter import CoxeterSystem
 from pcells.laurent import ONE
 from pcells.pcanonical import PCanTable, identity_table
@@ -16,6 +17,7 @@ from pcells.stars import (
     check_string_vanishing,
     check_structure_coefficient_relations,
     classify_string_relation,
+    p_bound_ok,
     star_closure_check,
     tau_partition,
     tau_tilde_partition,
@@ -174,6 +176,46 @@ def test_star_closure(label):
         for t in range(r + 1, system.rank):
             if system.coxeter_matrix[r][t] >= 3:
                 assert star_closure_check(left, right, system, r, t, 0).ok
+
+
+def _pairwise_star_invariance(partition, star):
+    """The pairs (x, y) of D_R(r, t) with x <= y but not x* <= y*, or the
+    reverse (the previous part (c) of star_closure_check)."""
+    return [(x, y) for x in sorted(star) for y in sorted(star)
+            if partition.leq(x, y) != partition.leq(star[x], star[y])]
+
+
+def _star_pairs(system, prime):
+    return [(r, t) for r in range(system.rank) for t in range(r + 1, system.rank)
+            if system.coxeter_matrix[r][t] >= 3
+            and p_bound_ok(prime, system.coxeter_matrix[r][t])]
+
+
+@pytest.mark.parametrize("label,prime", [("A3", 0), ("B3", 0), ("C3", 0),
+                                         ("G2", 0), ("A4", 0), ("C3", 2)])
+def test_star_invariance_matches_the_pairwise_oracle(label, prime):
+    system, kl = verify.get_system(label), verify.get_kl(label)
+    table = verify.get_table(label, prime)
+    right = verify.get_cells(label, prime, "right")
+    direct = _partition_from_graph(
+        system, elementary_relations(table, kl, "left"), "left", prime)
+    for left in (verify.get_cells(label, prime, "left"), direct):
+        for (r, t) in _star_pairs(system, prime):
+            star = DihedralStrings(system, r, t).star
+            assert transport_preorder(left, left, star)[1] == []
+            assert not _pairwise_star_invariance(left, star)
+            assert star_closure_check(left, right, system, r, t, prime).ok
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3"])
+def test_star_closure_rejects_broken_partitions(label, left_mutants):
+    system = verify.get_system(label)
+    right = verify.get_cells(label, 0, "right")
+    star = DihedralStrings(system, 0, 1).star
+    for name, mutant in left_mutants(label).items():
+        assert transport_preorder(mutant, mutant, star)[1], name
+        assert _pairwise_star_invariance(mutant, star), name
+        assert not star_closure_check(mutant, right, system, 0, 1, 0).ok, name
 
 
 def test_tau_s3(a2, kl_a2):

@@ -7,8 +7,10 @@ file is read as source, not imported, so this test runs nothing of the
 benchmark; likewise perfbench/expected.json is read as JSON for the report
 count that the benchmark's verify-all workload expects and the A6 tau class
 counts that its tau-rs workload expects.  Imports in src/pcells sit at
-module level, where they are seen at once and resolve once, and a fresh
-interpreter's import of pcells loads neither dataclasses nor inspect.
+module level, where they are seen at once and resolve once, a fresh
+interpreter's import of pcells loads neither dataclasses nor inspect, and
+the inverse-duality and star-closure checks compare cells, never pairs of
+elements.
 """
 
 import ast
@@ -20,13 +22,17 @@ import sys
 from pathlib import Path
 
 from pcells import verify
+from pcells.cells import (CellPartition, compute_cells, inverse_duality_check,
+                          left_cells_from_right)
 from pcells.coxeter import CoxeterSystem
 from pcells.hecke import compute_kl_table
-from pcells.stars import tau_partition, tau_tilde_partition
+from pcells.pcanonical import identity_table
+from pcells.stars import star_closure_check, tau_partition, tau_tilde_partition
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 EXPECTED = ROOT / "perfbench" / "expected.json"
+F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 
 
 def _tracing_targets(name: str) -> list[tuple[str, str]]:
@@ -100,3 +106,24 @@ def test_a6_tau_matches_the_benchmark_class_counts():
     a6 = CoxeterSystem.from_type("A6")
     assert len(tau_partition(a6).classes) == want["tau"] == 232
     assert len(tau_tilde_partition(a6).classes) == want["tau-tilde"] == 232
+
+
+def test_cell_level_checks_compare_no_element_pairs(monkeypatch):
+    # on F4 the pairwise loops compared all 1 327 104 pairs of elements
+    # for inverse duality, and every pair in D_R(r, t) for each star closure
+    f4 = CoxeterSystem.from_cartan(F4)
+    table = identity_table(f4)
+    right = compute_cells(table, compute_kl_table(f4), "right")
+    left = left_cells_from_right(table, right)
+    calls = []
+    leq = CellPartition.leq
+    monkeypatch.setattr(CellPartition, "leq", lambda self, x, y: (
+        calls.append((x, y)), leq(self, x, y))[1])
+    assert inverse_duality_check(left, right, f4).ok
+    pairs = [(r, t) for r in range(f4.rank) for t in range(r + 1, f4.rank)
+             if f4.coxeter_matrix[r][t] >= 3]
+    assert len(pairs) == 3
+    for r, t in pairs:
+        assert star_closure_check(left, right, f4, r, t).ok
+    assert calls == []
+    assert left.leq(0, 0) and calls == [(0, 0)]  # the counter is live

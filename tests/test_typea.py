@@ -223,7 +223,7 @@ def test_parse_one_line():
     assert parse_one_line("10 2 3 4 5 6 7 8 9 1") == (10, 2, 3, 4, 5, 6, 7, 8, 9, 1)
     # ASCII digits only: no int() message, no other script's digits
     for text in ("322", "1a", "1 a", "\u0663\u0661\u0662", "\uff13\uff11\uff12",
-                 "3 \u0661 2", "\u00b9"):
+                 "3 \u0661 2", "\u00b9", "", " ", "\t"):
         with pytest.raises(ValueError, match="is not a permutation"):
             parse_one_line(text)
 
