@@ -334,6 +334,20 @@ def check_descent_invariant(partition: CellPartition, system: CoxeterSystem
     return Report(f"descent-invariant[{partition.side}]", bad, checked)
 
 
+def _cell_map(source: CellPartition, target: CellPartition,
+              f: Mapping[int, int]) -> tuple[dict[int, int], list[str]]:
+    """The cells of source that f sends into one target cell, each mapped
+    to that cell, and a violation for each cell it sends into several.
+    Only the cells meeting the keys of f are considered."""
+    images: dict[int, set[int]] = {}
+    for x, fx in f.items():
+        images.setdefault(source.cell_of[x], set()).add(target.cell_of[fx])
+    bad = [f"{source.side} cell {i} is sent into {len(images[i])} "
+           f"{target.side} cells" for i in sorted(images)
+           if len(images[i]) > 1]
+    return {i: min(js) for i, js in sorted(images.items()) if len(js) == 1}, bad
+
+
 def transport_preorder(source: CellPartition, target: CellPartition,
                        f: Mapping[int, int]
                        ) -> tuple[dict[int, int], list[str], int]:
@@ -354,18 +368,12 @@ def transport_preorder(source: CellPartition, target: CellPartition,
     target.downsets[phi(i)] iff f(x) <= f(y).  D_i may be a proper part
     of its cell.  The cost is O(|D| + cells^2), not |D|^2 element pairs.
 
-    Returns phi on the cells that satisfy (1), the violations, and the
-    number of checks: one per source cell meeting D plus one per pair of
-    cells in phi compared under (2).
+    Returns phi on the cells that satisfy (1) (_cell_map), the violations,
+    and the number of checks: one per source cell meeting D plus one per
+    pair of cells in phi compared under (2).
     """
-    images: dict[int, set[int]] = {}
-    for x, fx in f.items():
-        images.setdefault(source.cell_of[x], set()).add(target.cell_of[fx])
-    bad = [f"{source.side} cell {i} is sent into {len(images[i])} "
-           f"{target.side} cells" for i in sorted(images)
-           if len(images[i]) > 1]
-    phi = {i: min(js) for i, js in sorted(images.items()) if len(js) == 1}
-    checked = len(images)
+    phi, bad = _cell_map(source, target, f)
+    checked = len(phi) + len(bad)
     for i, fi in phi.items():
         for j, fj in phi.items():
             checked += 1
@@ -605,26 +613,47 @@ def check_parabolic_compatibility(table: PCanTable, w_right: CellPartition,
     """The transport of the right preorder along a finitary subset I:
     for y, z in W_I, z <= y in W_I iff xz <= xy in W for every x in W^I
     (w_right the right cells of W for the table, the subgroup preorder
-    computed with the restricted table)."""
+    computed with the restricted table).
+
+    Only the conjunction over x is asserted: the reading "z <= y iff
+    xz <= xy" for each x on its own fails for some x on every proper
+    subset I of A3, B3, C3 and F4, and on every subset tried of D5 and B5
+    (p = 0).
+
+    Checked cell by cell.  The statement forces each map z -> xz to send
+    each W_I cell into one W cell: for z, y in one W_I cell, z <= y and
+    y <= z, so xz <= xy and xy <= xz for every x, and distinct cells are
+    never each <= the other.  Given that, with phi_x the cell map of
+    z -> xz (_cell_map), whether xz <= xy depends only on the W_I cells j
+    of z and i of y, and the statement reads
+        j in downsets_I[i]  iff  phi_x(j) in downsets[phi_x(i)] for all x
+    for every pair of W_I cells.  A cell that some phi_x splits already
+    fails the statement, so only the pairs of cells that every phi_x maps
+    are compared.  The cost is O(|W^I| (|W_I| + cells^2)), not
+    |W^I| |W_I|^2 triples.  The count is one check per coset
+    representative and W_I cell, plus one per pair of cells compared.
+    """
     sys_ = table.system
     emb = sys_.parabolic_subsystem(gens)
-    sub_table = restrict_to_parabolic(table, emb)
-    sub_right = compute_cells(sub_table, compute_kl_table(emb.sub), "right")
-    reps = sorted(sys_.minimal_coset_representatives(gens, "right"))
-
+    sub_right = compute_cells(restrict_to_parabolic(table, emb),
+                              compute_kl_table(emb.sub), "right")
     bad: list[str] = []
-    checked = 0
-    for zs in emb.sub.elements():
-        for ys in emb.sub.elements():
-            inner = sub_right.leq(zs, ys)
-            z, y = emb.to_parent[zs], emb.to_parent[ys]
-            outer = all(w_right.leq(sys_.mult(x, z), sys_.mult(x, y))
-                        for x in reps)
+    maps = []
+    for x in sorted(sys_.minimal_coset_representatives(gens, "right")):
+        phi, split = _cell_map(sub_right, w_right, {
+            z: sys_.mult(x, y) for z, y in enumerate(emb.to_parent)})
+        bad += [f"x={sys_.id_to_digits(x) or 'e'}: {v}" for v in split]
+        maps.append(phi)
+    cells = sorted(set.intersection(*map(set, maps)))
+    checked = len(maps) * len(sub_right.cells)
+    for i in cells:
+        for j in cells:
+            inner = j in sub_right.downsets[i]
+            outer = all(phi[j] in w_right.downsets[phi[i]] for phi in maps)
             checked += 1
             if inner != outer:
-                bad.append(
-                    f"z={sys_.id_to_digits(z) or 'e'} y={sys_.id_to_digits(y) or 'e'}: "
-                    f"subgroup says {inner}, translated cosets say {outer}")
+                bad.append(f"W_I cells {j} <= {i}: subgroup says {inner}, "
+                           f"translated cosets say {outer}")
     return Report(f"parabolic-compatibility I={sorted(gens)}", bad, checked)
 
 

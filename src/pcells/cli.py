@@ -4,8 +4,8 @@ Exit codes: 0 success / all checks pass, 1 a verification failed or a
 computation raised (a table failing validation, an infinite or too large
 group, a KL coefficient beyond the packed kernel), 2 usage or input error
 (argparse errors, a malformed Cartan matrix, type label, table file or
-permutation, a --p that is neither 0 nor a prime or differs from the
-table's, a --cap below 1).  A file that cannot be read or written, such as
+permutation, a --p that is neither 0 nor a prime below _PRIME_LIMIT or
+differs from the table's, a --cap below 1).  A file that cannot be read or written, such as
 a directory given as --out, --cartan or --table, exits 1.  A reader that
 closes the output pipe early (`| head`) gets exit code 1 and one error
 line, not a traceback.
@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from math import isqrt
 from pathlib import Path
 
 from .cells import compute_cells
@@ -178,11 +177,35 @@ def _cap(text: str) -> int:
     return n
 
 
+# Miller-Rabin in these bases decides primality exactly below the limit
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, exactly for n < _PRIME_LIMIT, by the strong
+    probable-prime test in each of _PRIME_BASES: O(log n) multiplications
+    per base."""
+    if n < 2 or n in _PRIME_BASES:
+        return n in _PRIME_BASES
+    d, k = n - 1, 0
+    while d % 2 == 0:
+        d, k = d // 2, k + 1
+    return all(pow(b, d, n) == 1
+               or any(pow(b, d << i, n) == n - 1 for i in range(k))
+               for b in _PRIME_BASES)
+
+
 def _prime_or_zero(text: str) -> int:
-    """The --p of cells: 0 for the KL basis, else a prime."""
+    """The --p of cells: 0 for the KL basis, else a prime below
+    _PRIME_LIMIT."""
     p = _int_arg(text)
-    if p != 0 and (p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1))):
-        raise argparse.ArgumentTypeError(f"{p} is neither 0 nor a prime")
+    if p != 0 and not (p < _PRIME_LIMIT and _is_prime(p)):
+        raise argparse.ArgumentTypeError(
+            f"{p} is neither 0 nor a prime below {_PRIME_LIMIT}, the bound "
+            "up to which primality is decided")
     return p
 
 

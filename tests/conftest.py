@@ -83,6 +83,34 @@ def _rebuilt(partition, system, edit):
                                  partition.prime)
 
 
+def _mutants(partition, system, i, j):
+    """Broken copies of the partition by edit name, with a and b the
+    minima of cells i and j: the two cells merged, cell i split with a
+    strictly above the rest of it, and a moved into cell j, with b's
+    relations."""
+    a, b = min(partition.cells[i]), min(partition.cells[j])
+
+    def merge(succ):
+        succ[a].add(b)
+        succ[b].add(a)
+
+    def split(succ):
+        for y in partition.cells[i] - {a}:
+            succ[y].discard(a)
+
+    def move(succ):
+        for row in succ.values():
+            row.discard(a)
+        succ[a] = succ[b] | {a}
+        for row in succ.values():
+            if b in row:
+                row.add(a)
+
+    return {name: _rebuilt(partition, system, edit)
+            for name, edit in (("merge", merge), ("split", split),
+                               ("move", move))}
+
+
 @functools.cache
 def _left_mutants(label):
     system = verify.get_system(label)
@@ -93,27 +121,7 @@ def _left_mutants(label):
     i = next(i for i in image if image[i] != i and len(left.cells[i]) > 1)
     j = next(j for j in image
              if j != i and not {image[i], image[j]} & {i, j})
-    a, b = min(left.cells[i]), min(left.cells[j])
-
-    def merge(succ):
-        succ[a].add(b)
-        succ[b].add(a)
-
-    def split(succ):  # a ends up strictly above the rest of its cell
-        for y in left.cells[i] - {a}:
-            succ[y].discard(a)
-
-    def move(succ):  # a joins the cell of b, with b's relations
-        for row in succ.values():
-            row.discard(a)
-        succ[a] = succ[b] | {a}
-        for row in succ.values():
-            if b in row:
-                row.add(a)
-
-    return {name: _rebuilt(left, system, edit)
-            for name, edit in (("merge", merge), ("split", split),
-                               ("move", move))}
+    return _mutants(left, system, i, j)
 
 
 @pytest.fixture(scope="session")
@@ -124,3 +132,20 @@ def left_mutants():
     each mutant breaks star invariance on D_R(1, 2) as well as inverse
     duality."""
     return _left_mutants
+
+
+@functools.cache
+def _right_mutants(label):
+    system = verify.get_system(label)
+    right = verify.get_cells(label, 0, "right")
+    i, j = [k for k, c in enumerate(right.cells) if len(c) > 1][:2]
+    mutants = _mutants(right, system, i, j)
+    return {name: mutants[name] for name in ("split", "move")}
+
+
+@pytest.fixture(scope="session")
+def right_mutants():
+    """Broken copies of the p = 0 right cells of a group by label: the
+    first cell with two elements or more split in two, and its minimum
+    moved into the next such cell."""
+    return _right_mutants

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import networkx as nx
 import pytest
@@ -30,7 +31,7 @@ from pcells.coxeter import CoxeterSystem
 from pcells.hecke import compute_kl_table
 from pcells.laurent import GAUSS, ONE, LaurentPoly
 from pcells.pcanonical import (PCanTable, identity_table,
-                               structure_coefficients)
+                               restrict_to_parabolic, structure_coefficients)
 from pcells.report import Report
 from pcells import verify
 
@@ -698,6 +699,61 @@ def test_parabolic_compatibility(b3, kl_b3, c3, kl_c3, c3_p2):
         tab, compute_cells(tab, kl_b3, "right"), [1, 2]).ok
     assert check_parabolic_compatibility(
         c3_p2, compute_cells(c3_p2, kl_c3, "right"), [0, 1]).ok
+
+
+def _triplewise_parabolic_compatibility(table, w_right, gens):
+    """The pairs (z, y) of W_I for which "z <= y in W_I iff xz <= xy in W
+    for every x in W^I" fails, one leq per triple (the previous
+    check_parabolic_compatibility)."""
+    sys_ = table.system
+    emb = sys_.parabolic_subsystem(gens)
+    sub_right = compute_cells(restrict_to_parabolic(table, emb),
+                              compute_kl_table(emb.sub), "right")
+    reps = sorted(sys_.minimal_coset_representatives(gens, "right"))
+    bad = []
+    for zs in emb.sub.elements():
+        for ys in emb.sub.elements():
+            z, y = emb.to_parent[zs], emb.to_parent[ys]
+            outer = all(w_right.leq(sys_.mult(x, z), sys_.mult(x, y))
+                        for x in reps)
+            if sub_right.leq(zs, ys) != outer:
+                bad.append((z, y))
+    return bad
+
+
+def _proper_subsets(system):
+    return [list(g) for k in range(1, system.rank)
+            for g in itertools.combinations(range(system.rank), k)]
+
+
+@pytest.mark.parametrize("label,prime", [*_CELL_ORACLE_CASES, ("B2", 0)])
+def test_parabolic_compatibility_matches_the_triplewise_oracle(label, prime):
+    table, kl = _table_and_kl(label, prime)
+    right = compute_cells(table, kl, "right")
+    for gens in _proper_subsets(table.system):
+        assert check_parabolic_compatibility(table, right, gens).ok
+        assert not _triplewise_parabolic_compatibility(table, right, gens)
+    # and a partition that fails: the left cells in place of the right
+    left = compute_cells(table, kl, "left")
+    verdicts = [check_parabolic_compatibility(table, left, gens).ok
+                for gens in _proper_subsets(table.system)]
+    assert verdicts == [not _triplewise_parabolic_compatibility(
+        table, left, gens) for gens in _proper_subsets(table.system)]
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3"])
+def test_parabolic_compatibility_rejects_broken_partitions(label,
+                                                           right_mutants):
+    table = verify.get_table(label, 0)
+    mutants = right_mutants(label)
+    assert sorted(mutants) == ["move", "split"]
+    for name, mutant in mutants.items():
+        verdicts = [check_parabolic_compatibility(table, mutant, gens).ok
+                    for gens in _proper_subsets(table.system)]
+        assert verdicts == [not _triplewise_parabolic_compatibility(
+            table, mutant, gens) for gens in _proper_subsets(table.system)]
+        assert False in verdicts, name
 
 
 def test_propagate_nondecomposition(c3, kl_c3, c3_p2):

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from pcells.cli import main
+from pcells.cli import _PRIME_LIMIT, main
 from pcells.stars import PBoundError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -212,6 +213,39 @@ def test_p_neither_0_nor_prime_is_a_usage_error(capsys, p):
                          "--fixture", "c3_p2")
     assert (code, out) == (2, "")
     assert "--p" in _one_error_line(err)
+
+
+def test_large_primes_are_accepted(capsys):
+    assert run(capsys, "cells", "--type", "C3", "--p", "2",
+               "--fixture", "c3_p2")[0] == 0
+    for p in ("3", "1000000007", str(2 ** 61 - 1)):
+        # the argument parses; only the table's prime rejects it
+        code, out, err = run(capsys, "cells", "--type", "C3", "--p", p,
+                             "--fixture", "c3_p2")
+        assert (code, out) == (2, "")
+        assert _one_error_line(err) == \
+            f"error: --p {p} differs from the table's p = 2"
+
+
+@pytest.mark.parametrize("p", ["1", "4", "561", "3215031751",
+                               str(2 ** 61 + 1)])
+def test_composites_are_rejected_at_once(capsys, p):
+    # 561 is a Carmichael number and 3215031751 a strong pseudoprime to
+    # the bases 2, 3, 5 and 7; trial division up to sqrt(2^61 + 1) would
+    # take minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cells", "--type", "A2", "--p", p)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"{p} is neither 0 nor a prime" in _one_error_line(err)
+
+
+def test_p_beyond_the_decided_range_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "cells", "--type", "A2", "--p",
+                         str(_PRIME_LIMIT))
+    assert (code, out) == (2, "")
+    assert f"is neither 0 nor a prime below {_PRIME_LIMIT}" in \
+        _one_error_line(err)
 
 
 @pytest.mark.parametrize("command", ["cells", "tau"])

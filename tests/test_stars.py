@@ -1,3 +1,5 @@
+import functools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -5,9 +7,11 @@ import pytest
 from pcells.cells import (_partition_from_graph, compute_cells,
                           elementary_relations, transport_preorder)
 from pcells.coxeter import CoxeterSystem
-from pcells.laurent import ONE
-from pcells.pcanonical import PCanTable, identity_table
+from pcells.laurent import GAUSS, ONE, LaurentPoly
+from pcells.pcanonical import (PCanTable, identity_table,
+                               structure_coefficients, validate_table)
 from pcells.stars import (
+    _RELATIONS,
     DihedralStrings,
     PBoundError,
     StringDecomposition,
@@ -216,6 +220,149 @@ def test_star_closure_rejects_broken_partitions(label, left_mutants):
         assert transport_preorder(mutant, mutant, star)[1], name
         assert _pairwise_star_invariance(mutant, star), name
         assert not star_closure_check(mutant, right, system, 0, 1, 0).ok, name
+
+
+def _pairwise_relations(m, get, label, bad):
+    """One relation system between one x-string and one z-string, get(j,
+    i) the coefficient a(z_j, x_i)."""
+    for lhs, rhs in _RELATIONS[m]:
+        left = sum((get(j, i) for (j, i) in lhs), LaurentPoly())
+        right = sum((get(j, i) for (j, i) in rhs), LaurentPoly())
+        if left != right:
+            bad.append(f"{label}: {lhs} = {left} but {rhs} = {right}")
+
+
+def _pairwise_base_change(table, r, t):
+    """The violations of check_base_change_relations, found by evaluating
+    every pair of strings and comparing m(z, x) with m(z*, x*) for every
+    pair in D_R(r, t) with l(z) <= l(x) (the previous checker)."""
+    sys_ = table.system
+    pair = DihedralStrings(sys_, r, t)
+    star = pair.star
+    bad = []
+    for sx in pair.strings:
+        for sz in pair.strings:
+            _pairwise_relations(
+                pair.m, lambda j, i: table.m(sz.elements[j - 1],
+                                             sx.elements[i - 1]),
+                f"m-relations x-string {sys_.id_to_digits(sx.elements[0])}"
+                f" z-string {sys_.id_to_digits(sz.elements[0])}", bad)
+    for x in sorted(star):
+        for z in sorted(star):
+            if (sys_.length[z] <= sys_.length[x]
+                    and table.m(z, x) != table.m(star[z], star[x])):
+                bad.append(("symmetry", z, x))
+    return bad
+
+
+def _pairwise_structure_coefficients(table, kl, r, t):
+    """The violations of check_structure_coefficient_relations, found by
+    evaluating every pair of strings for every s raising the x-string on
+    the left, and every pair of D_R(r, t) for the star symmetry."""
+    sys_ = table.system
+    pair = DihedralStrings(sys_, r, t)
+    star = pair.star
+    left_mu = functools.cache(
+        lambda s, x: structure_coefficients(table, kl, x, s, "left"))
+    bad = []
+    for sx in pair.strings:
+        x1 = sx.elements[0]
+        for s in range(sys_.rank):
+            if s in sys_.left_descents[x1]:
+                continue
+            for sz in pair.strings:
+                _pairwise_relations(
+                    pair.m, lambda j, i: left_mu(s, sx.elements[i - 1]).get(
+                        sz.elements[j - 1], LaurentPoly()),
+                    f"mu-relations s={s + 1} x-string {sys_.id_to_digits(x1)}"
+                    f" z-string {sys_.id_to_digits(sz.elements[0])}", bad)
+    for x in sorted(star):
+        for s in range(sys_.rank):
+            if s in sys_.left_descents[x]:
+                continue
+            for y in sorted(star):
+                if (left_mu(s, x).get(y, LaurentPoly())
+                        != left_mu(s, star[x]).get(star[y], LaurentPoly())):
+                    bad.append(("symmetry", s, x, y))
+    return bad
+
+
+def _pairwise_sliding(table, kl, r, t):
+    """The pairs (z, x) of D_R(r, t) where check_coefficient_sliding's
+    identity fails, every z compared (the previous checker)."""
+    sys_ = table.system
+    dr = sorted(DihedralStrings(sys_, r, t).positions)
+    bad = []
+    for x in dr:
+        a = r if r in sys_.right_descents[x] else t
+        b = t if a == r else r
+        acc = table.expand_to_kl_coeffs(
+            structure_coefficients(table, kl, x, b, "right"))
+        for z in dr:
+            want = sum((table.m(w, x) for w in (sys_.right[z][a],
+                                                 sys_.right[z][b])
+                        if w in dr), LaurentPoly())
+            if acc.get(z, LaurentPoly()) != want:
+                bad.append((z, x))
+    return bad
+
+
+def _relation_lines(violations):
+    return [v for v in violations if isinstance(v, str) and "relations" in v]
+
+
+def _relation_checkers_and_oracles(table, kl, r, t):
+    """(report, oracle violations) for the three support-reading checkers."""
+    return [(check_base_change_relations(table, r, t),
+             _pairwise_base_change(table, r, t)),
+            (check_structure_coefficient_relations(table, kl, r, t),
+             _pairwise_structure_coefficients(table, kl, r, t)),
+            (check_coefficient_sliding(table, kl, r, t),
+             _pairwise_sliding(table, kl, r, t))]
+
+
+@pytest.mark.parametrize("label,prime", [("A3", 0), ("B3", 0), ("C3", 0),
+                                         ("G2", 0), ("A4", 0), ("B2", 0),
+                                         ("C3", 2)])
+def test_relation_checkers_match_the_pairwise_oracles(label, prime):
+    system, kl = verify.get_system(label), verify.get_kl(label)
+    table = verify.get_table(label, prime)
+    for (r, t) in _star_pairs(system, prime):
+        for rep, oracle in _relation_checkers_and_oracles(table, kl, r, t):
+            assert rep.ok and oracle == [], rep.name
+
+
+def _corrupted_tables(label, count, seed):
+    """Copies of the p = 0 table with one entry m(y, x) set, each y below x
+    in Bruhat order with the descent condition, so unitriangularity and
+    the descent condition still hold."""
+    system = verify.get_system(label)
+    lower = [(y, x) for x in system.elements() for y in system.elements()
+             if y != x and system.bruhat_leq(y, x)
+             and system.left_descents[x] <= system.left_descents[y]
+             and system.right_descents[x] <= system.right_descents[y]]
+    rng = random.Random(seed)
+    for _ in range(count):
+        y, x = rng.choice(lower)
+        value = rng.choice([ONE, GAUSS, LaurentPoly(2)])
+        yield PCanTable(system, 0, {x: {y: value}})
+
+
+def test_corrupted_tables_fail_checkers_and_oracles_alike():
+    outcomes = []
+    for seed, label in enumerate(["A3", "B3", "C3"]):
+        kl = verify.get_kl(label)
+        for table in _corrupted_tables(label, 6, seed):
+            assert not [v for v in validate_table(table)
+                        if "unitriangularity" in v or "descent" in v]
+            for (r, t) in _star_pairs(table.system, 0):
+                for rep, oracle in _relation_checkers_and_oracles(
+                        table, kl, r, t):
+                    assert rep.ok == (oracle == []), rep.name
+                    assert _relation_lines(rep.violations) == \
+                        _relation_lines(oracle), rep.name
+                    outcomes.append(rep.ok)
+    assert False in outcomes and True in outcomes
 
 
 def test_tau_s3(a2, kl_a2):

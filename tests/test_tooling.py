@@ -10,7 +10,8 @@ counts that its tau-rs workload expects.  Imports in src/pcells sit at
 module level, where they are seen at once and resolve once, a fresh
 interpreter's import of pcells loads neither dataclasses nor inspect, and
 the inverse-duality and star-closure checks compare cells, never pairs of
-elements.
+elements, and the star-relation checkers evaluate one relation system per
+x-string, never one per pair of strings.
 """
 
 import ast
@@ -21,13 +22,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-from pcells import verify
+from pcells import stars, verify
 from pcells.cells import (CellPartition, compute_cells, inverse_duality_check,
                           left_cells_from_right)
 from pcells.coxeter import CoxeterSystem
 from pcells.hecke import compute_kl_table
 from pcells.pcanonical import identity_table
-from pcells.stars import star_closure_check, tau_partition, tau_tilde_partition
+from pcells.stars import (DihedralStrings, check_base_change_relations,
+                          check_structure_coefficient_relations,
+                          star_closure_check, tau_partition,
+                          tau_tilde_partition)
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -127,3 +131,26 @@ def test_cell_level_checks_compare_no_element_pairs(monkeypatch):
         assert star_closure_check(left, right, f4, r, t).ok
     assert calls == []
     assert left.leq(0, 0) and calls == [(0, 0)]  # the counter is live
+
+
+def test_relation_checkers_evaluate_no_pairs_of_strings(monkeypatch):
+    # on F4 the pairwise loops evaluated one system per pair of strings:
+    # 147 456 for base change on (1, 2), and as many per raising generator
+    # for structure coefficients
+    f4 = CoxeterSystem.from_cartan(F4)
+    table, kl = identity_table(f4), compute_kl_table(f4)
+    calls = []
+    check = stars._check_relation_system
+    monkeypatch.setattr(stars, "_check_relation_system", lambda *args: (
+        calls.append(args[2]), check(*args))[1])
+    pairs = [(r, t) for r in range(f4.rank) for t in range(r + 1, f4.rank)
+             if f4.coxeter_matrix[r][t] >= 3]
+    assert len(pairs) == 3
+    for r, t in pairs:
+        bound = f4.rank * len(DihedralStrings(f4, r, t).strings)
+        assert check_base_change_relations(table, r, t).ok
+        assert 0 < len(calls) <= bound
+        calls.clear()
+        assert check_structure_coefficient_relations(table, kl, r, t).ok
+        assert 0 < len(calls) <= bound
+        calls.clear()

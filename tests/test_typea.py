@@ -153,13 +153,15 @@ def test_knuth_moves_examples():
 def test_knuth_equivalence():
     assert knuth_equivalent((3, 1, 2), (3, 1, 2))
     assert knuth_equivalent((3, 1, 2), (1, 3, 2))
-    classes = {}
-    for perm in all_permutations(4):
-        classes.setdefault(rs_correspondence(perm)[0], set()).add(perm)
-    for cls in classes.values():
-        rep = next(iter(cls))
-        for other in all_permutations(4):
-            assert knuth_equivalent(rep, other) == (other in cls)
+    # Knuth's theorem: the classes are the fibres of the P-symbol
+    for n in (4, 5):
+        classes = {}
+        for perm in all_permutations(n):
+            classes.setdefault(rs_correspondence(perm)[0], set()).add(perm)
+        for cls in classes.values():
+            rep = next(iter(cls))
+            for other in all_permutations(n):
+                assert knuth_equivalent(rep, other) == (other in cls)
 
 
 def test_knuth_moves_are_star_operations():
