@@ -29,7 +29,7 @@ print("\nKazhdan-Lusztig polynomials h(y, x) for type B2:")
 for x in b2.elements():
     row = ", ".join(
         f"h({b2.id_to_digits(y) or 'e'}) = {kl.h_poly(y, x)}"
-        for y in sorted(kl.h[x], key=lambda w: b2.length[w]))
+        for y in sorted(kl.h[x], key=lambda w: (b2.length[w], w)))
     print(f"  C[{b2.id_to_digits(x) or 'e'}]: {row}")
 
 c = kl.kl_element(b2.longest_element())

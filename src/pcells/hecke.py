@@ -17,16 +17,25 @@ Elias-Williamson 2014) and a guard raises OverflowError before a coefficient
 could outgrow its digit.  It computes half of each column: for s a right
 descent of x and ts < t, h(ts, x) = v h(t, x) (P_{y,w} = P_{ys,w} of
 Kazhdan-Lusztig 1979), so only the entries at the tops t are built.  It
-builds one column per inverse pair {x, x^-1}, along the right descent of x
-or of x^-1 whose recursion visits the fewest entries (the choice of descent
-sets the cost, du Cloux 2002), and stores the partner column as a read-only
-view of the built one, relabelled through the anti-involution iota:
-h(y, x) = h(y^-1, x^-1).  A table has
-few distinct polynomials and many entries (du Cloux 2002), so per-value
-work is done once per distinct value: each value is decoded once, when it
-is first written, into one immutable LaurentPoly shared by every entry and
-column holding it, and change_basis multiplies each distinct polynomial
-once per coefficient.
+builds one column per orbit of the group G that inversion and the
+automorphisms of the Coxeter graph generate, along the right descent of
+the orbit member whose recursion visits the fewest entries (the choice of
+descent sets the cost, du Cloux 2002).  Every other column of the orbit is
+a read-only view of the built one, relabelled through the anti-involution
+iota, h(y, x) = h(y^-1, x^-1), and through each graph automorphism sigma,
+h(sigma y, sigma x) = h(y, x).  iota commutes with bar; an automorphism of
+(W, S) extends to an automorphism of H that commutes with bar; so by
+uniqueness each maps C_w to the C of the image of w (compute_kl_table has
+the proof).  The presentation of H reads the Coxeter matrix only, so this
+is a symmetry of the Coxeter graph, not of the Dynkin diagram: it includes
+the swaps of B2, G2 and F4 that exchange long and short roots.  A
+p-canonical table depends on the Cartan matrix and is not invariant under
+those, so only the KL table uses it.  A table has few distinct
+polynomials and many entries (du Cloux 2002), so per-value work is done
+once per distinct value: each value is decoded once, when it is first
+written, into one immutable LaurentPoly shared by every entry and column
+holding it, and change_basis multiplies each distinct polynomial once per
+coefficient.
 
 HeckeElt values are tagged with the basis they are expressed in ("std",
 "kl", or "pcan"); arithmetic across different bases is a hard error, and
@@ -227,12 +236,15 @@ class KLTable:
     coefficient of v in h(y, x), storing nonzero values only.  Both are
     built by compute_kl_table; equal polynomials in h are one shared
     immutable LaurentPoly.  Every column is a read-only Mapping.  Of each
-    inverse pair {x, x^-1} one column is built: its ids and values are two
-    tuples, iterated in the order the kernel wrote them, and a dict index
-    of its entries is built on its first point lookup (get, in, []) and
-    kept.  The other column is a view over it, relabelled through
-    system.inverse (h(y, x) = h(y^-1, x^-1)).  The mu rows are dicts.  The
-    constructor takes any Mapping per column.
+    orbit of inversion and the Coxeter-graph automorphisms one column is
+    built: its ids and values are two tuples, iterated in the order the
+    kernel wrote them, and a dict index of its entries is built on its
+    first point lookup (get, in, []) and kept.  Every other column of the
+    orbit is a view over it, relabelled through the id permutation that
+    carries the built column to it: system.inverse (h(y, x) =
+    h(y^-1, x^-1)), a graph automorphism sigma (h(sigma y, sigma x) =
+    h(y, x)), or their product (see compute_kl_table).  The mu rows are
+    dicts.  The constructor takes any Mapping per column.
     """
 
     def __init__(self, system: CoxeterSystem,
@@ -318,17 +330,18 @@ class _ColumnItems(ItemsView):
         return zip(col._ids, col._vals)
 
 
-class _PartnerColumn(Mapping):
-    """The column h at w^-1, read through the built column col = h at w:
-    it maps y^-1 to col[y], in col's order, so it equals the dict
-    {inv[y]: c for y, c in col.items()} without storing it.  index maps
-    each id u to inv[u]; a key that is not an id gets None from it, which
-    no column holds, so get, in and [] answer as that dict would."""
+class _RelabelledColumn(Mapping):
+    """The column h at g(w), read through the built column col = h at w,
+    for an id permutation g that fixes the table (see compute_kl_table):
+    it maps g(y) to col[y], in col's order, so it equals the dict
+    {g[y]: c for y, c in col.items()} without storing it.  index maps each
+    id g(u) to u; a key that is not an id gets None from it, which no
+    column holds, so get, in and [] answer as that dict would."""
 
-    __slots__ = ("_col", "_inv", "_index")
+    __slots__ = ("_col", "_perm", "_index")
 
-    def __init__(self, col: _Column, inv: list[int], index: dict[int, int]):
-        self._col, self._inv, self._index = col, inv, index
+    def __init__(self, col: _Column, perm: list[int], index: dict[int, int]):
+        self._col, self._perm, self._index = col, perm, index
 
     def __getitem__(self, y):
         c = self._col.get(self._index.get(y))
@@ -346,23 +359,23 @@ class _PartnerColumn(Mapping):
         return len(self._col)
 
     def __iter__(self):
-        return map(self._inv.__getitem__, self._col)
+        return map(self._perm.__getitem__, self._col)
 
     def values(self):
         return self._col.values()
 
     def items(self):
-        return _PartnerItems(self)
+        return _RelabelledItems(self)
 
 
-class _PartnerItems(ItemsView):
-    """items() of a _PartnerColumn, iterated at C speed."""
+class _RelabelledItems(ItemsView):
+    """items() of a _RelabelledColumn, iterated at C speed."""
 
     __slots__ = ()
 
     def __iter__(self):
         col = self._mapping._col
-        return zip(map(self._mapping._inv.__getitem__, col), col.values())
+        return zip(map(self._mapping._perm.__getitem__, col), col.values())
 
 
 # Packed form of a polynomial with coefficients a_i >= 0 in v^i (i >= 0):
@@ -407,17 +420,37 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     descent will do, and the one chosen sets the cost.  The ids are walked
     in order, which is length order, so when an id x is reached every
     shorter column is known.  If x's column is not yet known, every
-    candidate (w, s) with w in {x, x^-1} and s in D_R(w) is scored by the
-    number of entries the recursion would visit, |col(ws)| plus |col(z)|
-    over the corrections z, and the cheapest is built (ties go to w = x,
-    then to the smaller s).  The partner column is then relabelled:
-    h(y^-1, w^-1) = h(y, w) and mu(y^-1, w^-1) = mu(y, w) (Kazhdan-Lusztig
-    1979).  Indeed iota, H_u -> H at u^-1, fixes the KL basis up to that
-    relabelling: iota(C_w) = H at w^-1 plus h(y, w) H at y^-1 over y < w
-    is bar-invariant, because iota commutes with bar, and y < w iff
-    y^-1 < w^-1, so by uniqueness it is C at w^-1.  Both choices are
-    therefore exact: the table is the same whichever descent and whichever
-    member of the pair is built.
+    candidate (w, s) with w in the orbit Gx and s in D_R(w) is scored by
+    the number of entries the recursion would visit, |col(ws)| plus
+    |col(z)| over the corrections z, and the cheapest is built.  G is the
+    group of id permutations that inversion and the lifts of the
+    Coxeter-graph automorphisms generate, and the orbit is listed as x,
+    then g(x) for g in G, inversion first, then each automorphism sigma
+    (in lexicographic order) and sigma followed by inversion; ties go to
+    the earlier orbit member, then to the smaller s.  Every other column
+    of the orbit is then relabelled: for the first g with g(w) = u,
+    h(g y, u) = h(y, w) and mu(g y, u) = mu(y, w) (Kazhdan-Lusztig 1979).
+    Indeed iota, H_u -> H at u^-1, fixes the KL basis up to relabelling:
+    iota(C_w) = H at w^-1 plus h(y, w) H at y^-1 over y < w is
+    bar-invariant, because iota commutes with bar, and y < w iff
+    y^-1 < w^-1, so by uniqueness it is C at w^-1.  The same argument
+    holds for a permutation sigma of S with m(sigma s, sigma t) = m(s, t).
+    It preserves the Coxeter presentation of (W, S), so it extends to an
+    automorphism of W that maps S to S and preserves length and the
+    Bruhat order.  The Hecke algebra's presentation (the quadratic
+    relation and the braid relations of length m(s, t)) depends on the
+    Coxeter matrix only, so H_u -> H at sigma u is an automorphism of H;
+    it commutes with bar, which sends H_s to H_s^-1 and v to v^-1.
+    Hence sigma(C_w) is bar-invariant and lies in H at sigma w plus the
+    sum of v Z[v] H at sigma y over y < w, and by uniqueness it is C at
+    sigma w.  This uses the Coxeter graph, not the Dynkin diagram: H and
+    its KL basis see the orders m(s, t) and not the root lengths, so the
+    swap of B2, G2 and F4 that exchanges long and short roots fixes the
+    KL table too.  A p-canonical table depends on the Cartan matrix and
+    is not invariant under such a swap (b2_p2 has ^2B_121 = B_121 + B_1
+    but no image row at 212), so no other table uses this symmetry.
+    Every choice is therefore exact: the table is the same whichever
+    descent and whichever orbit member is built.
 
     Only the tops t of the pairs {t, ts} with ts < t are computed, for the
     chosen s.  An element sum a_u H_u of the right ideal H C_s has
@@ -446,12 +479,47 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     object per distinct polynomial in all the columns; it keeps its packed
     int, which the later steps read.  Each built column is stored as two
     tuples, ids and values, which cost about 16 B per entry where a dict
-    costs about 40 B, and each partner column is a read-only view of the
+    costs about 40 B, and every other column is a read-only view of a
     built one (see KLTable): the table stores one pair of tuples per
-    inverse pair, and a column's lookup dict exists only once something
-    has looked a key up in it.
+    orbit, and a column's lookup dict exists only once something has
+    looked a key up in it.
     """
     return KLTable(system, *_kl_columns(system)[:2])
+
+
+def _graph_automorphisms(coxeter: Sequence[Sequence[int]]
+                         ) -> list[tuple[int, ...]]:
+    """Every permutation sigma of the generators with m(sigma s, sigma t) =
+    m(s, t), in lexicographic order, so the identity comes first: a
+    backtracking search that fixes sigma(0), sigma(1), ... in turn and keeps
+    a partial map only while it preserves m on the generators mapped."""
+    n = len(coxeter)
+    found: list[tuple[int, ...]] = []
+
+    def extend(sigma: list[int]) -> None:
+        k = len(sigma)
+        if k == n:
+            found.append(tuple(sigma))
+            return
+        for t in range(n):
+            if t not in sigma and all(coxeter[sigma[j]][t] == coxeter[j][k]
+                                      for j in range(k)):
+                extend(sigma + [t])
+
+    extend([])
+    return found
+
+
+def _lift(system: CoxeterSystem, sigma: Sequence[int]) -> list[int]:
+    """The automorphism of W that sigma induces, on ids: the image of e is
+    e, and of w = (ws)s, for s the last letter of w, it is the image of ws
+    times sigma(s).  Ids are in length order, so ws is done before w."""
+    right, words = system.right, system.words
+    lift = [0] * system.size
+    for w in range(1, system.size):
+        s = words[w][-1]
+        lift[w] = right[lift[right[w][s]]][sigma[s]]
+    return lift
 
 
 def _kl_columns(system: CoxeterSystem
@@ -460,9 +528,16 @@ def _kl_columns(system: CoxeterSystem
     """The columns and mu rows of compute_kl_table, and the columns it
     built: w -> the right descent s it was built along.  The identity's
     and the built columns are _Columns; every other column is a
-    _PartnerColumn over the column of its inverse."""
+    _RelabelledColumn over the built column of its orbit."""
     inv, descents = system.inverse, system.right_descents
-    index = dict(enumerate(inv))
+    # the relabellings g != 1 of the group G that inversion and the graph
+    # automorphisms generate, inversion first; indexes[i][g(u)] = u for
+    # g = relabellings[i]
+    relabellings = [inv]
+    for sigma in _graph_automorphisms(system.coxeter_matrix)[1:]:
+        lift = _lift(system, sigma)
+        relabellings += [lift, [inv[w] for w in lift]]
+    indexes = [dict(zip(g, range(system.size))) for g in relabellings]
     by_gen = [[row[s] for row in system.right] for s in range(system.rank)]
     h: list = [None] * system.size
     mu: list = [None] * system.size
@@ -479,7 +554,7 @@ def _kl_columns(system: CoxeterSystem
         if h[x] is not None:
             continue
         best = None
-        for w in (x,) if inv[x] == x else (x, inv[x]):
+        for w in dict.fromkeys([x, *[g[x] for g in relabellings]]):
             for s in sorted(descents[w]):
                 wp = by_gen[s][w]
                 cost = size[wp] + sum(
@@ -528,11 +603,13 @@ def _kl_columns(system: CoxeterSystem
                     row[t] = m
         h[w], mu[w] = _Column(col), row
         built[w] = s
-        wi = inv[w]
-        size[w] = size[wi] = len(col)
-        if wi != w:
-            h[wi] = _PartnerColumn(h[w], inv, index)
-            mu[wi] = dict(zip(map(inv.__getitem__, row), row.values()))
+        size[w] = len(col)
+        for g, index in zip(relabellings, indexes):
+            u = g[w]
+            if h[u] is None:
+                h[u] = _RelabelledColumn(h[w], g, index)
+                mu[u] = dict(zip(map(g.__getitem__, row), row.values()))
+                size[u] = size[w]
     return h, mu, built
 
 

@@ -357,7 +357,9 @@ def check_coefficient_sliding(table: PCanTable, kl: KLTable, r: int, t: int
     since a and b are involutions, z = (za)a and z = (zb)b."""
     sys_ = table.system
     right = sys_.right
-    in_dr = DihedralStrings(sys_, r, t).positions
+    pair = DihedralStrings(sys_, r, t)
+    _require_bound(table, pair.m)
+    in_dr = pair.positions
     bad: list[str] = []
     checked = 0
     for x in sorted(in_dr):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -6,7 +7,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from pcells import hecke
-from pcells.coxeter import CoxeterSystem
+from pcells.coxeter import (
+    CoxeterSystem,
+    cartan_matrix_of_type,
+    cartan_to_coxeter,
+)
 from pcells.hecke import (
     _VINV_MINUS_V,
     KL,
@@ -16,7 +21,9 @@ from pcells.hecke import (
     KLTable,
     _Column,
     _acc,
+    _graph_automorphisms,
     _kl_columns,
+    _lift,
     _unpack,
     bar_involution,
     bott_samelson_to_standard,
@@ -321,6 +328,75 @@ def test_kl_table_is_iota_symmetric(f4_kl):
         assert {inv[y]: m for y, m in table.mu[x].items()} == table.mu[inv[x]]
 
 
+AUTOMORPHISM_GROUPS = {
+    **MIN_DESCENT_GROUPS, "A2": "A2", "A3": "A3", "A5": "A5", "B2": "B2",
+    "B3": "B3",
+}
+
+
+def _coxeter(label):
+    cartan = AUTOMORPHISM_GROUPS[label]
+    return cartan_to_coxeter(cartan_matrix_of_type(cartan)
+                             if isinstance(cartan, str) else cartan)
+
+
+def _automorphisms_by_brute_force(coxeter):
+    """Oracle: every permutation of the generators that preserves m."""
+    n = len(coxeter)
+    return [sigma for sigma in itertools.permutations(range(n))
+            if all(coxeter[sigma[s]][sigma[t]] == coxeter[s][t]
+                   for s in range(n) for t in range(n))]
+
+
+def _relabellings(system):
+    """Oracle for the kernel's relabellings: inversion, then for each graph
+    automorphism sigma != 1 in lexicographic order its action on reduced
+    words, then that action followed by inversion."""
+    inv = system.inverse
+    out = [inv]
+    for sigma in _automorphisms_by_brute_force(system.coxeter_matrix)[1:]:
+        lift = [system.word_to_id(sigma[s] for s in system.words[w])
+                for w in system.elements()]
+        out += [lift, [inv[w] for w in lift]]
+    return out
+
+
+def _orbit(relabellings, x):
+    return list(dict.fromkeys([x, *[g[x] for g in relabellings]]))
+
+
+def _orbit_count(system):
+    relabellings = _relabellings(system)
+    return len({min(_orbit(relabellings, x)) for x in system.elements()})
+
+
+@pytest.mark.parametrize("label, order", [
+    ("A2", 2), ("A3", 2), ("A4", 2), ("A5", 2), ("B2", 2), ("G2", 2),
+    ("F4", 2), ("D5", 2), ("B3", 1), ("C3", 1), ("D4", 6)])
+def test_graph_automorphisms_match_brute_force(label, order):
+    coxeter = _coxeter(label)
+    found = _graph_automorphisms(coxeter)
+    assert found == _automorphisms_by_brute_force(coxeter)
+    assert len(found) == order and found[0] == tuple(range(len(coxeter)))
+
+
+@pytest.mark.parametrize("label", ["A4", "B2", "G2", "C3", "D4", "F4"])
+def test_lifts_match_the_action_on_reduced_words(label):
+    system = _system(AUTOMORPHISM_GROUPS[label])
+    want = _relabellings(system)[1::2]
+    assert [_lift(system, sigma) for sigma
+            in _graph_automorphisms(system.coxeter_matrix)[1:]] == want
+
+
+@pytest.mark.parametrize("label", ["A2", "A4", "B2", "G2", "C3", "B4", "D4",
+                                   "F4"])
+def test_kernel_builds_one_column_per_orbit(label):
+    system = _system(AUTOMORPHISM_GROUPS[label])
+    h, _, built = _kl_columns(system)
+    assert sum(type(col) is _Column for col in h) == len(built) + 1 \
+        == _orbit_count(system)
+
+
 def test_kl_columns_build_the_cheapest_candidate(f4_kl):
     system, table = f4_kl
     inv, descents, right = system.inverse, system.right_descents, system.right
@@ -329,6 +405,7 @@ def test_kl_columns_build_the_cheapest_candidate(f4_kl):
     assert mu == table.mu
     # each value keeps the packed int the kernel read, and decodes from it
     assert all(_unpack(c.packed) == c for col in h for c in col.values())
+    relabellings = _relabellings(system)
 
     def cost(w, s):
         wp = right[w][s]
@@ -336,24 +413,29 @@ def test_kl_columns_build_the_cheapest_candidate(f4_kl):
                                 if s in descents[z])
 
     for x in system.elements():
-        if x == 0 or x > inv[x]:
+        orbit = _orbit(relabellings, x)
+        if x == 0 or x != min(orbit):
             continue
-        # one column per inverse pair is built, along the cheapest (w, s),
-        # ties going to w = x and then to the smaller s
-        done = [w for w in {x, inv[x]} if w in built]
+        # one column per orbit of inversion and the graph automorphisms is
+        # built, along the cheapest (w, s) over the orbit, ties going to
+        # the earlier orbit member (x, then g(x) in relabelling order) and
+        # then to the smaller s
+        done = [w for w in orbit if w in built]
         assert len(done) == 1
         w = done[0]
-        candidates = [(cost(v, s), v != x, s, v)
-                      for v in {x, inv[x]} for s in descents[v]]
+        candidates = [(cost(v, s), i, s, v)
+                      for i, v in enumerate(orbit) for s in descents[v]]
         assert min(candidates)[2:] == (built[w], w)
-        # a partner column holds the same objects
-        if inv[w] != w:
+        # every relabelled column holds the same objects
+        for g in relabellings:
             for y, c in h[w].items():
-                assert h[inv[w]][inv[y]] is c
-    # F4 exercises both branches: relabelled columns, and columns built
-    # along a descent of x^-1 (x being the smaller id of the pair)
-    assert len(built) < system.size - 1
-    assert any(w > inv[w] for w in built)
+                assert h[g[w]][g[y]] is c
+    # F4 exercises every branch: columns relabelled through inversion and
+    # through the graph automorphism, and columns built along a descent of
+    # an orbit member other than its smallest id
+    assert len(built) + 1 == _orbit_count(system) < system.size // 3
+    assert any(w != min(_orbit(relabellings, w)) for w in built)
+    assert len(built) + 1 < len({min(x, inv[x]) for x in system.elements()})
 
 
 @pytest.mark.parametrize("label", ["D4", "B4", "F4"])
@@ -365,10 +447,10 @@ def test_kl_columns_hold_one_int_per_distinct_value(label):
     assert len({id(c) for c in values}) == len(set(values))
 
 
-def _relabel(col, inv):
-    """Oracle for a partner column: the dict the kernel copied it into,
-    {inv[y]: c for y, c in col.items()}, in col's order."""
-    return dict(zip(map(inv.__getitem__, col), col.values()))
+def _relabel(col, perm):
+    """Oracle for a relabelled column: the dict the kernel copied it into,
+    {perm[y]: c for y, c in col.items()}, in col's order."""
+    return dict(zip(map(perm.__getitem__, col), col.values()))
 
 
 def _odd_keys(system):
@@ -421,8 +503,7 @@ def test_partner_columns_are_read_only_views(label):
         _assert_reads_like(view, oracle, keys)
         with pytest.raises(TypeError):
             view.get([])
-    assert sum(type(col) is _Column for col in h) \
-        == len({min(x, inv[x]) for x in system.elements()})
+    assert sum(type(col) is _Column for col in h) == _orbit_count(system)
 
 
 def test_partner_columns_read_every_int_key_like_the_copied_dict(a3, kl_a3):
@@ -434,6 +515,52 @@ def test_partner_columns_read_every_int_key_like_the_copied_dict(a3, kl_a3):
     assert partners
     for x in partners:
         _assert_reads_like(kl_a3.h[x], _relabel(kl_a3.h[inv[x]], inv), keys)
+
+
+@pytest.mark.parametrize("label", ["A4", "B2", "G2", "D4"])
+def test_relabelled_columns_are_views_through_the_first_relabelling(label):
+    # each column not built is the view of its orbit's built column w
+    # through the first relabelling g with g(w) = x, inversion first; it
+    # reads every int key and unhashable keys as the copied dict would
+    system = _system(AUTOMORPHISM_GROUPS[label])
+    h, mu, built = _kl_columns(system)
+    n = system.size
+    keys = [*range(-n - 2, n + 3), *_odd_keys(system)]
+    seen = set(built) | {0}
+    for w in built:
+        for g in _relabellings(system):
+            x = g[w]
+            if x in seen:
+                continue
+            seen.add(x)
+            view, oracle = h[x], _relabel(h[w], g)
+            assert type(view) is not _Column
+            assert list(view.items()) == list(oracle.items())
+            assert list(view) == list(oracle)
+            assert all(a is b for a, b in zip(view.values(), oracle.values()))
+            assert mu[x] == _relabel(mu[w], g)
+            _assert_reads_like(view, oracle, keys)
+            for bad in ([], {}, {1}):
+                with pytest.raises(TypeError):
+                    view.get(bad)
+                with pytest.raises(TypeError):
+                    bad in view
+    assert seen == set(system.elements())
+
+
+def test_p_canonical_tables_are_not_graph_invariant(b2, kl_b2, b2_p2):
+    # the generator swap of B2 preserves the Coxeter matrix, not the Cartan
+    # matrix: it fixes the KL table but moves the row ^2B_121 = B_121 + B_1
+    # of the p = 2 table to a row the table does not have
+    swap = _relabellings(b2)[1]
+    assert b2.coxeter_matrix == ((1, 4), (4, 1))
+    assert not b2.is_cartan_automorphism((1, 0))
+    for x in b2.elements():
+        assert kl_b2.h[swap[x]] == _relabel(kl_b2.h[x], swap)
+    moved = {swap[x]: _relabel(row, swap) for x, row in b2_p2.rows.items()}
+    assert b2_p2.rows and moved != b2_p2.rows
+    assert b2.digits_to_id("212") in moved
+    assert b2.digits_to_id("212") not in b2_p2.rows
 
 
 def _built(table):

@@ -120,6 +120,11 @@ def test_checkers_refuse_below_bound(c3, kl_c3, c3_p2, b2, kl_b2, b2_p2):
         check_base_change_relations(c3_p2, 0, 1)
     with pytest.raises(PBoundError):
         check_string_vanishing(b2_p2, kl_b2, 0, 1)
+    # coefficient sliding refuses like its three siblings
+    with pytest.raises(PBoundError):
+        check_coefficient_sliding(c3_p2, kl_c3, 0, 1)
+    with pytest.raises(PBoundError):
+        check_coefficient_sliding(b2_p2, kl_b2, 0, 1)
     # the m = 3 pair of C3 is fine at p = 2
     assert check_base_change_relations(c3_p2, 1, 2).ok
     assert check_string_vanishing(c3_p2, kl_c3, 1, 2).ok
