@@ -3,15 +3,24 @@
 The left/right cell preorder is generated by one-generator multiplications:
 there is an elementary relation y -> x (meaning x lies below y) whenever
 B_x appears with nonzero coefficient in B_y C_s for some generator s (right
-side; the mirror for left).  Cells are the strongly connected components of
-the elementary-relation graph, and the condensation DAG (kept transitively
-reduced for display, with full reachability for queries) is the Hasse
-diagram of the induced order on cells.  Only the right relation is built:
-for an inverse-symmetric table the left cells are the inverse image of the
-right ones (left_cells_from_right).  Two-sided cells are the join of the
-one-sided cells: the two-sided preorder is the one generated by the left
-and right preorders, so it is read off the two partitions
-(two_sided_cells) and no two-sided relation graph is built.
+side; the mirror for left).  Away from the rows of the table, that support
+is read off the Kazhdan-Lusztig W-graph: for s not in D(y),
+
+    C_y C_s = C_ys + sum of mu(z, y) C_z over z < y with s in D(z)
+
+(Kazhdan-Lusztig 1979), so y -> y when D(y) is nonempty, y -> ys for s not
+in D(y), and y -> z whenever mu(z, y) != 0 and D(z) is not inside D(y).
+Only a y with a row, or whose W-graph successors meet a rowed element, is
+multiplied out (elementary_relations); at p = 0 none is.  Cells are the
+strongly connected components of the elementary-relation graph, and the
+condensation DAG (kept transitively reduced for display, with full
+reachability for queries) is the Hasse diagram of the induced order on
+cells.  Only the right relation is built: for an inverse-symmetric table
+the left cells are the inverse image of the right ones
+(left_cells_from_right).  Two-sided cells are the join of the one-sided
+cells: the two-sided preorder is the one generated by the left and right
+preorders, so it is read off the two partitions (two_sided_cells) and no
+two-sided relation graph is built.
 
 Also here: the descent and inverse-duality consistency checks, weakly
 right-connected components and right-minimal elements, the decomposition
@@ -170,20 +179,52 @@ def elementary_relations(table: PCanTable, kl: KLTable, side: str = "right"
                          ) -> dict[int, set[int]]:
     """Successor sets of the elementary relation: y -> x whenever B_x
     occurs in B_y C_s for some generator s (descent self-loops included).
-    Only the support of each product matters, so no labels are kept.  For
-    s in the descent set of y, B_y C_s = (v + v^-1) B_y for every table
-    (structure_coefficients), so the descents give the self-loop alone and
-    only the other generators are multiplied."""
+    Only the support of each product matters, so no labels are kept.
+
+    For s in D(y), the right (left) descent set, B_y C_s = (v + v^-1) B_y
+    for every table (structure_coefficients): the self-loop alone.  For s
+    not in D(y), C_y C_s is C_ys plus mu(z, y) C_z over the z < y with s
+    in D(z) (C_sy and the left descents on the left; see the module
+    docstring), and kl.mu[y] holds exactly the nonzero mu(z, y).  So the
+    union of these supports over s is read off the W-graph in one pass
+    over kl.mu[y]: the ascent neighbours, and the z whose D(z) is not
+    inside D(y).  When y has no row, B_y = C_y; when no element of the
+    union has a row either, each C_z in it is B_z.  That is the rule by
+    which structure_coefficients skips its back-substitution, applied to
+    the union, so the union is the answer.  Any other y is multiplied out
+    one generator at a time; at p = 0 there is none.  Raises ValueError if
+    the two tables live over different groups.
+    """
     sys_ = table.system
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
+    if kl.system is not sys_:
+        raise ValueError("the KL table and the p-table live over different "
+                         "groups")
     descents = sys_.right_descents if side == "right" else sys_.left_descents
-    gens = frozenset(range(sys_.rank))
+    right, inv, mu, rows = sys_.right, sys_.inverse, kl.mu, table.rows
+    gens = range(sys_.rank)
     succ: dict[int, set[int]] = {}
-    for y in sys_.elements():
-        succ[y] = {y} if descents[y] else set()
-        for s in gens - descents[y]:
-            succ[y].update(structure_coefficients(table, kl, y, s, side))
+    for y, dy in enumerate(descents):
+        if side == "right":
+            graph = [right[y][s] for s in gens if s not in dy]
+        else:
+            row = right[inv[y]]
+            graph = [inv[row[s]] for s in gens if s not in dy]
+        graph += [z for z in mu[y] if not descents[z] <= dy]
+        if dy:
+            graph.append(y)
+        if rows and (y in rows or not rows.keys().isdisjoint(graph)):
+            out = {y} if dy else set()
+            for s in gens:
+                if s not in dy:
+                    out.update(structure_coefficients(table, kl, y, s, side))
+            succ[y] = out
+        else:
+            # the elements are distinct; a set built from a dict is sized
+            # for them at once, where one grown by single adds takes up to
+            # four times the slots
+            succ[y] = set(dict.fromkeys(graph))
     return succ
 
 
@@ -285,7 +326,8 @@ def compute_cells(table: PCanTable, kl: KLTable, side: str = "right"
     of the left and right cells.  Only the right relation is built: left
     cells are its inverse image (left_cells_from_right), so "left" and
     "two-sided" raise ValueError on a table that is not inverse-symmetric.
-    Any other side raises ValueError before any product is computed."""
+    Any other side, or a KL table of another group, raises ValueError
+    before any product is computed."""
     if side not in ("left", "right", "two-sided"):
         raise ValueError(
             f"unknown side {side!r}: use 'left', 'right' or 'two-sided'")

@@ -648,57 +648,66 @@ def bott_samelson_to_standard(system: CoxeterSystem, word: Sequence[int]) -> Hec
     return HeckeElt(system, STD, out)
 
 
-def _products(terms, c: LaurentPoly):
-    """(y, m * c) over the (y, m) in terms, multiplying each distinct m
-    once: a table row holds many entries and few distinct polynomials.
-    The memo is keyed on m itself, never on its id, so terms may be
-    temporaries."""
-    memo: dict[LaurentPoly, LaurentPoly] = {}
-    for y, m in terms:
-        p = memo.get(m)
-        if p is None:
-            p = memo[m] = m * c
-        yield y, p
-
-
 def unitriangular_solve(system: CoxeterSystem,
                         coeffs: Mapping[int, LaurentPoly],
                         lower_row) -> dict[int, LaurentPoly]:
     """Invert a unitriangular base change: given coefficients in the target
-    basis and a function yielding the strictly-lower (element, coefficient)
-    terms of each source basis element, express in the source basis.
-    Processes by decreasing length so terms created mid-solve are seen."""
+    basis and a function yielding the (element, coefficient) terms of each
+    source basis element below it, express in the source basis.  The
+    diagonal term (x, 1) may be yielded too: it only clears x's entry once
+    x is solved.  Processes by decreasing length so terms created
+    mid-solve are seen.
+
+    Each row is subtracted in one loop.  A row holds many entries and few
+    distinct polynomials, so each distinct m is multiplied by the
+    coefficient once per row; the memo is keyed on m itself, never on its
+    id, so lower_row may yield temporaries.  An entry equal to the product
+    taken from it cancels exactly and is removed."""
+    length = system.length
     work = dict(coeffs)
+    get = work.get
     buckets: dict[int, set[int]] = {}
     for x in work:
-        buckets.setdefault(system.length[x], set()).add(x)
+        buckets.setdefault(length[x], set()).add(x)
     out: dict[int, LaurentPoly] = {}
     for level in range(max(buckets, default=0), -1, -1):
         for x in sorted(buckets.get(level, ())):
-            c = work.get(x)
+            c = get(x)
             if not c:
                 continue
             out[x] = c
-            for y, m in _products(lower_row(x), -c):
-                _acc(work, y, m)
-                buckets.setdefault(system.length[y], set()).add(y)
+            memo: dict[LaurentPoly, LaurentPoly] = {}
+            for y, m in lower_row(x):
+                p = memo.get(m)
+                if p is None:
+                    p = memo[m] = m * c
+                s = get(y)
+                if s is None:
+                    work[y] = -p
+                    buckets.setdefault(length[y], set()).add(y)
+                elif s == p:
+                    del work[y]
+                else:
+                    work[y] = s - p
     return out
 
 
-def _std_to_kl(system: CoxeterSystem, coeffs: Mapping[int, LaurentPoly],
-               table: KLTable) -> dict[int, LaurentPoly]:
-    def lower_row(x: int):
-        return ((y, h) for y, h in table.h[x].items() if y != x)
-
-    return unitriangular_solve(system, coeffs, lower_row)
-
-
-def _kl_to_std(system: CoxeterSystem, coeffs: Mapping[int, LaurentPoly],
-               table: KLTable) -> dict[int, LaurentPoly]:
+def _kl_to_std(coeffs: Mapping[int, LaurentPoly], table: KLTable
+               ) -> dict[int, LaurentPoly]:
+    """The sum of c h(y, x) H_y over the terms c C_x, added in one loop:
+    each distinct h(y, x) of a column is multiplied by c once, as in
+    unitriangular_solve.  A sum that cancels is kept as zero; the HeckeElt
+    that change_basis builds drops it."""
     out: dict[int, LaurentPoly] = {}
+    get = out.get
     for x, c in coeffs.items():
-        for y, p in _products(table.h[x].items(), c):
-            _acc(out, y, p)
+        memo: dict[LaurentPoly, LaurentPoly] = {}
+        for y, m in table.h[x].items():
+            p = memo.get(m)
+            if p is None:
+                p = memo[m] = m * c
+            s = get(y)
+            out[y] = p if s is None else s + p
     return out
 
 
@@ -708,16 +717,24 @@ def change_basis(a: HeckeElt, target: str, kl: KLTable | None = None,
 
     Conversions through "pcan" need a PCanTable (pcan argument); all paths
     are exact unitriangular substitutions, so round trips are identities.
+    A table built on another group than the element's raises ValueError,
+    by the identity test that HeckeElt arithmetic uses.
     """
     if target not in (STD, KL, PCAN):
         raise ValueError(f"unknown basis {target!r}")
+    for table in (kl, pcan):
+        if table is not None and table.system is not a.system:
+            raise ValueError("the element and the table live over different "
+                             "groups")
     if a.basis == target:
         return HeckeElt(a.system, target, dict(a.coeffs))
     if a.basis in (STD, KL) and target in (STD, KL):
         if kl is None:
             raise ValueError("table missing: conversions need a KLTable")
-        fn = _std_to_kl if target == KL else _kl_to_std
-        return HeckeElt(a.system, target, fn(a.system, a.coeffs, kl))
+        if target == KL:
+            return HeckeElt(a.system, KL, unitriangular_solve(
+                a.system, a.coeffs, lambda x: kl.h[x].items()))
+        return HeckeElt(a.system, STD, _kl_to_std(a.coeffs, kl))
     if pcan is None:
         raise ValueError("table missing: conversions involving the canonical "
                          "basis need a PCanTable")

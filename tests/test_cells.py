@@ -33,6 +33,7 @@ from pcells.laurent import GAUSS, ONE, LaurentPoly
 from pcells.pcanonical import (PCanTable, identity_table,
                                restrict_to_parabolic, structure_coefficients)
 from pcells.report import Report
+from pcells import cells as cells_module
 from pcells import verify
 
 
@@ -262,6 +263,9 @@ def _merged_two_sided_cells(table, kl):
 
 F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+D5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+      [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]]
+CARTAN = {"F4": F4, "D4": D4, "D5": D5}
 
 
 _ORACLE_CASES = [
@@ -271,8 +275,8 @@ _ORACLE_CASES = [
 
 @functools.cache
 def _table_and_kl(label, prime):
-    if label in ("F4", "D4"):
-        system = CoxeterSystem.from_cartan({"F4": F4, "D4": D4}[label])
+    if label in CARTAN:
+        system = CoxeterSystem.from_cartan(CARTAN[label])
         return identity_table(system), compute_kl_table(system)
     return verify.get_table(label, prime), verify.get_kl(label)
 
@@ -310,6 +314,48 @@ def test_cells_match_labelled_graph_oracle(label, prime):
     assert new == old
     assert two_sided_cells(table.system, new["left"], new["right"]) == \
         _old_two_sided_cells(table.system, old["left"], old["right"])
+
+
+@pytest.mark.parametrize("label,prime", [
+    ("A3", 0), ("B3", 0), ("C3", 0), ("G2", 0), ("F4", 0), ("D5", 0),
+    ("B2", 2), ("C3", 2)])
+def test_relations_are_the_supports_of_the_products(label, prime):
+    # the W-graph reading, and at p = 2 the rowed fallback, against the
+    # products of every generator
+    table, kl = _table_and_kl(label, prime)
+    for side in ("left", "right"):
+        assert elementary_relations(table, kl, side) == {
+            y: set(row)
+            for y, row in _labelled_relations(table, kl, side).items()}
+
+
+def test_p0_relations_build_no_product(monkeypatch):
+    calls = []
+
+    def counting(table, kl, x, s, side="right"):
+        calls.append((x, s))
+        return structure_coefficients(table, kl, x, s, side)
+
+    monkeypatch.setattr(cells_module, "structure_coefficients", counting)
+    for label in ("B3", "G2", "F4"):
+        table, kl = _table_and_kl(label, 0)
+        for side in ("left", "right"):
+            elementary_relations(table, kl, side)
+    assert calls == []
+    # at p = 2 only the y whose products meet a row are multiplied out
+    table, kl = _table_and_kl("C3", 2)
+    elementary_relations(table, kl, "right")
+    assert 0 < len({x for x, _ in calls}) < table.system.size
+
+
+def test_cells_reject_a_kl_table_of_another_group(a3, kl_b3, kl_a2):
+    table = identity_table(a3)
+    for kl in (kl_b3, kl_a2):
+        with pytest.raises(ValueError, match="different groups"):
+            elementary_relations(table, kl, "right")
+        for side in ("left", "right", "two-sided"):
+            with pytest.raises(ValueError, match="different groups"):
+                compute_cells(table, kl, side)
 
 
 def _direct_partition(table, kl, side):

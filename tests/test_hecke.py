@@ -5,8 +5,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pcells import hecke
+from pcells import hecke, verify
 from pcells.coxeter import (
     CoxeterSystem,
     cartan_matrix_of_type,
@@ -17,6 +19,7 @@ from pcells.hecke import (
     KL,
     STD,
     BasisMismatchError,
+    PCAN,
     HeckeElt,
     KLTable,
     _Column,
@@ -37,6 +40,7 @@ from pcells.hecke import (
     unitriangular_solve,
 )
 from pcells.laurent import GAUSS, ONE, V, V_INV, ZERO, LaurentPoly
+from pcells.pcanonical import identity_table
 
 
 def H(system, digits):
@@ -837,14 +841,68 @@ def test_change_basis_memo_reads_values_not_objects():
             == _std_to_kl_per_entry(system, std, table) == coeffs
 
 
-def test_kl_to_pcan_matches_per_entry_oracle(c3, c3_p2):
+# (id, exponent, coefficient) terms: ids repeat and are summed, so a
+# coefficient may be zero, cancel to zero, or carry negative exponents
+_TERMS = st.lists(st.tuples(st.integers(0, 47), st.integers(-3, 3),
+                            st.integers(-2, 2)), max_size=8)
+
+
+def _summed(system, terms, ids=None):
+    coeffs = {}
+    for k, e, c in terms:
+        x = ids[k % len(ids)] if ids else k % system.size
+        coeffs[x] = coeffs.get(x, ZERO) + LaurentPoly.v(e, c)
+    return coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["A3", "B3", "G2"]), st.sampled_from([STD, KL]),
+       _TERMS)
+def test_base_changes_match_per_entry_oracles(label, basis, terms):
+    system, table = verify.get_system(label), verify.get_kl(label)
+    coeffs = _summed(system, terms)
+    elt = HeckeElt(system, basis, coeffs)
+    if basis == KL:
+        std = change_basis(elt, STD, kl=table)
+        assert std.coeffs == _kl_to_std_per_entry(coeffs, table)
+        back = change_basis(std, KL, kl=table)
+        assert back.coeffs == _std_to_kl_per_entry(system, std.coeffs, table)
+    else:
+        kl = change_basis(elt, KL, kl=table)
+        assert kl.coeffs == _std_to_kl_per_entry(system, coeffs, table)
+        # the solve takes zero coefficients and a row holding its diagonal
+        assert unitriangular_solve(
+            system, coeffs, lambda x: table.h[x].items()) == kl.coeffs
+        back = change_basis(kl, STD, kl=table)
+        assert back.coeffs == _kl_to_std_per_entry(kl.coeffs, table)
+    assert back == elt
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TERMS)
+def test_kl_to_pcan_matches_per_entry_oracle(c3, c3_p2, terms):
     def row(x):
         return c3_p2.rows.get(x, {}).items()
 
-    for coeffs in _kl_sample(c3, 24, count=12):
-        got = c3_p2.kl_to_pcan_coeffs(coeffs)
-        assert got == _solve_per_entry(c3, coeffs, row)
-        assert c3_p2.expand_to_kl_coeffs(got) == coeffs
+    # mostly rowed elements, so that the solve subtracts
+    coeffs = _summed(c3, terms, sorted(c3_p2.rows) + [0, c3.size - 1])
+    got = c3_p2.kl_to_pcan_coeffs(coeffs)
+    assert got == _solve_per_entry(c3, coeffs, row)
+    assert c3_p2.expand_to_kl_coeffs(got) == {
+        x: c for x, c in coeffs.items() if c}
+
+
+def test_change_basis_rejects_a_table_of_another_group(a3, b3, kl_b3, kl_a2,
+                                                        kl_a3):
+    # a table of another group is refused, not read: B3's columns would
+    # give A3's ids a wrong answer, and A2's run out of range
+    elt = HeckeElt(a3, KL, {5: ONE})
+    for kl in (kl_b3, kl_a2):
+        with pytest.raises(ValueError, match="different groups"):
+            change_basis(elt, STD, kl=kl)
+    with pytest.raises(ValueError, match="different groups"):
+        change_basis(HeckeElt(a3, PCAN, {5: ONE}), STD, kl=kl_a3,
+                     pcan=identity_table(b3))
 
 
 def test_missing_entries_are_the_shared_zero(a2, kl_a2):
