@@ -38,8 +38,8 @@ from typing import Iterable, Mapping, Sequence
 from .coxeter import CoxeterSystem
 from .hecke import KLTable, _acc, compute_kl_table
 from .laurent import GAUSS, ONE, V, LaurentPoly
-from .pcanonical import (PCanTable, identity_table, restrict_to_parabolic,
-                         structure_coefficients)
+from .pcanonical import (PCanTable, identity_table, require_same_group,
+                         restrict_to_parabolic, structure_coefficients)
 from .report import Report
 
 
@@ -198,9 +198,7 @@ def elementary_relations(table: PCanTable, kl: KLTable, side: str = "right"
     sys_ = table.system
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
-    if kl.system is not sys_:
-        raise ValueError("the KL table and the p-table live over different "
-                         "groups")
+    require_same_group(table, kl)
     descents = sys_.right_descents if side == "right" else sys_.left_descents
     right, inv, mu, rows = sys_.right, sys_.inverse, kl.mu, table.rows
     gens = range(sys_.rank)
@@ -566,9 +564,11 @@ class ColouredWGraph:
 def subquotient_wgraph(table: PCanTable, kl: KLTable, elements: Iterable[int],
                        side: str = "left") -> ColouredWGraph:
     """The coloured W-graph of the generator action on a subquotient
-    spanned by canonical basis elements indexed by the given set."""
+    spanned by canonical basis elements indexed by the given set.  Raises
+    ValueError if the two tables live over different groups."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
+    require_same_group(table, kl)
     sys_ = table.system
     vertex_set = frozenset(elements)
     vertices = tuple(sorted(vertex_set, key=lambda w: (sys_.length[w], w)))

@@ -29,7 +29,21 @@ generalized-Cartan axioms, which is why cartan_to_coxeter enforces them.
 Enumeration is breadth-first by length, so element ids are stable: id 0 is
 the identity and ids increase with length.  All downstream tables
 (Kazhdan-Lusztig polynomials, canonical basis tables, cell graphs) are keyed
-by these dense ids.
+by these dense ids.  words[w] is the first path to w found, so it is
+reduced.  Each row of `right` holds the one int object of each id it names,
+and `right_descents` holds one frozenset per distinct descent set, which
+`left_descents` shares.
+
+Inversion takes one pass in id order.  Let tail[w] be the id of words[w]
+without its first letter.  A contiguous subword of a reduced word is
+reduced (a shorter expression for the subword would shorten the whole
+word), so tail[w] has length l(w) - 1, and since ids increase with length,
+tail[w] < w.  The enumeration records w when it first reaches it as u s
+from u < w, and words[w] = words[u] + (s,), so tail[w] = tail[u] s: the
+entry right[tail[u]][s], complete because tail[u] < u was processed before
+u.  With s the first letter of w, w = s tail[w], so
+w^-1 = tail[w]^-1 s and inverse[w] = right[inverse[tail[w]]][s], where
+inverse[tail[w]] is known because tail[w] < w.
 
 Words at the API boundary are either tuples of 0-based generator indices or
 "digit strings" such as "23212" meaning s2 s3 s2 s1 s2 under 1-based labels.
@@ -295,21 +309,24 @@ class CoxeterSystem:
         start = (1,) * n
         index = {start: 0}
         heights = [start]
+        # the id objects in id order: rows, index and tail hold these ints
+        ids = [0]
+        # tail[w]: the id of words[w] without its first letter (0 for e)
+        tail = [0]
+        # one frozenset per distinct descent set, keyed by its bitmask
+        descent_sets: dict[int, frozenset[int]] = {}
         self.words: list[Word] = [()]
         self.length: list[int] = [0]
         self.right: list[list[int]] = [[-1] * n]
         self.right_descents: list[frozenset[int]] = []
 
-        frontier = 0
-        while frontier < len(heights):
-            w = frontier
-            frontier += 1
+        for w in ids:
             h = heights[w]
             row = self.right[w]
-            self.right_descents.append(
-                frozenset(s for s in range(n) if h[s] < 0))
+            mask = 0
             for s in range(n):
                 if h[s] < 0:
+                    mask |= 1 << s
                     continue  # w s is shorter; row[s] was set from its row
                 new = list(h)
                 for t, a in bonds[s]:
@@ -324,19 +341,27 @@ class CoxeterSystem:
                             "raise the cap or check the input matrix")
                     index[key] = ws
                     heights.append(key)
+                    ids.append(ws)
+                    tail.append(self.right[tail[w]][s] if w else 0)
                     self.words.append(self.words[w] + (s,))
                     self.length.append(self.length[w] + 1)
                     self.right.append([-1] * n)
                 row[s] = ws
                 self.right[ws][s] = w
+            descents = descent_sets.get(mask)
+            if descents is None:
+                descents = descent_sets[mask] = frozenset(
+                    s for s in range(n) if mask >> s & 1)
+            self.right_descents.append(descents)
 
         self.size = len(heights)
-        self.inverse: list[int] = [
-            self.word_to_id(reversed(self.words[w])) for w in range(self.size)
-        ]
+        # (s u)^-1 = u^-1 s with u = tail[w]: one step per element, in id
+        # order, since tail[w] < w (see the module docstring)
+        inverse = self.inverse = [0]
+        for w in range(1, self.size):
+            inverse.append(self.right[inverse[tail[w]]][self.words[w][0]])
         self.left_descents: list[frozenset[int]] = [
-            self.right_descents[self.inverse[w]] for w in range(self.size)
-        ]
+            self.right_descents[u] for u in inverse]
 
     # -- element access ------------------------------------------------------
 

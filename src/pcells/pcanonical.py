@@ -264,6 +264,14 @@ def p_h(table: PCanTable, kl: KLTable, y: int, x: int) -> LaurentPoly:
     return out
 
 
+def require_same_group(table: PCanTable, kl: KLTable) -> None:
+    """Raise ValueError unless the two tables live over one group: a KL
+    table of another group would be read at the p-table's ids."""
+    if kl.system is not table.system:
+        raise ValueError("the KL table and the p-table live over different "
+                         "groups")
+
+
 def structure_coefficients(table: PCanTable, kl: KLTable, x: int, s: int,
                            side: str = "right") -> dict[int, LaurentPoly]:
     """The coefficients mu^z in B_x C_s = sum_z mu^z B_z (mirror on the left).
@@ -274,10 +282,12 @@ def structure_coefficients(table: PCanTable, kl: KLTable, x: int, s: int,
     product has a table row: each such C_z is then B_z, so the KL
     coefficients are already the answer.  At p = 0 that is every call; a
     p > 0 table solves exactly when a rowed element appears.  Every call
-    returns a fresh dict.
+    returns a fresh dict.  Raises ValueError if the two tables live over
+    different groups.
     """
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
+    require_same_group(table, kl)
     sys_ = table.system
     descents = sys_.right_descents if side == "right" else sys_.left_descents
     if s in descents[x]:

@@ -523,11 +523,13 @@ def _fixpoint(system: CoxeterSystem,
         if nxt == cls:
             break
         cls = nxt
+    # one int object per id, shared by the classes and class_of
+    class_of = dict(zip(system.elements(), cls))
     classes: list[list[int]] = [[] for _ in range(max(cls) + 1)]
-    for x, i in enumerate(cls):
+    for x, i in class_of.items():
         classes[i].append(x)
     return TauPartition(classes=tuple(map(frozenset, classes)),
-                        class_of=dict(enumerate(cls)), stabilized_at=iterations)
+                        class_of=class_of, stabilized_at=iterations)
 
 
 def tau_partition(system: CoxeterSystem,

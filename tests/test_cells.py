@@ -348,14 +348,24 @@ def test_p0_relations_build_no_product(monkeypatch):
     assert 0 < len({x for x, _ in calls}) < table.system.size
 
 
-def test_cells_reject_a_kl_table_of_another_group(a3, kl_b3, kl_a2):
+def test_cells_reject_a_kl_table_of_another_group(a3, kl_a3, kl_b3, kl_a2):
+    # B3's table used to give A3's ids wrong answers, {5: v^-1 + v} and a
+    # 35-edge W-graph, and A2's raised IndexError
     table = identity_table(a3)
+    left = compute_cells(table, kl_a3, "left")
     for kl in (kl_b3, kl_a2):
         with pytest.raises(ValueError, match="different groups"):
             elementary_relations(table, kl, "right")
         for side in ("left", "right", "two-sided"):
             with pytest.raises(ValueError, match="different groups"):
                 compute_cells(table, kl, side)
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match="different groups"):
+                structure_coefficients(table, kl, 5, 0, side)
+            with pytest.raises(ValueError, match="different groups"):
+                subquotient_wgraph(table, kl, range(a3.size), side)
+        with pytest.raises(ValueError, match="different groups"):
+            extract_wgraph(left, 0, table, kl)
 
 
 def _direct_partition(table, kl, side):

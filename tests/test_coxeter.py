@@ -65,7 +65,11 @@ CARTAN = {
            [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
     "B5": [[2, -2, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
            [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]],
+    "D6": [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, 0],
+           [0, 0, -1, 2, -1, -1], [0, 0, 0, -1, 2, 0], [0, 0, 0, -1, 0, 2]],
 }
+ORACLE_GROUPS = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "C3", "G2",
+                 "D4", "F4", "D5", "B5"]
 AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 
 
@@ -118,8 +122,7 @@ def _enumerate_by_matrices(cartan):
             "inverse": inverse}
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "A6", "B2",
-                                   "B3", "C3", "G2", "D4", "F4", "D5", "B5"])
+@pytest.mark.parametrize("label", ORACLE_GROUPS)
 def test_enumeration_matches_matrix_oracle(label):
     cartan = CARTAN.get(label) or cartan_matrix_of_type(label)
     system = CoxeterSystem.from_cartan(cartan)
@@ -127,6 +130,38 @@ def test_enumeration_matches_matrix_oracle(label):
     assert system.size == len(want["words"])
     for key, value in want.items():
         assert getattr(system, key) == value, key
+
+
+def _system(label):
+    return CoxeterSystem.from_cartan(CARTAN.get(label)
+                                     or cartan_matrix_of_type(label))
+
+
+def _inverse_by_word_walk(system):
+    """Each id's inverse read by walking its reversed word through the
+    right table, O(|W| l): the pass the tail recursion replaced."""
+    return [system.word_to_id(reversed(word)) for word in system.words]
+
+
+@pytest.mark.parametrize("label", ORACLE_GROUPS + ["D6"])
+def test_inverse_matches_the_word_walk(label):
+    system = _system(label)
+    assert system.inverse == _inverse_by_word_walk(system)
+
+
+@pytest.mark.parametrize("label", ORACLE_GROUPS)
+def test_descent_sets_and_ids_are_shared_objects(label):
+    system = _system(label)
+    right = system.right_descents
+    assert len({id(d) for d in right}) == len(set(right))
+    assert all(d is right[u]
+               for d, u in zip(system.left_descents, system.inverse))
+    # every entry of every row, and of inverse, naming an id is one object
+    first = {}
+    for row in [*system.right, system.inverse]:
+        for w in row:
+            assert first.setdefault(w, w) is w
+    assert len(first) == system.size
 
 
 def test_cap_exceeded():

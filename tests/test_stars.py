@@ -467,12 +467,18 @@ def _tau_by_strings(system, orders=(3, 4), tilde=False):
                         stabilized_at=iterations)
 
 
-@pytest.mark.parametrize("label", TAU_GROUPS)
+@pytest.mark.parametrize("label", TAU_GROUPS + ["A4"])
 def test_tau_matches_string_oracle(label):
     system = _system(label)
-    assert tau_partition(system) == _tau_by_strings(system)
-    assert tau_partition(system, orders=(3,)) == _tau_by_strings(system, (3,))
-    assert tau_tilde_partition(system) == _tau_by_strings(system, tilde=True)
+    parts = [(tau_partition(system), _tau_by_strings(system)),
+             (tau_partition(system, orders=(3,)), _tau_by_strings(system, (3,))),
+             (tau_tilde_partition(system), _tau_by_strings(system, tilde=True))]
+    for part, want in parts:
+        assert part == want
+        # class_of in id order, its keys the very objects the classes hold
+        assert list(part.class_of) == list(range(system.size))
+        keys = {x: x for x in part.class_of}
+        assert all(keys[x] is x for c in part.classes for x in c)
 
 
 def _coset_min(system, x, r, t):

@@ -11,7 +11,8 @@ module level, where they are seen at once and resolve once, a fresh
 interpreter's import of pcells loads neither dataclasses nor inspect, and
 the inverse-duality and star-closure checks compare cells, never pairs of
 elements, and the star-relation checkers evaluate one relation system per
-x-string, never one per pair of strings.
+x-string, never one per pair of strings.  The enumerated B5 keeps under
+450 bytes per element, as tracemalloc counts them.
 """
 
 import ast
@@ -20,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from pcells import stars, verify
@@ -37,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 EXPECTED = ROOT / "perfbench" / "expected.json"
 F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+B5 = [[2, -2, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
+      [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]]
 
 
 def _tracing_targets(name: str) -> list[tuple[str, str]]:
@@ -110,6 +114,20 @@ def test_a6_tau_matches_the_benchmark_class_counts():
     a6 = CoxeterSystem.from_type("A6")
     assert len(tau_partition(a6).classes) == want["tau"] == 232
     assert len(tau_tilde_partition(a6).classes) == want["tau-tilde"] == 232
+
+
+def test_enumerated_group_keeps_under_450_bytes_per_element():
+    # B5 kept 603 B per element (Python 3.11.7) with a frozenset of right
+    # descents per element and two int objects per id above 256; the
+    # tau-rs workload's peak holds B5 and A6
+    tracemalloc.start()
+    try:
+        b5 = CoxeterSystem.from_cartan(B5)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b5.size == 3840
+    assert retained / b5.size < 450
 
 
 def test_cell_level_checks_compare_no_element_pairs(monkeypatch):
