@@ -6,7 +6,6 @@ Robinson-Schensted description of cells in type A."""
 from .laurent import GAUSS, ONE, V, V_INV, ZERO, LaurentPoly
 from .coxeter import (
     CoxeterSystem,
-    DecoratedSubexpression,
     GroupTooLargeError,
     cartan_matrix_of_type,
     cartan_to_coxeter,
@@ -17,17 +16,14 @@ from .hecke import (
     HeckeElt,
     KLTable,
     bar_involution,
-    bott_samelson_to_standard,
     change_basis,
     compute_kl_table,
-    iota,
     kl_multiply_by_generator,
     std_multiply,
 )
 from .pcanonical import (
     PCanTable,
     PCanValidationError,
-    apply_automorphism_to_table,
     identity_table,
     load_fixture,
     load_table,
@@ -48,7 +44,6 @@ from .cells import (
     inverse_duality_check,
     left_cells_from_right,
     propagate_nondecomposition,
-    right_connected_components,
     right_minimal_elements,
     subquotient_wgraph,
     transport_preorder,
@@ -69,10 +64,8 @@ from .stars import (
     tau_tilde_partition,
 )
 from .typea import (
-    column_superstandard,
     hook_length_count,
     inverse_rs,
-    knuth_equivalent,
     knuth_moves,
     rs_correspondence,
     verify_typea_cell_theorem,

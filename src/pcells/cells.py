@@ -22,11 +22,11 @@ cells: the two-sided preorder is the one generated by the left and right
 preorders, so it is read off the two partitions (two_sided_cells) and no
 two-sided relation graph is built.
 
-Also here: the descent and inverse-duality consistency checks, weakly
-right-connected components and right-minimal elements, the decomposition
-criterion comparing a positive-characteristic table against the p = 0
-cells, parabolic compatibility and propagation checks, and coloured
-W-graphs of cell modules with their defining-relation verification.  The
+Also here: the descent and inverse-duality consistency checks,
+right-minimal elements, the decomposition criterion comparing a
+positive-characteristic table against the p = 0 cells, parabolic
+compatibility and propagation checks, and coloured W-graphs of cell
+modules with their defining-relation verification.  The
 checkers take the partitions of W that they read, so a caller computes
 each partition once; partitions of parabolic subgroups are computed inside.
 """
@@ -441,29 +441,6 @@ def inverse_duality_check(left: CellPartition, right: CellPartition,
 
 # ---------------------------------------------------------------------------
 # weak-order combinatorics
-
-def right_connected_components(system: CoxeterSystem, subset: Iterable[int]
-                               ) -> list[frozenset[int]]:
-    """Components of the subset under 'differ by one simple reflection on
-    the right, both endpoints inside'."""
-    subset = set(subset)
-    comps = []
-    todo = set(subset)
-    while todo:
-        seed = todo.pop()
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            w = stack.pop()
-            for s in range(system.rank):
-                u = system.right[w][s]
-                if u in subset and u not in comp:
-                    comp.add(u)
-                    todo.discard(u)
-                    stack.append(u)
-        comps.append(frozenset(comp))
-    return comps
-
 
 def right_minimal_elements(system: CoxeterSystem, subset: Iterable[int]
                            ) -> frozenset[int]:

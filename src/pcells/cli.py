@@ -56,8 +56,10 @@ def _build_system(args) -> CoxeterSystem:
         if args.type:
             return CoxeterSystem.from_type(args.type, cap=args.cap)
         if args.cartan:
-            path = Path(args.cartan)
-            spec = json.loads(path.read_text() if path.exists() else args.cartan)
+            # os.path.exists is False, not an error, for text that cannot
+            # name a file, such as an inline matrix over 255 bytes
+            spec = json.loads(Path(args.cartan).read_text()
+                              if os.path.exists(args.cartan) else args.cartan)
             if isinstance(spec, list):
                 spec = {"cartan": spec}
             return CoxeterSystem.from_spec(spec, cap=args.cap)

@@ -1,9 +1,9 @@
 """Finite crystallographic Coxeter groups.
 
-A group is built either from a generalized Cartan matrix (integer matrix
-with 2 on the diagonal, non-positive entries off it, and a(s,t) = 0 exactly
-when a(t,s) = 0) or from a Coxeter matrix with bond orders in {2, 3, 4, 6,
-inf}.  The Cartan matrix determines bond orders by the product rule:
+A group is built from a generalized Cartan matrix (integer matrix with 2
+on the diagonal, non-positive entries off it, and a(s,t) = 0 exactly when
+a(t,s) = 0), given directly or through a type label.  The Cartan matrix
+determines bond orders by the product rule:
 m(s,t) = 2, 3, 4, 6 or inf according to whether a(s,t) * a(t,s) is 0, 1,
 2, 3 or >= 4.
 
@@ -51,17 +51,9 @@ Words at the API boundary are either tuples of 0-based generator indices or
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
-
-CRYSTALLOGRAPHIC_ORDERS = {2, 3, 4, 6}
-
-# Bond order in {2,3,4,6} -> off-diagonal Cartan pair used when only a
-# Coxeter matrix is supplied.  Any realization of the right bond order
-# yields a faithful reflection representation, so the choice is free.
-_CARTAN_FOR_ORDER = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3)}
 
 
 class GroupTooLargeError(RuntimeError):
@@ -167,25 +159,6 @@ def _infinite_reason(cartan: Sequence[Sequence[int]]) -> str | None:
     return None
 
 
-def coxeter_to_cartan(coxeter: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Synthesize a crystallographic Cartan matrix realizing bond orders."""
-    n = len(coxeter)
-    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = coxeter[i][j]
-            if m != coxeter[j][i]:
-                raise ValueError("Coxeter matrix must be symmetric")
-            if m == 0:
-                cartan[i][j] = cartan[j][i] = -2
-                continue
-            if m not in CRYSTALLOGRAPHIC_ORDERS:
-                raise ValueError(f"bond order {m} is not crystallographic")
-            a, b = _CARTAN_FOR_ORDER[m]
-            cartan[i][j], cartan[j][i] = a, b
-    return cartan
-
-
 def cartan_matrix_of_type(label: str) -> list[list[int]]:
     """Cartan matrix for a type label like "A3", "B2", "C3" or "G2".
 
@@ -231,21 +204,6 @@ def word_digits(word: Iterable[int]) -> str:
     return "".join(str(s + 1) for s in word)
 
 
-class DecoratedSubexpression(NamedTuple):
-    """A 01-sequence through an expression, with its Bruhat-stroll decorations.
-
-    Each position carries U/D (whether the stroll element would go up or down
-    when multiplied by the current letter) paired with the chosen bit; the
-    defect counts U0 minus D0 positions.
-    """
-
-    word: Word
-    bits: tuple[int, ...]
-    decorations: tuple[str, ...]
-    terminal: int  # element id the subexpression multiplies to
-    defect: int
-
-
 class CoxeterSystem:
     """A fully enumerated finite crystallographic Coxeter group."""
 
@@ -264,10 +222,6 @@ class CoxeterSystem:
     @classmethod
     def from_cartan(cls, cartan, cap: int = 10**6) -> "CoxeterSystem":
         return cls(cartan, cap=cap)
-
-    @classmethod
-    def from_coxeter_matrix(cls, coxeter, cap: int = 10**6) -> "CoxeterSystem":
-        return cls(coxeter_to_cartan(coxeter), cap=cap)
 
     @classmethod
     def from_type(cls, label: str, cap: int = 10**6) -> "CoxeterSystem":
@@ -464,21 +418,6 @@ class CoxeterSystem:
                              if not (self.left_descents[w] & gens))
         raise ValueError("side must be 'left' or 'right'")
 
-    def coset_factorize(self, w: int, gens: Iterable[int]) -> tuple[int, int]:
-        """Write w = x * y with x in W^I, y in W_I and lengths adding."""
-        gens = frozenset(gens)
-        suffix: list[int] = []
-        x = w
-        while True:
-            ds = self.right_descents[x] & gens
-            if not ds:
-                break
-            s = min(ds)
-            suffix.append(s)
-            x = self.right[x][s]
-        y = self.word_to_id(reversed(suffix))
-        return x, y
-
     def parabolic_subsystem(self, gens: Sequence[int]) -> "ParabolicEmbedding":
         """The standard parabolic as its own system, with the id embedding."""
         gens = sorted(set(gens))
@@ -489,49 +428,6 @@ class CoxeterSystem:
             for w in sub.elements()
         ]
         return ParabolicEmbedding(sub=sub, gens=tuple(gens), to_parent=to_parent)
-
-    # -- expressions and decorations ------------------------------------------
-
-    def subexpressions(self, word: Sequence[int], target: int | None = None
-                       ) -> list[DecoratedSubexpression]:
-        """All decorated 01-sequences through word, optionally filtered
-        by the element they multiply to."""
-        word = tuple(word)
-        out = []
-        for bits in itertools.product((0, 1), repeat=len(word)):
-            current = 0
-            decorations = []
-            defect = 0
-            for s, bit in zip(word, bits):
-                up = self.length[self.right[current][s]] > self.length[current]
-                d = "U" if up else "D"
-                decorations.append(f"{d}{bit}")
-                if bit:
-                    current = self.right[current][s]
-                elif up:
-                    defect += 1
-                else:
-                    defect -= 1
-            if target is None or current == target:
-                out.append(DecoratedSubexpression(
-                    word=word, bits=bits, decorations=tuple(decorations),
-                    terminal=current, defect=defect))
-        return out
-
-    # -- diagram automorphisms ---------------------------------------------------
-
-    def is_cartan_automorphism(self, phi: Sequence[int]) -> bool:
-        """Does the generator permutation phi preserve the Cartan matrix?"""
-        if sorted(phi) != list(range(self.rank)):
-            return False
-        return all(self.cartan[phi[s]][phi[t]] == self.cartan[s][t]
-                   for s in range(self.rank) for t in range(self.rank))
-
-    def apply_diagram_automorphism(self, phi: Sequence[int], w: int) -> int:
-        """Image of w under the automorphism induced by phi."""
-        if not self.is_cartan_automorphism(phi):
-            raise ValueError("permutation does not preserve the Cartan matrix")
-        return self.word_to_id(tuple(phi[s] for s in self.words[w]))
 
 
 class ParabolicEmbedding(NamedTuple):

@@ -184,7 +184,7 @@ def std_multiply(a: HeckeElt, b: HeckeElt) -> HeckeElt:
 
 
 # ---------------------------------------------------------------------------
-# bar involution and iota
+# bar involution
 
 _bar_std_cache = weakref.WeakKeyDictionary()  # system -> {x: bar(H_x)}
 
@@ -216,13 +216,6 @@ def bar_involution(a: HeckeElt) -> HeckeElt:
         for w, d in _bar_of_std(a.system, x).items():
             _acc(out, w, cbar * d)
     return HeckeElt(a.system, STD, out)
-
-
-def iota(a: HeckeElt) -> HeckeElt:
-    """The linear anti-involution H_x -> H at x^-1 (same formula in the
-    Kazhdan-Lusztig and canonical bases)."""
-    inv = a.system.inverse
-    return HeckeElt(a.system, a.basis, {inv[w]: c for w, c in a.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +485,12 @@ def _graph_automorphisms(coxeter: Sequence[Sequence[int]]
     """Every permutation sigma of the generators with m(sigma s, sigma t) =
     m(s, t), in lexicographic order, so the identity comes first: a
     backtracking search that fixes sigma(0), sigma(1), ... in turn and keeps
-    a partial map only while it preserves m on the generators mapped."""
+    a partial map only while it preserves m on the generators mapped.
+
+    This and _lift are the package's one home for automorphisms of W.  A
+    Dynkin-diagram automorphism, the kind a p-canonical table respects, is
+    one of these sigma that also preserves the Cartan matrix, lifted by the
+    same _lift."""
     n = len(coxeter)
     found: list[tuple[int, ...]] = []
 
@@ -637,16 +635,7 @@ def kl_multiply_by_generator(table: KLTable, x: int, s: int,
 
 
 # ---------------------------------------------------------------------------
-# Bott-Samelson expansion and basis conversion
-
-def bott_samelson_to_standard(system: CoxeterSystem, word: Sequence[int]) -> HeckeElt:
-    """Expand the product C_{s_1} ... C_{s_n} in the standard basis as the
-    defect-graded sum over decorated subexpressions of the word."""
-    out: dict[int, LaurentPoly] = {}
-    for sub in system.subexpressions(word):
-        _acc(out, sub.terminal, LaurentPoly.v(sub.defect))
-    return HeckeElt(system, STD, out)
-
+# basis conversion
 
 def unitriangular_solve(system: CoxeterSystem,
                         coeffs: Mapping[int, LaurentPoly],

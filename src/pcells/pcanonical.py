@@ -31,7 +31,8 @@ import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .coxeter import CoxeterSystem, ParabolicEmbedding
+from .coxeter import (CoxeterSystem, ParabolicEmbedding,
+                      cartan_matrix_of_type)
 from .hecke import (PCAN, STD, HeckeElt, KLTable, _acc, change_basis,
                     kl_multiply_by_generator, std_multiply,
                     unitriangular_solve)
@@ -160,12 +161,13 @@ def load_table(source, system: CoxeterSystem, *, strict: bool = True,
                provenance: str | None = None) -> PCanTable:
     """Load a table from a path, file object, or parsed JSON dict.
 
-    Malformed input raises PCanValidationError: a "type" other than the
-    label of a system built from a type label, a missing key or bad value,
-    and, naming the offending entry, a p or word letter that is not a JSON
-    integer, a non-reduced word, a repeated x entry or y term, or a diagonal
-    coefficient other than 1.  With strict=True (the default) any invariant
-    violation raises PCanValidationError naming the offending pairs.
+    Malformed input raises PCanValidationError: a "type" that is not a
+    supported type label, or whose Cartan matrix is not the system's; a
+    missing key or bad value; and, naming the offending entry, a p or word
+    letter that is not a JSON integer, a non-reduced word, a repeated x
+    entry or y term, or a diagonal coefficient other than 1.  With
+    strict=True (the default) any invariant violation raises
+    PCanValidationError naming the offending pairs.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
@@ -198,10 +200,15 @@ def load_table(source, system: CoxeterSystem, *, strict: bool = True,
         if isinstance(prime, bool) or not isinstance(prime, int):
             raise PCanValidationError([f"p = {prime!r} is not an integer"])
         label = obj.get("type")
-        if (label is not None and system.label is not None
-                and str(label).strip().upper() != system.label):
-            raise PCanValidationError(
-                [f"table is for type {label!r}, not {system.label}"])
+        if label is not None:
+            try:
+                cartan = cartan_matrix_of_type(label)
+            except ValueError as e:
+                raise PCanValidationError([f"table type: {e}"]) from e
+            if tuple(map(tuple, cartan)) != system.cartan:
+                group = system.label or [list(row) for row in system.cartan]
+                raise PCanValidationError(
+                    [f"table is for type {label!r}, not {group}"])
         for entry in obj.get("entries", []):
             where = f"entry x={list(entry['x'])}"
             x = element(entry["x"], where)
@@ -369,18 +376,3 @@ def verify_parabolic_factorization(table: PCanTable, kl: KLTable,
                         f"{sys_.id_to_digits(prods[z])}) = {lhs} != {rhs} "
                         f"[x={sys_.id_to_digits(x)}]")
     return Report(f"parabolic-factorization I={sorted(gens)}", bad, checked)
-
-
-def apply_automorphism_to_table(table: PCanTable, phi: Sequence[int]) -> PCanTable:
-    """Relabel a table along a Cartan-preserving generator permutation."""
-    sys_ = table.system
-    if not sys_.is_cartan_automorphism(phi):
-        raise ValueError("permutation does not preserve the Cartan matrix")
-    rows = {
-        sys_.apply_diagram_automorphism(phi, x): {
-            sys_.apply_diagram_automorphism(phi, y): m for y, m in row.items()
-        }
-        for x, row in table.rows.items()
-    }
-    return PCanTable(sys_, table.prime, rows,
-                     provenance=f"automorphism:{table.provenance}")

