@@ -20,8 +20,9 @@ only above a prime bound (p > 1, 2, 3 for m = 3, 4, 6): below the bound
 the relations are not asserted and the checkers refuse to run.
 
 The generalized tau invariant refines equality of right descent sets
-through neighbour multisets of strings for m in {3, 4}; the tau-tilde
-variant refines through star images for every finite m >= 3.
+through neighbour multisets of strings for m in {3, 4}, read as the star
+image for m = 3, where the two agree; the tau-tilde variant refines
+through star images for every finite m >= 3.
 """
 
 from __future__ import annotations
@@ -101,9 +102,13 @@ class DihedralStrings:
     exists doubled at a string end).  Ids increase with length, so each
     neighbour pair is in increasing order.  The keys of these three maps
     are D_R(r, t).  Each view is built on first use, and `star` and
-    `neighbours` need m >= 3."""
+    `neighbours` need m >= 3.  r and t must be distinct ints in
+    range(system.rank)."""
 
     def __init__(self, system: CoxeterSystem, r: int, t: int):
+        if not all(type(g) is int and 0 <= g < system.rank for g in (r, t)):
+            raise ValueError(f"generators must be ints in range({system.rank}),"
+                             f" not {r!r} and {t!r}")
         if r == t:
             raise ValueError("strings need two distinct generators")
         m = system.coxeter_matrix[r][t]
@@ -536,17 +541,34 @@ def tau_partition(system: CoxeterSystem,
                   orders: tuple[int, ...] = (3, 4)) -> TauPartition:
     """Iterated refinement of right-descent-set equality through neighbour
     multisets of strings, over pairs with bond order 3 or 4 (restrict with
-    orders=(3,) when only those pairs are valid at the working prime)."""
+    orders=(3,) when only those pairs are valid at the working prime).
+
+    A pair with m = 3 reads the class of the star image instead of the
+    class multiset of the neighbours, which splits classes the same way.
+    Its strings are x_1, x_2, so `neighbours` sends x_1 to (x_2, x_2) and
+    x_2 to (x_1, x_1), while `star` swaps the two (position k goes to
+    3 - k); outside D_R(r, t) both maps fix x.  So the multiset key is
+    (c, c) exactly where the star key is c, and two elements share one key
+    iff they share the other.  The classes are numbered by first
+    occurrence in id order, whatever the keys, so `classes`, `class_of`
+    and `stabilized_at` are those of the neighbour multisets."""
+    pairs = [(r, t, m) for r in range(system.rank)
+             for t in range(r + 1, system.rank)
+             if (m := system.coxeter_matrix[r][t]) in orders]
     # one map at a time, each dict freed once its list is built
-    maps = (DihedralStrings(system, r, t).neighbours
-            for r in range(system.rank) for t in range(r + 1, system.rank)
-            if system.coxeter_matrix[r][t] in orders)
-    bonds = [[pairs.get(x, (x, x)) for x in system.elements()] for pairs in maps]
+    stars = [[star.get(x, x) for x in system.elements()]
+             for star in (DihedralStrings(system, r, t).star
+                          for r, t, m in pairs if m == 3)]
+    bonds = [[nbrs.get(x, (x, x)) for x in system.elements()]
+             for nbrs in (DihedralStrings(system, r, t).neighbours
+                          for r, t, m in pairs if m != 3)]
 
     def signature(cls: list[int]) -> list[list]:
-        # the class multiset of each element's two neighbours, sorted
-        return [[(a, b) if (a := cls[i]) <= (b := cls[j]) else (b, a)
-                 for i, j in pairs] for pairs in bonds]
+        # m = 3: the class of the star image; otherwise the class multiset
+        # of the two neighbours, sorted
+        return [*([cls[y] for y in images] for images in stars),
+                *([(a, b) if (a := cls[i]) <= (b := cls[j]) else (b, a)
+                   for i, j in nbrs] for nbrs in bonds)]
 
     return _fixpoint(system, signature)
 

@@ -39,6 +39,7 @@ from pcells.hecke import (
 )
 from pcells.laurent import GAUSS, ONE, V, V_INV, ZERO, LaurentPoly
 from pcells.pcanonical import identity_table
+from test_coxeter import CARTAN
 
 
 def H(system, digits):
@@ -184,15 +185,9 @@ def _kl_by_recursion(system):
     return h, mu
 
 
-ORACLE_GROUPS = {
-    "A4": "A4", "C3": "C3", "G2": "G2",
-    "B4": [[2, -2, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
-}
-FULL_COLUMN_GROUPS = {
-    **ORACLE_GROUPS,
-    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-}
+ORACLE_GROUPS = {"A4": "A4", "C3": "C3", "G2": "G2",
+                 "B4": CARTAN["B4"], "D4": CARTAN["D4"]}
+FULL_COLUMN_GROUPS = {**ORACLE_GROUPS, "F4": CARTAN["F4"]}
 
 
 def _system(cartan):

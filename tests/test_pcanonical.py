@@ -10,7 +10,7 @@ from pcells import verify
 from pcells.coxeter import CoxeterSystem
 from pcells.hecke import (KL, PCAN, STD, HeckeElt, change_basis,
                           kl_multiply_by_generator, std_multiply)
-from pcells.laurent import GAUSS, ONE, V, ZERO, LaurentPoly
+from pcells.laurent import GAUSS, ONE, ZERO, LaurentPoly
 from pcells.pcanonical import (
     PCanTable,
     PCanValidationError,

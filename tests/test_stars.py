@@ -27,6 +27,7 @@ from pcells.stars import (
     tau_tilde_partition,
 )
 from pcells import verify
+from test_coxeter import CARTAN
 
 
 def _in_d_r(system, x, r, t):
@@ -405,12 +406,8 @@ def test_tau_restricted_to_valid_pairs_at_p2(c3, kl_c3, c3_p2):
         assert len({part.class_of[w] for w in cell}) == 1
 
 
-CARTAN = {
-    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-    # generator 1 (0-based) is the branch node, in three m = 3 pairs
-    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
-}
-TAU_GROUPS = ["A3", "B3", "C3", "G2", "D4", "F4", "A5"]
+# B4 and F4 mix m = 3 and m = 4 pairs; D4 and D5 branch
+TAU_GROUPS = ["A3", "B3", "C3", "G2", "D4", "F4", "A5", "B4", "D5"]
 
 
 def _system(label):
@@ -594,23 +591,47 @@ def test_a_generator_paired_with_itself_is_rejected(label):
 
 def test_infinite_bond_order_is_rejected():
     # no infinite group can be enumerated, so a bare Coxeter matrix stands in
-    system = SimpleNamespace(coxeter_matrix=[[1, 0], [0, 1]])
+    system = SimpleNamespace(rank=2, coxeter_matrix=[[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="infinite bond order"):
         DihedralStrings(system, 0, 1)
 
 
-def test_tau_reads_only_neighbours_and_tau_tilde_only_star(monkeypatch, b3):
+def test_tau_reads_star_at_m3_and_neighbours_at_m4_and_tau_tilde_only_star(
+        monkeypatch, b3):
+    # B3 has one m = 4 pair (1, 2) and one m = 3 pair (2, 3)
     want = tau_partition(b3), tau_tilde_partition(b3)
+    reads = []
 
-    def unread(self):
-        raise AssertionError("view read by the other refinement")
+    def recorded(view):
+        build = getattr(DihedralStrings, view).func
+        return property(lambda self: (reads.append((view, self.r, self.t)),
+                                      build(self))[1])
 
     with monkeypatch.context() as patch:
-        patch.setattr(DihedralStrings, "star", property(unread))
+        for view in ("star", "neighbours"):
+            patch.setattr(DihedralStrings, view, recorded(view))
         assert tau_partition(b3) == want[0]
-    with monkeypatch.context() as patch:
-        patch.setattr(DihedralStrings, "neighbours", property(unread))
+        assert sorted(reads) == [("neighbours", 0, 1), ("star", 1, 2)]
+        reads.clear()
         assert tau_tilde_partition(b3) == want[1]
+        assert sorted(reads) == [("star", 0, 1), ("star", 1, 2)]
+
+
+def test_d6_tau_and_tau_tilde_agree_at_scale():
+    # every bonded pair of D6 has m = 3, where tau reads the star images
+    # just as tau-tilde does
+    d6 = CoxeterSystem.from_cartan(CARTAN["D6"])
+    tau, tilde = tau_partition(d6), tau_tilde_partition(d6)
+    assert len(tau.classes) == 568
+    assert tau == tilde
+
+
+@pytest.mark.parametrize("generator", [-1, 3, True, "1"],
+                         ids=["negative", "rank", "bool", "str"])
+def test_a_generator_outside_the_rank_is_rejected(b3, generator):
+    for r, t in ((generator, 1), (1, generator)):
+        with pytest.raises(ValueError, match=r"must be ints in range\(3\)"):
+            DihedralStrings(b3, r, t)
 
 
 def test_strings_and_tau_partitions_are_immutable_tuples(a2):

@@ -11,7 +11,8 @@ module level, where they are seen at once and resolve once, a fresh
 interpreter's import of pcells loads neither dataclasses nor inspect, and
 the inverse-duality and star-closure checks compare cells, never pairs of
 elements, and the star-relation checkers evaluate one relation system per
-x-string, never one per pair of strings.  The enumerated B5 keeps under
+x-string, never one per pair of strings.  Tau on a simply-laced group
+builds no string neighbours.  The enumerated B5 keeps under
 450 bytes per element, as tracemalloc counts them.  Every function and
 class that pcells exports is reached from the CLI, verify or a demo, or
 is listed with the reason it stays.
@@ -38,14 +39,12 @@ from pcells.stars import (DihedralStrings, check_base_change_relations,
                           check_structure_coefficient_relations,
                           star_closure_check, tau_partition,
                           tau_tilde_partition)
+from test_coxeter import CARTAN
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pcells"
 TRACING = ROOT / "perfbench" / "tracing.py"
 EXPECTED = ROOT / "perfbench" / "expected.json"
-F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-B5 = [[2, -2, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
-      [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]]
 
 
 def _tracing_targets(name: str) -> list[tuple[str, str]]:
@@ -168,13 +167,31 @@ def test_a6_tau_matches_the_benchmark_class_counts():
     assert len(tau_tilde_partition(a6).classes) == want["tau-tilde"] == 232
 
 
+def test_simply_laced_tau_builds_no_string_neighbours(monkeypatch):
+    # every bonded pair of A5 and D4 has m = 3, where tau keys each element
+    # by the class of its star image: the neighbour maps, a tuple per
+    # element, are never built
+    groups = {"A5": CoxeterSystem.from_type("A5"),
+              "D4": CoxeterSystem.from_cartan(CARTAN["D4"])}
+    want = {label: tau_partition(system) for label, system in groups.items()}
+    assert [(len(p.classes), p.stabilized_at) for p in want.values()] == [
+        (76, 4), (36, 3)]
+
+    def unread(self):
+        raise AssertionError("tau built the string neighbours")
+
+    monkeypatch.setattr(DihedralStrings, "neighbours", property(unread))
+    for label, system in groups.items():
+        assert tau_partition(system) == want[label], label
+
+
 def test_enumerated_group_keeps_under_450_bytes_per_element():
     # B5 kept 603 B per element (Python 3.11.7) with a frozenset of right
     # descents per element and two int objects per id above 256; the
     # tau-rs workload's peak holds B5 and A6
     tracemalloc.start()
     try:
-        b5 = CoxeterSystem.from_cartan(B5)
+        b5 = CoxeterSystem.from_cartan(CARTAN["B5"])
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -185,7 +202,7 @@ def test_enumerated_group_keeps_under_450_bytes_per_element():
 def test_cell_level_checks_compare_no_element_pairs(monkeypatch):
     # on F4 the pairwise loops compared all 1 327 104 pairs of elements
     # for inverse duality, and every pair in D_R(r, t) for each star closure
-    f4 = CoxeterSystem.from_cartan(F4)
+    f4 = CoxeterSystem.from_cartan(CARTAN["F4"])
     table = identity_table(f4)
     right = compute_cells(table, compute_kl_table(f4), "right")
     left = left_cells_from_right(table, right)
@@ -207,7 +224,7 @@ def test_relation_checkers_evaluate_no_pairs_of_strings(monkeypatch):
     # on F4 the pairwise loops evaluated one system per pair of strings:
     # 147 456 for base change on (1, 2), and as many per raising generator
     # for structure coefficients
-    f4 = CoxeterSystem.from_cartan(F4)
+    f4 = CoxeterSystem.from_cartan(CARTAN["F4"])
     table, kl = identity_table(f4), compute_kl_table(f4)
     calls = []
     check = stars._check_relation_system

@@ -12,7 +12,6 @@ from pcells.typea import (
     involutions,
     knuth_moves,
     parse_one_line,
-    perm_from_word,
     perm_inverse,
     perm_of_element,
     perm_to_word,
