@@ -30,20 +30,25 @@ Enumeration is breadth-first by length, so element ids are stable: id 0 is
 the identity and ids increase with length.  All downstream tables
 (Kazhdan-Lusztig polynomials, canonical basis tables, cell graphs) are keyed
 by these dense ids.  words[w] is the first path to w found, so it is
-reduced.  Each row of `right` holds the one int object of each id it names,
-and `right_descents` holds one frozenset per distinct descent set, which
-`left_descents` shares.
+reduced.  The enumeration records w when it first reaches it as u s from
+u < w, so words[w] = words[u] + (s,), and it stores only that last letter:
+last[w] = s, one byte per element.  words[w] is rebuilt on each read by
+walking w -> right[w][last[w]] down to e.  Each row of `right` holds the
+one int object of each id it names, and `right_descents` holds one
+frozenset per distinct descent set, which `left_descents` shares.
 
-Inversion takes one pass in id order.  Let tail[w] be the id of words[w]
-without its first letter.  A contiguous subword of a reduced word is
-reduced (a shorter expression for the subword would shorten the whole
-word), so tail[w] has length l(w) - 1, and since ids increase with length,
-tail[w] < w.  The enumeration records w when it first reaches it as u s
-from u < w, and words[w] = words[u] + (s,), so tail[w] = tail[u] s: the
-entry right[tail[u]][s], complete because tail[u] < u was processed before
-u.  With s the first letter of w, w = s tail[w], so
+Inversion takes one pass in id order.  Let first[w] be the first letter of
+words[w] and tail[w] the id of words[w] without it.  A contiguous subword
+of a reduced word is reduced (a shorter expression for the subword would
+shorten the whole word), so tail[w] has length l(w) - 1, and since ids
+increase with length, tail[w] < w.  Both are recorded when w is first
+reached as u s: words[w] = words[u] + (s,) starts with the letter of
+words[u], so first[w] = first[u] (and first[w] = s when u = e), and
+tail[w] = tail[u] s, the entry right[tail[u]][s], complete because
+tail[u] < u was processed before u.  With s = first[w], w = s tail[w], so
 w^-1 = tail[w]^-1 s and inverse[w] = right[inverse[tail[w]]][s], where
-inverse[tail[w]] is known because tail[w] < w.
+inverse[tail[w]] is known because tail[w] < w.  first and tail are dropped
+once inverse is built.
 
 Words at the API boundary are either tuples of 0-based generator indices or
 "digit strings" such as "23212" meaning s2 s3 s2 s1 s2 under 1-based labels.
@@ -51,7 +56,8 @@ Words at the API boundary are either tuples of 0-based generator indices or
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 Word = tuple[int, ...]
 
@@ -265,11 +271,13 @@ class CoxeterSystem:
         heights = [start]
         # the id objects in id order: rows, index and tail hold these ints
         ids = [0]
-        # tail[w]: the id of words[w] without its first letter (0 for e)
+        # first[w] and tail[w]: the first letter of words[w] and the id of
+        # words[w] without it (0 for e), until inverse is built
+        first = bytearray(1)
         tail = [0]
+        last = bytearray(1)
         # one frozenset per distinct descent set, keyed by its bitmask
         descent_sets: dict[int, frozenset[int]] = {}
-        self.words: list[Word] = [()]
         self.length: list[int] = [0]
         self.right: list[list[int]] = [[-1] * n]
         self.right_descents: list[frozenset[int]] = []
@@ -296,8 +304,9 @@ class CoxeterSystem:
                     index[key] = ws
                     heights.append(key)
                     ids.append(ws)
+                    first.append(first[w] if w else s)
                     tail.append(self.right[tail[w]][s] if w else 0)
-                    self.words.append(self.words[w] + (s,))
+                    last.append(s)
                     self.length.append(self.length[w] + 1)
                     self.right.append([-1] * n)
                 row[s] = ws
@@ -309,11 +318,13 @@ class CoxeterSystem:
             self.right_descents.append(descents)
 
         self.size = len(heights)
+        self.last = bytes(last)
+        self.words: Sequence[Word] = _Words(self.last, self.right)
         # (s u)^-1 = u^-1 s with u = tail[w]: one step per element, in id
         # order, since tail[w] < w (see the module docstring)
         inverse = self.inverse = [0]
         for w in range(1, self.size):
-            inverse.append(self.right[inverse[tail[w]]][self.words[w][0]])
+            inverse.append(self.right[inverse[tail[w]]][first[w]])
         self.left_descents: list[frozenset[int]] = [
             self.right_descents[u] for u in inverse]
 
@@ -329,9 +340,9 @@ class CoxeterSystem:
     def word_to_id(self, word: Iterable[int]) -> int:
         w = 0
         for s in word:
-            if not 0 <= s < self.rank:
-                raise ValueError(f"generator index {s} out of range for rank "
-                                 f"{self.rank}")
+            if not (type(s) is int and 0 <= s < self.rank):
+                raise ValueError(f"generator {s!r} is not an int in "
+                                 f"range({self.rank})")
             w = self.right[w][s]
         return w
 
@@ -345,7 +356,7 @@ class CoxeterSystem:
         return self.inverse[self.right[self.inverse[w]][s]]
 
     def mult(self, a: int, b: int) -> int:
-        w = a
+        w = _check_id(a, self.size)
         for s in self.words[b]:
             w = self.right[w][s]
         return w
@@ -423,11 +434,47 @@ class CoxeterSystem:
         gens = sorted(set(gens))
         sub_cartan = [[self.cartan[i][j] for j in gens] for i in gens]
         sub = CoxeterSystem(sub_cartan, cap=self.size + 1)
-        to_parent = [
-            self.word_to_id(tuple(gens[s] for s in sub.words[w]))
-            for w in sub.elements()
-        ]
+        # w = (w s) s with s = sub.last[w], and ids are in length order
+        to_parent = [0] * sub.size
+        for w in range(1, sub.size):
+            s = sub.last[w]
+            to_parent[w] = self.right[to_parent[sub.right[w][s]]][gens[s]]
         return ParabolicEmbedding(sub=sub, gens=tuple(gens), to_parent=to_parent)
+
+
+def _check_id(w: int, size: int) -> int:
+    if not (type(w) is int and 0 <= w < size):
+        raise ValueError(f"element id {w!r} is not an int in range({size})")
+    return w
+
+
+class _Words(Sequence):
+    """words[w], the breadth-first word of w, rebuilt on each read from the
+    last letters: w -> right[w][last[w]] steps down to e."""
+
+    __slots__ = ("_last", "_right")
+
+    def __init__(self, last: bytes, right: list[list[int]]):
+        self._last, self._right = last, right
+
+    def __len__(self) -> int:
+        return len(self._last)
+
+    def __getitem__(self, w: int) -> Word:
+        last, right = self._last, self._right
+        _check_id(w, len(last))
+        word = []
+        while w:
+            s = last[w]
+            word.append(s)
+            w = right[w][s]
+        word.reverse()
+        return tuple(word)
+
+    # Sequence's own __iter__ stops at an IndexError, which an id outside
+    # range(size) does not raise here
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._last)))
 
 
 class ParabolicEmbedding(NamedTuple):

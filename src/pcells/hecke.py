@@ -512,10 +512,10 @@ def _lift(system: CoxeterSystem, sigma: Sequence[int]) -> list[int]:
     """The automorphism of W that sigma induces, on ids: the image of e is
     e, and of w = (ws)s, for s the last letter of w, it is the image of ws
     times sigma(s).  Ids are in length order, so ws is done before w."""
-    right, words = system.right, system.words
+    right, last = system.right, system.last
     lift = [0] * system.size
     for w in range(1, system.size):
-        s = words[w][-1]
+        s = last[w]
         lift[w] = right[lift[right[w][s]]][sigma[s]]
     return lift
 

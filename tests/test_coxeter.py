@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -131,7 +132,10 @@ def test_enumeration_matches_matrix_oracle(label):
     want = _enumerate_by_matrices(cartan)
     assert system.size == len(want["words"])
     for key, value in want.items():
-        assert getattr(system, key) == value, key
+        got = getattr(system, key)
+        if key == "words":
+            got = list(got)  # a view rebuilt from the last letters
+        assert got == value, key
 
 
 def _system(label):
@@ -326,6 +330,43 @@ def test_parabolic_subsystem(c3):
     assert emb.sub.coxeter_matrix[0][1] == 4
     for w in emb.sub.elements():
         assert c3.length[emb.to_parent[w]] == emb.sub.length[w]
+
+
+@pytest.mark.parametrize("label, gens", [
+    ("C3", [0, 2]), ("C3", [1, 2]), ("F4", [1, 2, 3]), ("D5", [0, 2, 3, 4]),
+    ("B5", [0, 1, 3])])
+def test_parabolic_embedding_matches_the_translated_words(label, gens):
+    # oracle: the id of each subgroup word with its letters renamed
+    system = _system(label)
+    emb = system.parabolic_subsystem(gens)
+    assert emb.to_parent == [
+        system.word_to_id(tuple(gens[s] for s in word))
+        for word in emb.sub.words]
+
+
+def test_ids_outside_the_group_are_rejected(a2):
+    # id_to_digits(-1) read the longest element's word "121", and
+    # mult(1, -1) returned 4
+    for w in (-1, a2.size, True, 1.0, "1"):
+        shown = re.escape(repr(w))
+        for read in (a2.words.__getitem__, a2.id_to_digits,
+                     lambda x: a2.mult(1, x), lambda x: a2.mult(x, 1)):
+            with pytest.raises(ValueError,
+                               match=rf"element id {shown} is not an int "
+                                     rf"in range\(6\)"):
+                read(w)
+    assert a2.id_to_digits(a2.size - 1) == "121"
+    assert a2.mult(1, 2) == a2.digits_to_id("12")
+
+
+def test_generators_must_be_ints_in_range(a2):
+    # (True,) was read as s2 and (1.0,) raised a TypeError
+    for s in (True, False, 1.0, "1", None, -1, 2):
+        with pytest.raises(ValueError,
+                           match=rf"generator {re.escape(repr(s))} is not an "
+                                 rf"int in range\(2\)"):
+            a2.word_to_id((s,))
+    assert a2.word_to_id((1,)) == a2.digits_to_id("2")
 
 
 def test_type_label_must_be_a_string():

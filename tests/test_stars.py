@@ -567,10 +567,15 @@ def test_strings_match_the_one_by_one_walk(label):
             pair = DihedralStrings(system, r, t)
             assert [(s.coset_min, s.start, list(s.elements))
                     for s in pair.strings] == want
-            # each element lies in one string, at its place in the walk
-            for _, _, elements in want:
-                for k, x in enumerate(elements, 1):
-                    assert _strings_through(pair, x) == [(tuple(elements), k)]
+            # each element lies in one string, at its place in the walk:
+            # one pass records every string through each element
+            places = {}
+            for string in pair.strings:
+                for k, x in enumerate(string.elements, 1):
+                    places.setdefault(x, []).append((string.elements, k))
+            assert places == {x: [(tuple(elements), k)]
+                              for _, _, elements in want
+                              for k, x in enumerate(elements, 1)}
             if m < 3:
                 continue
             star, neighbours = {}, {}

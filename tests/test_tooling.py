@@ -13,9 +13,9 @@ the inverse-duality and star-closure checks compare cells, never pairs of
 elements, and the star-relation checkers evaluate one relation system per
 x-string, never one per pair of strings.  Tau on a simply-laced group
 builds no string neighbours.  The enumerated B5 keeps under
-450 bytes per element, as tracemalloc counts them.  Every function and
-class that pcells exports is reached from the CLI, verify or a demo, or
-is listed with the reason it stays.
+250 bytes per element, as tracemalloc counts them, and no word tuples.
+Every function and class that pcells exports is reached from the CLI,
+verify or a demo, or is listed with the reason it stays.
 """
 
 import ast
@@ -185,10 +185,11 @@ def test_simply_laced_tau_builds_no_string_neighbours(monkeypatch):
         assert tau_partition(system) == want[label], label
 
 
-def test_enumerated_group_keeps_under_450_bytes_per_element():
+def test_group_layer_keeps_no_word_tuples():
     # B5 kept 603 B per element (Python 3.11.7) with a frozenset of right
-    # descents per element and two int objects per id above 256; the
-    # tau-rs workload's peak holds B5 and A6
+    # descents per element and two int objects per id above 256, and about
+    # 355 B with a tuple per element for its word; the tau-rs workload's
+    # peak holds B5 and A6
     tracemalloc.start()
     try:
         b5 = CoxeterSystem.from_cartan(CARTAN["B5"])
@@ -196,7 +197,8 @@ def test_enumerated_group_keeps_under_450_bytes_per_element():
     finally:
         tracemalloc.stop()
     assert b5.size == 3840
-    assert retained / b5.size < 450
+    assert retained / b5.size < 250
+    assert not isinstance(b5.words, list)
 
 
 def test_cell_level_checks_compare_no_element_pairs(monkeypatch):
