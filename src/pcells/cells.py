@@ -200,15 +200,15 @@ def elementary_relations(table: PCanTable, kl: KLTable, side: str = "right"
         raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
     require_same_group(table, kl)
     descents = sys_.right_descents if side == "right" else sys_.left_descents
-    right, inv, mu, rows = sys_.right, sys_.inverse, kl.mu, table.rows
+    cols, inv, mu, rows = sys_.right_by_gen, sys_.inverse, kl.mu, table.rows
     gens = range(sys_.rank)
     succ: dict[int, set[int]] = {}
     for y, dy in enumerate(descents):
         if side == "right":
-            graph = [right[y][s] for s in gens if s not in dy]
+            graph = [cols[s][y] for s in gens if s not in dy]
         else:
-            row = right[inv[y]]
-            graph = [inv[row[s]] for s in gens if s not in dy]
+            iy = inv[y]
+            graph = [inv[cols[s][iy]] for s in gens if s not in dy]
         graph += [z for z in mu[y] if not descents[z] <= dy]
         if dy:
             graph.append(y)
@@ -450,7 +450,8 @@ def right_minimal_elements(system: CoxeterSystem, subset: Iterable[int]
     subset = set(subset)
     return frozenset(
         w for w in subset
-        if not any(system.right[w][s] in subset for s in system.right_descents[w])
+        if not any(system.right_by_gen[s][w] in subset
+                   for s in system.right_descents[w])
     )
 
 

@@ -29,26 +29,44 @@ generalized-Cartan axioms, which is why cartan_to_coxeter enforces them.
 Enumeration is breadth-first by length, so element ids are stable: id 0 is
 the identity and ids increase with length.  All downstream tables
 (Kazhdan-Lusztig polynomials, canonical basis tables, cell graphs) are keyed
-by these dense ids.  words[w] is the first path to w found, so it is
-reduced.  The enumeration records w when it first reaches it as u s from
-u < w, so words[w] = words[u] + (s,), and it stores only that last letter:
-last[w] = s, one byte per element.  words[w] is rebuilt on each read by
-walking w -> right[w][last[w]] down to e.  Each row of `right` holds the
-one int object of each id it names, and `right_descents` holds one
-frozenset per distinct descent set, which `left_descents` shares.
+by these dense ids.  The group is stored flat: right_by_gen[s] is one
+array('I') per generator with right_by_gen[s][w] the id of w s, inverse is
+an array('I'), length and last are bytes, and right_descents holds one
+frozenset per distinct descent set, which left_descents shares.  An id is a
+machine word in these tables; reading one makes an int object (above 256)
+that lives only as long as its reader keeps it.  right[w], the tuple of
+w s over s, is a view that reads the columns on each call: pcells reads the
+columns, and the view stays for code written against the row layout.
 
-Inversion takes one pass in id order.  Let first[w] be the first letter of
+words[w] is the first path to w found, so it is reduced.  The enumeration
+records w when it first reaches it as u s from u < w, so words[w] =
+words[u] + (s,), and it stores only that last letter: last[w] = s.
+words[w] is rebuilt on each read by walking w -> w last[w] down to e.
+
+The height index holds one layer.  A new w s has length l(w) + 1, so its
+height vector can only equal one found from the same layer; the index is
+built for the layer l(w) + 1 while the layer l(w) is read, and dropped once
+that is done.  It keys h by the int sum of h[t] << (16 t), so that key(w s)
+= key(w) - h_w[s] * delta[s] with delta[s] = sum of a(s,t) << (16 t), and
+only a new element builds its height vector.  The key is faithful: every
+entry is the height of a root, and a root's height is at most the number N =
+l(w0) of positive roots in absolute value (the positive roots take every
+height from 1 up to the highest root's).  N is below 256, as lengths are
+stored in bytes, so the 16-bit digits never carry into each other.  (A
+larger group fails at length 256, before any entry reaches 2^15: each letter
+moves a root's height by at most 3.)  Each layer's rows of w s are gathered
+per element while it is read and then appended to the columns in one step.
+
+Inversion takes one step per element.  Let first[w] be the first letter of
 words[w] and tail[w] the id of words[w] without it.  A contiguous subword
 of a reduced word is reduced (a shorter expression for the subword would
-shorten the whole word), so tail[w] has length l(w) - 1, and since ids
-increase with length, tail[w] < w.  Both are recorded when w is first
-reached as u s: words[w] = words[u] + (s,) starts with the letter of
-words[u], so first[w] = first[u] (and first[w] = s when u = e), and
-tail[w] = tail[u] s, the entry right[tail[u]][s], complete because
-tail[u] < u was processed before u.  With s = first[w], w = s tail[w], so
-w^-1 = tail[w]^-1 s and inverse[w] = right[inverse[tail[w]]][s], where
-inverse[tail[w]] is known because tail[w] < w.  first and tail are dropped
-once inverse is built.
+shorten the whole word), so tail[w] has length l(w) - 1.  Both are recorded
+when w is first reached as u s: words[w] = words[u] + (s,) starts with the
+letter of words[u], so first[w] = first[u] (and first[w] = s when u = e),
+and tail[w] = tail[u] s, read from the columns, which already hold
+tail[u]'s layer.  With s = first[w], w = s tail[w], so w^-1 = tail[w]^-1 s
+and inverse[w] = right_by_gen[s][inverse[tail[w]]]; tail[w] and its inverse
+lie in the layer just stored.  first and tail live only with their layer.
 
 Words at the API boundary are either tuples of 0-based generator indices or
 "digit strings" such as "23212" meaning s2 s3 s2 s1 s2 under 1-based labels.
@@ -56,6 +74,8 @@ Words at the API boundary are either tuples of 0-based generator indices or
 
 from __future__ import annotations
 
+import gc
+from array import array
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
@@ -222,7 +242,17 @@ class CoxeterSystem:
         reason = _infinite_reason(self.cartan)
         if reason is not None:
             raise GroupTooLargeError(f"the group is infinite: {reason}")
-        self._enumerate(cap)
+        # The enumeration makes no reference cycles, and a collection while
+        # it runs walks the rows of two layers and the descent list so far:
+        # on E7 (2 903 040 elements) collections took 9 s of 25.6 (Python
+        # 3.11, a 2-core host).
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._enumerate(cap)
+        finally:
+            if collecting:
+                gc.enable()
         self._bruhat_cache: dict[tuple[int, int], bool] = {}
 
     @classmethod
@@ -266,67 +296,73 @@ class CoxeterSystem:
         # (t = s included, where a(s,s) = 2 negates the entry).
         bonds = [[(t, a) for t, a in enumerate(self.cartan[s]) if a]
                  for s in range(n)]
-        start = (1,) * n
-        index = {start: 0}
-        heights = [start]
-        # the id objects in id order: rows, index and tail hold these ints
-        ids = [0]
-        # first[w] and tail[w]: the first letter of words[w] and the id of
-        # words[w] without it (0 for e), until inverse is built
-        first = bytearray(1)
-        tail = [0]
+        # the index keys h by the int sum of h[t] << (16 t); then
+        # key(w s) = key(w) - h_w[s] * delta[s] (see the module docstring)
+        delta = [sum(a << 16 * t for t, a in bonds[s]) for s in range(n)]
+        cols = self.right_by_gen = [array("I") for _ in range(n)]
+        inverse = self.inverse = array("I", [0])
+        length = bytearray()
         last = bytearray(1)
         # one frozenset per distinct descent set, keyed by its bitmask
         descent_sets: dict[int, frozenset[int]] = {}
-        self.length: list[int] = [0]
-        self.right: list[list[int]] = [[-1] * n]
-        self.right_descents: list[frozenset[int]] = []
+        right_descents = self.right_descents = []
+        # The layer being read, by key in id order.  Each element's row holds
+        # w s for each s (the entries below w were set when w was found),
+        # then w, first[w], tail[w] (see the module docstring) and h_w.
+        blank = [0] * n
+        one = sum(1 << 16 * t for t in range(n))  # the key of e
+        layer = {one: [*blank, 0, 0, 0, [1] * n]}
+        lo = depth = 0
+        while layer:
+            hi = lo + len(layer)
+            found: dict[int, list] = {}  # the next layer, the only index
+            for key, row in layer.items():
+                w, h = row[n], row[n + 3]
+                mask = 0
+                for s in range(n):
+                    hs = h[s]
+                    if hs < 0:
+                        mask |= 1 << s
+                        continue  # w s is shorter; row[s] was set with it
+                    k = key - hs * delta[s]
+                    up = found.get(k)
+                    if up is None:
+                        ws = hi + len(found)
+                        if ws > cap:
+                            raise GroupTooLargeError(
+                                f"group exceeds cap of {cap} elements; "
+                                "raise the cap or check the input matrix")
+                        new = h.copy()
+                        for t, a in bonds[s]:
+                            new[t] -= a * hs
+                        up = found[k] = [*blank, ws,
+                                         row[n + 1] if w else s,
+                                         cols[s][row[n + 2]] if w else 0, new]
+                        last.append(s)
+                    row[s] = up[n]
+                    up[s] = w
+                descents = descent_sets.get(mask)
+                if descents is None:
+                    descents = descent_sets[mask] = frozenset(
+                        s for s in range(n) if mask >> s & 1)
+                right_descents.append(descents)
+            for col, entries in zip(cols, zip(*layer.values())):
+                col.extend(entries)
+            length += bytes((depth,)) * len(layer)
+            depth += 1
+            # (s u)^-1 = u^-1 s with s = first[w] and u = tail[w] in this
+            # layer, whose inverses and rows are in place
+            inverse.extend([cols[up[n + 1]][inverse[up[n + 2]]]
+                            for up in found.values()])
+            layer, lo = found, hi
 
-        for w in ids:
-            h = heights[w]
-            row = self.right[w]
-            mask = 0
-            for s in range(n):
-                if h[s] < 0:
-                    mask |= 1 << s
-                    continue  # w s is shorter; row[s] was set from its row
-                new = list(h)
-                for t, a in bonds[s]:
-                    new[t] -= a * h[s]
-                key = tuple(new)
-                ws = index.get(key)
-                if ws is None:
-                    ws = len(heights)
-                    if ws > cap:
-                        raise GroupTooLargeError(
-                            f"group exceeds cap of {cap} elements; "
-                            "raise the cap or check the input matrix")
-                    index[key] = ws
-                    heights.append(key)
-                    ids.append(ws)
-                    first.append(first[w] if w else s)
-                    tail.append(self.right[tail[w]][s] if w else 0)
-                    last.append(s)
-                    self.length.append(self.length[w] + 1)
-                    self.right.append([-1] * n)
-                row[s] = ws
-                self.right[ws][s] = w
-            descents = descent_sets.get(mask)
-            if descents is None:
-                descents = descent_sets[mask] = frozenset(
-                    s for s in range(n) if mask >> s & 1)
-            self.right_descents.append(descents)
-
-        self.size = len(heights)
+        self.size = lo
+        self.length = bytes(length)
         self.last = bytes(last)
-        self.words: Sequence[Word] = _Words(self.last, self.right)
-        # (s u)^-1 = u^-1 s with u = tail[w]: one step per element, in id
-        # order, since tail[w] < w (see the module docstring)
-        inverse = self.inverse = [0]
-        for w in range(1, self.size):
-            inverse.append(self.right[inverse[tail[w]]][first[w]])
+        self.words: Sequence[Word] = _Words(self.last, cols)
+        self.right: Sequence[tuple[int, ...]] = _Rows(cols, lo)
         self.left_descents: list[frozenset[int]] = [
-            self.right_descents[u] for u in inverse]
+            right_descents[u] for u in inverse]
 
     # -- element access ------------------------------------------------------
 
@@ -338,12 +374,9 @@ class CoxeterSystem:
         return range(self.size)
 
     def word_to_id(self, word: Iterable[int]) -> int:
-        w = 0
+        cols, w = self.right_by_gen, 0
         for s in word:
-            if not (type(s) is int and 0 <= s < self.rank):
-                raise ValueError(f"generator {s!r} is not an int in "
-                                 f"range({self.rank})")
-            w = self.right[w][s]
+            w = cols[_check_gen(s, self.rank)][w]
         return w
 
     def digits_to_id(self, digits: str) -> int:
@@ -353,12 +386,14 @@ class CoxeterSystem:
         return word_digits(self.words[w])
 
     def left_mult(self, s: int, w: int) -> int:
-        return self.inverse[self.right[self.inverse[w]][s]]
+        inverse = self.inverse
+        return inverse[self.right_by_gen[_check_gen(s, self.rank)][
+            inverse[_check_id(w, self.size)]]]
 
     def mult(self, a: int, b: int) -> int:
-        w = _check_id(a, self.size)
+        cols, w = self.right_by_gen, _check_id(a, self.size)
         for s in self.words[b]:
-            w = self.right[w][s]
+            w = cols[s][w]
         return w
 
     def longest_element(self) -> int:
@@ -366,18 +401,23 @@ class CoxeterSystem:
 
     def reduced_words(self, w: int) -> list[Word]:
         """All reduced expressions of w (by peeling right descents)."""
-        if w == 0:
-            return [()]
-        out = []
-        for s in self.right_descents[w]:
-            for u in self.reduced_words(self.right[w][s]):
-                out.append(u + (s,))
-        return out
+        cols, descents = self.right_by_gen, self.right_descents
+
+        def peel(w: int) -> list[Word]:
+            if w == 0:
+                return [()]
+            return [u + (s,) for s in descents[w] for u in peel(cols[s][w])]
+
+        return peel(_check_id(w, self.size))
 
     # -- Bruhat order ---------------------------------------------------------
 
     def bruhat_leq(self, x: int, y: int) -> bool:
         """x <= y in Bruhat order, by the right-descent recursion."""
+        return self._bruhat_leq(_check_id(x, self.size),
+                                _check_id(y, self.size))
+
+    def _bruhat_leq(self, x: int, y: int) -> bool:
         if x == 0:
             return True
         if self.length[x] > self.length[y]:
@@ -389,11 +429,11 @@ class CoxeterSystem:
         if cached is not None:
             return cached
         s = next(iter(self.right_descents[y]))
-        ys = self.right[y][s]
+        col = self.right_by_gen[s]
         if s in self.right_descents[x]:
-            res = self.bruhat_leq(self.right[x][s], ys)
+            res = self._bruhat_leq(col[x], col[y])
         else:
-            res = self.bruhat_leq(x, ys)
+            res = self._bruhat_leq(x, col[y])
         self._bruhat_cache[key] = res
         return res
 
@@ -407,7 +447,7 @@ class CoxeterSystem:
         while stack:
             w = stack.pop()
             for s in gens:
-                ws = self.right[w][s]
+                ws = self.right_by_gen[s][w]
                 if ws not in seen:
                     seen.add(ws)
                     stack.append(ws)
@@ -435,10 +475,11 @@ class CoxeterSystem:
         sub_cartan = [[self.cartan[i][j] for j in gens] for i in gens]
         sub = CoxeterSystem(sub_cartan, cap=self.size + 1)
         # w = (w s) s with s = sub.last[w], and ids are in length order
+        cols, sub_cols = self.right_by_gen, sub.right_by_gen
         to_parent = [0] * sub.size
         for w in range(1, sub.size):
             s = sub.last[w]
-            to_parent[w] = self.right[to_parent[sub.right[w][s]]][gens[s]]
+            to_parent[w] = cols[gens[s]][to_parent[sub_cols[s][w]]]
         return ParabolicEmbedding(sub=sub, gens=tuple(gens), to_parent=to_parent)
 
 
@@ -448,26 +489,32 @@ def _check_id(w: int, size: int) -> int:
     return w
 
 
+def _check_gen(s: int, rank: int) -> int:
+    if not (type(s) is int and 0 <= s < rank):
+        raise ValueError(f"generator {s!r} is not an int in range({rank})")
+    return s
+
+
 class _Words(Sequence):
     """words[w], the breadth-first word of w, rebuilt on each read from the
-    last letters: w -> right[w][last[w]] steps down to e."""
+    last letters: w -> w s with s = last[w] steps down to e."""
 
-    __slots__ = ("_last", "_right")
+    __slots__ = ("_last", "_cols")
 
-    def __init__(self, last: bytes, right: list[list[int]]):
-        self._last, self._right = last, right
+    def __init__(self, last: bytes, cols: list[array]):
+        self._last, self._cols = last, cols
 
     def __len__(self) -> int:
         return len(self._last)
 
     def __getitem__(self, w: int) -> Word:
-        last, right = self._last, self._right
+        last, cols = self._last, self._cols
         _check_id(w, len(last))
         word = []
         while w:
             s = last[w]
             word.append(s)
-            w = right[w][s]
+            w = cols[s][w]
         word.reverse()
         return tuple(word)
 
@@ -475,6 +522,40 @@ class _Words(Sequence):
     # range(size) does not raise here
     def __iter__(self):
         return map(self.__getitem__, range(len(self._last)))
+
+    def index(self, word, start: int = 0, stop: int | None = None) -> int:
+        # a word names one element, the id it walks to from e; Sequence's
+        # own index would scan every id and fail on the id check past the end
+        w, rank = 0, len(self._cols)
+        if type(word) is tuple and all(type(s) is int and 0 <= s < rank
+                                       for s in word):
+            for s in word:
+                w = self._cols[s][w]
+            if self[w] == word and w in range(len(self))[start:stop]:
+                return w
+        raise ValueError(f"{word!r} is not in words")
+
+
+class _Rows(Sequence):
+    """right[w], the tuple of w s over the generators s, read from the
+    columns right_by_gen on each read.  pcells reads the columns; this row
+    view stays for readers written against the row layout, such as the
+    benchmark's canonical labels, and costs a call and a tuple per read."""
+
+    __slots__ = ("_cols", "_size")
+
+    def __init__(self, cols: list[array], size: int):
+        self._cols, self._size = cols, size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, w: int) -> tuple[int, ...]:
+        _check_id(w, self._size)
+        return tuple([col[w] for col in self._cols])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._size))
 
 
 class ParabolicEmbedding(NamedTuple):

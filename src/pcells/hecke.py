@@ -161,10 +161,11 @@ def std_basis_element(system: CoxeterSystem, w: int) -> HeckeElt:
 def _std_mult_gen_right(system: CoxeterSystem, coeffs: Mapping[int, LaurentPoly],
                         s: int) -> dict[int, LaurentPoly]:
     out: dict[int, LaurentPoly] = {}
+    col, length = system.right_by_gen[s], system.length
     for w, c in coeffs.items():
-        ws = system.right[w][s]
+        ws = col[w]
         _acc(out, ws, c)
-        if system.length[ws] < system.length[w]:
+        if length[ws] < length[w]:
             _acc(out, w, _VINV_MINUS_V * c)
     return out
 
@@ -512,11 +513,11 @@ def _lift(system: CoxeterSystem, sigma: Sequence[int]) -> list[int]:
     """The automorphism of W that sigma induces, on ids: the image of e is
     e, and of w = (ws)s, for s the last letter of w, it is the image of ws
     times sigma(s).  Ids are in length order, so ws is done before w."""
-    right, last = system.right, system.last
+    cols, last = system.right_by_gen, system.last
     lift = [0] * system.size
     for w in range(1, system.size):
         s = last[w]
-        lift[w] = right[lift[right[w][s]]][sigma[s]]
+        lift[w] = cols[sigma[s]][lift[cols[s][w]]]
     return lift
 
 
@@ -527,16 +528,21 @@ def _kl_columns(system: CoxeterSystem
     built: w -> the right descent s it was built along.  The identity's
     and the built columns are _Columns; every other column is a
     _RelabelledColumn over the built column of its orbit."""
-    inv, descents = system.inverse, system.right_descents
+    descents = system.right_descents
+    # one int object per id, which every table below shares: each read of
+    # the group's arrays makes a new one
+    ids = list(range(system.size))
+    shared = ids.__getitem__
+    inv = list(map(shared, system.inverse))
+    by_gen = [list(map(shared, col)) for col in system.right_by_gen]
     # the relabellings g != 1 of the group G that inversion and the graph
     # automorphisms generate, inversion first; indexes[i][g(u)] = u for
     # g = relabellings[i]
     relabellings = [inv]
     for sigma in _graph_automorphisms(system.coxeter_matrix)[1:]:
-        lift = _lift(system, sigma)
+        lift = list(map(shared, _lift(system, sigma)))
         relabellings += [lift, [inv[w] for w in lift]]
-    indexes = [dict(zip(g, range(system.size))) for g in relabellings]
-    by_gen = [[row[s] for row in system.right] for s in range(system.rank)]
+    indexes = [dict(zip(g, ids)) for g in relabellings]
     h: list = [None] * system.size
     mu: list = [None] * system.size
     # pairs maps the packed value of each top written to its shared (top,
@@ -620,7 +626,7 @@ def kl_multiply_by_generator(table: KLTable, x: int, s: int,
     """
     system = table.system
     if side == "right":
-        descents, xs = system.right_descents, system.right[x][s]
+        descents, xs = system.right_descents, system.right_by_gen[s][x]
     elif side == "left":
         descents, xs = system.left_descents, system.left_mult(s, x)
     else:

@@ -78,13 +78,13 @@ def _string_walk(system: CoxeterSystem, r: int, t: int, m: int,
     position: for each starting letter, r then t, the positions 1 .. m - 1,
     where position k lists the minima, in their order, times the prefix of
     length k of the alternating word in that letter.  Each position is one
-    pass over the one before, walked over system.right."""
-    right = system.right
+    pass over the one before, walked over system.right_by_gen."""
+    cols = system.right_by_gen
     walks = []
     for word in (((r, t) * m)[:m - 1], ((t, r) * m)[:m - 1]):
         layer, walk = minima, []
         for s in word:
-            layer = [right[x][s] for x in layer]
+            layer = list(map(cols[s].__getitem__, layer))
             walk.append(layer)
         walks.append(walk)
     return walks
@@ -361,7 +361,6 @@ def check_coefficient_sliding(table: PCanTable, kl: KLTable, r: int, t: int
     0 on both sides: the right side needs za or zb in the column, and
     since a and b are involutions, z = (za)a and z = (zb)b."""
     sys_ = table.system
-    right = sys_.right
     pair = DihedralStrings(sys_, r, t)
     _require_bound(table, pair.m)
     in_dr = pair.positions
@@ -369,13 +368,14 @@ def check_coefficient_sliding(table: PCanTable, kl: KLTable, r: int, t: int
     checked = 0
     for x in sorted(in_dr):
         a, b = (r, t) if r in sys_.right_descents[x] else (t, r)
+        col_a, col_b = sys_.right_by_gen[a], sys_.right_by_gen[b]
         acc = table.expand_to_kl_coeffs(
             structure_coefficients(table, kl, x, b, "right"))
         column = _column(table, x)
-        support = set(acc).union(*((right[u][a], right[u][b]) for u in column))
+        support = set(acc).union(*((col_a[u], col_b[u]) for u in column))
         for z in sorted(support & in_dr.keys()):
             got = acc.get(z, ZERO)
-            want = sum((column.get(w, ZERO) for w in (right[z][a], right[z][b])
+            want = sum((column.get(w, ZERO) for w in (col_a[z], col_b[z])
                         if w in in_dr), ZERO)
             checked += 1
             if got != want:

@@ -217,14 +217,28 @@ def element_of_perm(system: CoxeterSystem, perm: Sequence[int]) -> int:
     return system.word_to_id(perm_to_word(perm))
 
 
+def _perms_of_elements(system: CoxeterSystem) -> list[tuple[int, ...]]:
+    """perm_of_element of every id, in one pass: w = (w s) s for s the last
+    letter of w, and right multiplication by s swaps positions s, s + 1.
+    Ids are in length order, so w s is done before w."""
+    cols, last = system.right_by_gen, system.last
+    perms = [tuple(range(1, system.rank + 2))]
+    for w in range(1, system.size):
+        s = last[w]
+        line = list(perms[cols[s][w]])
+        line[s], line[s + 1] = line[s + 1], line[s]
+        perms.append(tuple(line))
+    return perms
+
+
 def verify_typea_cell_theorem(system: CoxeterSystem,
                               partitions: dict[str, CellPartition]) -> Report:
     """Cells of S_n, given as the "left", "right" and "two-sided"
     partitions, against Robinson-Schensted fibers and the counting
     corollaries."""
     n = system.rank + 1
-    perms = {w: perm_of_element(system, w) for w in system.elements()}
-    rs = {w: rs_correspondence(p) for w, p in perms.items()}
+    rs = {w: rs_correspondence(p)
+          for w, p in enumerate(_perms_of_elements(system))}
 
     bad: list[str] = []
     checked = 0

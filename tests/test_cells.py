@@ -170,7 +170,7 @@ def _mu_graph_cells(system, kl, side):
         for s in range(system.rank):
             if s in descents[x]:
                 continue
-            nxt = (system.right[x][s] if side == "right"
+            nxt = (system.right_by_gen[s][x] if side == "right"
                    else system.left_mult(s, x))
             succ[x].add(nxt)
             for z, m in kl.mu[x].items():
@@ -537,7 +537,7 @@ def right_connected_components(system, subset):
         while stack:
             w = stack.pop()
             for s in range(system.rank):
-                u = system.right[w][s]
+                u = system.right_by_gen[s][w]
                 if u in subset and u not in comp:
                     comp.add(u)
                     todo.discard(u)

@@ -1,5 +1,6 @@
 import itertools
 import re
+from array import array
 
 import pytest
 
@@ -133,9 +134,13 @@ def test_enumeration_matches_matrix_oracle(label):
     assert system.size == len(want["words"])
     for key, value in want.items():
         got = getattr(system, key)
-        if key == "words":
-            got = list(got)  # a view rebuilt from the last letters
+        if key == "right":  # a view of tuples read from the columns
+            got = [list(row) for row in got]
+        else:  # words is a view, inverse an array and length bytes
+            got = list(got)
         assert got == value, key
+    assert [list(col) for col in system.right_by_gen] == [
+        [row[s] for row in want["right"]] for s in range(system.rank)]
 
 
 def _system(label):
@@ -152,7 +157,7 @@ def _inverse_by_word_walk(system):
 @pytest.mark.parametrize("label", ORACLE_GROUPS + ["D6"])
 def test_inverse_matches_the_word_walk(label):
     system = _system(label)
-    assert system.inverse == _inverse_by_word_walk(system)
+    assert list(system.inverse) == _inverse_by_word_walk(system)
 
 
 @pytest.mark.parametrize("label", ORACLE_GROUPS)
@@ -162,12 +167,14 @@ def test_descent_sets_and_ids_are_shared_objects(label):
     assert len({id(d) for d in right}) == len(set(right))
     assert all(d is right[u]
                for d, u in zip(system.left_descents, system.inverse))
-    # every entry of every row, and of inverse, naming an id is one object
-    first = {}
-    for row in [*system.right, system.inverse]:
-        for w in row:
-            assert first.setdefault(w, w) is w
-    assert len(first) == system.size
+    # ids are machine words in flat tables, so there are no int objects
+    # to share: one array per generator, an array for inverse, bytes for
+    # length and last
+    assert len(system.right_by_gen) == system.rank
+    for table in [*system.right_by_gen, system.inverse]:
+        assert type(table) is array and table.typecode == "I"
+        assert len(table) == system.size
+    assert type(system.length) is bytes and type(system.last) is bytes
 
 
 def test_cap_exceeded():
@@ -233,7 +240,8 @@ def test_length_changes_by_one(a3, b3):
     for system in (a3, b3):
         for w in system.elements():
             for s in range(system.rank):
-                assert abs(system.length[system.right[w][s]] - system.length[w]) == 1
+                ws = system.right_by_gen[s][w]
+                assert abs(system.length[ws] - system.length[w]) == 1
 
 
 def test_descents(b2):
@@ -242,7 +250,7 @@ def test_descents(b2):
     assert b2.right_descents[w0] == frozenset(range(b2.rank))
     for w in b2.elements():
         for s in range(b2.rank):
-            drops = b2.length[b2.right[w][s]] < b2.length[w]
+            drops = b2.length[b2.right_by_gen[s][w]] < b2.length[w]
             assert (s in b2.right_descents[w]) == drops
         assert b2.left_descents[w] == b2.right_descents[b2.inverse[w]]
 
@@ -270,7 +278,7 @@ def _bruhat_leq_by_subword(system, x, y):
             return False
         if walk(pos + 1, current, taken):
             return True
-        nxt = system.right[current][word_y[pos]]
+        nxt = system.right_by_gen[word_y[pos]][current]
         if system.length[nxt] > system.length[current]:
             return walk(pos + 1, nxt, taken + 1)
         return False
@@ -345,27 +353,49 @@ def test_parabolic_embedding_matches_the_translated_words(label, gens):
 
 
 def test_ids_outside_the_group_are_rejected(a2):
-    # id_to_digits(-1) read the longest element's word "121", and
-    # mult(1, -1) returned 4
+    # id_to_digits(-1) read the longest element's word "121", mult(1, -1)
+    # and left_mult(0, -1) returned 4, reduced_words(-1) the longest
+    # element's two words and bruhat_leq(-1, 2) False
     for w in (-1, a2.size, True, 1.0, "1"):
         shown = re.escape(repr(w))
-        for read in (a2.words.__getitem__, a2.id_to_digits,
-                     lambda x: a2.mult(1, x), lambda x: a2.mult(x, 1)):
+        for read in (a2.words.__getitem__, a2.right.__getitem__,
+                     a2.id_to_digits, a2.reduced_words,
+                     lambda x: a2.mult(1, x), lambda x: a2.mult(x, 1),
+                     lambda x: a2.left_mult(0, x),
+                     lambda x: a2.bruhat_leq(x, 2),
+                     lambda x: a2.bruhat_leq(2, x)):
             with pytest.raises(ValueError,
                                match=rf"element id {shown} is not an int "
                                      rf"in range\(6\)"):
                 read(w)
     assert a2.id_to_digits(a2.size - 1) == "121"
     assert a2.mult(1, 2) == a2.digits_to_id("12")
+    assert a2.right[0] == (1, 2)
+    assert a2.left_mult(0, 2) == a2.digits_to_id("12")
+    assert a2.reduced_words(a2.size - 1) == [(0, 1, 0), (1, 0, 1)]
+
+
+def test_words_index_names_a_word_outside_the_group(a2):
+    # the index used to run past the last id and fail on its id check,
+    # with "element id 6 is not an int in range(6)"
+    for word in a2.words:
+        assert a2.words.index(word) == a2.word_to_id(word)
+    for word in ((0, 0), (1, 0, 1), (2,), (True,), [0], "1"):
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(repr(word))} is not in words"):
+            a2.words.index(word)
 
 
 def test_generators_must_be_ints_in_range(a2):
-    # (True,) was read as s2 and (1.0,) raised a TypeError
+    # (True,) was read as s2 and (1.0,) raised a TypeError; left_mult(-1, 0)
+    # returned 2
     for s in (True, False, 1.0, "1", None, -1, 2):
-        with pytest.raises(ValueError,
-                           match=rf"generator {re.escape(repr(s))} is not an "
-                                 rf"int in range\(2\)"):
-            a2.word_to_id((s,))
+        for read in (lambda x: a2.word_to_id((x,)),
+                     lambda x: a2.left_mult(x, 0)):
+            with pytest.raises(ValueError,
+                               match=rf"generator {re.escape(repr(s))} is "
+                                     rf"not an int in range\(2\)"):
+                read(s)
     assert a2.word_to_id((1,)) == a2.digits_to_id("2")
 
 

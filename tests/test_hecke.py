@@ -65,8 +65,9 @@ def test_braid_relations(a2, b2, g2):
         b = unit(system)
         x, y = 0, 1
         for _ in range(m):
-            a = std_multiply(a, std_basis_element(system, system.right[0][x]))
-            b = std_multiply(b, std_basis_element(system, system.right[0][y]))
+            sx, sy = system.right_by_gen[x][0], system.right_by_gen[y][0]
+            a = std_multiply(a, std_basis_element(system, sx))
+            b = std_multiply(b, std_basis_element(system, sy))
             x, y = y, x
         assert a == b
 
@@ -167,10 +168,10 @@ def _kl_by_recursion(system):
         if x == 0:
             continue
         s = min(system.right_descents[x])
-        xp = system.right[x][s]
+        xp = system.right_by_gen[s][x]
         col = {}
         for w, c in h[xp].items():
-            ws = system.right[w][s]
+            ws = system.right_by_gen[s][w]
             _acc(col, ws, c)
             _acc(col, w, c.shift(1))
             if system.length[ws] < system.length[w]:
@@ -208,7 +209,7 @@ def _kl_by_full_columns(system):
     """Oracle: the packed kernel as it ran before the pair symmetry, building
     every entry of C_{x'} (H_s + v) and of each correction.  Returns (h, mu)
     with h decoded."""
-    right, descents = system.right, system.right_descents
+    cols, descents = system.right_by_gen, system.right_descents
     packed = [{} for _ in system.elements()]
     mu = [{} for _ in system.elements()]
     packed[0] = {0: 1}
@@ -216,10 +217,10 @@ def _kl_by_full_columns(system):
         if x == 0:
             continue
         s = min(descents[x])
-        xp = right[x][s]
+        xp = cols[s][x]
         col = {}
         for w, c in packed[xp].items():
-            ws = right[w][s]
+            ws = cols[s][w]
             col[ws] = col.get(ws, 0) + c
             col[w] = col.get(w, 0) + (c >> 32 if ws < w else c << 32)
         for z, m in mu[xp].items():
@@ -245,7 +246,7 @@ def test_pair_kernel_matches_full_column_oracle(label):
     for x in system.elements():
         for s in system.right_descents[x]:
             for t, c in table.h[x].items():
-                ts = system.right[t][s]
+                ts = system.right_by_gen[s][t]
                 if ts < t:
                     assert table.h[x][ts] == c.shift(1)
 
@@ -254,7 +255,7 @@ def _kl_by_min_descent(system):
     """Oracle: the packed tops kernel as it ran before inverse pairs,
     building every column along min(D_R(x)).  Returns (h, mu) with h
     decoded."""
-    right, descents = system.right, system.right_descents
+    cols, descents = system.right_by_gen, system.right_descents
     packed = [{} for _ in system.elements()]
     mu = [{} for _ in system.elements()]
     packed[0] = {0: 1}
@@ -262,10 +263,10 @@ def _kl_by_min_descent(system):
         if x == 0:
             continue
         s = min(descents[x])
-        xp = right[x][s]
+        xp = cols[s][x]
         top = {}
         for w, c in packed[xp].items():
-            ws = right[w][s]
+            ws = cols[s][w]
             if ws < w:
                 top[w] = top.get(w, 0) + (c >> 32)
             else:
@@ -273,13 +274,13 @@ def _kl_by_min_descent(system):
         for z, m in mu[xp].items():
             if s in descents[z]:
                 for w, c in packed[z].items():
-                    if right[w][s] < w:
+                    if cols[s][w] < w:
                         top[w] -= m * c
         col = {}
         for t, c in top.items():
             if c:
                 col[t] = c
-                col[right[t][s]] = c << 32
+                col[cols[s][t]] = c << 32
         packed[x] = col
         mu[x] = {t: m for t, c in top.items()
                  if t != x and (m := (c >> 32) & 0xFFFFFFFF)}
@@ -396,7 +397,8 @@ def test_kernel_builds_one_column_per_orbit(label):
 
 def test_kl_columns_build_the_cheapest_candidate(f4_kl):
     system, table = f4_kl
-    inv, descents, right = system.inverse, system.right_descents, system.right
+    inv, descents = system.inverse, system.right_descents
+    cols = system.right_by_gen
     h, mu, built = _kl_columns(system)
     assert h == table.h
     assert mu == table.mu
@@ -405,7 +407,7 @@ def test_kl_columns_build_the_cheapest_candidate(f4_kl):
     relabellings = _relabellings(system)
 
     def cost(w, s):
-        wp = right[w][s]
+        wp = cols[s][w]
         return len(h[wp]) + sum(len(h[z]) for z in mu[wp]
                                 if s in descents[z])
 
@@ -698,7 +700,7 @@ def test_mu_fact(a3, kl_a3, b3, kl_b3):
                 extra = system.right_descents[w] - system.right_descents[z]
                 for r in extra:
                     mu = table.mu_coeff(z, w)
-                    if system.right[z][r] == w:
+                    if system.right_by_gen[r][z] == w:
                         assert mu == 1
                     else:
                         assert mu == 0

@@ -333,7 +333,7 @@ def test_structure_coefficients_returns_fresh_dicts(b2, kl_b2, c3, kl_c3,
 def test_general_product_agrees_with_generator_path(b2, kl_b2, b2_p2):
     for x in b2.elements():
         for s in range(2):
-            w = b2.right[0][s]
+            w = b2.right_by_gen[s][0]
             assert pcan_general_product(b2_p2, kl_b2, x, w) == \
                 structure_coefficients(b2_p2, kl_b2, x, s, "right")
 

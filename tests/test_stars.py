@@ -305,8 +305,8 @@ def _pairwise_sliding(table, kl, r, t):
         acc = table.expand_to_kl_coeffs(
             structure_coefficients(table, kl, x, b, "right"))
         for z in dr:
-            want = sum((table.m(w, x) for w in (sys_.right[z][a],
-                                                 sys_.right[z][b])
+            want = sum((table.m(w, x) for w in (sys_.right_by_gen[a][z],
+                                                 sys_.right_by_gen[b][z])
                         if w in dr), LaurentPoly())
             if acc.get(z, LaurentPoly()) != want:
                 bad.append((z, x))
@@ -480,7 +480,7 @@ def test_tau_matches_string_oracle(label):
 
 def _coset_min(system, x, r, t):
     while ds := system.right_descents[x] & {r, t}:
-        x = system.right[x][min(ds)]
+        x = system.right_by_gen[min(ds)][x]
     return x
 
 
@@ -504,7 +504,7 @@ def _star_right(system, x, r, t):
 def _t_neighbors(system, x, r, t):
     """Oracle: the string neighbours {xr, xt} intersected with D_R(r, t),
     duplicated to a two-element multiset when only one exists."""
-    out = [y for y in (system.right[x][r], system.right[x][t])
+    out = [y for y in (system.right_by_gen[r][x], system.right_by_gen[t][x])
            if _in_d_r(system, y, r, t)]
     if len(out) == 1:
         out = out * 2
@@ -540,14 +540,14 @@ def _strings_one_by_one(system, r, t, m, minima):
     coset minimum, as (minimum, starting letter, elements), walked one
     string at a time (the generator the position-by-position walk
     replaced)."""
-    right = system.right
+    cols = system.right_by_gen
     words = (((r, t) * m)[:m - 1], ((t, r) * m)[:m - 1])
     for w_min in minima:
         for word in words:
             x = w_min
             elements = []
             for s in word:
-                x = right[x][s]
+                x = cols[s][x]
                 elements.append(x)
             yield w_min, word[0], elements
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from pcells.stars import DihedralStrings
 from pcells.typea import (
+    _perms_of_elements,
     all_permutations,
     element_of_perm,
     enumerate_standard_tableaux,
@@ -245,6 +246,15 @@ def test_word_round_trip():
             perm = perm_of_element(system, w)
             assert element_of_perm(system, perm) == w
             assert len(perm_to_word(perm)) == system.length[w]
+
+
+def test_one_pass_permutations_match_perm_of_element():
+    # the cell theorem check builds every permutation in one pass over the
+    # ids instead of one word walk per element
+    for n in range(2, 7):
+        system = verify.get_system(f"A{n - 1}")
+        assert _perms_of_elements(system) == [
+            perm_of_element(system, w) for w in system.elements()]
 
 
 def test_parse_one_line():
