@@ -156,18 +156,20 @@ class CellPartition:
         return set(self.cells)
 
     def to_json_obj(self, system: CoxeterSystem) -> dict:
+        digits = system.digit_strings()
         return {
             "side": self.side,
             "p": self.prime,
-            "cells": [sorted(system.id_to_digits(w) for w in c) for c in self.cells],
+            "cells": [sorted(digits[w] for w in c) for c in self.cells],
             "edges": sorted([i, j] for (i, j) in self.hasse_edges),
         }
 
     def to_dot(self, system: CoxeterSystem, name: str = "cells") -> str:
         lines = [f"digraph {name} {{"]
+        digits = system.digit_strings()
         for i, c in enumerate(self.cells):
             label = "{" + ", ".join(
-                sorted((system.id_to_digits(w) or "e") for w in c)) + "}"
+                sorted((digits[w] or "e") for w in c)) + "}"
             lines.append(f'  c{i} [label="{label}"];')
         for (i, j) in sorted(self.hasse_edges):
             lines.append(f"  c{i} -> c{j};")

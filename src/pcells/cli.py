@@ -4,11 +4,12 @@ Exit codes: 0 success / all checks pass, 1 a verification failed or a
 computation raised (a table failing validation, an infinite or too large
 group, a KL coefficient beyond the packed kernel), 2 usage or input error
 (argparse errors, a malformed Cartan matrix, type label, table file or
-permutation, a --p that is neither 0 nor a prime below _PRIME_LIMIT or
-differs from the table's, a --cap below 1).  A file that cannot be read or written, such as
-a directory given as --out, --cartan or --table, exits 1.  A reader that
-closes the output pipe early (`| head`) gets exit code 1 and one error
-line, not a traceback.
+permutation, a group of rank above 9, whose elements no digit string
+names, a --p that is neither 0 nor a prime below _PRIME_LIMIT or differs
+from the table's, a --cap below 1).  A file that cannot be read or
+written, such as a directory given as --out, --cartan or --table, exits 1.
+A reader that closes the output pipe early (`| head`) gets exit code 1 and
+one error line, not a traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .cells import compute_cells
-from .coxeter import CoxeterSystem, GroupTooLargeError
+from .coxeter import CoxeterSystem, GroupTooLargeError, cartan_matrix_of_type
 from .hecke import compute_kl_table
 from .pcanonical import (
     PCanValidationError,
@@ -54,16 +55,32 @@ def _reading_input():
 def _build_system(args) -> CoxeterSystem:
     with _reading_input():
         if args.type:
-            return CoxeterSystem.from_type(args.type, cap=args.cap)
-        if args.cartan:
+            spec = {"type": args.type}
+        elif args.cartan:
             # os.path.exists is False, not an error, for text that cannot
             # name a file, such as an inline matrix over 255 bytes
             spec = json.loads(Path(args.cartan).read_text()
                               if os.path.exists(args.cartan) else args.cartan)
             if isinstance(spec, list):
                 spec = {"cartan": spec}
-            return CoxeterSystem.from_spec(spec, cap=args.cap)
-    raise SystemExit2("one of --type or --cartan is required")
+        else:
+            raise SystemExit2("one of --type or --cartan is required")
+        _check_rank(spec)
+        return CoxeterSystem.from_spec(spec, cap=args.cap)
+
+
+def _check_rank(spec) -> None:
+    """Elements print as words in the digits 1-9, one per generator, so a
+    spec of rank above 9 is refused before its group is enumerated.  A
+    spec that from_spec rejects is left to it."""
+    if not (isinstance(spec, dict) and len(spec) == 1):
+        return
+    cartan = spec.get("cartan")
+    if isinstance(spec.get("type"), str):
+        cartan = cartan_matrix_of_type(spec["type"])
+    if isinstance(cartan, list) and len(cartan) > 9:
+        raise SystemExit2(f"rank {len(cartan)} is above 9: elements print "
+                          "as words in the digits 1-9, one per generator")
 
 
 def _build_table(args, system):
@@ -103,9 +120,10 @@ def cmd_cells(args) -> int:
         _emit(partition.to_dot(system), args)
     else:
         lines = [f"{len(partition.cells)} {side} cells at p = {table.prime}:"]
+        digits = system.digit_strings()
         for i, cell in enumerate(partition.cells):
             words = ", ".join(sorted(
-                (system.id_to_digits(w) or "e" for w in cell),
+                (digits[w] or "e" for w in cell),
                 key=lambda d: (len(d), d)))
             lines.append(f"  [{i}] {{{words}}}")
         lines.append("Hasse edges: " + ", ".join(
@@ -144,11 +162,12 @@ def cmd_tau(args) -> int:
     system = _build_system(args)
     part = tau_tilde_partition(system) if args.tilde else tau_partition(system)
     kind = "tau-tilde" if args.tilde else "tau"
+    digits = system.digit_strings()
     if args.format == "json":
         obj = {
             "kind": kind,
             "stabilized_at": part.stabilized_at,
-            "classes": [sorted(system.id_to_digits(w) or "e" for w in c)
+            "classes": [sorted(digits[w] or "e" for w in c)
                         for c in part.classes],
         }
         _emit(json.dumps(obj, indent=2), args)
@@ -156,7 +175,7 @@ def cmd_tau(args) -> int:
         lines = [f"{len(part.classes)} {kind} classes "
                  f"(stable after {part.stabilized_at} rounds):"]
         for c in part.classes:
-            words = ", ".join(sorted((system.id_to_digits(w) or "e" for w in c),
+            words = ", ".join(sorted((digits[w] or "e" for w in c),
                                      key=lambda d: (len(d), d)))
             lines.append(f"  {{{words}}}")
         _emit("\n".join(lines), args)

@@ -227,6 +227,13 @@ def parse_digits(digits: str) -> Word:
 
 
 def word_digits(word: Iterable[int]) -> str:
+    """The digit string of a 0-based word: ValueError for a generator
+    outside 0-8, which no single digit names."""
+    word = tuple(word)
+    for s in word:
+        if not 0 <= s < 9:
+            raise ValueError(f"generator {s!r} has no digit: digit strings "
+                             "name the generators 0-8 as 1-9")
     return "".join(str(s + 1) for s in word)
 
 
@@ -384,6 +391,21 @@ class CoxeterSystem:
 
     def id_to_digits(self, w: int) -> str:
         return word_digits(self.words[w])
+
+    def digit_strings(self) -> list[str]:
+        """id_to_digits of every element, by id, in one pass over the ids:
+        words[w] is words[w s] followed by s = last[w], and w s comes
+        first.  ValueError at a rank above 9, as in word_digits."""
+        if self.rank > 9:
+            raise ValueError(f"rank {self.rank} is above 9: digit strings "
+                             "name the generators 0-8 as 1-9")
+        cols, last = self.right_by_gen, self.last
+        digit = [str(s + 1) for s in range(self.rank)]
+        out = [""] * self.size
+        for w in range(1, self.size):
+            s = last[w]
+            out[w] = out[cols[s][w]] + digit[s]
+        return out
 
     def left_mult(self, s: int, w: int) -> int:
         inverse = self.inverse

@@ -16,8 +16,9 @@ exact because h(y, x) has nonnegative coefficients (positivity,
 Elias-Williamson 2014) and a guard raises OverflowError before a coefficient
 could outgrow its digit.  It computes half of each column: for s a right
 descent of x and ts < t, h(ts, x) = v h(t, x) (P_{y,w} = P_{ys,w} of
-Kazhdan-Lusztig 1979), so only the entries at the tops t are built.  It
-builds one column per orbit of the group G that inversion and the
+Kazhdan-Lusztig 1979), so only the entries at the tops t are built, and
+only they are stored: a bottom ts is read off its top.  It builds one
+column per orbit of the group G that inversion and the
 automorphisms of the Coxeter graph generate, along the right descent of
 the orbit member whose recursion visits the fewest entries (the choice of
 descent sets the cost, du Cloux 2002).  Every other column of the orbit is
@@ -34,8 +35,9 @@ those, so only the KL table uses it.  A table has few distinct
 polynomials and many entries (du Cloux 2002), so per-value work is done
 once per distinct value: each value is decoded once, when it is first
 written, into one immutable LaurentPoly shared by every entry and column
-holding it, and change_basis multiplies each distinct polynomial once per
-coefficient.
+holding it, a top's value keeps the shared value v times it that its
+bottoms hold, and change_basis multiplies each distinct polynomial once
+per coefficient.
 
 HeckeElt values are tagged with the basis they are expressed in ("std",
 "kl", or "pcan"); arithmetic across different bases is a hard error, and
@@ -45,7 +47,10 @@ change_basis performs the exact unitriangular conversions.
 from __future__ import annotations
 
 import weakref
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
+from itertools import chain, compress
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Sequence
 
 from .coxeter import CoxeterSystem
@@ -231,13 +236,15 @@ class KLTable:
     built by compute_kl_table; equal polynomials in h are one shared
     immutable LaurentPoly.  Every column is a read-only Mapping.  Of each
     orbit of inversion and the Coxeter-graph automorphisms one column is
-    built: its ids and values are two tuples, iterated in the order the
-    kernel wrote them, and a dict index of its entries is built on its
-    first point lookup (get, in, []) and kept.  Every other column of the
-    orbit is a view over it, relabelled through the id permutation that
-    carries the built column to it: system.inverse (h(y, x) =
-    h(y^-1, x^-1)), a graph automorphism sigma (h(sigma y, sigma x) =
-    h(y, x)), or their product (see compute_kl_table).  The mu rows are
+    built, along a right descent s of its x: it stores only its tops t
+    (ts < t) and their values, as two tuples, and yields each bottom ts
+    with v h(t, x) after them; a dict index of its entries is built on its
+    first point lookup (get, in, []) and kept.  The identity's column is a
+    read-only dict.  Every other column of the orbit is a view over the
+    built one, relabelled through the id permutation that carries the
+    built column to it: system.inverse (h(y, x) = h(y^-1, x^-1)), a graph
+    automorphism sigma (h(sigma y, sigma x) = h(y, x)), or their product
+    (see compute_kl_table).  The mu rows are
     dicts.  The constructor takes any Mapping per column.
     """
 
@@ -272,24 +279,28 @@ class KLTable:
         return rows
 
 
-class _Column(Mapping):
-    """A built column: its ids and values as two tuples, in the order the
-    kernel wrote them.  Iterating reads the tuples, and values() is the
-    tuple of values; a point lookup (get, in, []) goes through the dict of
-    the same entries, built on the first lookup and kept, so every key gets
-    the answer that dict gives.  The index takes no lock: threads that
-    build it at once build equal dicts."""
+class _BuiltColumn(Mapping):
+    """A built column h at w, built along the right descent s of w: the
+    tops t (ts < t) and their values as two tuples, in the order the kernel
+    wrote them, and the kernel's row rs of u -> us.  The bottom ts of a top
+    holds h(ts, w) = v h(t, w), its value's shifted object, and is not
+    stored.  Iterating yields the tops, then the bottoms, at C speed, and
+    values() and items() follow that order; a point lookup (get, in, [])
+    goes through dict(self.items()), built on the first lookup and kept, so
+    every key gets the answer that dict gives.  The index takes no lock:
+    threads that build it at once build equal dicts."""
 
-    __slots__ = ("_ids", "_vals", "_index")
+    __slots__ = ("_tops", "_vals", "_rs", "_index")
 
-    def __init__(self, entries: dict[int, LaurentPoly]):
-        self._ids, self._vals = tuple(entries), tuple(entries.values())
+    def __init__(self, tops: tuple[int, ...], vals: tuple[_Packed, ...],
+                 rs: list[int]):
+        self._tops, self._vals, self._rs = tops, vals, rs
         self._index = None
 
     def _lookup(self) -> dict[int, LaurentPoly]:
         index = self._index
         if index is None:
-            index = self._index = dict(zip(self._ids, self._vals))
+            index = self._index = dict(self.items())
         return index
 
     def __getitem__(self, y):
@@ -302,26 +313,39 @@ class _Column(Mapping):
         return y in self._lookup()
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return 2 * len(self._tops)
 
     def __iter__(self):
-        return iter(self._ids)
+        tops = self._tops
+        return chain(tops, map(self._rs.__getitem__, tops))
 
-    def values(self) -> tuple[LaurentPoly, ...]:
-        return self._vals
+    def values(self):
+        return _BuiltValues(self)
 
     def items(self):
-        return _ColumnItems(self)
+        return _BuiltItems(self)
 
 
-class _ColumnItems(ItemsView):
-    """items() of a _Column, iterated at C speed."""
+class _BuiltValues(ValuesView):
+    """values() of a _BuiltColumn, iterated at C speed."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        vals = self._mapping._vals
+        return chain(vals, map(_shifted, vals))
+
+
+class _BuiltItems(ItemsView):
+    """items() of a _BuiltColumn, iterated at C speed."""
 
     __slots__ = ()
 
     def __iter__(self):
         col = self._mapping
-        return zip(col._ids, col._vals)
+        tops, vals = col._tops, col._vals
+        return chain(zip(tops, vals), zip(map(col._rs.__getitem__, tops),
+                                          map(_shifted, vals)))
 
 
 class _RelabelledColumn(Mapping):
@@ -334,7 +358,8 @@ class _RelabelledColumn(Mapping):
 
     __slots__ = ("_col", "_perm", "_index")
 
-    def __init__(self, col: _Column, perm: list[int], index: dict[int, int]):
+    def __init__(self, col: _BuiltColumn, perm: list[int],
+                 index: dict[int, int]):
         self._col, self._perm, self._index = col, perm, index
 
     def __getitem__(self, y):
@@ -381,9 +406,13 @@ _LIMIT = 1 << (_WIDTH - 2)
 
 class _Packed(LaurentPoly):
     """A table value: the LaurentPoly decoded from a packed int, keeping
-    that int for the kernel's integer arithmetic."""
+    that int for the kernel's integer arithmetic.  A value held at a top
+    keeps in shifted the shared value v times it, which its bottoms hold."""
 
-    __slots__ = ("packed",)
+    __slots__ = ("packed", "shifted")
+
+
+_shifted = attrgetter("shifted")
 
 
 def _unpack(packed: int) -> _Packed:
@@ -471,11 +500,15 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     reaching 2^(_WIDTH - 2), which is still decoded exactly, and nothing
     wraps silently.  The columns hold the decoded LaurentPoly, one shared
     object per distinct polynomial in all the columns; it keeps its packed
-    int, which the later steps read.  Each built column is stored as two
-    tuples, ids and values, which cost about 16 B per entry where a dict
-    costs about 40 B, and every other column is a read-only view of a
-    built one (see KLTable): the table stores one pair of tuples per
-    orbit, and a column's lookup dict exists only once something has
+    int, which the later steps read, and a top's value keeps in shifted
+    the object v times it.  Each built column stores its tops and their
+    values as two tuples and a reference to the shared row t -> ts, so a
+    bottom costs nothing and an entry about 8 B, where the ids and values
+    of every entry cost 16 B and a dict about 40 B.  The kernel reads a
+    built column's tops directly and each bottom as its top's packed int
+    shifted by one digit.  Every other column is a read-only view of a
+    built one (see KLTable): the table stores one pair of tuples of tops
+    per orbit, and a column's lookup dict exists only once something has
     looked a key up in it.
     """
     return KLTable(system, *_kl_columns(system)[:2])
@@ -526,8 +559,9 @@ def _kl_columns(system: CoxeterSystem
                            list[dict[int, int]], dict[int, int]]:
     """The columns and mu rows of compute_kl_table, and the columns it
     built: w -> the right descent s it was built along.  The identity's
-    and the built columns are _Columns; every other column is a
-    _RelabelledColumn over the built column of its orbit."""
+    column is a read-only dict, the built columns are _BuiltColumns, and
+    every other column is a _RelabelledColumn over the built column of its
+    orbit."""
     descents = system.right_descents
     # one int object per id, which every table below shares: each read of
     # the group's arrays makes a new one
@@ -545,11 +579,14 @@ def _kl_columns(system: CoxeterSystem
     indexes = [dict(zip(g, ids)) for g in relabellings]
     h: list = [None] * system.size
     mu: list = [None] * system.size
-    # pairs maps the packed value of each top written to its shared (top,
-    # bottom) values; one = h(e, e) is the first top
+    # shared maps the packed value of each top written to its shared
+    # value, whose shifted is the bottoms' value, and mus to its second
+    # digit, mu(t, w), where that is nonzero; one = h(e, e) is the first top
     one = _unpack(1)
-    pairs = {1: (one, _unpack(1 << _WIDTH))}
-    h[0], mu[0] = _Column({0: one}), {}
+    one.shifted = _unpack(1 << _WIDTH)
+    shared = {1: one}
+    mus: dict[int, int] = {}
+    h[0], mu[0] = MappingProxyType({0: one}), {}
     # size[w] = len(h[w]), which the scoring reads without calling a
     # column's Python-level __len__
     size = [1] * system.size
@@ -572,42 +609,58 @@ def _kl_columns(system: CoxeterSystem
         # H_t and H_t H_s = H_ts + (v^-1 - v) H_t, so H_t gets h(ts, w') +
         # v^-1 h(t, w'); ids are in length order, and h(t, w') is in v Z[v]
         # because t != w' (w' s = w is longer).
-        top: dict[int, int] = {}
+        # C_e C_s = C_s has the one top h(s, s) = 1; every other column is
+        # read as (t, b, c), a top of its own descent with value c and its
+        # bottom b, which holds c << _WIDTH.
+        top: dict[int, int] = {w: 1} if wp == 0 else {}
         get = top.get
-        for u, c in h[wp].items():
-            us = rs[u]
-            if us < u:
-                top[u] = get(u, 0) + (c.packed >> _WIDTH)
+        for t, b, c in _pairs(h[wp]):
+            c = c.packed
+            ts = rs[t]
+            if ts < t:
+                top[t] = get(t, 0) + (c >> _WIDTH)
             else:
-                top[us] = get(us, 0) + c.packed
+                top[ts] = get(ts, 0) + c
+            bs = rs[b]
+            if bs < b:
+                top[b] = get(b, 0) + c
+            else:
+                top[bs] = get(bs, 0) + (c << _WIDTH)
         for z, m in mu[wp].items():
             if s in descents[z]:
-                for u, c in h[z].items():
-                    if rs[u] < u:
-                        top[u] -= m * c.packed
-        # the bottoms: h(ts, w) = v h(t, w); mu(w, w) = 0 is the second
-        # digit of h(w, w) = 1
-        col: dict[int, LaurentPoly] = {}
+                col = h[z]
+                if type(col) is _BuiltColumn and col._rs is rs:
+                    # built along s: its tops are the u with us < u
+                    for t, c in zip(col._tops, col._vals):
+                        top[t] -= m * c.packed
+                    continue
+                for t, b, c in _pairs(col):
+                    if rs[t] < t:
+                        top[t] -= m * c.packed
+                    if rs[b] < b:
+                        top[b] -= (m * c.packed) << _WIDTH
+        # only the tops are stored, each bottom ts holding v h(t, w);
+        # mu(w, w) = 0 is the second digit of h(w, w) = 1
+        cs = list(filter(None, top.values()))
+        for c in set(cs).difference(shared):
+            # the bottoms so far are the tops shifted by one digit, so c is
+            # held iff it is the bottom of c >> _WIDTH, and b iff it is a
+            # top; else decode once
+            b = c << _WIDTH
+            held = shared.get(c >> _WIDTH) if not c & _MASK else None
+            val = shared[c] = _unpack(c) if held is None else held.shifted
+            above = shared.get(b)
+            val.shifted = _unpack(b) if above is None else above
+            if m := (c >> _WIDTH) & _MASK:
+                mus[c] = m
+        tops = tuple(compress(top, top.values()))
+        ms = list(map(mus.get, cs))
         row = {wp: 1}
-        for t, c in top.items():
-            if c:
-                pair = pairs.get(c)
-                if pair is None:
-                    # the bottoms so far are the tops in pairs shifted by
-                    # one digit, so c is held iff it is the bottom of
-                    # c >> _WIDTH, and b iff it is a top; else decode once
-                    b = c << _WIDTH
-                    below = pairs.get(c >> _WIDTH) if not c & _MASK else None
-                    above = pairs.get(b)
-                    pair = pairs[c] = (
-                        _unpack(c) if below is None else below[1],
-                        _unpack(b) if above is None else above[0])
-                col[t], col[rs[t]] = pair
-                if m := (c >> _WIDTH) & _MASK:
-                    row[t] = m
-        h[w], mu[w] = _Column(col), row
+        row.update(compress(zip(tops, ms), ms))
+        h[w] = _BuiltColumn(tops, tuple(map(shared.__getitem__, cs)), rs)
+        mu[w] = row
         built[w] = s
-        size[w] = len(col)
+        size[w] = 2 * len(tops)
         for g, index in zip(relabellings, indexes):
             u = g[w]
             if h[u] is None:
@@ -615,6 +668,22 @@ def _kl_columns(system: CoxeterSystem
                 mu[u] = dict(zip(map(g.__getitem__, row), row.values()))
                 size[u] = size[w]
     return h, mu, built
+
+
+def _pairs(col: Mapping[int, _Packed]):
+    """The entries of a column of the table being built as (t, b, c): each
+    top t with its value c, and its bottom b, which holds c.shifted.  The
+    identity's column gives none; the kernel writes C_e C_s = C_s itself."""
+    perm = None
+    if type(col) is _RelabelledColumn:
+        perm, col = col._perm.__getitem__, col._col
+    if type(col) is not _BuiltColumn:
+        return ()
+    tops = col._tops
+    bottoms = map(col._rs.__getitem__, tops)
+    if perm is not None:
+        tops, bottoms = map(perm, tops), map(perm, bottoms)
+    return zip(tops, bottoms, col._vals)
 
 
 def kl_multiply_by_generator(table: KLTable, x: int, s: int,

@@ -304,6 +304,26 @@ def test_inline_cartan_longer_than_a_file_name(capsys, tmp_path):
     assert _one_error_line(err).startswith("error: group exceeds cap of 100")
 
 
+@pytest.mark.parametrize("command", ["cells", "tau"])
+@pytest.mark.parametrize("option,group,rank", [
+    ("--cartan", "{a10}", 10), ("--cartan", "{a12}", 12),
+    ("--cartan", '{{"cartan": {a12}}}', 12), ("--type", "A10", 10),
+    ("--cartan", '{{"type": "A12"}}', 12)])
+def test_a_rank_above_9_is_a_usage_error(capsys, command, option, group,
+                                         rank):
+    # at rank 12, s12 and s1 s2 both printed as "12": A1^12 gave 4 096
+    # elements 4 095 labels; at rank 10, s10 printed as "10", which no
+    # digit string reads back
+    a1 = {f"a{n}": json.dumps([[2 * (i == j) for j in range(n)]
+                               for i in range(n)]) for n in (10, 12)}
+    code, out, err = run(capsys, command, option, group.format(**a1),
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) == (
+        f"error: rank {rank} is above 9: elements print as words in the "
+        "digits 1-9, one per generator")
+
+
 def test_unparsable_table_file_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"p\": 2, ")

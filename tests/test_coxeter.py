@@ -11,6 +11,7 @@ from pcells.coxeter import (
     cartan_matrix_of_type,
     cartan_to_coxeter,
     parse_digits,
+    word_digits,
 )
 
 
@@ -318,6 +319,36 @@ def test_digit_strings(c3):
     for digits in ("2a1", "１２", "٣", "1²", "0", "10", "1 2"):
         with pytest.raises(ValueError, match="bad digit string"):
             parse_digits(digits)
+
+
+def test_word_digits_name_generators_0_to_8_only():
+    assert word_digits([0, 8, 4]) == "195" and word_digits(iter(())) == ""
+    # s10 printed as "10", which digits_to_id rejects, and as the word s1 s2
+    # of "12" at rank 12
+    for word in ([9], [0, 11], [-1], (3, 10**6)):
+        with pytest.raises(ValueError, match="has no digit"):
+            word_digits(word)
+
+
+@pytest.mark.parametrize("label", ["A1", "B3", "C3", "G2", "D4", "F4"])
+def test_digit_strings_equal_id_to_digits(label):
+    system = CoxeterSystem.from_cartan(CARTAN[label]) if label in CARTAN \
+        else CoxeterSystem.from_type(label)
+    assert system.digit_strings() == [system.id_to_digits(w)
+                                      for w in system.elements()]
+
+
+def test_digit_strings_reject_a_rank_above_9():
+    a1_9 = CoxeterSystem.from_cartan(
+        [[2 * (i == j) for j in range(9)] for i in range(9)])
+    digits = a1_9.digit_strings()
+    assert len(set(digits)) == a1_9.size == 512
+    a1_10 = CoxeterSystem.from_cartan(
+        [[2 * (i == j) for j in range(10)] for i in range(10)])
+    with pytest.raises(ValueError, match="rank 10 is above 9"):
+        a1_10.digit_strings()
+    with pytest.raises(ValueError, match="has no digit"):
+        a1_10.id_to_digits(a1_10.word_to_id([9]))
 
 
 def test_reduced_words(b2):

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from pcells.hecke import (
     PCAN,
     HeckeElt,
     KLTable,
-    _Column,
+    _BuiltColumn,
+    _RelabelledColumn,
     _acc,
     _graph_automorphisms,
     _kl_columns,
@@ -391,8 +393,10 @@ def test_lifts_match_the_action_on_reduced_words(label):
 def test_kernel_builds_one_column_per_orbit(label):
     system = _system(AUTOMORPHISM_GROUPS[label])
     h, _, built = _kl_columns(system)
-    assert sum(type(col) is _Column for col in h) == len(built) + 1 \
-        == _orbit_count(system)
+    # the identity's orbit is itself, and its column is a read-only dict
+    assert type(h[0]) is MappingProxyType
+    assert sum(type(col) is _BuiltColumn for col in h) == len(built) \
+        == _orbit_count(system) - 1
 
 
 def test_kl_columns_build_the_cheapest_candidate(f4_kl):
@@ -481,10 +485,10 @@ def test_partner_columns_are_read_only_views(label):
     keys = _odd_keys(system)
     for w in system.elements():
         wi = inv[w]
-        # one stored column per inverse pair: the identity's and the
-        # built columns
-        assert (type(h[w]) is _Column) == (w == 0 or w in built)
-        if wi == w or type(h[w]) is not _Column:
+        # one stored column per inverse pair: the built columns, and the
+        # identity's
+        assert (type(h[w]) is _BuiltColumn) == (w in built)
+        if wi == w or type(h[w]) is not _BuiltColumn:
             continue
         view, oracle = h[wi], _relabel(h[w], inv)
         assert type(view) is not dict and not hasattr(view, "__setitem__")
@@ -502,7 +506,8 @@ def test_partner_columns_are_read_only_views(label):
         _assert_reads_like(view, oracle, keys)
         with pytest.raises(TypeError):
             view.get([])
-    assert sum(type(col) is _Column for col in h) == _orbit_count(system)
+    assert sum(type(col) is _BuiltColumn for col in h) + 1 \
+        == _orbit_count(system)
 
 
 def test_partner_columns_read_every_int_key_like_the_copied_dict(a3, kl_a3):
@@ -510,7 +515,8 @@ def test_partner_columns_read_every_int_key_like_the_copied_dict(a3, kl_a3):
     # index inv from its end, and raise for ids >= |W|
     inv, n = a3.inverse, a3.size
     keys = [*range(-n - 2, n + 3), *_odd_keys(a3)]
-    partners = [x for x in a3.elements() if type(kl_a3.h[x]) is not _Column]
+    partners = [x for x in a3.elements()
+                if type(kl_a3.h[x]) is _RelabelledColumn]
     assert partners
     for x in partners:
         _assert_reads_like(kl_a3.h[x], _relabel(kl_a3.h[inv[x]], inv), keys)
@@ -533,7 +539,7 @@ def test_relabelled_columns_are_views_through_the_first_relabelling(label):
                 continue
             seen.add(x)
             view, oracle = h[x], _relabel(h[w], g)
-            assert type(view) is not _Column
+            assert type(view) is _RelabelledColumn
             assert list(view.items()) == list(oracle.items())
             assert list(view) == list(oracle)
             assert all(a is b for a, b in zip(view.values(), oracle.values()))
@@ -565,7 +571,7 @@ def test_p_canonical_tables_are_not_graph_invariant(b2, kl_b2, b2_p2):
 
 
 def _built(table):
-    return [col for col in table.h if type(col) is _Column]
+    return [col for col in table.h if type(col) is _BuiltColumn]
 
 
 @pytest.mark.parametrize("label", ["B4", "F4"])
@@ -575,9 +581,9 @@ def test_built_columns_are_read_only_and_read_like_a_dict(label):
     keys = [*range(-3, 3), *range(system.size - 3, system.size),
             *_odd_keys(system)]
     built = _built(table)
-    assert table.h[0] in built
+    assert type(table.h[0]) is MappingProxyType
     assert not any(isinstance(col, dict) for col in table.h)
-    for col in built:
+    for col in [table.h[0], *built]:
         oracle = dict(col.items())
         assert not hasattr(col, "__setitem__")
         with pytest.raises(TypeError):
@@ -591,6 +597,33 @@ def test_built_columns_are_read_only_and_read_like_a_dict(label):
             col.get([])
         with pytest.raises(TypeError):
             [] in col
+
+
+@pytest.mark.parametrize("label", ["F4", "D5"])
+def test_built_columns_store_the_tops_only(label):
+    # a column built along s stores its tops t (ts < t) and their values;
+    # items() yields the tops, then each bottom ts with v h(t, w), the
+    # shared object the top's value holds in shifted
+    system = _system(MIN_DESCENT_GROUPS[label])
+    h, _, built = _kl_columns(system)
+    full, _ = _kl_by_full_columns(system)
+    for w, s in built.items():
+        col, rs = h[w], system.right_by_gen[s]
+        tops, vals = col._tops, col._vals
+        assert type(tops) is tuple and type(vals) is tuple
+        assert not hasattr(col, "__dict__")
+        assert all(rs[t] < t for t in tops)
+        assert set(tops) == {t for t in full[w] if rs[t] < t}
+        assert len(vals) == len(tops) == len(col) // 2 == len(full[w]) // 2
+        items = list(col.items())
+        assert items[:len(tops)] == list(zip(tops, vals))
+        for (t, c), (b, d) in zip(items[:len(tops)], items[len(tops):],
+                                  strict=True):
+            assert b == rs[t] and d is c.shifted and d == c.shift(1)
+        assert dict(items) == full[w]
+        assert list(col) == [y for y, _ in items]
+        assert all(a is b for a, b in zip(col.values(), [c for _, c in items],
+                                          strict=True))
 
 
 def test_iterating_a_column_builds_no_lookup_index(b3):

@@ -14,7 +14,8 @@ elements, and the star-relation checkers evaluate one relation system per
 x-string, never one per pair of strings.  Tau on a simply-laced group
 builds no string neighbours.  The enumerated B5 keeps under
 100 bytes per element, as tracemalloc counts them: no word tuples and no
-row list per element.
+row list per element.  F4's KL table keeps under 7 bytes per entry: no
+slot for the bottom of a built column.
 Every function and class that pcells exports is reached from the CLI,
 verify or a demo, or is listed with the reason it stays.
 """
@@ -201,6 +202,22 @@ def test_group_layer_keeps_no_word_tuples():
     assert retained / b5.size < 100
     assert not isinstance(b5.words, list)
     assert not isinstance(b5.right, list)
+
+
+def test_kl_table_keeps_no_bottoms():
+    # F4 kept 8.5 B per entry (Python 3.11.7) with each built column's ids
+    # and values in two tuples, and 6.0 B with its tops and their values
+    # only, each bottom read off its top
+    f4 = CoxeterSystem.from_cartan(CARTAN["F4"])
+    tracemalloc.start()
+    try:
+        table = compute_kl_table(f4)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = sum(map(len, table.h))
+    assert entries == 396809
+    assert retained / entries < 7
 
 
 def test_cell_level_checks_compare_no_element_pairs(monkeypatch):
