@@ -164,8 +164,8 @@ class CellPartition:
             "edges": sorted([i, j] for (i, j) in self.hasse_edges),
         }
 
-    def to_dot(self, system: CoxeterSystem, name: str = "cells") -> str:
-        lines = [f"digraph {name} {{"]
+    def to_dot(self, system: CoxeterSystem) -> str:
+        lines = ["digraph cells {"]
         digits = system.digit_strings()
         for i, c in enumerate(self.cells):
             label = "{" + ", ".join(
@@ -177,7 +177,7 @@ class CellPartition:
         return "\n".join(lines)
 
 
-def elementary_relations(table: PCanTable, kl: KLTable, side: str = "right"
+def elementary_relations(table: PCanTable, kl: KLTable, side: str
                          ) -> dict[int, set[int]]:
     """Successor sets of the elementary relation: y -> x whenever B_x
     occurs in B_y C_s for some generator s (descent self-loops included).
@@ -320,8 +320,7 @@ def left_cells_from_right(table: PCanTable, right: CellPartition
                        for i in order))
 
 
-def compute_cells(table: PCanTable, kl: KLTable, side: str = "right"
-                  ) -> CellPartition:
+def compute_cells(table: PCanTable, kl: KLTable, side: str) -> CellPartition:
     """Cells of the given side: "left", "right", or "two-sided", the join
     of the left and right cells.  Only the right relation is built: left
     cells are its inverse image (left_cells_from_right), so "left" and
@@ -527,22 +526,9 @@ class ColouredWGraph:
                 f"vertices={self.vertices!r}, "
                 f"descent_sets={self.descent_sets!r}, edges={self.edges!r})")
 
-    def to_dot(self, system: CoxeterSystem, name: str = "wgraph") -> str:
-        lines = [f"digraph {name} {{"]
-        for v in self.vertices:
-            tag = system.id_to_digits(v) or "e"
-            ds = "".join(str(s + 1) for s in sorted(self.descent_sets[v]))
-            lines.append(f'  n{v} [label="{tag} ({ds})"];')
-        for (a, b) in sorted(self.edges):
-            labels = self.edges[(a, b)]
-            text = ", ".join(f"s{s + 1}: {labels[s]}" for s in sorted(labels))
-            lines.append(f'  n{a} -> n{b} [label="{text}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def subquotient_wgraph(table: PCanTable, kl: KLTable, elements: Iterable[int],
-                       side: str = "left") -> ColouredWGraph:
+                       side: str) -> ColouredWGraph:
     """The coloured W-graph of the generator action on a subquotient
     spanned by canonical basis elements indexed by the given set.  Raises
     ValueError if the two tables live over different groups."""

@@ -240,7 +240,7 @@ def word_digits(word: Iterable[int]) -> str:
 class CoxeterSystem:
     """A fully enumerated finite crystallographic Coxeter group."""
 
-    def __init__(self, cartan: Sequence[Sequence[int]], cap: int = 10**6,
+    def __init__(self, cartan: Sequence[Sequence[int]], cap: int,
                  label: str | None = None):
         self.cartan = tuple(tuple(row) for row in cartan)
         self.coxeter_matrix = tuple(tuple(row) for row in cartan_to_coxeter(self.cartan))
@@ -260,7 +260,6 @@ class CoxeterSystem:
         finally:
             if collecting:
                 gc.enable()
-        self._bruhat_cache: dict[tuple[int, int], bool] = {}
 
     @classmethod
     def from_cartan(cls, cartan, cap: int = 10**6) -> "CoxeterSystem":
@@ -272,7 +271,7 @@ class CoxeterSystem:
                    label=label.strip().upper())
 
     @classmethod
-    def from_spec(cls, spec: dict, cap: int = 10**6) -> "CoxeterSystem":
+    def from_spec(cls, spec: dict, cap: int) -> "CoxeterSystem":
         """Build from a JSON-style spec: {"type": "C3"} or {"cartan": [[..]]}.
 
         Raises ValueError for a spec that is not an object, has neither key
@@ -373,10 +372,6 @@ class CoxeterSystem:
 
     # -- element access ------------------------------------------------------
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def elements(self) -> range:
         return range(self.size)
 
@@ -435,29 +430,19 @@ class CoxeterSystem:
     # -- Bruhat order ---------------------------------------------------------
 
     def bruhat_leq(self, x: int, y: int) -> bool:
-        """x <= y in Bruhat order, by the right-descent recursion."""
-        return self._bruhat_leq(_check_id(x, self.size),
-                                _check_id(y, self.size))
-
-    def _bruhat_leq(self, x: int, y: int) -> bool:
-        if x == 0:
-            return True
-        if self.length[x] > self.length[y]:
-            return False
-        if x == y:
-            return True
-        key = (x, y)
-        cached = self._bruhat_cache.get(key)
-        if cached is not None:
-            return cached
-        s = next(iter(self.right_descents[y]))
-        col = self.right_by_gen[s]
-        if s in self.right_descents[x]:
-            res = self._bruhat_leq(col[x], col[y])
-        else:
-            res = self._bruhat_leq(x, col[y])
-        self._bruhat_cache[key] = res
-        return res
+        """x <= y in Bruhat order, by the right-descent recursion: for s in
+        D_R(y), x <= y iff x s <= y s when s is in D_R(x), and x <= y s
+        when it is not (Deodhar's Z-property).  Each step shortens y, so a
+        query takes at most l(y) steps and keeps nothing."""
+        x, y = _check_id(x, self.size), _check_id(y, self.size)
+        length, descents = self.length, self.right_descents
+        while x and x != y and length[x] <= length[y]:
+            s = next(iter(descents[y]))
+            col = self.right_by_gen[s]
+            if s in descents[x]:
+                x = col[x]
+            y = col[y]
+        return x == y or not x
 
     # -- parabolic subgroups ----------------------------------------------------
 
@@ -476,7 +461,7 @@ class CoxeterSystem:
         return frozenset(seen)
 
     def minimal_coset_representatives(self, gens: Iterable[int],
-                                      side: str = "right") -> frozenset[int]:
+                                      side: str) -> frozenset[int]:
         """Minimal-length coset representatives.
 
         side="right" gives W^I for W / W_I (no right descents in I);

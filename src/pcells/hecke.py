@@ -46,7 +46,6 @@ change_basis performs the exact unitriangular conversions.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import ItemsView, Mapping, ValuesView
 from itertools import chain, compress
 from operator import attrgetter
@@ -86,10 +85,10 @@ class HeckeElt:
     """
 
     def __init__(self, system: CoxeterSystem, basis: str,
-                 coeffs: Mapping[int, LaurentPoly] | None = None):
+                 coeffs: Mapping[int, LaurentPoly]):
         self.system = system
         self.basis = basis
-        self.coeffs = {w: c for w, c in (coeffs or {}).items() if c}
+        self.coeffs = {w: c for w, c in coeffs.items() if c}
 
     def _check(self, other: "HeckeElt") -> None:
         if self.system is not other.system:
@@ -152,8 +151,8 @@ def _add_dicts(a: Mapping[int, LaurentPoly], b: Mapping[int, LaurentPoly]
     return out
 
 
-def unit(system: CoxeterSystem, basis: str = STD) -> HeckeElt:
-    return HeckeElt(system, basis, {0: ONE})
+def unit(system: CoxeterSystem) -> HeckeElt:
+    return HeckeElt(system, STD, {0: ONE})
 
 
 def std_basis_element(system: CoxeterSystem, w: int) -> HeckeElt:
@@ -192,15 +191,8 @@ def std_multiply(a: HeckeElt, b: HeckeElt) -> HeckeElt:
 # ---------------------------------------------------------------------------
 # bar involution
 
-_bar_std_cache = weakref.WeakKeyDictionary()  # system -> {x: bar(H_x)}
-
-
 def _bar_of_std(system: CoxeterSystem, x: int) -> dict[int, LaurentPoly]:
     """Expansion of bar(H_x) = (H at x^-1)^(-1) in the standard basis."""
-    per_system = _bar_std_cache.setdefault(system, {})
-    cached = per_system.get(x)
-    if cached is not None:
-        return cached
     # (H_{s_1} ... H_{s_k})^(-1) with (s_1 .. s_k) a word for x^-1 equals
     # the product of the H_s^(-1) = H_s + (v - v^-1) in reverse order,
     # which is a word for x itself.
@@ -208,7 +200,6 @@ def _bar_of_std(system: CoxeterSystem, x: int) -> dict[int, LaurentPoly]:
     for s in system.words[x]:
         shifted = _std_mult_gen_right(system, out, s)
         out = _add_dicts(shifted, {w: _V_MINUS_VINV * c for w, c in out.items()})
-    per_system[x] = out
     return out
 
 
@@ -267,15 +258,13 @@ class KLTable:
     def export_json(self) -> list[dict]:
         """Triangular list of {y, x, h} rows with digit-string labels."""
         sys_ = self.system
+        digits = sys_.digit_strings()
         rows = []
         for x in sys_.elements():
             for y, c in sorted(self.h[x].items(),
                                key=lambda e: (sys_.length[e[0]], e[0])):
-                rows.append({
-                    "y": sys_.id_to_digits(y),
-                    "x": sys_.id_to_digits(x),
-                    "h": c.to_pairs(),
-                })
+                rows.append({"y": digits[y], "x": digits[x],
+                             "h": c.to_pairs()})
         return rows
 
 
@@ -447,7 +436,8 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     the number of entries the recursion would visit, |col(ws)| plus
     |col(z)| over the corrections z, and the cheapest is built.  G is the
     group of id permutations that inversion and the lifts of the
-    Coxeter-graph automorphisms generate, and the orbit is listed as x,
+    Coxeter-graph automorphisms generate (inversion alone when twice the
+    number of automorphisms exceeds |W|), and the orbit is listed as x,
     then g(x) for g in G, inversion first, then each automorphism sigma
     (in lexicographic order) and sigma followed by inversion; ties go to
     the earlier orbit member, then to the smaller s.  Every other column
@@ -514,12 +504,14 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     return KLTable(system, *_kl_columns(system)[:2])
 
 
-def _graph_automorphisms(coxeter: Sequence[Sequence[int]]
+def _graph_automorphisms(coxeter: Sequence[Sequence[int]], bound: int
                          ) -> list[tuple[int, ...]]:
     """Every permutation sigma of the generators with m(sigma s, sigma t) =
     m(s, t), in lexicographic order, so the identity comes first: a
     backtracking search that fixes sigma(0), sigma(1), ... in turn and keeps
-    a partial map only while it preserves m on the generators mapped.
+    a partial map only while it preserves m on the generators mapped.  The
+    search stops once it has found more than bound of them, so a list
+    longer than bound is only the first bound + 1 (A1^9 has 9! of them).
 
     This and _lift are the package's one home for automorphisms of W.  A
     Dynkin-diagram automorphism, the kind a p-canonical table respects, is
@@ -534,6 +526,8 @@ def _graph_automorphisms(coxeter: Sequence[Sequence[int]]
             found.append(tuple(sigma))
             return
         for t in range(n):
+            if len(found) > bound:
+                return
             if t not in sigma and all(coxeter[sigma[j]][t] == coxeter[j][k]
                                       for j in range(k)):
                 extend(sigma + [t])
@@ -571,9 +565,16 @@ def _kl_columns(system: CoxeterSystem
     by_gen = [list(map(shared, col)) for col in system.right_by_gen]
     # the relabellings g != 1 of the group G that inversion and the graph
     # automorphisms generate, inversion first; indexes[i][g(u)] = u for
-    # g = relabellings[i]
+    # g = relabellings[i].  Listing G costs |G| |W| ids and an orbit has at
+    # most |W| elements, so the automorphisms join G only while
+    # |G| = 2 |Aut| <= |W| (A1^9 has 9! of them and 512 elements); the
+    # table is exact for any subgroup
+    automorphisms = _graph_automorphisms(system.coxeter_matrix,
+                                         system.size // 2)
+    if len(automorphisms) > system.size // 2:
+        automorphisms = automorphisms[:1]
     relabellings = [inv]
-    for sigma in _graph_automorphisms(system.coxeter_matrix)[1:]:
+    for sigma in automorphisms[1:]:
         lift = list(map(shared, _lift(system, sigma)))
         relabellings += [lift, [inv[w] for w in lift]]
     indexes = [dict(zip(g, ids)) for g in relabellings]
@@ -687,7 +688,7 @@ def _pairs(col: Mapping[int, _Packed]):
 
 
 def kl_multiply_by_generator(table: KLTable, x: int, s: int,
-                             side: str = "right") -> dict[int, LaurentPoly]:
+                             side: str) -> dict[int, LaurentPoly]:
     """C_x C_s (or C_s C_x) expanded in the Kazhdan-Lusztig basis.
 
     Returns (v + v^-1) C_x in the descent case, otherwise C_{xs} plus

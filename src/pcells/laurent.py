@@ -63,7 +63,7 @@ class LaurentPoly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def v(cls, exponent: int = 1, coefficient: int = 1) -> "LaurentPoly":
+    def v(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
         """The monomial coefficient * v^exponent."""
         return cls({exponent: coefficient})
 

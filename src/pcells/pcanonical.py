@@ -60,23 +60,21 @@ class PCanTable:
     """
 
     def __init__(self, system: CoxeterSystem, prime: int,
-                 rows: Mapping[int, Mapping[int, LaurentPoly]],
-                 provenance: str = "unspecified"):
+                 rows: Mapping[int, Mapping[int, LaurentPoly]]):
         self.system = system
         self.prime = prime
         rows = ((x, {y: m for y, m in r.items() if m}) for x, r in rows.items())
         self.rows = {x: r for x, r in rows if r}
-        self.provenance = provenance
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.system, self.prime, self.rows, self.provenance)
-                == (other.system, other.prime, other.rows, other.provenance))
+        return ((self.system, self.prime, self.rows)
+                == (other.system, other.prime, other.rows))
 
     def __repr__(self) -> str:
         return (f"PCanTable(system={self.system!r}, prime={self.prime!r}, "
-                f"rows={self.rows!r}, provenance={self.provenance!r})")
+                f"rows={self.rows!r})")
 
     @property
     def is_identity(self) -> bool:
@@ -133,7 +131,7 @@ def _digit_list(system: CoxeterSystem, w: int) -> list[int]:
 
 def identity_table(system: CoxeterSystem) -> PCanTable:
     """The p = 0 table: the canonical basis equals the KL basis."""
-    return PCanTable(system, 0, {}, provenance="identity(p=0)")
+    return PCanTable(system, 0, {})
 
 
 def validate_table(table: PCanTable) -> list[str]:
@@ -157,28 +155,20 @@ def validate_table(table: PCanTable) -> list[str]:
     return bad
 
 
-def load_table(source, system: CoxeterSystem, *, strict: bool = True,
-               provenance: str | None = None) -> PCanTable:
-    """Load a table from a path, file object, or parsed JSON dict.
+def load_table(source: str | Path | dict, system: CoxeterSystem
+               ) -> PCanTable:
+    """Load a table from a path or a parsed JSON dict, and validate it.
 
     Malformed input raises PCanValidationError: a "type" that is not a
     supported type label, or whose Cartan matrix is not the system's; a
     missing key or bad value; and, naming the offending entry, a p or word
     letter that is not a JSON integer, a non-reduced word, a repeated x
-    entry or y term, or a diagonal coefficient other than 1.  With
-    strict=True (the default) any invariant violation raises
-    PCanValidationError naming the offending pairs.
+    entry or y term, or a diagonal coefficient other than 1.  A table that
+    breaks an invariant raises PCanValidationError whose violations are
+    validate_table's, naming the offending pairs.
     """
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            obj = json.load(fh)
-        provenance = provenance or f"external-file:{source}"
-    elif isinstance(source, dict):
-        obj = source
-        provenance = provenance or "external-object"
-    else:
-        obj = json.load(source)
-        provenance = provenance or "external-stream"
+    obj = source if isinstance(source, dict) else json.loads(
+        Path(source).read_text())
 
     rows: dict[int, dict[int, LaurentPoly]] = {}
     schema_bad: list[str] = []
@@ -234,20 +224,15 @@ def load_table(source, system: CoxeterSystem, *, strict: bool = True,
     if schema_bad:
         raise PCanValidationError(schema_bad)
 
-    table = PCanTable(system, prime, rows, provenance=provenance)
-    if strict:
-        bad = validate_table(table)
-        if bad:
-            raise PCanValidationError(bad)
+    table = PCanTable(system, prime, rows)
+    bad = validate_table(table)
+    if bad:
+        raise PCanValidationError(bad)
     return table
 
 
-_FIXTURE_ALIASES = {"c3p2": "c3_p2", "b2p2": "b2_p2"}
-
-
 def fixture_path(name: str) -> Path:
-    name = _FIXTURE_ALIASES.get(name.lower(), name.lower())
-    return DATA_DIR / f"{name}.json"
+    return DATA_DIR / f"{name.lower()}.json"
 
 
 def load_fixture(name: str, system: CoxeterSystem) -> PCanTable:
@@ -255,7 +240,7 @@ def load_fixture(name: str, system: CoxeterSystem) -> PCanTable:
     path = fixture_path(name)
     if not path.exists():
         raise FileNotFoundError(f"no fixture named {name!r}")
-    return load_table(path, system, provenance=f"fixture:{name}")
+    return load_table(path, system)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +265,7 @@ def require_same_group(table: PCanTable, kl: KLTable) -> None:
 
 
 def structure_coefficients(table: PCanTable, kl: KLTable, x: int, s: int,
-                           side: str = "right") -> dict[int, LaurentPoly]:
+                           side: str) -> dict[int, LaurentPoly]:
     """The coefficients mu^z in B_x C_s = sum_z mu^z B_z (mirror on the left).
 
     Descent case: {x: v + v^-1}.  Otherwise the product is expanded in the
@@ -330,8 +315,7 @@ def restrict_to_parabolic(table: PCanTable, emb: ParabolicEmbedding) -> PCanTabl
     rows = {parent_to_sub[x]: {parent_to_sub[y]: m for y, m in row.items()
                                if y in parent_to_sub}
             for x, row in table.rows.items() if x in parent_to_sub}
-    return PCanTable(emb.sub, table.prime, rows,
-                     provenance=f"restriction:{table.provenance}")
+    return PCanTable(emb.sub, table.prime, rows)
 
 
 def verify_parabolic_factorization(table: PCanTable, kl: KLTable,

@@ -6,7 +6,7 @@ from __future__ import annotations
 class Report:
     """Outcome of a verification pass: ok iff no violations were recorded."""
 
-    def __init__(self, name: str, violations: list[str], checked: int = 0):
+    def __init__(self, name: str, violations: list[str], checked: int):
         self.name = name
         self.violations = violations
         self.checked = checked

@@ -438,7 +438,7 @@ def classify_string_relation(left: CellPartition, sx: StringDecomposition,
 
 def star_closure_check(left: CellPartition, right: CellPartition,
                        system: CoxeterSystem, r: int, t: int,
-                       prime: int = 0) -> Report:
+                       prime: int) -> Report:
     """Star compatibility of cells for one pair (r, t):
 
     (a) every right string lies inside one right cell;

@@ -40,20 +40,6 @@ def perm_from_word(n: int, word: Iterable[int]) -> tuple[int, ...]:
     return tuple(line)
 
 
-def perm_to_word(perm: Sequence[int]) -> tuple[int, ...]:
-    """A reduced word for the permutation (peeling right descents)."""
-    line = list(perm)
-    word: list[int] = []
-    while True:
-        for i in range(len(line) - 1):
-            if line[i] > line[i + 1]:
-                line[i], line[i + 1] = line[i + 1], line[i]
-                word.append(i)
-                break
-        else:
-            return tuple(reversed(word))
-
-
 def perm_inverse(perm: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(perm)
     for i, v in enumerate(perm):
@@ -213,10 +199,6 @@ def perm_of_element(system: CoxeterSystem, w: int) -> tuple[int, ...]:
     return perm_from_word(system.rank + 1, system.words[w])
 
 
-def element_of_perm(system: CoxeterSystem, perm: Sequence[int]) -> int:
-    return system.word_to_id(perm_to_word(perm))
-
-
 def _perms_of_elements(system: CoxeterSystem) -> list[tuple[int, ...]]:
     """perm_of_element of every id, in one pass: w = (w s) s for s the last
     letter of w, and right multiplication by s swaps positions s, s + 1.
@@ -237,8 +219,8 @@ def verify_typea_cell_theorem(system: CoxeterSystem,
     partitions, against Robinson-Schensted fibers and the counting
     corollaries."""
     n = system.rank + 1
-    rs = {w: rs_correspondence(p)
-          for w, p in enumerate(_perms_of_elements(system))}
+    perms = _perms_of_elements(system)
+    rs = {w: rs_correspondence(p) for w, p in enumerate(perms)}
 
     bad: list[str] = []
     checked = 0
@@ -259,7 +241,7 @@ def verify_typea_cell_theorem(system: CoxeterSystem,
         if part.as_sets() != expected[side]:
             bad.append(f"{side} cells do not match the RS fibers")
 
-    invs = {element_of_perm(system, p) for p in involutions(n)}
+    invs = {w for w, p in enumerate(perms) if p == perm_inverse(p)}
     checked += 1
     if len(partitions["left"].cells) != len(invs):
         bad.append("left cell count differs from the involution count")

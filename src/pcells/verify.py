@@ -247,20 +247,20 @@ def verify_typea(n: int) -> list[Report]:
     return out
 
 
-def verify_hooks(max_n: int = 8) -> list[Report]:
-    def partitions(n: int, cap: int | None = None):
+def verify_hooks(max_n: int) -> list[Report]:
+    def partitions(n: int, cap: int):
+        """The partitions of n with parts at most cap."""
         if n == 0:
             yield ()
             return
-        cap = n if cap is None else min(cap, n)
-        for first in range(cap, 0, -1):
+        for first in range(min(cap, n), 0, -1):
             for rest in partitions(n - first, first):
                 yield (first,) + rest
 
     bad = []
     checked = 0
     for n in range(1, max_n + 1):
-        for shape in partitions(n):
+        for shape in partitions(n, n):
             checked += 1
             if hook_length_count(shape) != len(enumerate_standard_tableaux(shape)):
                 bad.append(f"hook count mismatch at shape {shape}")
@@ -475,7 +475,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, typea_n: int = 5) -> list[Report]:
+def run_suite(name: str, typea_n: int) -> list[Report]:
     """The reports of one suite, or of all of them; the typea suite checks
     S_3 to S_typea_n, so it rejects typea_n below 3."""
     if name in ("typea", "all") and typea_n < 3:

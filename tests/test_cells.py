@@ -890,9 +890,9 @@ def test_partitions_and_wgraphs_compare_field_by_field(a2, kl_a2):
 
 
 def test_reports_count_in_place():
-    rep = Report("r", [])
+    rep = Report("r", [], 0)
     rep.checked += 1
     rep.violations.append("v")
-    assert rep == Report("r", ["v"], 1) and rep != Report("r", ["v"])
+    assert rep == Report("r", ["v"], 1) and rep != Report("r", ["v"], 0)
     assert not rep.ok
     assert repr(rep) == "Report(name='r', violations=['v'], checked=1)"

@@ -304,6 +304,14 @@ def test_inline_cartan_longer_than_a_file_name(capsys, tmp_path):
     assert _one_error_line(err).startswith("error: group exceeds cap of 100")
 
 
+def test_cells_of_a1_9(capsys):
+    # A1^9 has 9! Coxeter-graph automorphisms and 512 elements; listing
+    # and lifting every one of them took the KL table past 2.5 GiB
+    a1_9 = json.dumps([[2 * (i == j) for j in range(9)] for i in range(9)])
+    code, out, _ = run(capsys, "cells", "--cartan", a1_9)
+    assert code == 0 and out.startswith("512 right cells")
+
+
 @pytest.mark.parametrize("command", ["cells", "tau"])
 @pytest.mark.parametrize("option,group,rank", [
     ("--cartan", "{a10}", 10), ("--cartan", "{a12}", 12),

@@ -295,17 +295,17 @@ def test_bruhat_recursion_matches_subword(a3, b3):
 
 
 def test_minimal_coset_representatives(a2, b3):
-    assert a2.minimal_coset_representatives(range(a2.rank)) == frozenset({0})
-    assert a2.minimal_coset_representatives(()) == frozenset(a2.elements())
+    assert a2.minimal_coset_representatives(range(a2.rank), "right") == frozenset({0})
+    assert a2.minimal_coset_representatives((), "right") == frozenset(a2.elements())
     # representatives of W / W_{s} have no right descent s: e, t, st
-    got = a2.minimal_coset_representatives({0})
+    got = a2.minimal_coset_representatives({0}, "right")
     assert got == frozenset({0, a2.digits_to_id("2"), a2.digits_to_id("12")})
     # the left-side mirror has no left descent s: e, t, ts
     got = a2.minimal_coset_representatives({0}, side="left")
     assert got == frozenset({0, a2.digits_to_id("2"), a2.digits_to_id("21")})
     for k in range(b3.rank + 1):
         for gens in itertools.combinations(range(b3.rank), k):
-            reps = b3.minimal_coset_representatives(gens)
+            reps = b3.minimal_coset_representatives(gens, "right")
             assert len(reps) * len(b3.parabolic_elements(gens)) == b3.size
 
 
@@ -441,23 +441,25 @@ def test_type_label_must_be_a_string():
 def test_from_spec_rejects_malformed_specs():
     for spec in (5, None, "A3", [[2, -1], [-1, 2]]):
         with pytest.raises(ValueError, match="is not an object"):
-            CoxeterSystem.from_spec(spec)
+            CoxeterSystem.from_spec(spec, 10**6)
     for spec in ({"type": 3}, {"type": ["A", 2]}):
         with pytest.raises(ValueError, match="is not a string"):
-            CoxeterSystem.from_spec(spec)
+            CoxeterSystem.from_spec(spec, 10**6)
     for cartan in (5, [1], [[2, -1], 3], "[[2]]", ((2, -1), (-1, 2))):
         with pytest.raises(ValueError, match="is not a list of lists"):
-            CoxeterSystem.from_spec({"cartan": cartan})
+            CoxeterSystem.from_spec({"cartan": cartan}, 10**6)
     with pytest.raises(ValueError, match="both"):
-        CoxeterSystem.from_spec({"cartan": [[2, -1], [-1, 2]], "type": "B2"})
+        CoxeterSystem.from_spec(
+            {"cartan": [[2, -1], [-1, 2]], "type": "B2"}, 10**6)
     with pytest.raises(ValueError, match="needs a 'type' or 'cartan' key"):
-        CoxeterSystem.from_spec({"rank": 2})
+        CoxeterSystem.from_spec({"rank": 2}, 10**6)
     # any other key is an input error, not ignored
     for spec in ({"type": "A3", "extra": 1}, {"cartan": [[2]], "rank": 1}):
         with pytest.raises(ValueError, match="unknown key '(extra|rank)'"):
-            CoxeterSystem.from_spec(spec)
-    assert CoxeterSystem.from_spec({"type": "B2"}).size == 8
-    assert CoxeterSystem.from_spec({"cartan": [[2, -1], [-1, 2]]}).size == 6
+            CoxeterSystem.from_spec(spec, 10**6)
+    assert CoxeterSystem.from_spec({"type": "B2"}, 10**6).size == 8
+    assert CoxeterSystem.from_spec({"cartan": [[2, -1], [-1, 2]]},
+                                   10**6).size == 6
 
 
 def test_type_labels_are_validated_before_parsing():

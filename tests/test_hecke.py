@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 import sys
 import threading
+from collections.abc import Sized
 from concurrent.futures import ThreadPoolExecutor
 from types import MappingProxyType
 
@@ -89,6 +91,26 @@ def test_bar_is_involution(a3):
                   for _ in range(3)}
         elt = HeckeElt(a3, STD, coeffs)
         assert bar_involution(bar_involution(elt)) == elt
+
+
+def _state(namespace):
+    """Each value of a namespace, with its length where it has one."""
+    return {k: (v, len(v) if isinstance(v, Sized) else None)
+            for k, v in namespace.items()}
+
+
+def test_bruhat_order_and_bar_keep_no_state():
+    # bruhat_leq and bar_involution keep nothing between calls, on the
+    # group or in the module, so several threads may call them at once
+    system = CoxeterSystem.from_type("B3")
+    group, module = _state(vars(system)), _state(vars(hecke))
+    leq = [system.bruhat_leq(x, y) for x in system.elements()
+           for y in system.elements()]
+    assert sum(leq) > system.size
+    elt = HeckeElt(system, STD, {w: ONE for w in system.elements()})
+    assert bar_involution(bar_involution(elt)) == elt
+    assert _state(vars(system)) == group
+    assert _state(vars(hecke)) == module
 
 
 def test_kl_generator_element(a2, kl_a2):
@@ -375,9 +397,34 @@ def _orbit_count(system):
     ("F4", 2), ("D5", 2), ("B3", 1), ("C3", 1), ("D4", 6)])
 def test_graph_automorphisms_match_brute_force(label, order):
     coxeter = _coxeter(label)
-    found = _graph_automorphisms(coxeter)
+    found = _graph_automorphisms(coxeter, math.factorial(len(coxeter)))
     assert found == _automorphisms_by_brute_force(coxeter)
     assert len(found) == order and found[0] == tuple(range(len(coxeter)))
+    # a search bounded below their number stops at the first bound + 1
+    for bound in range(order):
+        assert _graph_automorphisms(coxeter, bound) == found[:bound + 1]
+
+
+def _a1_power(n):
+    return CoxeterSystem.from_cartan([[2 * (i == j) for j in range(n)]
+                                      for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_kernel_drops_the_automorphisms_beyond_the_group_order(n):
+    # every permutation of A1^n's generators is a graph automorphism: n!
+    # of them against 2^n elements.  The search stops past |W| / 2, and
+    # from n = 3 on the kernel relabels through inversion alone, which
+    # fixes every element of A1^n, so it builds every column but e's;
+    # A1^2 keeps its swap, which joins s1 and s2 in one orbit
+    system = _a1_power(n)
+    bound = system.size // 2
+    found = _graph_automorphisms(system.coxeter_matrix, bound)
+    assert found == list(itertools.islice(itertools.permutations(range(n)),
+                                          min(math.factorial(n), bound + 1)))
+    h, mu, built = _kl_columns(system)
+    assert len(built) == (2 if n == 2 else system.size - 1)
+    assert (h, mu) == _kl_by_full_columns(system)
 
 
 @pytest.mark.parametrize("label", ["A4", "B2", "G2", "C3", "D4", "F4"])
@@ -385,7 +432,12 @@ def test_lifts_match_the_action_on_reduced_words(label):
     system = _system(AUTOMORPHISM_GROUPS[label])
     want = _relabellings(system)[1::2]
     assert [_lift(system, sigma) for sigma
-            in _graph_automorphisms(system.coxeter_matrix)[1:]] == want
+            in _graph_automorphisms(system.coxeter_matrix,
+                                    system.size)[1:]] == want
+
+
+# the columns the kernel builds, with every graph automorphism in its group
+BUILT_COUNTS = {"D4": 42, "F4": 344, "D5": 653}
 
 
 @pytest.mark.parametrize("label", ["A2", "A4", "B2", "G2", "C3", "B4", "D4",
@@ -397,6 +449,7 @@ def test_kernel_builds_one_column_per_orbit(label):
     assert type(h[0]) is MappingProxyType
     assert sum(type(col) is _BuiltColumn for col in h) == len(built) \
         == _orbit_count(system) - 1
+    assert len(built) == BUILT_COUNTS.get(label, len(built))
 
 
 def test_kl_columns_build_the_cheapest_candidate(f4_kl):
@@ -606,6 +659,7 @@ def test_built_columns_store_the_tops_only(label):
     # shared object the top's value holds in shifted
     system = _system(MIN_DESCENT_GROUPS[label])
     h, _, built = _kl_columns(system)
+    assert len(built) == BUILT_COUNTS[label]
     full, _ = _kl_by_full_columns(system)
     for w, s in built.items():
         col, rs = h[w], system.right_by_gen[s]
@@ -930,11 +984,19 @@ def test_missing_entries_are_the_shared_zero(a2, kl_a2):
     assert unit(a2).coefficient(s) is ZERO
 
 
-def test_kl_table_json_export(a2, kl_a2):
+def test_kl_table_json_export(a2, kl_a2, b3, kl_b3):
     rows = kl_a2.export_json()
     assert {"y": "", "x": "121", "h": [[3, 1]]} in rows
     assert {"y": "1", "x": "1", "h": [[0, 1]]} in rows
     assert rows == kl_a2.export_json()
+    # the labels are each element's id_to_digits, rows by x, then by y in
+    # (length, id) order
+    want = [{"y": b3.id_to_digits(y), "x": b3.id_to_digits(x),
+             "h": c.to_pairs()}
+            for x in b3.elements()
+            for y, c in sorted(kl_b3.h[x].items(),
+                               key=lambda e: (b3.length[e[0]], e[0]))]
+    assert kl_b3.export_json() == want
 
 
 def test_mixed_basis_is_an_error(a2, kl_a2):
@@ -947,7 +1009,7 @@ def test_mixed_basis_is_an_error(a2, kl_a2):
 
 
 def test_elements_get_a_coeffs_dict_of_their_own(a2):
-    x, y = HeckeElt(a2, STD), HeckeElt(a2, STD)
+    x, y = HeckeElt(a2, STD, {}), HeckeElt(a2, STD, {})
     x.coeffs[0] = ONE
     assert y.coeffs == {} and x != y
     coeffs = {0: ONE, 1: ZERO}
@@ -964,4 +1026,5 @@ def test_elements_over_different_groups_are_unequal(a2, b2):
     # groups, as __add__'s check on the system already says
     assert HeckeElt(a2, STD, {1: ONE}) != HeckeElt(b2, STD, {1: ONE})
     assert HeckeElt(a2, STD, {1: ONE}) == HeckeElt(a2, STD, {1: ONE})
-    assert HeckeElt(a2, STD) != HeckeElt(CoxeterSystem.from_type("A2"), STD)
+    assert HeckeElt(a2, STD, {}) != HeckeElt(CoxeterSystem.from_type("A2"),
+                                            STD, {})

@@ -10,7 +10,7 @@ from pcells import verify
 from pcells.coxeter import CoxeterSystem
 from pcells.hecke import (KL, PCAN, STD, HeckeElt, change_basis,
                           kl_multiply_by_generator, std_multiply)
-from pcells.laurent import GAUSS, ONE, ZERO, LaurentPoly
+from pcells.laurent import GAUSS, ONE, V, ZERO, LaurentPoly
 from pcells.pcanonical import (
     PCanTable,
     PCanValidationError,
@@ -39,7 +39,7 @@ def test_identity_table(a2, kl_a2):
         assert change_basis(elt, STD, kl=kl_a2, pcan=tab) == kl_a2.kl_element(x)
 
 
-def test_construction_drops_zero_entries(a2):
+def test_construction_drops_zero_entries(a2, c3):
     # a zero coefficient is no entry: the table is the identity
     table = PCanTable(a2, 0, {3: {0: ZERO}})
     assert table.is_identity and table.rows == {}
@@ -47,11 +47,12 @@ def test_construction_drops_zero_entries(a2):
     s = a2.digits_to_id("1")
     x = a2.digits_to_id("121")
     assert PCanTable(a2, 0, {x: {0: ZERO, s: ONE}}).rows == {x: {s: ONE}}
-    # load_table leaves the filtering to construction
-    obj = {"p": 0, "entries": [{"x": [1, 2, 1], "terms": [
+    # load_table leaves the filtering to construction, before it validates:
+    # m(1, 212) = 0 is dropped, and the valid row m(2, 212) = 1 is left
+    obj = {"p": 2, "entries": [{"x": [2, 1, 2], "terms": [
         {"y": [1], "coeff": []}, {"y": [2], "coeff": [[0, 1]]}]}]}
-    assert load_table(obj, a2, strict=False).rows == \
-        {x: {a2.digits_to_id("2"): ONE}}
+    assert load_table(obj, c3).rows == \
+        {c3.digits_to_id("212"): {c3.digits_to_id("2"): ONE}}
 
 
 def test_c3_fixture_rows(c3, c3_p2):
@@ -189,24 +190,30 @@ def test_load_checks_the_tables_type(b2, b3, c3):
     assert CoxeterSystem.from_type(" c3 ").label == "C3"
     # a system built from a Cartan matrix has no label: the table's type is
     # compared by its Cartan matrix
-    unlabelled = CoxeterSystem(c3.cartan)
+    unlabelled = CoxeterSystem.from_cartan(c3.cartan)
     assert unlabelled.label is None
     assert load_table(obj, unlabelled).prime == 2
     with pytest.raises(PCanValidationError) as err:
-        load_table(obj, CoxeterSystem(b3.cartan))
+        load_table(obj, CoxeterSystem.from_cartan(b3.cartan))
     assert err.value.violations == [
         "table is for type 'C3', not [[2, -2, 0], [-1, 2, -1], [0, -1, 2]]"]
     with pytest.raises(PCanValidationError, match="unsupported type label"):
         load_table({**obj, "type": "F4"}, unlabelled)
 
 
-def test_strict_override(c3, kl_c3):
+def test_load_raises_the_violations_of_validate_table(c3):
+    # m(2, 212) = v is neither self-dual nor, without its inverse row,
+    # inverse-symmetric: the load reports what validate_table finds
     obj = {"p": 2, "entries": [{
         "x": [2, 1, 2],
         "terms": [{"y": [2, 1, 2], "coeff": [[0, 1]]},
                   {"y": [2], "coeff": [[1, 1]]}]}]}
-    tab = load_table(obj, c3, strict=False)
-    assert len(validate_table(tab)) > 0
+    rows = {c3.digits_to_id("212"): {c3.digits_to_id("2"): V}}
+    want = validate_table(PCanTable(c3, 2, rows))
+    assert len(want) > 0
+    with pytest.raises(PCanValidationError) as err:
+        load_table(obj, c3)
+    assert err.value.violations == want
 
 
 def test_p_h(c3, kl_c3, c3_p2):
@@ -475,19 +482,18 @@ def test_change_basis_round_trips_on_random_unitriangular_tables(label, data):
 def test_tables_construct_and_compare_as_records(a2):
     s, x = a2.digits_to_id("1"), a2.digits_to_id("121")
     rows = {x: {0: ZERO, s: ONE}}
-    table = PCanTable(a2, 0, rows, provenance="x")
-    assert table.rows == {x: {s: ONE}} and table.provenance == "x"
-    assert table == PCanTable(system=a2, prime=0, rows=rows, provenance="x")
-    assert table == PCanTable(a2, 0, table.rows, "x")
-    assert PCanTable(a2, 0, rows).provenance == "unspecified"
-    assert table != PCanTable(a2, 0, rows)
-    assert table != PCanTable(a2, 2, rows, "x")
+    table = PCanTable(a2, 0, rows)
+    assert table.rows == {x: {s: ONE}}
+    assert table == PCanTable(system=a2, prime=0, rows=rows)
+    assert table == PCanTable(a2, 0, table.rows)
+    assert table != PCanTable(a2, 0, {})
+    assert table != PCanTable(a2, 2, rows)
 
     class Twin(PCanTable):
         pass
 
-    assert table != Twin(a2, 0, rows, "x") and Twin(a2, 0, rows, "x") != table
+    assert table != Twin(a2, 0, rows) and Twin(a2, 0, rows) != table
     assert repr(table) == (f"PCanTable(system={a2!r}, prime=0, "
-                           f"rows={table.rows!r}, provenance='x')")
+                           f"rows={table.rows!r})")
     with pytest.raises(TypeError):
         hash(table)

@@ -236,7 +236,7 @@ def test_cell_level_checks_compare_no_element_pairs(monkeypatch):
              if f4.coxeter_matrix[r][t] >= 3]
     assert len(pairs) == 3
     for r, t in pairs:
-        assert star_closure_check(left, right, f4, r, t).ok
+        assert star_closure_check(left, right, f4, r, t, 0).ok
     assert calls == []
     assert left.leq(0, 0) and calls == [(0, 0)]  # the counter is live
 

@@ -6,7 +6,6 @@ from pcells.stars import DihedralStrings
 from pcells.typea import (
     _perms_of_elements,
     all_permutations,
-    element_of_perm,
     enumerate_standard_tableaux,
     hook_length_count,
     inverse_rs,
@@ -15,11 +14,28 @@ from pcells.typea import (
     parse_one_line,
     perm_inverse,
     perm_of_element,
-    perm_to_word,
     rs_correspondence,
     shape_of,
 )
 from pcells import verify
+
+
+def perm_to_word(perm):
+    """A reduced word for the permutation (peeling right descents)."""
+    line = list(perm)
+    word = []
+    while True:
+        for i in range(len(line) - 1):
+            if line[i] > line[i + 1]:
+                line[i], line[i + 1] = line[i + 1], line[i]
+                word.append(i)
+                break
+        else:
+            return tuple(reversed(word))
+
+
+def element_of_perm(system, perm):
+    return system.word_to_id(perm_to_word(perm))
 
 
 def is_standard(tableau):
