@@ -16,7 +16,7 @@ True
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from typing import Union
 
 Coeffs = Union[int, dict, Iterable[tuple[int, int]], None]
@@ -151,15 +151,6 @@ class LaurentPoly:
         out._hash = None
         return out
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
-        if k == 0:
-            return self
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: v for e, v in self._c.items()}
-        out._hash = None
-        return out
-
     # -- involution and predicates ------------------------------------------
 
     def bar(self) -> "LaurentPoly":
@@ -176,20 +167,6 @@ class LaurentPoly:
     def is_nonnegative(self) -> bool:
         """True iff every coefficient is >= 0."""
         return all(v >= 0 for v in self._c.values())
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def coefficient_of(self, exponent: int) -> int:
-        """The coefficient of v^exponent (0 when absent)."""
-        return self._c.get(exponent, 0)
-
-    def valuation(self) -> int:
-        """Smallest exponent; raises on the zero polynomial."""
-        return min(self._c)
-
-    def support(self) -> Iterator[int]:
-        return iter(sorted(self._c))
 
     # -- comparisons and display ---------------------------------------------
 

@@ -76,10 +76,6 @@ class PCanTable:
         return (f"PCanTable(system={self.system!r}, prime={self.prime!r}, "
                 f"rows={self.rows!r})")
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.rows
-
     def m(self, y: int, x: int) -> LaurentPoly:
         """The base-change coefficient m(y, x)."""
         if y == x:

@@ -17,7 +17,9 @@ builds no string neighbours.  The enumerated B5 keeps under
 row list per element.  F4's KL table keeps under 7 bytes per entry: no
 slot for the bottom of a built column.
 Every function and class that pcells exports is reached from the CLI,
-verify or a demo, or is listed with the reason it stays.
+verify or a demo, or is listed with the reason it stays; likewise every
+parameter with a default in src/pcells is listed with the reason for its
+default.
 """
 
 import ast
@@ -131,6 +133,65 @@ def test_every_export_is_reached_from_the_cli_verify_or_a_demo():
     exported = {name for name, obj in vars(pcells).items()
                 if isinstance(obj, (type, types.FunctionType))}
     assert exported - reached == set(UNREACHED_EXPORTS)
+
+
+# every parameter with a default in src/pcells, by module.qualified name,
+# and why it has one
+KNOBS = {
+    ("cli.main", "argv"): "the console script and python -m pcells call "
+                          "main() to parse sys.argv; tests pass a list",
+    ("coxeter.CoxeterSystem.__init__", "label"):
+        "only from_type knows a type label: from_cartan and "
+        "parabolic_subsystem build groups without one",
+    ("coxeter.CoxeterSystem.from_cartan", "cap"):
+        "the benchmark builds its groups under the element cap 10^6; the "
+        "CLI's --cap passes another through from_spec",
+    ("coxeter.CoxeterSystem.from_type", "cap"):
+        "verify, the demos and the benchmark build their groups under the "
+        "element cap 10^6",
+    ("coxeter._Words.index", "start"): "the Sequence.index protocol",
+    ("coxeter._Words.index", "stop"): "the Sequence.index protocol",
+    ("hecke._BuiltColumn.get", "default"): "the Mapping.get protocol",
+    ("hecke._RelabelledColumn.get", "default"): "the Mapping.get protocol",
+    ("hecke.change_basis", "kl"): "a conversion reads only the tables on its "
+                                  "path: pcan <-> kl reads no KL table",
+    ("hecke.change_basis", "pcan"): "a conversion reads only the tables on "
+                                    "its path: std <-> kl reads no p-table",
+    ("laurent.LaurentPoly.__init__", "coeffs"): "LaurentPoly() is the zero "
+                                                "polynomial, ZERO",
+    ("laurent.LaurentPoly.v", "coefficient"): "V and V_INV are the monic "
+                                              "monomials v and v^-1",
+    ("stars.tau_partition", "orders"):
+        "the paper's p = 2 bound excludes the m = 4 pairs: orders=(3,) "
+        "keeps tau to the pairs valid at p = 2",
+}
+
+
+def _defaults(tree: ast.AST, prefix: str) -> set[tuple[str, str]]:
+    """(qualified name, parameter) for each parameter with a default of
+    each function, method, nested function and lambda under tree."""
+    out = set()
+    for node in ast.iter_child_nodes(tree):
+        name = f"{prefix}{getattr(node, 'name', '<lambda>')}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            out |= {(name, a.arg) for a in defaulted}
+        nested = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+        out |= _defaults(node, f"{name}." if nested else prefix)
+    return out
+
+
+def test_every_default_is_a_listed_knob():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= _defaults(ast.parse(path.read_text()), f"{path.stem}.")
+    assert found == set(KNOBS)
 
 
 def test_no_imports_inside_functions():
