@@ -565,10 +565,10 @@ def _kl_columns(system: CoxeterSystem
     by_gen = [list(map(shared, col)) for col in system.right_by_gen]
     # the relabellings g != 1 of the group G that inversion and the graph
     # automorphisms generate, inversion first; indexes[i][g(u)] = u for
-    # g = relabellings[i].  Listing G costs |G| |W| ids and an orbit has at
-    # most |W| elements, so the automorphisms join G only while
-    # |G| = 2 |Aut| <= |W| (A1^9 has 9! of them and 512 elements); the
-    # table is exact for any subgroup
+    # g = relabellings[i].  Listing G costs |G| |W| ids, so the
+    # automorphisms join G only while |G| = 2 |Aut| <= |W| keeps that cost
+    # within |W|^2 (A1^9 has 9! of them and 512 elements); the table is
+    # exact for any subgroup
     automorphisms = _graph_automorphisms(system.coxeter_matrix,
                                          system.size // 2)
     if len(automorphisms) > system.size // 2:

@@ -202,15 +202,16 @@ def test_load_checks_the_tables_type(b2, b3, c3):
 
 
 def test_load_raises_the_violations_of_validate_table(c3):
-    # m(2, 212) = v is neither self-dual nor, without its inverse row,
-    # inverse-symmetric: the load reports what validate_table finds
-    obj = {"p": 2, "entries": [{
-        "x": [2, 1, 2],
-        "terms": [{"y": [2, 1, 2], "coeff": [[0, 1]]},
-                  {"y": [2], "coeff": [[1, 1]]}]}]}
-    rows = {c3.digits_to_id("212"): {c3.digits_to_id("2"): V}}
+    # m(2, 212) = v is not self-dual, and m(32, 3212) = 1 has no inverse
+    # row: the load raises with what validate_table finds, in its order
+    obj = {"p": 2, "entries": [
+        {"x": [2, 1, 2], "terms": [{"y": [2, 1, 2], "coeff": [[0, 1]]},
+                                   {"y": [2], "coeff": [[1, 1]]}]},
+        {"x": [3, 2, 1, 2], "terms": [{"y": [3, 2], "coeff": [[0, 1]]}]}]}
+    d = c3.digits_to_id
+    rows = {d("212"): {d("2"): V}, d("3212"): {d("32"): ONE}}
     want = validate_table(PCanTable(c3, 2, rows))
-    assert len(want) > 0
+    assert len(want) == 2
     with pytest.raises(PCanValidationError) as err:
         load_table(obj, c3)
     assert err.value.violations == want
