@@ -6,12 +6,11 @@ and print the full triangle of Kazhdan-Lusztig polynomials.
 
 from pcells import (
     CoxeterSystem,
-    LaurentPoly,
     bar_involution,
     compute_kl_table,
     std_multiply,
 )
-from pcells.hecke import std_basis_element, unit
+from pcells.hecke import std_basis_element
 
 b2 = CoxeterSystem.from_type("B2")
 print(f"type B2: {b2.size} elements, Coxeter matrix {b2.coxeter_matrix}")

@@ -13,7 +13,7 @@ from pcells import (
     knuth_moves,
     rs_correspondence,
 )
-from pcells.typea import all_permutations, perm_of_element, shape_of
+from pcells.typea import perm_of_element, shape_of
 
 p, q = rs_correspondence((3, 1, 2))
 print("RS(312): P =", [list(r) for r in p], " Q =", [list(r) for r in q])

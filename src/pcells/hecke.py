@@ -151,10 +151,6 @@ def _add_dicts(a: Mapping[int, LaurentPoly], b: Mapping[int, LaurentPoly]
     return out
 
 
-def unit(system: CoxeterSystem) -> HeckeElt:
-    return HeckeElt(system, STD, {0: ONE})
-
-
 def std_basis_element(system: CoxeterSystem, w: int) -> HeckeElt:
     return HeckeElt(system, STD, {w: ONE})
 

@@ -38,7 +38,6 @@ from pcells.hecke import (
     kl_multiply_by_generator,
     std_basis_element,
     std_multiply,
-    unit,
     unitriangular_solve,
 )
 from pcells.laurent import GAUSS, ONE, V, V_INV, ZERO, LaurentPoly
@@ -59,14 +58,14 @@ def test_quadratic_relation(a2):
 
 def test_lengths_add(a2):
     assert std_multiply(H(a2, "1"), H(a2, "2")) == H(a2, "12")
-    assert std_multiply(unit(a2), H(a2, "21")) == H(a2, "21")
+    assert std_multiply(H(a2, ""), H(a2, "21")) == H(a2, "21")
 
 
 def test_braid_relations(a2, b2, g2):
     for system in (a2, b2, g2):
         m = system.coxeter_matrix[0][1]
-        a = unit(system)
-        b = unit(system)
+        a = H(system, "")
+        b = H(system, "")
         x, y = 0, 1
         for _ in range(m):
             sx, sy = system.right_by_gen[x][0], system.right_by_gen[y][0]
@@ -77,11 +76,11 @@ def test_braid_relations(a2, b2, g2):
 
 
 def test_bar_examples(a2):
-    assert bar_involution(unit(a2)) == unit(a2)
+    assert bar_involution(H(a2, "")) == H(a2, "")
     got = bar_involution(H(a2, "1"))
     want = HeckeElt(a2, STD, {a2.digits_to_id("1"): ONE, 0: V - V_INV})
     assert got == want
-    assert bar_involution(unit(a2).scale(V)) == unit(a2).scale(V_INV)
+    assert bar_involution(H(a2, "").scale(V)) == H(a2, "").scale(V_INV)
 
 
 def test_bar_is_involution(a3):
@@ -981,7 +980,7 @@ def test_change_basis_rejects_a_table_of_another_group(a3, b3, kl_b3, kl_a2,
 def test_missing_entries_are_the_shared_zero(a2, kl_a2):
     s, t = a2.digits_to_id("1"), a2.digits_to_id("2")
     assert kl_a2.h_poly(t, s) is ZERO
-    assert unit(a2).coefficient(s) is ZERO
+    assert H(a2, "").coefficient(s) is ZERO
 
 
 def test_kl_table_json_export(a2, kl_a2, b3, kl_b3):
@@ -1000,7 +999,7 @@ def test_kl_table_json_export(a2, kl_a2, b3, kl_b3):
 
 
 def test_mixed_basis_is_an_error(a2, kl_a2):
-    a = unit(a2)
+    a = H(a2, "")
     b = change_basis(a, "kl", kl=kl_a2)
     with pytest.raises(BasisMismatchError):
         a + b
