@@ -35,9 +35,10 @@ those, so only the KL table uses it.  A table has few distinct
 polynomials and many entries (du Cloux 2002), so per-value work is done
 once per distinct value: each value is decoded once, when it is first
 written, into one immutable LaurentPoly shared by every entry and column
-holding it, a top's value keeps the shared value v times it that its
-bottoms hold, and change_basis multiplies each distinct polynomial once
-per coefficient.
+holding it, the table lists each distinct value of a top once, beside
+the shared value v times it that its bottoms hold, a built column stores
+each top's value as a 2-byte index into that list, and change_basis
+multiplies each distinct polynomial once per coefficient.
 
 HeckeElt values are tagged with the basis they are expressed in ("std",
 "kl", or "pcan"); arithmetic across different bases is a hard error, and
@@ -46,9 +47,9 @@ change_basis performs the exact unitriangular conversions.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import ItemsView, Mapping, ValuesView
 from itertools import chain, compress
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Sequence
 
@@ -221,22 +222,27 @@ class KLTable:
     and h(y,x) in v Z[v] for y < x).  mu[x] maps y -> mu(y, x), the
     coefficient of v in h(y, x), storing nonzero values only.  Both are
     built by compute_kl_table; equal polynomials in h are one shared
-    immutable LaurentPoly.  Every column is a read-only Mapping.  Of each
-    orbit of inversion and the Coxeter-graph automorphisms one column is
-    built, along a right descent s of its x: it stores only its tops t
-    (ts < t) and their values, as two tuples, and yields each bottom ts
-    with v h(t, x) after them; a dict index of its entries is built on its
-    first point lookup (get, in, []) and kept.  The identity's column is a
-    read-only dict.  Every other column of the orbit is a view over the
-    built one, relabelled through the id permutation that carries the
-    built column to it: system.inverse (h(y, x) = h(y^-1, x^-1)), a graph
-    automorphism sigma (h(sigma y, sigma x) = h(y, x)), or their product
-    (see compute_kl_table).  The mu rows are
-    dicts.  The constructor takes any Mapping per column.
+    immutable LaurentPoly.  Every column and every mu row is a read-only
+    Mapping.  Of each orbit of inversion and the Coxeter-graph
+    automorphisms one column is built, along a right descent s of its x:
+    it stores only its tops t (ts < t), as a tuple, and the index of each
+    top's value in the table's list of distinct values, as an array of
+    2-byte items (4-byte ones if an index outgrows 2 bytes), and yields
+    each bottom ts with v h(t, x) after them; a dict index of its entries
+    is built on its first point lookup (get, in, []) and kept.  The
+    identity's column is a read-only dict.  Every other column of the
+    orbit is a view over the built one, relabelled through the id
+    permutation that carries the built column to it: system.inverse
+    (h(y, x) = h(y^-1, x^-1)), a graph automorphism sigma (h(sigma y,
+    sigma x) = h(y, x)), or their product (see compute_kl_table); its mu
+    row is a view of the built one through the same permutation.  The
+    mu rows of the built columns and of the identity are dicts.  The
+    constructor takes any Mapping per column and per row.
     """
 
     def __init__(self, system: CoxeterSystem,
-                 h: list[Mapping[int, LaurentPoly]], mu: list[dict[int, int]]):
+                 h: list[Mapping[int, LaurentPoly]],
+                 mu: list[Mapping[int, int]]):
         self.system = system
         self.h = h
         self.mu = mu
@@ -265,21 +271,26 @@ class KLTable:
 
 
 class _BuiltColumn(Mapping):
-    """A built column h at w, built along the right descent s of w: the
-    tops t (ts < t) and their values as two tuples, in the order the kernel
-    wrote them, and the kernel's row rs of u -> us.  The bottom ts of a top
-    holds h(ts, w) = v h(t, w), its value's shifted object, and is not
-    stored.  Iterating yields the tops, then the bottoms, at C speed, and
-    values() and items() follow that order; a point lookup (get, in, [])
-    goes through dict(self.items()), built on the first lookup and kept, so
-    every key gets the answer that dict gives.  The index takes no lock:
-    threads that build it at once build equal dicts."""
+    """A built column h at w, built along the right descent s of w: its
+    tops t (ts < t) in the order the kernel wrote them, an array of
+    indexes of their values into the table's list vals of distinct top
+    values, the parallel list shifted of the values v times them, and the
+    kernel's row rs of u -> us.  The bottom ts of a top holds h(ts, w) =
+    v h(t, w), the entry of shifted at its top's index, and is not
+    stored.  Iterating
+    yields the tops, then the bottoms, at C speed, and values() and
+    items() follow that order; a point lookup (get, in, []) goes through
+    dict(self.items()), built on the first lookup and kept, so every key
+    gets the answer that dict gives.  The index takes no lock: threads
+    that build it at once build equal dicts."""
 
-    __slots__ = ("_tops", "_vals", "_rs", "_index")
+    __slots__ = ("_tops", "_idx", "_vals", "_shifted", "_rs", "_index")
 
-    def __init__(self, tops: tuple[int, ...], vals: tuple[_Packed, ...],
+    def __init__(self, tops: Sequence[int], idx: array,
+                 vals: list[LaurentPoly], shifted: list[LaurentPoly],
                  rs: list[int]):
-        self._tops, self._vals, self._rs = tops, vals, rs
+        self._tops, self._idx, self._rs = tops, idx, rs
+        self._vals, self._shifted = vals, shifted
         self._index = None
 
     def _lookup(self) -> dict[int, LaurentPoly]:
@@ -311,14 +322,26 @@ class _BuiltColumn(Mapping):
         return _BuiltItems(self)
 
 
+def _indexes(ixs: list[int]) -> array:
+    """ixs as an array of 2-byte items while every index fits, else of
+    4-byte items; array raises OverflowError beyond those, so no index
+    wraps."""
+    try:
+        return array("H", ixs)
+    except OverflowError:
+        return array("I", ixs)
+
+
 class _BuiltValues(ValuesView):
     """values() of a _BuiltColumn, iterated at C speed."""
 
     __slots__ = ()
 
     def __iter__(self):
-        vals = self._mapping._vals
-        return chain(vals, map(_shifted, vals))
+        col = self._mapping
+        idx = col._idx
+        return chain(map(col._vals.__getitem__, idx),
+                     map(col._shifted.__getitem__, idx))
 
 
 class _BuiltItems(ItemsView):
@@ -328,58 +351,86 @@ class _BuiltItems(ItemsView):
 
     def __iter__(self):
         col = self._mapping
-        tops, vals = col._tops, col._vals
-        return chain(zip(tops, vals), zip(map(col._rs.__getitem__, tops),
-                                          map(_shifted, vals)))
+        tops, idx = col._tops, col._idx
+        return chain(zip(tops, map(col._vals.__getitem__, idx)),
+                     zip(map(col._rs.__getitem__, tops),
+                         map(col._shifted.__getitem__, idx)))
 
 
-class _RelabelledColumn(Mapping):
-    """The column h at g(w), read through the built column col = h at w,
-    for an id permutation g that fixes the table (see compute_kl_table):
-    it maps g(y) to col[y], in col's order, so it equals the dict
-    {g[y]: c for y, c in col.items()} without storing it.  index maps each
-    id g(u) to u; a key that is not an id gets None from it, which no
-    column holds, so get, in and [] answer as that dict would."""
+class _Relabelling:
+    """An id permutation g that fixes the table (see compute_kl_table):
+    perm lists g(u) over the ids u, and index() maps each g(u) back to u.
+    The index is a dict, built on the first point lookup through g and
+    kept, whose values are the int objects of ids, which the kernel's
+    tables share.  It takes no lock: threads that build it at once build
+    equal dicts."""
 
-    __slots__ = ("_col", "_perm", "_index")
+    __slots__ = ("perm", "_ids", "_index")
 
-    def __init__(self, col: _BuiltColumn, perm: list[int],
-                 index: dict[int, int]):
-        self._col, self._perm, self._index = col, perm, index
+    def __init__(self, perm: list[int], ids: list[int]):
+        self.perm, self._ids, self._index = perm, ids, None
+
+    def index(self) -> dict[int, int]:
+        index = self._index
+        if index is None:
+            index = self._index = dict(zip(self.perm, self._ids))
+        return index
+
+
+class _RelabelledRow(Mapping):
+    """The mu row at g(w), read through the mu row base at w for a
+    relabelling g: it maps g(y) to base[y], in base's order, so it equals
+    the dict {g[y]: m for y, m in base.items()} without storing it.  A key
+    that is not an id gets None from g.index(), which base does not hold,
+    so get, in and [] answer as that dict would."""
+
+    __slots__ = ("_base", "_g")
+
+    def __init__(self, base: Mapping, g: _Relabelling):
+        self._base, self._g = base, g
 
     def __getitem__(self, y):
-        c = self._col.get(self._index.get(y))
+        c = self._base.get(self._g.index().get(y))
         if c is None:
             raise KeyError(y)
         return c
 
     def get(self, y, default=None):
-        return self._col.get(self._index.get(y), default)
+        return self._base.get(self._g.index().get(y), default)
 
     def __contains__(self, y) -> bool:
-        return self._index.get(y) in self._col
+        return self._g.index().get(y) in self._base
 
     def __len__(self) -> int:
-        return len(self._col)
+        return len(self._base)
 
     def __iter__(self):
-        return map(self._perm.__getitem__, self._col)
+        return map(self._g.perm.__getitem__, self._base)
 
     def values(self):
-        return self._col.values()
+        return self._base.values()
 
     def items(self):
         return _RelabelledItems(self)
 
 
+class _RelabelledColumn(_RelabelledRow):
+    """The column h at g(w), read through the built column h at w in the
+    same way; no column holds None either."""
+
+    __slots__ = ()
+
+
 class _RelabelledItems(ItemsView):
-    """items() of a _RelabelledColumn, iterated at C speed."""
+    """items() of a _RelabelledRow or _RelabelledColumn, iterated at C
+    speed."""
 
     __slots__ = ()
 
     def __iter__(self):
-        col = self._mapping._col
-        return zip(map(self._mapping._perm.__getitem__, col), col.values())
+        view = self._mapping
+        base = view._base
+        return zip(map(view._g.perm.__getitem__, base), base.values())
 
 
 # Packed form of a polynomial with coefficients a_i >= 0 in v^i (i >= 0):
@@ -389,18 +440,7 @@ _MASK = (1 << _WIDTH) - 1
 _LIMIT = 1 << (_WIDTH - 2)
 
 
-class _Packed(LaurentPoly):
-    """A table value: the LaurentPoly decoded from a packed int, keeping
-    that int for the kernel's integer arithmetic.  A value held at a top
-    keeps in shifted the shared value v times it, which its bottoms hold."""
-
-    __slots__ = ("packed", "shifted")
-
-
-_shifted = attrgetter("shifted")
-
-
-def _unpack(packed: int) -> _Packed:
+def _unpack(packed: int) -> LaurentPoly:
     """Decode a packed polynomial; OverflowError if a coefficient reaches
     _LIMIT, where the packed form is no longer known to be exact."""
     coeffs = {}
@@ -415,9 +455,7 @@ def _unpack(packed: int) -> _Packed:
             coeffs[e] = a
         rest >>= _WIDTH
         e += 1
-    poly = _Packed(coeffs)
-    poly.packed = packed
-    return poly
+    return LaurentPoly(coeffs)
 
 
 def compute_kl_table(system: CoxeterSystem) -> KLTable:
@@ -485,17 +523,22 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     first written: _unpack raises OverflowError at the first coefficient
     reaching 2^(_WIDTH - 2), which is still decoded exactly, and nothing
     wraps silently.  The columns hold the decoded LaurentPoly, one shared
-    object per distinct polynomial in all the columns; it keeps its packed
-    int, which the later steps read, and a top's value keeps in shifted
-    the object v times it.  Each built column stores its tops and their
-    values as two tuples and a reference to the shared row t -> ts, so a
-    bottom costs nothing and an entry about 8 B, where the ids and values
-    of every entry cost 16 B and a dict about 40 B.  The kernel reads a
-    built column's tops directly and each bottom as its top's packed int
-    shifted by one digit.  Every other column is a read-only view of a
-    built one (see KLTable): the table stores one pair of tuples of tops
-    per orbit, and a column's lookup dict exists only once something has
-    looked a key up in it.
+    object per distinct polynomial in all the columns.  The table lists
+    the distinct values of its tops in the order first written, and in
+    parallel lists the shared objects v times them and their packed ints,
+    which the later steps read.  Each built
+    column stores its tops as a tuple, the index of each top's value in
+    that list as an array of 2-byte items while every index fits (else
+    4-byte ones; array raises OverflowError rather than wrap), and a
+    reference to the shared row t -> ts: a bottom costs nothing and an
+    entry about 5 B, where a tuple of the tops' values made it 8 B and
+    the ids and values of every entry cost 16 B.  The kernel reads a
+    built column's tops and the packed ints of their values directly, and
+    each bottom as its top's packed int shifted by one digit.  Every other
+    column and its mu row are read-only views of a built one (see
+    KLTable): the table stores one tuple of tops and one array of indexes
+    per orbit, and a column's lookup dict, or a relabelling's inverse
+    dict, exists only once something has looked a key up through it.
     """
     return KLTable(system, *_kl_columns(system)[:2])
 
@@ -546,12 +589,13 @@ def _lift(system: CoxeterSystem, sigma: Sequence[int]) -> list[int]:
 
 def _kl_columns(system: CoxeterSystem
                 ) -> tuple[list[Mapping[int, LaurentPoly]],
-                           list[dict[int, int]], dict[int, int]]:
+                           list[Mapping[int, int]], dict[int, int]]:
     """The columns and mu rows of compute_kl_table, and the columns it
     built: w -> the right descent s it was built along.  The identity's
     column is a read-only dict, the built columns are _BuiltColumns, and
     every other column is a _RelabelledColumn over the built column of its
-    orbit."""
+    orbit; its mu row is a _RelabelledRow over the built column's row,
+    through the same _Relabelling."""
     descents = system.right_descents
     # one int object per id, which every table below shares: each read of
     # the group's arrays makes a new one
@@ -560,30 +604,30 @@ def _kl_columns(system: CoxeterSystem
     inv = list(map(shared, system.inverse))
     by_gen = [list(map(shared, col)) for col in system.right_by_gen]
     # the relabellings g != 1 of the group G that inversion and the graph
-    # automorphisms generate, inversion first; indexes[i][g(u)] = u for
-    # g = relabellings[i].  Listing G costs |G| |W| ids, so the
-    # automorphisms join G only while |G| = 2 |Aut| <= |W| keeps that cost
-    # within |W|^2 (A1^9 has 9! of them and 512 elements); the table is
-    # exact for any subgroup
+    # automorphisms generate, inversion first.  Listing G costs |G| |W|
+    # ids, so the automorphisms join G only while |G| = 2 |Aut| <= |W|
+    # keeps that cost within |W|^2 (A1^9 has 9! of them and 512 elements);
+    # the table is exact for any subgroup
     automorphisms = _graph_automorphisms(system.coxeter_matrix,
                                          system.size // 2)
     if len(automorphisms) > system.size // 2:
         automorphisms = automorphisms[:1]
-    relabellings = [inv]
+    perms = [inv]
     for sigma in automorphisms[1:]:
         lift = list(map(shared, _lift(system, sigma)))
-        relabellings += [lift, [inv[w] for w in lift]]
-    indexes = [dict(zip(g, ids)) for g in relabellings]
+        perms += [lift, [inv[w] for w in lift]]
+    relabellings = [_Relabelling(g, ids) for g in perms]
     h: list = [None] * system.size
     mu: list = [None] * system.size
-    # shared maps the packed value of each top written to its shared
-    # value, whose shifted is the bottoms' value, and mus to its second
-    # digit, mu(t, w), where that is nonzero; one = h(e, e) is the first top
-    one = _unpack(1)
-    one.shifted = _unpack(1 << _WIDTH)
-    shared = {1: one}
+    # the distinct values of the tops written, in the order first written:
+    # vals[i], the shared value v times it, which its bottoms hold, in
+    # shifted[i], and its packed int in packs[i]; at maps packs[i] to i,
+    # and mus to its second digit, mu(t, w), where that is nonzero.
+    # h(e, e) = 1 is the first top
+    vals, shifted, packs = [_unpack(1)], [_unpack(1 << _WIDTH)], [1]
+    at = {1: 0}
     mus: dict[int, int] = {}
-    h[0], mu[0] = MappingProxyType({0: one}), {}
+    h[0], mu[0] = MappingProxyType({0: vals[0]}), {}
     # size[w] = len(h[w]), which the scoring reads without calling a
     # column's Python-level __len__
     size = [1] * system.size
@@ -592,7 +636,7 @@ def _kl_columns(system: CoxeterSystem
         if h[x] is not None:
             continue
         best = None
-        for w in dict.fromkeys([x, *[g[x] for g in relabellings]]):
+        for w in dict.fromkeys([x, *[g[x] for g in perms]]):
             for s in sorted(descents[w]):
                 wp = by_gen[s][w]
                 cost = size[wp] + sum(
@@ -607,12 +651,13 @@ def _kl_columns(system: CoxeterSystem
         # v^-1 h(t, w'); ids are in length order, and h(t, w') is in v Z[v]
         # because t != w' (w' s = w is longer).
         # C_e C_s = C_s has the one top h(s, s) = 1; every other column is
-        # read as (t, b, c), a top of its own descent with value c and its
-        # bottom b, which holds c << _WIDTH.
+        # read as (t, b, i), a top of its own descent whose value has the
+        # packed int c = packs[i], and its bottom b, which holds
+        # c << _WIDTH.
         top: dict[int, int] = {w: 1} if wp == 0 else {}
         get = top.get
-        for t, b, c in _pairs(h[wp]):
-            c = c.packed
+        for t, b, i in _pairs(h[wp]):
+            c = packs[i]
             ts = rs[t]
             if ts < t:
                 top[t] = get(t, 0) + (c >> _WIDTH)
@@ -628,59 +673,64 @@ def _kl_columns(system: CoxeterSystem
                 col = h[z]
                 if type(col) is _BuiltColumn and col._rs is rs:
                     # built along s: its tops are the u with us < u
-                    for t, c in zip(col._tops, col._vals):
-                        top[t] -= m * c.packed
+                    for t, i in zip(col._tops, col._idx):
+                        top[t] -= m * packs[i]
                     continue
-                for t, b, c in _pairs(col):
+                for t, b, i in _pairs(col):
+                    c = packs[i]
                     if rs[t] < t:
-                        top[t] -= m * c.packed
+                        top[t] -= m * c
                     if rs[b] < b:
-                        top[b] -= (m * c.packed) << _WIDTH
+                        top[b] -= (m * c) << _WIDTH
         # only the tops are stored, each bottom ts holding v h(t, w);
         # mu(w, w) = 0 is the second digit of h(w, w) = 1
         cs = list(filter(None, top.values()))
-        for c in set(cs).difference(shared):
+        for c in set(cs).difference(at):
             # the bottoms so far are the tops shifted by one digit, so c is
             # held iff it is the bottom of c >> _WIDTH, and b iff it is a
             # top; else decode once
             b = c << _WIDTH
-            held = shared.get(c >> _WIDTH) if not c & _MASK else None
-            val = shared[c] = _unpack(c) if held is None else held.shifted
-            above = shared.get(b)
-            val.shifted = _unpack(b) if above is None else above
+            i = at.get(c >> _WIDTH) if not c & _MASK else None
+            vals.append(_unpack(c) if i is None else shifted[i])
+            i = at.get(b)
+            shifted.append(_unpack(b) if i is None else vals[i])
+            at[c] = len(packs)
+            packs.append(c)
             if m := (c >> _WIDTH) & _MASK:
                 mus[c] = m
         tops = tuple(compress(top, top.values()))
         ms = list(map(mus.get, cs))
         row = {wp: 1}
         row.update(compress(zip(tops, ms), ms))
-        h[w] = _BuiltColumn(tops, tuple(map(shared.__getitem__, cs)), rs)
+        h[w] = _BuiltColumn(tops, _indexes(list(map(at.__getitem__, cs))),
+                            vals, shifted, rs)
         mu[w] = row
         built[w] = s
         size[w] = 2 * len(tops)
-        for g, index in zip(relabellings, indexes):
-            u = g[w]
+        for g in relabellings:
+            u = g.perm[w]
             if h[u] is None:
-                h[u] = _RelabelledColumn(h[w], g, index)
-                mu[u] = dict(zip(map(g.__getitem__, row), row.values()))
+                h[u] = _RelabelledColumn(h[w], g)
+                mu[u] = _RelabelledRow(row, g)
                 size[u] = size[w]
     return h, mu, built
 
 
-def _pairs(col: Mapping[int, _Packed]):
-    """The entries of a column of the table being built as (t, b, c): each
-    top t with its value c, and its bottom b, which holds c.shifted.  The
-    identity's column gives none; the kernel writes C_e C_s = C_s itself."""
+def _pairs(col: Mapping[int, LaurentPoly]):
+    """The entries of a column of the table being built as (t, b, i): each
+    top t with the index i of its value, and its bottom b, which holds
+    v times that value.  The identity's column gives none; the kernel
+    writes C_e C_s = C_s itself."""
     perm = None
     if type(col) is _RelabelledColumn:
-        perm, col = col._perm.__getitem__, col._col
+        perm, col = col._g.perm.__getitem__, col._base
     if type(col) is not _BuiltColumn:
         return ()
     tops = col._tops
     bottoms = map(col._rs.__getitem__, tops)
     if perm is not None:
         tops, bottoms = map(perm, tops), map(perm, bottoms)
-    return zip(tops, bottoms, col._vals)
+    return zip(tops, bottoms, col._idx)
 
 
 def kl_multiply_by_generator(table: KLTable, x: int, s: int,

@@ -101,26 +101,6 @@ class PCanTable:
         return unitriangular_solve(self.system, coeffs,
                                    lambda x: self.rows.get(x, {}).items())
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        sys_ = self.system
-        entries = []
-        for x in sorted(self.rows, key=lambda w: (sys_.length[w], w)):
-            terms = [{"y": _digit_list(sys_, x), "coeff": [[0, 1]]}]
-            for y in sorted(self.rows[x], key=lambda w: (sys_.length[w], w)):
-                terms.append({"y": _digit_list(sys_, y),
-                              "coeff": self.rows[x][y].to_pairs()})
-            entries.append({"x": _digit_list(sys_, x), "terms": terms})
-        obj = {"p": self.prime, "entries": entries}
-        if sys_.label:
-            obj["type"] = sys_.label
-        return obj
-
-
-def _digit_list(system: CoxeterSystem, w: int) -> list[int]:
-    return [s + 1 for s in system.words[w]]
-
 
 # ---------------------------------------------------------------------------
 # construction, loading, validation

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+from array import array
 from collections.abc import Sized
 from concurrent.futures import ThreadPoolExecutor
 from types import MappingProxyType
@@ -27,8 +28,10 @@ from pcells.hecke import (
     KLTable,
     _BuiltColumn,
     _RelabelledColumn,
+    _RelabelledRow,
     _acc,
     _graph_automorphisms,
+    _indexes,
     _kl_columns,
     _lift,
     _unpack,
@@ -458,8 +461,6 @@ def test_kl_columns_build_the_cheapest_candidate(f4_kl):
     h, mu, built = _kl_columns(system)
     assert h == table.h
     assert mu == table.mu
-    # each value keeps the packed int the kernel read, and decodes from it
-    assert all(_unpack(c.packed) == c for col in h for c in col.values())
     relabellings = _relabellings(system)
 
     def cost(w, s):
@@ -605,6 +606,47 @@ def test_relabelled_columns_are_views_through_the_first_relabelling(label):
     assert seen == set(system.elements())
 
 
+@pytest.mark.parametrize("label", ["F4", "D4", "D5"])
+def test_relabelled_mu_rows_read_like_the_copied_dict(label):
+    # the mu row at each x not built is a read-only view of the built row
+    # at w through the relabelling g of the column at x, and reads as the
+    # dict {g[y]: m for y, m in mu[w].items()} that it replaces
+    system = _system(MIN_DESCENT_GROUPS[label])
+    h, mu, built = _kl_columns(system)
+    n = system.size
+    built_at = {id(h[w]): w for w in built}
+    rows = 0
+    for x in system.elements():
+        if x == 0 or x in built:
+            assert type(mu[x]) is dict
+            continue
+        view, col = mu[x], h[x]
+        assert type(view) is _RelabelledRow and type(col) is _RelabelledColumn
+        w = built_at[id(col._base)]
+        assert view._base is mu[w]
+        assert view._g is col._g
+        oracle = _relabel(mu[w], col._g.perm)
+        assert not hasattr(view, "__setitem__")
+        with pytest.raises(TypeError):
+            view[x] = 1
+        assert view == oracle and len(view) == len(oracle)
+        assert list(view) == list(oracle)
+        assert list(view.items()) == list(oracle.items())
+        assert list(view.keys()) == list(oracle.keys())
+        assert all(a is b for a, b in zip(view.values(), oracle.values(),
+                                          strict=True))
+        keys = [*_odd_keys(system), *list(oracle)[:3], x, n - 1,
+                *(y for y in range(-3, 3))]
+        _assert_reads_like(view, oracle, keys)
+        for bad in ([], {}, {1}):
+            with pytest.raises(TypeError):
+                view.get(bad)
+            with pytest.raises(TypeError):
+                bad in view
+        rows += 1
+    assert rows == n - 1 - len(built)
+
+
 def test_p_canonical_tables_are_not_graph_invariant(b2, kl_b2, b2_p2):
     # the generator swap of B2 preserves the Coxeter matrix, not the Cartan
     # matrix: it fixes the KL table but moves the row ^2B_121 = B_121 + B_1
@@ -653,30 +695,67 @@ def test_built_columns_are_read_only_and_read_like_a_dict(label):
 
 @pytest.mark.parametrize("label", ["F4", "D5"])
 def test_built_columns_store_the_tops_only(label):
-    # a column built along s stores its tops t (ts < t) and their values;
-    # items() yields the tops, then each bottom ts with v h(t, w), the
-    # shared object the top's value holds in shifted
+    # a column built along s stores its tops t (ts < t) and, in an array
+    # of 2-byte items, the index of each top's value in the table's list of
+    # distinct top values; items() yields the tops, then each bottom ts
+    # with v h(t, w), the shared object that the parallel list shifted
+    # holds at the same index
     system = _system(MIN_DESCENT_GROUPS[label])
     h, _, built = _kl_columns(system)
     assert len(built) == BUILT_COUNTS[label]
     full, _ = _kl_by_full_columns(system)
+    vals, shifted = h[next(iter(built))]._vals, h[next(iter(built))]._shifted
+    assert type(vals) is list and type(shifted) is list
+    assert len({id(c) for c in vals}) == len(set(vals)) == len(vals)
+    assert all(d == V * c for c, d in zip(vals, shifted, strict=True))
+    # a value v h(t, w) that is also a top's value is that object
+    listed = {c: c for c in vals}
+    assert all(listed.get(d, d) is d for d in shifted)
     for w, s in built.items():
         col, rs = h[w], system.right_by_gen[s]
-        tops, vals = col._tops, col._vals
-        assert type(tops) is tuple and type(vals) is tuple
+        tops, idx = col._tops, col._idx
+        assert type(tops) is tuple
+        assert type(idx) is array and idx.typecode == "H"
+        assert col._vals is vals and col._shifted is shifted
         assert not hasattr(col, "__dict__")
         assert all(rs[t] < t for t in tops)
         assert set(tops) == {t for t in full[w] if rs[t] < t}
-        assert len(vals) == len(tops) == len(col) // 2 == len(full[w]) // 2
+        assert len(idx) == len(tops) == len(col) // 2 == len(full[w]) // 2
         items = list(col.items())
-        assert items[:len(tops)] == list(zip(tops, vals))
-        for (t, c), (b, d) in zip(items[:len(tops)], items[len(tops):],
-                                  strict=True):
-            assert b == rs[t] and d is c.shifted and d == V * c
+        n = len(tops)
+        assert items[:n] == list(zip(tops, [vals[i] for i in idx]))
+        assert all(c is vals[i] for (_, c), i in zip(items[:n], idx))
+        for (t, c), (b, d), i in zip(items[:n], items[n:], idx, strict=True):
+            assert b == rs[t] and d is shifted[i] and d == V * c
         assert dict(items) == full[w]
         assert list(col) == [y for y, _ in items]
         assert all(a is b for a, b in zip(col.values(), [c for _, c in items],
                                           strict=True))
+
+
+def test_value_indexes_widen_past_two_bytes(a2, kl_a2):
+    # indexes are 2-byte items while every one fits, else 4-byte items;
+    # array refuses an index that fits neither, so none wraps
+    assert _indexes([0, 65535]).typecode == "H"
+    wide = _indexes([0, 65535, 65536, 70000])
+    assert wide.typecode == "I" and wide.tolist() == [0, 65535, 65536, 70000]
+    for bad in ([-1], [1 << 32]):
+        with pytest.raises(OverflowError):
+            _indexes(bad)
+    # a column of A2 moved to the end of a table of 70 001 distinct values
+    # reads them through its 4-byte indexes as through its own
+    col = _built(kl_a2)[-1]
+    far = [70000 - i for i in col._idx]
+    vals, shifted = [None] * 70001, [None] * 70001
+    for i, j in zip(col._idx, far):
+        vals[j], shifted[j] = col._vals[i], col._shifted[i]
+    moved = _BuiltColumn(col._tops, _indexes(far), vals, shifted, col._rs)
+    assert max(far) > 65535 and moved._idx.typecode == "I"
+    assert list(moved.items()) == list(col.items())
+    assert all(a is b for a, b in zip(moved.values(), col.values(),
+                                      strict=True))
+    _assert_reads_like(moved, dict(col.items()),
+                       [*a2.elements(), *_odd_keys(a2)])
 
 
 def test_iterating_a_column_builds_no_lookup_index(b3):
@@ -689,6 +768,10 @@ def test_iterating_a_column_builds_no_lookup_index(b3):
     c = HeckeElt(b3, KL, {x: ONE for x in b3.elements()})
     change_basis(change_basis(c, STD, kl=table), KL, kl=table)
     assert all(col._index is None for col in built)
+    # nor the inverse index of a relabelling, which views share
+    relabelled = [view for view in [*table.h, *table.mu]
+                  if isinstance(view, _RelabelledRow)]
+    assert relabelled and all(view._g._index is None for view in relabelled)
     longest = b3.longest_element()
     table.h_poly(0, longest)
     indexed = [col for col in built if col._index is not None]
@@ -722,6 +805,10 @@ def test_first_lookup_from_threads_reads_like_the_dict():
         assert all(p is q for a, b in zip(answers, want)
                    for p, q in zip(a, b, strict=True))
     assert all(col._index == dict(col.items()) for col in _built(table))
+    relabellings = {col._g for col in table.h
+                    if type(col) is _RelabelledColumn}
+    assert relabellings and all(g._index == dict(zip(g.perm, range(n)))
+                                for g in relabellings)
 
 
 def test_kl_table_shares_equal_polynomials(a3, kl_a3):
@@ -749,17 +836,18 @@ def test_every_table_value_passes_the_overflow_guard(monkeypatch):
     monkeypatch.setattr(hecke, "_LIMIT", 3)
     assert compute_kl_table(a4).h == want.h
     # every stored value, top, bottom or relabelled, comes from one call of
-    # _unpack on its own packed int, and no value is decoded twice
+    # _unpack, and no packed int is decoded twice
     decoded = []
 
     def counting(packed):
-        decoded.append(packed)
-        return _unpack(packed)
+        decoded.append((packed, _unpack(packed)))
+        return decoded[-1][1]
 
     monkeypatch.setattr(hecke, "_unpack", counting)
     table = compute_kl_table(a4)
-    values = {id(c): c for col in table.h for c in col.values()}.values()
-    assert sorted(decoded) == sorted(c.packed for c in values)
+    values = {id(c) for col in table.h for c in col.values()}
+    assert values == {id(c) for _, c in decoded}
+    assert len({p for p, _ in decoded}) == len(decoded) == len(values)
 
 
 def test_kl_multiply_by_generator(a2, kl_a2):
