@@ -647,7 +647,7 @@ def check_parabolic_compatibility(table: PCanTable, w_right: CellPartition,
                               compute_kl_table(emb.sub), "right")
     bad: list[str] = []
     maps = []
-    for x in sorted(sys_.minimal_coset_representatives(gens, "right")):
+    for x in sys_.minimal_coset_representatives(gens, "right"):
         phi, split = _cell_map(sub_right, w_right, {
             z: sys_.mult(x, y) for z, y in enumerate(emb.to_parent)})
         bad += [f"x={sys_.id_to_digits(x) or 'e'}: {v}" for v in split]
@@ -689,7 +689,7 @@ def propagate_nondecomposition(table: PCanTable, kl_right: CellPartition,
     sub_p_cells = compute_cells(restrict_to_parabolic(table, emb), sub_kl,
                                 "right")
 
-    x_reps = sorted(system.minimal_coset_representatives(gens, "left"))
+    x_reps = system.minimal_coset_representatives(gens, "left")
     bad: list[str] = []
     checked = 0
 

@@ -77,6 +77,7 @@ from __future__ import annotations
 import gc
 from array import array
 from collections.abc import Iterable, Sequence
+from itertools import compress
 from typing import NamedTuple
 
 Word = tuple[int, ...]
@@ -461,20 +462,20 @@ class CoxeterSystem:
         return frozenset(seen)
 
     def minimal_coset_representatives(self, gens: Iterable[int],
-                                      side: str) -> frozenset[int]:
-        """Minimal-length coset representatives.
+                                      side: str) -> tuple[int, ...]:
+        """Minimal-length coset representatives, by increasing id.
 
         side="right" gives W^I for W / W_I (no right descents in I);
         side="left" the mirror for W_I \\ W.
         """
-        gens = frozenset(gens)
         if side == "right":
-            return frozenset(w for w in self.elements()
-                             if not (self.right_descents[w] & gens))
-        if side == "left":
-            return frozenset(w for w in self.elements()
-                             if not (self.left_descents[w] & gens))
-        raise ValueError("side must be 'left' or 'right'")
+            descents = self.right_descents
+        elif side == "left":
+            descents = self.left_descents
+        else:
+            raise ValueError("side must be 'left' or 'right'")
+        return tuple(compress(self.elements(),
+                              map(frozenset(gens).isdisjoint, descents)))
 
     def parabolic_subsystem(self, gens: Sequence[int]) -> "ParabolicEmbedding":
         """The standard parabolic as its own system, with the id embedding."""

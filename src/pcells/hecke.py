@@ -49,7 +49,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import ItemsView, Mapping, ValuesView
-from itertools import chain, compress
+from itertools import chain, compress, count, repeat
+from operator import is_
 from types import MappingProxyType
 from typing import Sequence
 
@@ -621,12 +622,12 @@ def _kl_columns(system: CoxeterSystem
     mu: list = [None] * system.size
     # the distinct values of the tops written, in the order first written:
     # vals[i], the shared value v times it, which its bottoms hold, in
-    # shifted[i], and its packed int in packs[i]; at maps packs[i] to i,
-    # and mus to its second digit, mu(t, w), where that is nonzero.
-    # h(e, e) = 1 is the first top
+    # shifted[i], its packed int in packs[i], and its second digit,
+    # mu(t, w), in mu_at[i]; at maps packs[i] to i.  h(e, e) = 1 is the
+    # first top
     vals, shifted, packs = [_unpack(1)], [_unpack(1 << _WIDTH)], [1]
     at = {1: 0}
-    mus: dict[int, int] = {}
+    mu_at = [0]
     h[0], mu[0] = MappingProxyType({0: vals[0]}), {}
     # size[w] = len(h[w]), which the scoring reads without calling a
     # column's Python-level __len__
@@ -685,25 +686,30 @@ def _kl_columns(system: CoxeterSystem
         # only the tops are stored, each bottom ts holding v h(t, w);
         # mu(w, w) = 0 is the second digit of h(w, w) = 1
         cs = list(filter(None, top.values()))
-        for c in set(cs).difference(at):
-            # the bottoms so far are the tops shifted by one digit, so c is
-            # held iff it is the bottom of c >> _WIDTH, and b iff it is a
-            # top; else decode once
-            b = c << _WIDTH
-            i = at.get(c >> _WIDTH) if not c & _MASK else None
-            vals.append(_unpack(c) if i is None else shifted[i])
-            i = at.get(b)
-            shifted.append(_unpack(b) if i is None else vals[i])
-            at[c] = len(packs)
-            packs.append(c)
-            if m := (c >> _WIDTH) & _MASK:
-                mus[c] = m
+        # each value hashed once; only the values not yet held are
+        # registered, in the order written
+        ixs = list(map(at.get, cs))
+        for j in compress(count(), map(is_, ixs, repeat(None))):
+            c = cs[j]
+            i = at.get(c)  # written earlier in this column
+            if i is None:
+                # the bottoms so far are the tops shifted by one digit, so
+                # c is held iff it is the bottom of c >> _WIDTH, and b iff
+                # it is a top; else decode once
+                b = c << _WIDTH
+                i = at.get(c >> _WIDTH) if not c & _MASK else None
+                vals.append(_unpack(c) if i is None else shifted[i])
+                i = at.get(b)
+                shifted.append(_unpack(b) if i is None else vals[i])
+                i = at[c] = len(packs)
+                packs.append(c)
+                mu_at.append((c >> _WIDTH) & _MASK)
+            ixs[j] = i
         tops = tuple(compress(top, top.values()))
-        ms = list(map(mus.get, cs))
+        ms = list(map(mu_at.__getitem__, ixs))
         row = {wp: 1}
         row.update(compress(zip(tops, ms), ms))
-        h[w] = _BuiltColumn(tops, _indexes(list(map(at.__getitem__, cs))),
-                            vals, shifted, rs)
+        h[w] = _BuiltColumn(tops, _indexes(ixs), vals, shifted, rs)
         mu[w] = row
         built[w] = s
         size[w] = 2 * len(tops)

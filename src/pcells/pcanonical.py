@@ -323,7 +323,7 @@ def verify_parabolic_factorization(table: PCanTable, kl: KLTable,
                for y in sub_elements for z in sub_elements}
     bad: list[str] = []
     checked = 0
-    for x in sorted(sys_.minimal_coset_representatives(gens, "right")):
+    for x in sys_.minimal_coset_representatives(gens, "right"):
         prods = {y: sys_.mult(x, y) for y in sub_elements}
         for y in sub_elements:
             for z in sub_elements:

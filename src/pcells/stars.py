@@ -8,8 +8,9 @@ with exactly one of r, t as a right descent.  The right star operation
 flips position k of a string to position m - k.  DihedralStrings(system,
 r, t) reads all of this for one pair from one walk over the cosets: the
 strings, the right star map `star` and the string neighbours
-`neighbours`.  The left star operation is `star` conjugated by inversion,
-x -> inverse[star[inverse[x]]] on D_L(r, t).
+`neighbours`; the tau invariants read the same maps from the same walk as
+arrays over element ids.  The left star operation is `star` conjugated by
+inversion, x -> inverse[star[inverse[x]]] on D_L(r, t).
 
 The checkers in this module verify the numerical consequences of the star
 operations for base-change and structure coefficients (the m = 3, 4, 6
@@ -27,8 +28,12 @@ through star images for every finite m >= 3.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict, deque
 from functools import cache, cached_property, partial
-from typing import Callable, Mapping, NamedTuple
+from itertools import count
+from operator import add, sub
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .cells import CellPartition, transport_preorder
 from .coxeter import CoxeterSystem
@@ -62,13 +67,13 @@ def _require_bound(table: PCanTable, m: int) -> None:
 class StringDecomposition(NamedTuple):
     """One right <r, t>-string: the m - 1 elements obtained from the coset
     minimum by the alternating words in a fixed starting letter, listed by
-    increasing length."""
+    increasing length.  The starting letter is the one right descent of
+    elements[0] among r and t."""
 
     r: int
     t: int
     m: int
     coset_min: int
-    start: int  # the generator the alternating word starts with
     elements: tuple[int, ...]
 
 
@@ -88,6 +93,21 @@ def _string_walk(system: CoxeterSystem, r: int, t: int, m: int,
             walk.append(layer)
         walks.append(walk)
     return walks
+
+
+def _star_targets(walk: list[list[int]]) -> tuple[list[list[int]]]:
+    """Where the right star operation sends the positions of one string
+    walk (_string_walk): position k, walk[k - 1], goes to the element in
+    the same place of layer m - k, the k-th layer listed here."""
+    return walk[::-1],
+
+
+def _neighbour_targets(walk: list[list[int]]
+                       ) -> tuple[list[list[int]], list[list[int]]]:
+    """The string neighbours of the positions of one string walk, as
+    _star_targets lists the star images: positions k - 1 and k + 1 inside
+    1..m-1, or at an end of the string the one neighbour twice."""
+    return [walk[1], *walk[:-1]], [*walk[1:], walk[-2]]
 
 
 class DihedralStrings:
@@ -117,9 +137,9 @@ class DihedralStrings:
         self.system, self.r, self.t, self.m = system, r, t, m
 
     @cached_property
-    def _walk(self) -> tuple[list[int], list[list[list[int]]]]:
-        minima = sorted(self.system.minimal_coset_representatives(
-            {self.r, self.t}, "right"))
+    def _walk(self) -> tuple[tuple[int, ...], list[list[list[int]]]]:
+        minima = self.system.minimal_coset_representatives({self.r, self.t},
+                                                           "right")
         return minima, _string_walk(self.system, self.r, self.t, self.m,
                                     minima)
 
@@ -134,10 +154,8 @@ class DihedralStrings:
         # one (minimum, x_1, .., x_{m-1}) row per coset and starting letter
         by_r, by_t = (zip(minima, *walk) for walk in walks)
         return [StringDecomposition(r=self.r, t=self.t, m=self.m,
-                                    coset_min=row[0], start=start,
-                                    elements=row[1:])
-                for pair in zip(by_r, by_t)
-                for start, row in zip((self.r, self.t), pair)]
+                                    coset_min=row[0], elements=row[1:])
+                for pair in zip(by_r, by_t) for row in pair]
 
     @cached_property
     def positions(self) -> dict[int, tuple[int, int]]:
@@ -148,7 +166,8 @@ class DihedralStrings:
     def star(self) -> dict[int, int]:
         star: dict[int, int] = {}
         for walk in self._star_walks():
-            for layer, image in zip(walk, reversed(walk)):
+            images, = _star_targets(walk)
+            for layer, image in zip(walk, images):
                 star.update(zip(layer, image))
         return star
 
@@ -156,12 +175,26 @@ class DihedralStrings:
     def neighbours(self) -> dict[int, tuple[int, int]]:
         neighbours: dict[int, tuple[int, int]] = {}
         for walk in self._star_walks():
-            # position k pairs ends[k - 1] with ends[k + 1]: positions k - 1
-            # and k + 1, or at an end of the string the one neighbour twice
-            ends = [walk[1], *walk, walk[-2]]
-            for layer, before, after in zip(walk, ends, ends[2:]):
+            for layer, before, after in zip(walk, *_neighbour_targets(walk)):
                 neighbours.update(zip(layer, zip(before, after)))
         return neighbours
+
+    def _columns(self, targets: Callable[[list[list[int]]], tuple]
+                 ) -> list[array]:
+        """The maps that targets (_star_targets or _neighbour_targets)
+        reads off a string walk, one array('I') over element ids each, the
+        identity outside D_R(r, t).  Nothing keyed by element is built but
+        the arrays: each layer is written into them at C speed."""
+        walks = self._star_walks()
+        columns = []
+        # one map at a time: its target layers in each walk
+        for images in zip(*map(targets, walks)):
+            col = array("I", self.system.elements())
+            for walk, layers in zip(walks, images):
+                for layer, image in zip(walk, layers):
+                    deque(map(col.__setitem__, layer, image), 0)
+            columns.append(col)
+        return columns
 
 
 # ---------------------------------------------------------------------------
@@ -493,48 +526,71 @@ def star_closure_check(left: CellPartition, right: CellPartition,
 
 class TauPartition(NamedTuple):
     """The limit of the refinement sequence, with the iteration count at
-    which it stabilized."""
+    which it stabilized: classes[i] lists the ids of class i in increasing
+    order, and class_of[x] is the class of id x."""
 
-    classes: tuple[frozenset[int], ...]
-    class_of: dict[int, int]
+    classes: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...]
     stabilized_at: int
 
     def as_sets(self) -> set[frozenset[int]]:
-        return set(self.classes)
+        return set(map(frozenset, self.classes))
 
 
-def _refine(columns: list) -> list[int]:
+def _refine(columns: Iterable[Iterable]) -> list[int]:
     """Class ids by element id of the partition into equal rows of the
-    columns (lists indexed by element id), numbered by first occurrence."""
-    ids: dict[tuple, int] = {}
-    return [ids.setdefault(key, len(ids)) for key in zip(*columns)]
+    columns (iterables in element id order), numbered by first occurrence."""
+    # a new row takes the next id, at C speed
+    ids: defaultdict[tuple, int] = defaultdict(count().__next__)
+    return list(map(ids.__getitem__, zip(*columns)))
 
 
-def _fixpoint(system: CoxeterSystem,
-              signature: Callable[[list[int]], list[list]]) -> TauPartition:
-    """Refine the partition by right descent sets until the columns of
-    signature(class ids) split no class.  Ids increase with length, so the
-    numbering by first occurrence is already the order of the classes by
-    least length, then least id.
+def _fixpoint(system: CoxeterSystem, stars: list[array],
+              bonds: list[tuple[array, array]]) -> tuple[list[int], int]:
+    """Refine the partition by right descent sets until no class splits by
+    the class of each star image (stars) or the class multiset of each
+    pair of string neighbours (bonds), all arrays over element ids, and
+    return its class ids by element id and the number of rounds.  Ids
+    increase with length, so the numbering by first occurrence is already
+    the order of the classes by least length, then least id.
 
-    The callers' string maps send an element outside D_R(r, t) to itself:
-    its class, refined from right descent sets, already sets it apart from
-    D_R(r, t), so the entry it reads never splits a class."""
+    The arrays send an element outside D_R(r, t) to itself: its class,
+    refined from right descent sets, already sets it apart from D_R(r, t),
+    so the entry it reads never splits a class.  Each round reads the
+    arrays as iterators, so a round keeps two lists of class ids and
+    nothing else per element."""
+
+    def columns(cls: list[int]) -> Iterator[Iterable]:
+        get = cls.__getitem__
+        yield cls
+        for images in stars:
+            yield map(get, images)
+        for before, after in bonds:
+            # the classes a, b as a + b and |a - b|, which determine the
+            # multiset {a, b}: two columns, each read at C speed
+            yield map(add, map(get, before), map(get, after))
+            yield map(abs, map(sub, map(get, before), map(get, after)))
+
     cls = _refine([system.right_descents])
     iterations = 0
     while True:
-        nxt = _refine([cls, *signature(cls)])
+        nxt = _refine(columns(cls))
         iterations += 1
         if nxt == cls:
             break
         cls = nxt
-    # one int object per id, shared by the classes and class_of
-    class_of = dict(zip(system.elements(), cls))
+    return cls, iterations
+
+
+def _partition(system: CoxeterSystem, cls: list[int],
+               iterations: int) -> TauPartition:
+    """The record of _fixpoint's result.  The callers build it once
+    _fixpoint has returned, so the arrays it read are freed by then."""
     classes: list[list[int]] = [[] for _ in range(max(cls) + 1)]
-    for x, i in class_of.items():
+    for x, i in zip(system.elements(), cls):
         classes[i].append(x)
-    return TauPartition(classes=tuple(map(frozenset, classes)),
-                        class_of=class_of, stabilized_at=iterations)
+    return TauPartition(classes=tuple(map(tuple, classes)),
+                        class_of=tuple(cls), stabilized_at=iterations)
 
 
 def tau_partition(system: CoxeterSystem,
@@ -542,46 +598,40 @@ def tau_partition(system: CoxeterSystem,
     """Iterated refinement of right-descent-set equality through neighbour
     multisets of strings, over pairs with bond order 3 or 4 (restrict with
     orders=(3,) when only those pairs are valid at the working prime).
+    orders must be a non-empty tuple of 3s and 4s: tau is not defined
+    through the strings of other bond orders.
 
     A pair with m = 3 reads the class of the star image instead of the
     class multiset of the neighbours, which splits classes the same way.
-    Its strings are x_1, x_2, so `neighbours` sends x_1 to (x_2, x_2) and
-    x_2 to (x_1, x_1), while `star` swaps the two (position k goes to
-    3 - k); outside D_R(r, t) both maps fix x.  So the multiset key is
+    Its strings are x_1, x_2, so the neighbours of x_1 are (x_2, x_2) and
+    those of x_2 are (x_1, x_1), while star swaps the two (position k goes
+    to 3 - k); outside D_R(r, t) both maps fix x.  So the multiset key is
     (c, c) exactly where the star key is c, and two elements share one key
     iff they share the other.  The classes are numbered by first
     occurrence in id order, whatever the keys, so `classes`, `class_of`
     and `stabilized_at` are those of the neighbour multisets."""
+    if not (isinstance(orders, tuple) and orders
+            and all(type(m) is int and m in (3, 4) for m in orders)):
+        raise ValueError("orders must be a non-empty tuple of 3s and 4s, "
+                         f"not {orders!r}")
     pairs = [(r, t, m) for r in range(system.rank)
              for t in range(r + 1, system.rank)
              if (m := system.coxeter_matrix[r][t]) in orders]
-    # one map at a time, each dict freed once its list is built
-    stars = [[star.get(x, x) for x in system.elements()]
-             for star in (DihedralStrings(system, r, t).star
-                          for r, t, m in pairs if m == 3)]
-    bonds = [[nbrs.get(x, (x, x)) for x in system.elements()]
-             for nbrs in (DihedralStrings(system, r, t).neighbours
-                          for r, t, m in pairs if m != 3)]
-
-    def signature(cls: list[int]) -> list[list]:
-        # m = 3: the class of the star image; otherwise the class multiset
-        # of the two neighbours, sorted
-        return [*([cls[y] for y in images] for images in stars),
-                *([(a, b) if (a := cls[i]) <= (b := cls[j]) else (b, a)
-                   for i, j in nbrs] for nbrs in bonds)]
-
-    return _fixpoint(system, signature)
+    # each pair's walk is freed once its arrays are written
+    return _partition(system, *_fixpoint(
+        system,
+        [col for r, t, m in pairs if m == 3
+         for col in DihedralStrings(system, r, t)._columns(_star_targets)],
+        [tuple(DihedralStrings(system, r, t)._columns(_neighbour_targets))
+         for r, t, m in pairs if m == 4]))
 
 
 def tau_tilde_partition(system: CoxeterSystem) -> TauPartition:
     """Same fixpoint scheme, refining by star images over every pair with
     finite bond order at least 3."""
-    maps = (DihedralStrings(system, r, t).star
-            for r in range(system.rank) for t in range(r + 1, system.rank)
-            if system.coxeter_matrix[r][t] >= 3)
-    bonds = [[star.get(x, x) for x in system.elements()] for star in maps]
-
-    def signature(cls: list[int]) -> list[list]:
-        return [[cls[y] for y in images] for images in bonds]
-
-    return _fixpoint(system, signature)
+    return _partition(system, *_fixpoint(
+        system,
+        [col for r in range(system.rank) for t in range(r + 1, system.rank)
+         if system.coxeter_matrix[r][t] >= 3
+         for col in DihedralStrings(system, r, t)._columns(_star_targets)],
+        []))

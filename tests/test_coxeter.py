@@ -295,14 +295,15 @@ def test_bruhat_recursion_matches_subword(a3, b3):
 
 
 def test_minimal_coset_representatives(a2, b3):
-    assert a2.minimal_coset_representatives(range(a2.rank), "right") == frozenset({0})
-    assert a2.minimal_coset_representatives((), "right") == frozenset(a2.elements())
+    # a tuple of ids in increasing order
+    assert a2.minimal_coset_representatives(range(a2.rank), "right") == (0,)
+    assert a2.minimal_coset_representatives((), "right") == tuple(a2.elements())
     # representatives of W / W_{s} have no right descent s: e, t, st
     got = a2.minimal_coset_representatives({0}, "right")
-    assert got == frozenset({0, a2.digits_to_id("2"), a2.digits_to_id("12")})
+    assert got == (0, a2.digits_to_id("2"), a2.digits_to_id("12"))
     # the left-side mirror has no left descent s: e, t, ts
     got = a2.minimal_coset_representatives({0}, side="left")
-    assert got == frozenset({0, a2.digits_to_id("2"), a2.digits_to_id("21")})
+    assert got == (0, a2.digits_to_id("2"), a2.digits_to_id("21"))
     for k in range(b3.rank + 1):
         for gens in itertools.combinations(range(b3.rank), k):
             reps = b3.minimal_coset_representatives(gens, "right")

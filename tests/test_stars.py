@@ -1,5 +1,6 @@
 import functools
 import random
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,8 @@ from pcells.pcanonical import (PCanTable, identity_table,
                                structure_coefficients, validate_table)
 from pcells.stars import (
     _RELATIONS,
+    _neighbour_targets,
+    _star_targets,
     DihedralStrings,
     PBoundError,
     StringDecomposition,
@@ -459,8 +462,9 @@ def _tau_by_strings(system, orders=(3, 4), tilde=False):
     for x, i in class_of.items():
         classes[i].add(x)
     classes.sort(key=lambda c: (min(system.length[x] for x in c), min(c)))
-    return TauPartition(classes=tuple(frozenset(c) for c in classes),
-                        class_of={x: i for i, c in enumerate(classes) for x in c},
+    by_id = {x: i for i, c in enumerate(classes) for x in c}
+    return TauPartition(classes=tuple(tuple(sorted(c)) for c in classes),
+                        class_of=tuple(by_id[x] for x in system.elements()),
                         stabilized_at=iterations)
 
 
@@ -472,10 +476,12 @@ def test_tau_matches_string_oracle(label):
              (tau_tilde_partition(system), _tau_by_strings(system, tilde=True))]
     for part, want in parts:
         assert part == want
-        # class_of in id order, its keys the very objects the classes hold
-        assert list(part.class_of) == list(range(system.size))
-        keys = {x: x for x in part.class_of}
-        assert all(keys[x] is x for c in part.classes for x in c)
+        # each class an ascending tuple of ids, class_of a tuple by id
+        assert type(part.classes) is type(part.class_of) is tuple
+        assert len(part.class_of) == system.size
+        for i, c in enumerate(part.classes):
+            assert type(c) is tuple and list(c) == sorted(set(c))
+            assert all(part.class_of[x] == i for x in c)
 
 
 def _coset_min(system, x, r, t):
@@ -565,7 +571,10 @@ def test_strings_match_the_one_by_one_walk(label):
             want = list(_strings_one_by_one(system, r, t, m, minima))
             # the same strings in the same order
             pair = DihedralStrings(system, r, t)
-            assert [(s.coset_min, s.start, list(s.elements))
+            # the starting letter is the one of r, t in D_R(x_1)
+            assert [(s.coset_min,
+                     *(system.right_descents[s.elements[0]] & {r, t}),
+                     list(s.elements))
                     for s in pair.strings] == want
             # each element lies in one string, at its place in the walk:
             # one pass records every string through each element
@@ -603,23 +612,62 @@ def test_infinite_bond_order_is_rejected():
 
 def test_tau_reads_star_at_m3_and_neighbours_at_m4_and_tau_tilde_only_star(
         monkeypatch, b3):
-    # B3 has one m = 4 pair (1, 2) and one m = 3 pair (2, 3)
+    # B3 has one m = 4 pair (1, 2) and one m = 3 pair (2, 3).  tau reads
+    # each pair's maps as arrays over ids, and builds neither dict view
     want = tau_partition(b3), tau_tilde_partition(b3)
     reads = []
+    columns = DihedralStrings._columns
 
-    def recorded(view):
-        build = getattr(DihedralStrings, view).func
-        return property(lambda self: (reads.append((view, self.r, self.t)),
-                                      build(self))[1])
+    def recorded(self, targets):
+        reads.append((targets.__name__, self.r, self.t))
+        cols = columns(self, targets)
+        assert all(type(col) is array and col.typecode == "I"
+                   and len(col) == b3.size for col in cols)
+        return cols
+
+    def unread(self):
+        raise AssertionError("tau built a dict view of the strings")
 
     with monkeypatch.context() as patch:
+        patch.setattr(DihedralStrings, "_columns", recorded)
         for view in ("star", "neighbours"):
-            patch.setattr(DihedralStrings, view, recorded(view))
+            patch.setattr(DihedralStrings, view, property(unread))
         assert tau_partition(b3) == want[0]
-        assert sorted(reads) == [("neighbours", 0, 1), ("star", 1, 2)]
+        assert sorted(reads) == [("_neighbour_targets", 0, 1),
+                                 ("_star_targets", 1, 2)]
         reads.clear()
         assert tau_tilde_partition(b3) == want[1]
-        assert sorted(reads) == [("star", 0, 1), ("star", 1, 2)]
+        assert sorted(reads) == [("_star_targets", 0, 1),
+                                 ("_star_targets", 1, 2)]
+
+
+@pytest.mark.parametrize("label", TAU_GROUPS)
+def test_string_columns_read_like_the_views(label):
+    # each array is the dict view's map, the identity outside D_R(r, t)
+    system = _system(label)
+    for r in range(system.rank):
+        for t in range(r + 1, system.rank):
+            if system.coxeter_matrix[r][t] < 3:
+                continue
+            pair = DihedralStrings(system, r, t)
+            star, = pair._columns(_star_targets)
+            before, after = pair._columns(_neighbour_targets)
+            assert list(star) == [pair.star.get(x, x)
+                                  for x in system.elements()]
+            assert list(zip(before, after)) == [
+                pair.neighbours.get(x, (x, x)) for x in system.elements()]
+
+
+@pytest.mark.parametrize("orders", [(6,), (5,), (2,), (3, 6), (), [3], 3,
+                                    (3.0,), (True,), "34", None],
+                         ids=["6", "5", "2", "3-6", "empty", "list", "int",
+                              "float", "bool", "str", "none"])
+def test_tau_rejects_orders_other_than_3_and_4(g2, b3, orders):
+    # (6,) on G2 read the m = 6 neighbours as if tau were defined there,
+    # (5,) returned the descent-set partition, and 3 raised a TypeError
+    for system in (g2, b3):
+        with pytest.raises(ValueError, match="non-empty tuple of 3s and 4s"):
+            tau_partition(system, orders=orders)
 
 
 def test_d6_tau_and_tau_tilde_agree_at_scale():
@@ -649,7 +697,7 @@ def test_strings_and_tau_partitions_are_immutable_tuples(a2):
     assert string == tuple(string) and tau[2] == tau.stabilized_at
     assert repr(string) == (
         f"StringDecomposition(r={string.r!r}, t={string.t!r}, m={string.m!r}, "
-        f"coset_min={string.coset_min!r}, start={string.start!r}, "
+        f"coset_min={string.coset_min!r}, "
         f"elements={string.elements!r})")
     assert repr(tau) == (
         f"TauPartition(classes={tau.classes!r}, class_of={tau.class_of!r}, "
