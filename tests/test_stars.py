@@ -13,6 +13,7 @@ from pcells.pcanonical import (PCanTable, identity_table,
                                structure_coefficients, validate_table)
 from pcells.stars import (
     _RELATIONS,
+    _fixpoint,
     _neighbour_targets,
     _star_targets,
     DihedralStrings,
@@ -668,6 +669,19 @@ def test_tau_rejects_orders_other_than_3_and_4(g2, b3, orders):
     for system in (g2, b3):
         with pytest.raises(ValueError, match="non-empty tuple of 3s and 4s"):
             tau_partition(system, orders=orders)
+
+
+def test_neighbour_classes_are_keyed_as_a_multiset():
+    # elements 0-3 each have a descent set of their own, so classes 0-3,
+    # and 4, 5, 6 share one; their neighbours' classes are {0, 3}, {1, 2}
+    # and {3, 0}: one sum, but only 4 and 6 have the same multiset
+    system = SimpleNamespace(
+        right_descents=[frozenset({k}) for k in range(4)] + [frozenset()] * 3,
+        elements=lambda: range(7))
+    before = array("I", [0, 1, 2, 3, 0, 1, 3])
+    after = array("I", [0, 1, 2, 3, 3, 2, 0])
+    assert _fixpoint(system, [], [(before, after)]) == (
+        [0, 1, 2, 3, 4, 5, 4], 2)
 
 
 def test_d6_tau_and_tau_tilde_agree_at_scale():
