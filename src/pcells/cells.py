@@ -33,11 +33,12 @@ each partition once; partitions of parabolic subgroups are computed inside.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .coxeter import CoxeterSystem
 from .hecke import KLTable, _acc, compute_kl_table
-from .laurent import GAUSS, ONE, V, LaurentPoly
+from .laurent import GAUSS, V, LaurentPoly
 from .pcanonical import (PCanTable, identity_table, require_same_group,
                          restrict_to_parabolic, structure_coefficients)
 from .report import Report
@@ -112,7 +113,8 @@ def transitive_reduction(children: Sequence[Iterable[int]],
 
 class CellPartition:
     """A partition of the group into cells plus the condensation of the
-    preorder.  Cells are ordered by (minimum element length, minimum id);
+    preorder.  Cells are ordered by minimum id, which is the order of
+    (minimum element length, minimum id): ids are in length order.
     downsets give full reachability, hasse_edges the reduced diagram."""
 
     def __init__(self, side: str, prime: int,
@@ -232,9 +234,7 @@ def _partition_from_graph(system: CoxeterSystem,
                           succ: Mapping[int, Iterable[int]], side: str,
                           prime: int) -> CellPartition:
     comps = strongly_connected_components(list(system.elements()), succ)
-    cells = tuple(sorted(
-        (frozenset(c) for c in comps),
-        key=lambda c: (min(system.length[w] for w in c), min(c))))
+    cells = tuple(sorted((frozenset(c) for c in comps), key=min))
     cell_of = {w: i for i, c in enumerate(cells) for w in c}
     children: list[set[int]] = [set() for _ in cells]
     reach: list[frozenset[int]] = [frozenset()] * len(cells)
@@ -283,9 +283,8 @@ def two_sided_cells(system: CoxeterSystem, left: CellPartition,
 def left_cells_from_right(table: PCanTable, right: CellPartition
                           ) -> CellPartition:
     """The left cells of an inverse-symmetric table, read off its right
-    cells: the inverse image of each right cell, re-sorted by (minimum
-    length, minimum id), with cell_of, Hasse edges and downsets carried
-    along.
+    cells: the inverse image of each right cell, re-sorted by minimum id,
+    with cell_of, Hasse edges and downsets carried along.
 
     When m(y, x) = m(y^-1, x^-1) for all y, x, the anti-involution iota
     sends B_x to B_{x^-1} and B_y C_s to C_s B_{y^-1}, so y -> x is a right
@@ -308,8 +307,7 @@ def left_cells_from_right(table: PCanTable, right: CellPartition
                     f"{digits(x)}) = {m} but m({digits(inv[y])}, "
                     f"{digits(inv[x])}) = {partner}")
     images = [frozenset(map(inv.__getitem__, c)) for c in right.cells]
-    order = sorted(range(len(images)), key=lambda i: (
-        min(system.length[w] for w in images[i]), min(images[i])))
+    order = sorted(range(len(images)), key=lambda i: min(images[i]))
     new = {i: k for k, i in enumerate(order)}
     cells = tuple(images[i] for i in order)
     return CellPartition(
@@ -592,8 +590,9 @@ def verify_wgraph_relations(graph: ColouredWGraph, system: CoxeterSystem
 
     def braid_word(x: int, first: int, second: int, m: int
                    ) -> dict[int, LaurentPoly]:
-        vec = {x: ONE}
-        for k in range(m):
+        # the first operator sends x to its column
+        vec = dict(shifted[first][x])
+        for k in range(1, m):
             vec = apply(shifted[(first, second)[k % 2]], vec)
         return vec
 
@@ -638,7 +637,8 @@ def check_parabolic_compatibility(table: PCanTable, w_right: CellPartition,
     for every pair of W_I cells.  A cell that some phi_x splits already
     fails the statement, so only the pairs of cells that every phi_x maps
     are compared.  The cost is O(|W^I| (|W_I| + cells^2)), not
-    |W^I| |W_I|^2 triples.  The count is one check per coset
+    |W^I| |W_I|^2 triples, and the products x y are read off the columns
+    (CoxeterSystem.products).  The count is one check per coset
     representative and W_I cell, plus one per pair of cells compared.
     """
     sys_ = table.system
@@ -647,9 +647,11 @@ def check_parabolic_compatibility(table: PCanTable, w_right: CellPartition,
                               compute_kl_table(emb.sub), "right")
     bad: list[str] = []
     maps = []
-    for x in sys_.minimal_coset_representatives(gens, "right"):
-        phi, split = _cell_map(sub_right, w_right, {
-            z: sys_.mult(x, y) for z, y in enumerate(emb.to_parent)})
+    reps = sys_.minimal_coset_representatives(gens, "right")
+    # row k holds x y for x = reps[k] and y over the subgroup's ids
+    rows = zip(*sys_.products(reps, emb.to_parent).values())
+    for x, row in zip(reps, rows):
+        phi, split = _cell_map(sub_right, w_right, dict(enumerate(row)))
         bad += [f"x={sys_.id_to_digits(x) or 'e'}: {v}" for v in split]
         maps.append(phi)
     cells = sorted(set.intersection(*map(set, maps)))
@@ -695,8 +697,8 @@ def propagate_nondecomposition(table: PCanTable, kl_right: CellPartition,
 
     induced: list[frozenset[int]] = []
     for c in sub_kl_cells.cells:
-        cx = frozenset(system.mult(emb.to_parent[y], x)
-                       for y in c for x in x_reps)
+        cx = frozenset(chain.from_iterable(system.products(
+            [emb.to_parent[y] for y in c], x_reps).values()))
         induced.append(cx)
         touched = {kl_right.cell_of[w] for w in cx}
         union = frozenset().union(*(kl_right.cells[i] for i in touched))

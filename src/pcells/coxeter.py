@@ -414,6 +414,29 @@ class CoxeterSystem:
             w = cols[s][w]
         return w
 
+    def products(self, firsts: Sequence[int], seconds: Sequence[int]
+                 ) -> dict[int, list[int]]:
+        """a b for every a in firsts and b in seconds, as {b: [a b for a in
+        firsts]} in the order of seconds.
+
+        seconds starts with the identity and holds b s, s = last[b], before
+        each other b.  Ids of non-decreasing length closed under that step
+        do: a standard parabolic subgroup W_I in any such order (last[b] is
+        in D_R(b), inside I), or the minimal representatives of W_I \\ W by
+        increasing id (left descents only shrink along the right weak
+        order).  Then a b = (a b s) s, so each list is one map over an
+        earlier list through right_by_gen[s], and no word is walked.
+        KeyError if seconds breaks the order."""
+        cols, last = self.right_by_gen, self.last
+        out: dict[int, list[int]] = {}
+        for b in seconds:
+            if b:
+                col = cols[last[b]]
+                out[b] = list(map(col.__getitem__, out[col[b]]))
+            else:
+                out[b] = list(firsts)
+        return out
+
     def longest_element(self) -> int:
         return max(self.elements(), key=lambda w: self.length[w])
 

@@ -323,8 +323,11 @@ def verify_parabolic_factorization(table: PCanTable, kl: KLTable,
                for y in sub_elements for z in sub_elements}
     bad: list[str] = []
     checked = 0
-    for x in sys_.minimal_coset_representatives(gens, "right"):
-        prods = {y: sys_.mult(x, y) for y in sub_elements}
+    reps = sys_.minimal_coset_representatives(gens, "right")
+    # row k holds x y for x = reps[k] and y over sub_elements
+    rows = zip(*sys_.products(reps, sub_elements).values())
+    for x, row in zip(reps, rows):
+        prods = dict(zip(sub_elements, row))
         for y in sub_elements:
             for z in sub_elements:
                 checked += 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -152,11 +153,24 @@ def knuth_moves(perm: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
 # ---------------------------------------------------------------------------
 # shapes and hooks
 
-def hook_length_count(shape: Sequence[int]) -> int:
-    """Number of standard tableaux of the shape, by the hook length formula."""
+def _check_shape(shape: Sequence[int]) -> Shape:
+    """The shape as a tuple; ValueError naming a part that is not an int
+    of at least 1 (a bool included), or a shape not weakly decreasing."""
     shape = tuple(shape)
+    for part in shape:
+        if isinstance(part, bool) or not isinstance(part, int) or part < 1:
+            raise ValueError(f"shape {shape} has part {part!r}: parts must "
+                             "be ints of at least 1")
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
         raise ValueError("shape must be weakly decreasing")
+    return shape
+
+
+def hook_length_count(shape: Sequence[int]) -> int:
+    """Number of standard tableaux of the shape, by the hook length formula.
+    ValueError for a part that is not an int of at least 1, or a shape that
+    is not weakly decreasing."""
+    shape = _check_shape(shape)
     n = sum(shape)
     cols = [sum(1 for r in shape if r > c) for c in range(shape[0])] if shape else []
     prod = 1
@@ -166,30 +180,33 @@ def hook_length_count(shape: Sequence[int]) -> int:
     return factorial(n) // prod
 
 
-def enumerate_standard_tableaux(shape: Sequence[int]) -> list[Tableau]:
-    """All standard tableaux of a shape, by backtracking (count oracle for
-    the hook length formula)."""
-    shape = tuple(shape)
-    n = sum(shape)
-    rows: list[list[int]] = [[] for _ in shape]
-    out: list[Tableau] = []
+def standard_tableaux_count(shape: Sequence[int], memo: dict[Shape, int]
+                            ) -> int:
+    """Number of standard tableaux of the shape, by its corners.
 
-    def place(step: int) -> None:
-        if step > n:
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        for r, row in enumerate(rows):
-            c = len(row)
-            if c >= shape[r]:
-                continue
-            if r > 0 and len(rows[r - 1]) <= c:
-                continue
-            row.append(step)
-            place(step + 1)
-            row.pop()
+    The largest entry of a standard tableau sits in a corner c (the last
+    box of a row longer than the row below it), and removing it leaves a
+    standard tableau of the shape without c; so the count of a nonempty
+    shape is the sum of the counts of the shapes without one corner each.
+    This uses no hook length, so it checks hook_length_count.  memo maps
+    shapes already counted to their counts, and gains every shape this call
+    counts.  ValueError as in hook_length_count."""
 
-    place(1)
-    return out
+    def count(shape: Shape) -> int:
+        got = memo.get(shape)
+        if got is None:
+            if not shape:
+                return 1
+            got = 0
+            for r, part in enumerate(shape):
+                if r + 1 == len(shape) or shape[r + 1] < part:
+                    # a part of 1 at a corner is the last row
+                    rest = (part - 1,) if part > 1 else ()
+                    got += count(shape[:r] + rest + shape[r + 1:])
+            memo[shape] = got
+        return got
+
+    return count(_check_shape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +230,46 @@ def _perms_of_elements(system: CoxeterSystem) -> list[tuple[int, ...]]:
     return perms
 
 
+def _intersection_failures(system: CoxeterSystem, left: CellPartition,
+                           right: CellPartition, two: CellPartition) -> int:
+    """The number of pairs (left cell, right cell) that break the rule: a
+    left and a right cell meet in exactly one element if they lie in one
+    two-sided cell, and in none otherwise.  Each cell's two-sided cell is
+    read at one of its elements.
+
+    One pass over W counts the elements of each pair that meets, so no pair
+    of cells is intersected.  Start from the pairs inside one two-sided
+    cell T, |L(T)| |R(T)| for L(T) and R(T) the left and right cells read
+    in T, as if none of them met.  A pair of T that meets once passes, and
+    comes off that count; one that meets more often fails, and stays on it.
+    A pair that meets across two two-sided cells fails."""
+    two_of = two.cell_of
+    left_two = [two_of[next(iter(c))] for c in left.cells]
+    right_two = [two_of[next(iter(c))] for c in right.cells]
+    ids = system.elements()
+    met = Counter(zip(map(left.cell_of.__getitem__, ids),
+                      map(right.cell_of.__getitem__, ids)))
+    lefts_in, rights_in = Counter(left_two), Counter(right_two)
+    failures = sum(lefts_in[t] * rights_in[t] for t in lefts_in)
+    for (i, j), k in met.items():
+        if left_two[i] != right_two[j]:
+            failures += 1
+        elif k == 1:
+            failures -= 1
+    return failures
+
+
 def verify_typea_cell_theorem(system: CoxeterSystem,
                               partitions: dict[str, CellPartition]) -> Report:
     """Cells of S_n, given as the "left", "right" and "two-sided"
     partitions, against Robinson-Schensted fibers and the counting
     corollaries."""
     n = system.rank + 1
+    left, right, two = (partitions[side]
+                        for side in ("left", "right", "two-sided"))
+    # counted before the RS symbols are built, so that the pair counter and
+    # the tableaux are not held at once
+    failures = _intersection_failures(system, left, right, two)
     perms = _perms_of_elements(system)
     rs = {w: rs_correspondence(p) for w, p in enumerate(perms)}
 
@@ -241,32 +292,28 @@ def verify_typea_cell_theorem(system: CoxeterSystem,
         if part.as_sets() != expected[side]:
             bad.append(f"{side} cells do not match the RS fibers")
 
-    invs = {w for w, p in enumerate(perms) if p == perm_inverse(p)}
+    inverse = system.inverse
+    invs = {w for w in system.elements() if w == inverse[w]}
     checked += 1
-    if len(partitions["left"].cells) != len(invs):
+    if len(left.cells) != len(invs):
         bad.append("left cell count differs from the involution count")
-    for i, cell in enumerate(partitions["left"].cells):
+    for i, cell in enumerate(left.cells):
         checked += 1
         if len(cell & invs) != 1:
             bad.append(f"left cell {i} contains {len(cell & invs)} involutions")
 
-    two_of = partitions["two-sided"].cell_of
-    for cl in partitions["left"].cells:
-        for cr in partitions["right"].cells:
-            same_two = two_of[next(iter(cl))] == two_of[next(iter(cr))]
-            checked += 1
-            if len(cl & cr) != (1 if same_two else 0):
-                bad.append("left/right intersection rule fails")
+    checked += len(left.cells) * len(right.cells)
+    bad += ["left/right intersection rule fails"] * failures
 
-    for i, two_cell in enumerate(partitions["two-sided"].cells):
+    for i, two_cell in enumerate(two.cells):
         shape = shape_of(rs[next(iter(two_cell))][0])
         f_pi = hook_length_count(shape)
-        lefts = {partitions["left"].cell_of[w] for w in two_cell}
+        lefts = {left.cell_of[w] for w in two_cell}
         checked += 2
         if len(lefts) != f_pi:
             bad.append(f"two-sided cell {i} has {len(lefts)} left cells, "
                        f"hook count {f_pi}")
-        if any(len(partitions["left"].cells[j]) != f_pi for j in lefts):
+        if any(len(left.cells[j]) != f_pi for j in lefts):
             bad.append(f"left cell size in two-sided cell {i} differs from "
                        f"hook count {f_pi}")
     return Report(f"type-A cell theorem n={n}", bad, checked)

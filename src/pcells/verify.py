@@ -51,8 +51,8 @@ from .stars import (
     tau_partition,
     tau_tilde_partition,
 )
-from .typea import (enumerate_standard_tableaux, hook_length_count,
-                    involutions, verify_typea_cell_theorem)
+from .typea import (hook_length_count, involutions, standard_tableaux_count,
+                    verify_typea_cell_theorem)
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -259,10 +259,12 @@ def verify_hooks(max_n: int) -> list[Report]:
 
     bad = []
     checked = 0
+    counted: dict[tuple[int, ...], int] = {}
     for n in range(1, max_n + 1):
         for shape in partitions(n, n):
             checked += 1
-            if hook_length_count(shape) != len(enumerate_standard_tableaux(shape)):
+            if hook_length_count(shape) != standard_tableaux_count(shape,
+                                                                   counted):
                 bad.append(f"hook count mismatch at shape {shape}")
     return [Report(f"hook lengths vs enumeration (n <= {max_n})", bad, checked)]
 

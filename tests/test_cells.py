@@ -34,6 +34,7 @@ from pcells.pcanonical import (PCanTable, identity_table,
 from pcells.report import Report
 from pcells import cells as cells_module
 from pcells import verify
+from test_coxeter import REDUCIBLE
 
 
 def test_scc_utility():
@@ -264,12 +265,14 @@ F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 D5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
       [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]]
-CARTAN = {"F4": F4, "D4": D4, "D5": D5}
+# the reducible group has its generators shuffled, so the oracles'
+# (minimum length, minimum id) order of cells checks the order by minimum id
+CARTAN = {"F4": F4, "D4": D4, "D5": D5, "reducible": REDUCIBLE}
 
 
 _ORACLE_CASES = [
     ("A2", 0), ("A3", 0), ("A4", 0), ("A5", 0), ("B2", 0), ("B3", 0),
-    ("C3", 0), ("G2", 0), ("B2", 2), ("C3", 2), ("F4", 0)]
+    ("C3", 0), ("G2", 0), ("B2", 2), ("C3", 2), ("F4", 0), ("reducible", 0)]
 
 
 @functools.cache

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from array import array
 
@@ -382,6 +383,65 @@ def test_parabolic_embedding_matches_the_translated_words(label, gens):
     assert emb.to_parent == [
         system.word_to_id(tuple(gens[s] for s in word))
         for word in emb.sub.words]
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "F4"])
+def test_coset_products_match_mult(label):
+    # x y for x in W^I and y in W_I, with y by increasing id and in the
+    # subgroup's id order, and y x for x a minimal representative of
+    # W_I \ W, against one word walk each, for every subset I
+    system = _system(label)
+    for k in range(system.rank + 1):
+        for gens in itertools.combinations(range(system.rank), k):
+            reps = system.minimal_coset_representatives(gens, "right")
+            sub = sorted(system.parabolic_elements(gens))
+            for ys in (sub, system.parabolic_subsystem(gens).to_parent):
+                prods = system.products(reps, ys)
+                assert list(prods) == list(ys)
+                assert prods == {y: [system.mult(x, y) for x in reps]
+                                 for y in ys}
+            lefts = system.minimal_coset_representatives(gens, "left")
+            prods = system.products(sub, lefts)
+            assert list(prods) == list(lefts)
+            assert prods == {x: [system.mult(y, x) for y in sub]
+                             for x in lefts}
+    # 12 before its prefix 1
+    with pytest.raises(KeyError):
+        system.products([0], [0, system.digits_to_id("12")])
+
+
+def block_sum(*blocks):
+    """The Cartan matrix of a product of groups, one block per factor."""
+    n = sum(map(len, blocks))
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            out[at + i][at:at + len(block)] = row
+        at += len(block)
+    return out
+
+
+def shuffled(cartan, seed):
+    """The Cartan matrix with its generators renumbered at random."""
+    order = random.Random(seed).sample(range(len(cartan)), len(cartan))
+    return [[cartan[i][j] for j in order] for i in order]
+
+
+# A2 x B2 x A1 x G2 with its generators in the order 3 2 4 1 5 7 6
+REDUCIBLE = shuffled(block_sum(cartan_matrix_of_type("A2"),
+                               cartan_matrix_of_type("B2"), [[2]],
+                               cartan_matrix_of_type("G2")), seed=7)
+
+
+@pytest.mark.parametrize("label", ORACLE_GROUPS + ["reducible"])
+def test_ids_are_in_length_order(label):
+    # cells are numbered by minimum id, and coset products walk ids upward,
+    # both because the length never drops as the id grows
+    system = (CoxeterSystem.from_cartan(REDUCIBLE) if label == "reducible"
+              else _system(label))
+    length = system.length
+    assert all(a <= b for a, b in zip(length, length[1:]))
 
 
 def test_ids_outside_the_group_are_rejected(a2):

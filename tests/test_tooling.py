@@ -16,6 +16,9 @@ builds no string neighbours.  The enumerated B5 keeps under
 100 bytes per element, as tracemalloc counts them: no word tuples and no
 row list per element.  F4's KL table keeps under 7 bytes per entry: no
 slot for the bottom of a built column.
+The parabolic suite reads its coset products off the columns and walks
+no word through CoxeterSystem.mult, and verify all reports, name by name,
+the check counts and verdicts pinned in tests/verify_all_reports.json.
 Every function and class that pcells exports is reached from the CLI,
 verify or a demo, or is listed with the reason it stays; likewise every
 parameter with a default in src/pcells is listed with the reason for its
@@ -49,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pcells"
 TRACING = ROOT / "perfbench" / "tracing.py"
 EXPECTED = ROOT / "perfbench" / "expected.json"
+REPORTS = ROOT / "tests" / "verify_all_reports.json"
 
 
 def _tracing_targets(name: str) -> list[tuple[str, str]]:
@@ -223,6 +227,15 @@ def test_verify_all_matches_the_benchmark_report_count():
     assert [r.name for r in reports if not r.ok] == []
 
 
+def test_verify_all_matches_the_pinned_report_list():
+    # (name, checked, ok) of every report of verify all --n 6, as written
+    # by the suites before their pairwise checkers became counts
+    want = json.loads(REPORTS.read_text())
+    got = [[r.name, r.checked, r.ok] for r in verify.run_suite("all", 6)]
+    assert len(want) == 130
+    assert got == want
+
+
 def test_a6_tau_matches_the_benchmark_class_counts():
     want = json.loads(EXPECTED.read_text())["tau-rs"]["A6"]
     a6 = CoxeterSystem.from_type("A6")
@@ -320,6 +333,21 @@ def test_cell_level_checks_compare_no_element_pairs(monkeypatch):
         assert star_closure_check(left, right, f4, r, t, 0).ok
     assert calls == []
     assert left.leq(0, 0) and calls == [(0, 0)]  # the counter is live
+
+
+def test_parabolic_suite_walks_no_words(monkeypatch):
+    # the coset products x y and y x of the parabolic checks walked a word
+    # through CoxeterSystem.mult each, 1 776 of them; they come from the
+    # columns (CoxeterSystem.products)
+    calls = []
+    mult = CoxeterSystem.mult
+    monkeypatch.setattr(CoxeterSystem, "mult", lambda self, a, b: (
+        calls.append((a, b)), mult(self, a, b))[1])
+    assert all(rep.ok for rep in verify.verify_parabolic())
+    assert calls == []
+    c3 = verify.get_system("C3")
+    assert c3.mult(1, 2) == c3.right_by_gen[1][1]  # the counter is live
+    assert calls == [(1, 2)]
 
 
 def test_relation_checkers_evaluate_no_pairs_of_strings(monkeypatch):

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from pcells.stars import DihedralStrings
 from pcells.typea import (
+    _intersection_failures,
     _perms_of_elements,
     all_permutations,
-    enumerate_standard_tableaux,
     hook_length_count,
     inverse_rs,
     involutions,
@@ -16,6 +16,8 @@ from pcells.typea import (
     perm_of_element,
     rs_correspondence,
     shape_of,
+    standard_tableaux_count,
+    verify_typea_cell_theorem,
 )
 from pcells import verify
 
@@ -232,13 +234,66 @@ def test_knuth_moves_are_star_operations():
                     assert element_of_perm(system, moved) == star_of[i][w]
 
 
+def _enumerate_standard_tableaux(shape):
+    """All standard tableaux of a shape, by backtracking: the oracle of the
+    corner count and of the hook length formula."""
+    shape = tuple(shape)
+    n = sum(shape)
+    rows = [[] for _ in shape]
+    out = []
+
+    def place(step):
+        if step > n:
+            out.append(tuple(tuple(r) for r in rows))
+            return
+        for r, row in enumerate(rows):
+            c = len(row)
+            if c >= shape[r]:
+                continue
+            if r > 0 and len(rows[r - 1]) <= c:
+                continue
+            row.append(step)
+            place(step + 1)
+            row.pop()
+
+    place(1)
+    return out
+
+
 def test_hook_lengths():
     assert hook_length_count((5,)) == 1
     assert hook_length_count((1, 1, 1)) == 1
     assert hook_length_count((2, 1)) == 2
-    for n in range(1, 9):
+    assert hook_length_count(()) == standard_tableaux_count((), {}) == 1
+    counted = {}
+    for n in range(1, 10):
         for shape in _partitions(n):
-            assert hook_length_count(shape) == len(enumerate_standard_tableaux(shape))
+            tableaux = _enumerate_standard_tableaux(shape)
+            assert all(map(is_standard, tableaux))
+            assert hook_length_count(shape) == len(tableaux), shape
+            assert standard_tableaux_count(shape, counted) == len(tableaux)
+            # a fresh memo gives the same count
+            assert standard_tableaux_count(shape, {}) == len(tableaux)
+    # the memo holds every shape counted
+    assert len(counted) == sum(1 for n in range(1, 10) for _ in _partitions(n))
+
+
+def test_shapes_with_bad_parts_are_rejected():
+    # each part must be an int of at least 1: (2, -1) and (3, -2) counted
+    # 0 tableaux, (True,) read as (1,), and (1, 0, 0) as (1,)
+    for shape in ((2, -1), (3, -2), (True,), (2, False), (1, 0, 0), (0,),
+                  (2.0, 1), ("2",), (2, None)):
+        for count in (hook_length_count,
+                      lambda shape: standard_tableaux_count(shape, {})):
+            with pytest.raises(ValueError, match="has part") as err:
+                count(shape)
+            bad = next(p for p in shape if isinstance(p, bool)
+                       or not isinstance(p, int) or p < 1)
+            assert repr(bad) in str(err.value)
+    for count in (hook_length_count,
+                  lambda shape: standard_tableaux_count(shape, {})):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            count((1, 2))
 
 
 def _partitions(n, cap=None):
@@ -288,3 +343,63 @@ def test_cell_theorem_small():
         label = f"A{n - 1}"
         rep = verify.verify_typea(n)[0]
         assert rep.ok, rep
+
+
+RULE = "left/right intersection rule fails"
+
+
+def _intersection_rule_by_pairs(partitions):
+    """The intersection rule over every (left cell, right cell) pair: they
+    meet once if one element of each lies in one two-sided cell, and not at
+    all otherwise.  The oracle of the one-pass count; returns the violations
+    and the number of pairs."""
+    two_of = partitions["two-sided"].cell_of
+    bad = []
+    checked = 0
+    for cl in partitions["left"].cells:
+        for cr in partitions["right"].cells:
+            same_two = two_of[next(iter(cl))] == two_of[next(iter(cr))]
+            checked += 1
+            if len(cl & cr) != (1 if same_two else 0):
+                bad.append(RULE)
+    return bad, checked
+
+
+def _theorem_against_pairs(label, partitions):
+    """The cell theorem's report on the partitions, with its intersection
+    lines and check count compared against the pairwise oracle; returns
+    the oracle's lines."""
+    system = verify.get_system(label)
+    rep = verify_typea_cell_theorem(system, partitions)
+    lines, pairs = _intersection_rule_by_pairs(partitions)
+    assert [v for v in rep.violations if v == RULE] == lines
+    # one check per side, the involution count, one per left cell and two
+    # per two-sided cell, besides the pairs
+    left, two = partitions["left"], partitions["two-sided"]
+    assert rep.checked == (len(partitions) + 1 + len(left.cells) + pairs
+                           + 2 * len(two.cells))
+    assert _intersection_failures(system, left, partitions["right"],
+                                  two) == len(lines)
+    return lines
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5"])
+def test_intersection_count_matches_the_pairwise_loop(label):
+    parts = {side: verify.get_cells(label, 0, side)
+             for side in ("left", "right", "two-sided")}
+    assert _theorem_against_pairs(label, parts) == []
+
+
+def test_intersection_count_matches_the_pairwise_loop_on_mutants(
+        left_mutants, right_mutants):
+    found = 0
+    for label in ("A3", "A4"):
+        parts = {side: verify.get_cells(label, 0, side)
+                 for side in ("left", "right", "two-sided")}
+        for side, mutants in (("left", left_mutants(label)),
+                              ("right", right_mutants(label))):
+            for name, mutant in mutants.items():
+                lines = _theorem_against_pairs(label,
+                                               {**parts, side: mutant})
+                found += bool(lines)
+    assert found
