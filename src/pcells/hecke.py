@@ -48,7 +48,6 @@ change_basis performs the exact unitriangular conversions.
 from __future__ import annotations
 
 from array import array
-from collections.abc import ItemsView, Mapping, ValuesView
 from itertools import chain, compress, count, repeat
 from operator import is_
 from types import MappingProxyType
@@ -87,7 +86,7 @@ class HeckeElt:
     """
 
     def __init__(self, system: CoxeterSystem, basis: str,
-                 coeffs: Mapping[int, LaurentPoly]):
+                 coeffs: dict[int, LaurentPoly]):
         self.system = system
         self.basis = basis
         self.coeffs = {w: c for w, c in coeffs.items() if c}
@@ -145,7 +144,7 @@ def _acc(acc: dict[int, LaurentPoly], w: int, c: LaurentPoly) -> None:
         del acc[w]
 
 
-def _add_dicts(a: Mapping[int, LaurentPoly], b: Mapping[int, LaurentPoly]
+def _add_dicts(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly]
                ) -> dict[int, LaurentPoly]:
     out = dict(a)
     for w, c in b.items():
@@ -160,7 +159,7 @@ def std_basis_element(system: CoxeterSystem, w: int) -> HeckeElt:
 # ---------------------------------------------------------------------------
 # standard-basis multiplication
 
-def _std_mult_gen_right(system: CoxeterSystem, coeffs: Mapping[int, LaurentPoly],
+def _std_mult_gen_right(system: CoxeterSystem, coeffs: dict[int, LaurentPoly],
                         s: int) -> dict[int, LaurentPoly]:
     out: dict[int, LaurentPoly] = {}
     col, length = system.right_by_gen[s], system.length
@@ -223,39 +222,46 @@ class KLTable:
     and h(y,x) in v Z[v] for y < x).  mu[x] maps y -> mu(y, x), the
     coefficient of v in h(y, x), storing nonzero values only.  Both are
     built by compute_kl_table; equal polynomials in h are one shared
-    immutable LaurentPoly.  Every column and every mu row is a read-only
-    Mapping.  Of each orbit of inversion and the Coxeter-graph
-    automorphisms one column is built, along a right descent s of its x:
-    it stores only its tops t (ts < t), as a tuple, and the index of each
-    top's value in the table's list of distinct values, as an array of
-    2-byte items (4-byte ones if an index outgrows 2 bytes), and yields
-    each bottom ts with v h(t, x) after them; a dict index of its entries
-    is built on its first point lookup (get, in, []) and kept.  The
-    identity's column is a read-only dict.  Every other column of the
-    orbit is a view over the built one, relabelled through the id
-    permutation that carries the built column to it: system.inverse
-    (h(y, x) = h(y^-1, x^-1)), a graph automorphism sigma (h(sigma y,
-    sigma x) = h(y, x)), or their product (see compute_kl_table); its mu
-    row is a view of the built one through the same permutation.  The
-    mu rows of the built columns and of the identity are dicts.  The
-    constructor takes any Mapping per column and per row.
+    immutable LaurentPoly.  Every column and every mu row is read-only
+    and offers the reads its callers make: iteration over its ys,
+    items(), len() and get(y, default), which builds nothing.  Dicts
+    offer them too, so the constructor takes dicts.  Of each orbit of
+    inversion and the Coxeter-graph automorphisms one column is built,
+    along a right descent s of its x: it stores only its tops t (ts < t),
+    as a tuple, and the index of each top's value in the table's list of
+    distinct values, as an array of 2-byte items (4-byte ones if an index
+    outgrows 2 bytes), and yields each bottom ts with v h(t, x) after
+    them; get scans its tops.  The identity's column is a read-only dict.
+    Every other column of the orbit is a view over the built one,
+    relabelled through the id permutation g that carries the built column
+    to it: system.inverse (h(y, x) = h(y^-1, x^-1)), a graph automorphism
+    sigma (h(sigma y, sigma x) = h(y, x)), or their product (see
+    compute_kl_table); get reads the built column through g^-1.  Its mu
+    row is a view of the built one through the same g.  The mu rows of
+    the built columns and of the identity are dicts.  h_poly, mu_coeff
+    and kl_element raise IndexError for an id outside 0 .. |W| - 1.
     """
 
-    def __init__(self, system: CoxeterSystem,
-                 h: list[Mapping[int, LaurentPoly]],
-                 mu: list[Mapping[int, int]]):
+    def __init__(self, system: CoxeterSystem, h: list, mu: list):
         self.system = system
         self.h = h
         self.mu = mu
 
     def h_poly(self, y: int, x: int) -> LaurentPoly:
+        # p_h reads h in bulk through here, so the ids are checked inline
+        # and _require_ids runs only to raise
+        n = self.system.size
+        if not (0 <= y < n and 0 <= x < n):
+            _require_ids(self.system, y, x)
         return self.h[x].get(y, ZERO)
 
     def mu_coeff(self, y: int, x: int) -> int:
+        _require_ids(self.system, y, x)
         return self.mu[x].get(y, 0)
 
     def kl_element(self, x: int) -> HeckeElt:
         """C_x expanded in the standard basis."""
+        _require_ids(self.system, x)
         return HeckeElt(self.system, STD, dict(self.h[x].items()))
 
     def export_json(self) -> list[dict]:
@@ -271,43 +277,44 @@ class KLTable:
         return rows
 
 
-class _BuiltColumn(Mapping):
+def _require_ids(system: CoxeterSystem, *ids: int) -> None:
+    """Raise IndexError unless every one of ids is an element id: a
+    negative one would index the table's lists from their end."""
+    for w in ids:
+        if not 0 <= w < system.size:
+            raise IndexError(f"{w} is not an element id of a group of "
+                             f"order {system.size}")
+
+
+class _BuiltColumn:
     """A built column h at w, built along the right descent s of w: its
     tops t (ts < t) in the order the kernel wrote them, an array of
     indexes of their values into the table's list vals of distinct top
     values, the parallel list shifted of the values v times them, and the
     kernel's row rs of u -> us.  The bottom ts of a top holds h(ts, w) =
     v h(t, w), the entry of shifted at its top's index, and is not
-    stored.  Iterating
-    yields the tops, then the bottoms, at C speed, and values() and
-    items() follow that order; a point lookup (get, in, []) goes through
-    dict(self.items()), built on the first lookup and kept, so every key
-    gets the answer that dict gives.  The index takes no lock: threads
-    that build it at once build equal dicts."""
+    stored.  Iterating yields the tops, then the bottoms, at C speed, and
+    items() pairs them with their values in that order.  get(y, default)
+    builds nothing: ids are in length order, so y is a top iff ys < y,
+    and it reads y, or else the top ys whose bottom y is, off the tops by
+    a scan at C speed."""
 
-    __slots__ = ("_tops", "_idx", "_vals", "_shifted", "_rs", "_index")
+    __slots__ = ("_tops", "_idx", "_vals", "_shifted", "_rs")
 
     def __init__(self, tops: Sequence[int], idx: array,
                  vals: list[LaurentPoly], shifted: list[LaurentPoly],
                  rs: list[int]):
         self._tops, self._idx, self._rs = tops, idx, rs
         self._vals, self._shifted = vals, shifted
-        self._index = None
 
-    def _lookup(self) -> dict[int, LaurentPoly]:
-        index = self._index
-        if index is None:
-            index = self._index = dict(self.items())
-        return index
-
-    def __getitem__(self, y):
-        return self._lookup()[y]
-
-    def get(self, y, default=None):
-        return self._lookup().get(y, default)
-
-    def __contains__(self, y) -> bool:
-        return y in self._lookup()
+    def get(self, y: int, default):
+        tops, t = self._tops, self._rs[y]
+        if t < y:
+            if y in tops:
+                return self._vals[self._idx[tops.index(y)]]
+        elif t in tops:
+            return self._shifted[self._idx[tops.index(t)]]
+        return default
 
     def __len__(self) -> int:
         return 2 * len(self._tops)
@@ -316,11 +323,13 @@ class _BuiltColumn(Mapping):
         tops = self._tops
         return chain(tops, map(self._rs.__getitem__, tops))
 
-    def values(self):
-        return _BuiltValues(self)
+    def _values(self):
+        idx = self._idx
+        return chain(map(self._vals.__getitem__, idx),
+                     map(self._shifted.__getitem__, idx))
 
     def items(self):
-        return _BuiltItems(self)
+        return zip(self, self._values())
 
 
 def _indexes(ixs: list[int]) -> array:
@@ -333,105 +342,33 @@ def _indexes(ixs: list[int]) -> array:
         return array("I", ixs)
 
 
-class _BuiltValues(ValuesView):
-    """values() of a _BuiltColumn, iterated at C speed."""
+class _Relabelled:
+    """The column or mu row at g(w), read through the one at w, base, for
+    a relabelling g of the table (see compute_kl_table): it maps g(y) to
+    base's value at y, in base's order, so it reads as the dict
+    {g[y]: c for y, c in base.items()} without storing it.  pair holds g
+    and its inverse as lists over the ids; G is a group, so the inverse
+    is g, or another relabelling of the table, or the identity, and
+    get(y, default) reads base at g^-1(y), building nothing."""
 
-    __slots__ = ()
+    __slots__ = ("_base", "_pair")
 
-    def __iter__(self):
-        col = self._mapping
-        idx = col._idx
-        return chain(map(col._vals.__getitem__, idx),
-                     map(col._shifted.__getitem__, idx))
+    def __init__(self, base, pair: tuple[list[int], list[int]]):
+        self._base, self._pair = base, pair
 
-
-class _BuiltItems(ItemsView):
-    """items() of a _BuiltColumn, iterated at C speed."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        col = self._mapping
-        tops, idx = col._tops, col._idx
-        return chain(zip(tops, map(col._vals.__getitem__, idx)),
-                     zip(map(col._rs.__getitem__, tops),
-                         map(col._shifted.__getitem__, idx)))
-
-
-class _Relabelling:
-    """An id permutation g that fixes the table (see compute_kl_table):
-    perm lists g(u) over the ids u, and index() maps each g(u) back to u.
-    The index is a dict, built on the first point lookup through g and
-    kept, whose values are the int objects of ids, which the kernel's
-    tables share.  It takes no lock: threads that build it at once build
-    equal dicts."""
-
-    __slots__ = ("perm", "_ids", "_index")
-
-    def __init__(self, perm: list[int], ids: list[int]):
-        self.perm, self._ids, self._index = perm, ids, None
-
-    def index(self) -> dict[int, int]:
-        index = self._index
-        if index is None:
-            index = self._index = dict(zip(self.perm, self._ids))
-        return index
-
-
-class _RelabelledRow(Mapping):
-    """The mu row at g(w), read through the mu row base at w for a
-    relabelling g: it maps g(y) to base[y], in base's order, so it equals
-    the dict {g[y]: m for y, m in base.items()} without storing it.  A key
-    that is not an id gets None from g.index(), which base does not hold,
-    so get, in and [] answer as that dict would."""
-
-    __slots__ = ("_base", "_g")
-
-    def __init__(self, base: Mapping, g: _Relabelling):
-        self._base, self._g = base, g
-
-    def __getitem__(self, y):
-        c = self._base.get(self._g.index().get(y))
-        if c is None:
-            raise KeyError(y)
-        return c
-
-    def get(self, y, default=None):
-        return self._base.get(self._g.index().get(y), default)
-
-    def __contains__(self, y) -> bool:
-        return self._g.index().get(y) in self._base
+    def get(self, y: int, default):
+        return self._base.get(self._pair[1][y], default)
 
     def __len__(self) -> int:
         return len(self._base)
 
     def __iter__(self):
-        return map(self._g.perm.__getitem__, self._base)
-
-    def values(self):
-        return self._base.values()
+        return map(self._pair[0].__getitem__, self._base)
 
     def items(self):
-        return _RelabelledItems(self)
-
-
-class _RelabelledColumn(_RelabelledRow):
-    """The column h at g(w), read through the built column h at w in the
-    same way; no column holds None either."""
-
-    __slots__ = ()
-
-
-class _RelabelledItems(ItemsView):
-    """items() of a _RelabelledRow or _RelabelledColumn, iterated at C
-    speed."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        view = self._mapping
-        base = view._base
-        return zip(map(view._g.perm.__getitem__, base), base.values())
+        base = self._base
+        values = base.values() if type(base) is dict else base._values()
+        return zip(map(self._pair[0].__getitem__, base), values)
 
 
 # Packed form of a polynomial with coefficients a_i >= 0 in v^i (i >= 0):
@@ -538,8 +475,7 @@ def compute_kl_table(system: CoxeterSystem) -> KLTable:
     each bottom as its top's packed int shifted by one digit.  Every other
     column and its mu row are read-only views of a built one (see
     KLTable): the table stores one tuple of tops and one array of indexes
-    per orbit, and a column's lookup dict, or a relabelling's inverse
-    dict, exists only once something has looked a key up through it.
+    per orbit, and a point lookup reads them and builds nothing.
     """
     return KLTable(system, *_kl_columns(system)[:2])
 
@@ -588,15 +524,13 @@ def _lift(system: CoxeterSystem, sigma: Sequence[int]) -> list[int]:
     return lift
 
 
-def _kl_columns(system: CoxeterSystem
-                ) -> tuple[list[Mapping[int, LaurentPoly]],
-                           list[Mapping[int, int]], dict[int, int]]:
+def _kl_columns(system: CoxeterSystem) -> tuple[list, list, dict[int, int]]:
     """The columns and mu rows of compute_kl_table, and the columns it
     built: w -> the right descent s it was built along.  The identity's
     column is a read-only dict, the built columns are _BuiltColumns, and
-    every other column is a _RelabelledColumn over the built column of its
-    orbit; its mu row is a _RelabelledRow over the built column's row,
-    through the same _Relabelling."""
+    every other column is a _Relabelled view of the built column of its
+    orbit; its mu row is a _Relabelled view of the built column's row,
+    through the same relabelling."""
     descents = system.right_descents
     # one int object per id, which every table below shares: each read of
     # the group's arrays makes a new one
@@ -617,7 +551,10 @@ def _kl_columns(system: CoxeterSystem
     for sigma in automorphisms[1:]:
         lift = list(map(shared, _lift(system, sigma)))
         perms += [lift, [inv[w] for w in lift]]
-    relabellings = [_Relabelling(g, ids) for g in perms]
+    # each g with g^-1: G is a group, so g^-1 is 1 or is listed
+    relabellings = [(g, next(f for f in [ids, *perms]
+                             if list(map(f.__getitem__, g)) == ids))
+                    for g in perms]
     h: list = [None] * system.size
     mu: list = [None] * system.size
     # the distinct values of the tops written, in the order first written:
@@ -713,23 +650,23 @@ def _kl_columns(system: CoxeterSystem
         mu[w] = row
         built[w] = s
         size[w] = 2 * len(tops)
-        for g in relabellings:
-            u = g.perm[w]
+        for pair in relabellings:
+            u = pair[0][w]
             if h[u] is None:
-                h[u] = _RelabelledColumn(h[w], g)
-                mu[u] = _RelabelledRow(row, g)
+                h[u] = _Relabelled(h[w], pair)
+                mu[u] = _Relabelled(row, pair)
                 size[u] = size[w]
     return h, mu, built
 
 
-def _pairs(col: Mapping[int, LaurentPoly]):
+def _pairs(col):
     """The entries of a column of the table being built as (t, b, i): each
     top t with the index i of its value, and its bottom b, which holds
     v times that value.  The identity's column gives none; the kernel
     writes C_e C_s = C_s itself."""
     perm = None
-    if type(col) is _RelabelledColumn:
-        perm, col = col._g.perm.__getitem__, col._base
+    if type(col) is _Relabelled:
+        perm, col = col._pair[0].__getitem__, col._base
     if type(col) is not _BuiltColumn:
         return ()
     tops = col._tops
@@ -766,7 +703,7 @@ def kl_multiply_by_generator(table: KLTable, x: int, s: int,
 # basis conversion
 
 def unitriangular_solve(system: CoxeterSystem,
-                        coeffs: Mapping[int, LaurentPoly],
+                        coeffs: dict[int, LaurentPoly],
                         lower_row) -> dict[int, LaurentPoly]:
     """Invert a unitriangular base change: given coefficients in the target
     basis and a function yielding the (element, coefficient) terms of each
@@ -809,7 +746,7 @@ def unitriangular_solve(system: CoxeterSystem,
     return out
 
 
-def _kl_to_std(coeffs: Mapping[int, LaurentPoly], table: KLTable
+def _kl_to_std(coeffs: dict[int, LaurentPoly], table: KLTable
                ) -> dict[int, LaurentPoly]:
     """The sum of c h(y, x) H_y over the terms c C_x, added in one loop:
     each distinct h(y, x) of a column is multiplied by c once, as in

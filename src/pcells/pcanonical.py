@@ -224,9 +224,9 @@ def load_fixture(name: str, system: CoxeterSystem) -> PCanTable:
 
 def p_h(table: PCanTable, kl: KLTable, y: int, x: int) -> LaurentPoly:
     """Coefficient of H_y in B_x: sum over z of m(z, x) h(y, z)."""
-    out = kl.h[x].get(y, ZERO)
+    out = kl.h_poly(y, x)
     for z, m in table.rows.get(x, {}).items():
-        hyz = kl.h[z].get(y)
+        hyz = kl.h_poly(y, z)
         if hyz:
             out = out + m * hyz
     return out

@@ -231,20 +231,35 @@ def verify_c3_p2() -> list[Report]:
         Report("C3 p=2 cell-module graph on C6 u C12", bad, len(want))]
 
 
-def verify_typea(n: int) -> list[Report]:
+# the number of involutions of S_1 .. S_6
+_INVOLUTION_COUNTS = (1, 2, 4, 10, 26, 76)
+
+
+def verify_typea(n: int, involution_counts: list[int]) -> list[Report]:
+    """The type-A cell theorem on S_n, and the involution counts of S_1 to
+    S_n as far as _INVOLUTION_COUNTS lists them: involution_counts[k - 1]
+    is the number of involutions of S_k, which the caller counts once for
+    every n it checks."""
     label = f"A{n - 1}"
     system = get_system(label)
     parts = {side: get_cells(label, 0, side)
              for side in ("left", "right", "two-sided")}
     out = [verify_typea_cell_theorem(system, parts)]
-
-    bad = []
-    counts = {1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 76}
-    for k in range(1, n + 1):
-        if k in counts and len(involutions(k)) != counts[k]:
-            bad.append(f"involution count of S_{k} is not {counts[k]}")
+    bad = [f"involution count of S_{k} is not {want}"
+           for k, got, want in zip(range(1, n + 1), involution_counts,
+                                   _INVOLUTION_COUNTS)
+           if got != want]
     out.append(Report(f"involution counts up to S_{n}", bad, min(n, 6)))
     return out
+
+
+def verify_typea_suite(typea_n: int) -> list[Report]:
+    """verify_typea for n = 3 .. typea_n, with the involutions of each
+    S_k counted once, then the hook-length reports."""
+    counts = [len(involutions(k)) for k in range(1, min(typea_n, 6) + 1)]
+    reports = [rep for n in range(3, typea_n + 1)
+               for rep in verify_typea(n, counts)]
+    return reports + verify_hooks(min(typea_n + 2, 8))
 
 
 def verify_hooks(max_n: int) -> list[Report]:
@@ -469,9 +484,7 @@ SUITES = {
     "b2": lambda typea_n: verify_b2(),
     "g2": lambda typea_n: verify_g2(),
     "c3": lambda typea_n: verify_c3_p0() + verify_c3_p2(),
-    "typea": lambda typea_n: [
-        rep for n in range(3, typea_n + 1) for rep in verify_typea(n)
-    ] + verify_hooks(min(typea_n + 2, 8)),
+    "typea": verify_typea_suite,
     "stars": lambda typea_n: verify_stars() + verify_tau(),
     "parabolic": lambda typea_n: verify_invariants() + verify_parabolic(),
 }

@@ -58,14 +58,7 @@ def test_criterion_4_c3_p2_golden():
 
 
 def test_criterion_5_typea_suite():
-    def suite():
-        out = []
-        for n in range(3, 7):
-            out.extend(verify.verify_typea(n))
-        out.extend(verify.verify_hooks(8))
-        return out
-
-    reports, dt = _timed(suite)
+    reports, dt = _timed(lambda: verify.run_suite("typea", 6))
     _run("criterion 5", 60.0, reports)
     assert dt < 60.0, f"type A suite took {dt:.2f}s"
     print(f"[PASS] criterion 5: type A cell theorem n=3..6, involution and "

@@ -27,8 +27,7 @@ from pcells.hecke import (
     HeckeElt,
     KLTable,
     _BuiltColumn,
-    _RelabelledColumn,
-    _RelabelledRow,
+    _Relabelled,
     _acc,
     _graph_automorphisms,
     _indexes,
@@ -181,7 +180,12 @@ def test_kl_table_against_self_duality_oracle(a2, kl_a2, b2, kl_b2, a3, kl_a3):
     for system, table in ((a2, kl_a2), (b2, kl_b2), (a3, kl_a3)):
         oracle = _kl_by_self_duality(system)
         for x in system.elements():
-            assert oracle[x] == table.h[x]
+            assert oracle[x] == dict(table.h[x].items())
+
+
+def _dicts(cols):
+    """Each column or mu row as the dict of its items."""
+    return [dict(col.items()) for col in cols]
 
 
 def _kl_by_recursion(system):
@@ -227,8 +231,8 @@ def test_packed_kernel_matches_recursion_oracle(label):
     system = _system(ORACLE_GROUPS[label])
     table = compute_kl_table(system)
     h, mu = _kl_by_recursion(system)
-    assert table.h == h
-    assert table.mu == mu
+    assert _dicts(table.h) == h
+    assert _dicts(table.mu) == mu
 
 
 def _kl_by_full_columns(system):
@@ -261,20 +265,20 @@ def _kl_by_full_columns(system):
 
 
 @pytest.mark.parametrize("label", FULL_COLUMN_GROUPS)
-def test_pair_kernel_matches_full_column_oracle(label):
+def test_kl_table_matches_the_full_column_oracle(label):
     system = _system(FULL_COLUMN_GROUPS[label])
     table = compute_kl_table(system)
     h, mu = _kl_by_full_columns(system)
-    assert table.h == h
-    assert table.mu == mu
+    assert _dicts(table.h) == h
+    assert _dicts(table.mu) == mu
     # the pair identity the kernel builds on: h(ts, x) = v h(t, x) for
     # s in D_R(x) and ts < t
-    for x in system.elements():
+    for x, col in enumerate(h):
         for s in system.right_descents[x]:
-            for t, c in table.h[x].items():
+            for t, c in col.items():
                 ts = system.right_by_gen[s][t]
                 if ts < t:
-                    assert table.h[x][ts] == V * c
+                    assert col[ts] == V * c
 
 
 def _kl_by_min_descent(system):
@@ -329,17 +333,17 @@ def f4_kl():
 
 
 @pytest.mark.parametrize("label", MIN_DESCENT_GROUPS)
-def test_inverse_pair_kernel_matches_min_descent_oracle(label):
+def test_kl_table_matches_the_min_descent_oracle(label):
     system = _system(MIN_DESCENT_GROUPS[label])
     table = compute_kl_table(system)
     h, mu = _kl_by_min_descent(system)
-    assert table.h == h
-    assert table.mu == mu
+    assert _dicts(table.h) == h
+    assert _dicts(table.mu) == mu
     # relabelled columns decode through the same cache: equal polynomials
     # are still one object
     seen = {}
     for col in table.h:
-        for c in col.values():
+        for _, c in col.items():
             assert seen.setdefault(c, c) is c
 
 
@@ -348,8 +352,8 @@ def test_kl_table_is_iota_symmetric(f4_kl):
     system, table = f4_kl
     inv = system.inverse
     for x in system.elements():
-        assert {inv[y]: c for y, c in table.h[x].items()} == table.h[inv[x]]
-        assert {inv[y]: m for y, m in table.mu[x].items()} == table.mu[inv[x]]
+        assert _relabel(table.h[x], inv) == dict(table.h[inv[x]].items())
+        assert _relabel(table.mu[x], inv) == dict(table.mu[inv[x]].items())
 
 
 AUTOMORPHISM_GROUPS = {
@@ -426,7 +430,7 @@ def test_kernel_drops_the_automorphisms_beyond_the_group_order(n):
                                           min(math.factorial(n), bound + 1)))
     h, mu, built = _kl_columns(system)
     assert len(built) == (2 if n == 2 else system.size - 1)
-    assert (h, mu) == _kl_by_full_columns(system)
+    assert (_dicts(h), _dicts(mu)) == _kl_by_full_columns(system)
 
 
 @pytest.mark.parametrize("label", ["A4", "B2", "G2", "C3", "D4", "F4"])
@@ -459,8 +463,8 @@ def test_kl_columns_build_the_cheapest_candidate(f4_kl):
     inv, descents = system.inverse, system.right_descents
     cols = system.right_by_gen
     h, mu, built = _kl_columns(system)
-    assert h == table.h
-    assert mu == table.mu
+    assert _dicts(h) == _dicts(table.h)
+    assert _dicts(mu) == _dicts(table.mu)
     relabellings = _relabellings(system)
 
     def cost(w, s):
@@ -485,7 +489,7 @@ def test_kl_columns_build_the_cheapest_candidate(f4_kl):
         # every relabelled column holds the same objects
         for g in relabellings:
             for y, c in h[w].items():
-                assert h[g[w]][g[y]] is c
+                assert h[g[w]].get(g[y], None) is c
     # F4 exercises every branch: columns relabelled through inversion and
     # through the graph automorphism, and columns built along a descent of
     # an orbit member other than its smallest id
@@ -499,34 +503,14 @@ def test_kl_columns_hold_one_int_per_distinct_value(label):
     # each distinct h(y, x) is one object, shared by every column that
     # holds it, relabelled partner columns and bottoms included
     h, _, _ = _kl_columns(_system(FULL_COLUMN_GROUPS[label]))
-    values = [c for col in h for c in col.values()]
+    values = [c for col in h for _, c in col.items()]
     assert len({id(c) for c in values}) == len(set(values))
 
 
 def _relabel(col, perm):
-    """Oracle for a relabelled column: the dict the kernel copied it into,
-    {perm[y]: c for y, c in col.items()}, in col's order."""
-    return dict(zip(map(perm.__getitem__, col), col.values()))
-
-
-def _odd_keys(system):
-    """Keys that are not ids of the group, next to the ends of the id range.
-    A dict with int keys answers True and 1.0 as it answers 1."""
-    n = system.size
-    return [-n - 1, -n, -2, -1, n, n + 1, 2 * n, True, False, 1.0, 2.5,
-            "1", None, (1,), 10**30]
-
-
-def _assert_reads_like(view, oracle, keys):
-    for y in keys:
-        assert view.get(y) is oracle.get(y)
-        assert view.get(y, ZERO) is oracle.get(y, ZERO)
-        assert (y in view) == (y in oracle)
-        if y in oracle:
-            assert view[y] is oracle[y]
-        else:
-            with pytest.raises(KeyError):
-                view[y]
+    """Oracle for a relabelled column or mu row: the dict the kernel copied
+    it into, {perm[y]: c for y, c in col.items()}, in col's order."""
+    return {perm[y]: c for y, c in col.items()}
 
 
 @pytest.mark.parametrize("label", ["D4", "B4", "F4"])
@@ -535,7 +519,6 @@ def test_partner_columns_are_read_only_views(label):
     inv = system.inverse
     h, mu, built = _kl_columns(system)
     table = KLTable(system, h, mu)
-    keys = _odd_keys(system)
     for w in system.elements():
         wi = inv[w]
         # one stored column per inverse pair: the built columns, and the
@@ -548,42 +531,63 @@ def test_partner_columns_are_read_only_views(label):
         with pytest.raises(TypeError):
             view[w] = ONE
         # the same entries in the same order, as the same objects
-        assert view == oracle and len(view) == len(oracle)
+        assert len(view) == len(oracle)
         assert list(view) == list(oracle)
         assert list(view.items()) == list(oracle.items())
-        assert list(view.keys()) == list(oracle.keys())
-        assert all(a is b for a, b in zip(view.values(), oracle.values()))
-        assert all(view[inv[y]] is c for y, c in h[w].items())
-        assert (inv[w], h[w][w]) in view.items()
+        assert all(a is b for (_, a), b in zip(view.items(), oracle.values()))
+        assert all(view.get(inv[y], None) is c for y, c in h[w].items())
         assert table.kl_element(wi).coeffs == oracle
-        _assert_reads_like(view, oracle, keys)
-        with pytest.raises(TypeError):
-            view.get([])
     assert sum(type(col) is _BuiltColumn for col in h) + 1 \
         == _orbit_count(system)
 
 
-def test_partner_columns_read_every_int_key_like_the_copied_dict(a3, kl_a3):
-    # a view reading col.get(inv[y]) would answer for negative ids, which
-    # index inv from its end, and raise for ids >= |W|
-    inv, n = a3.inverse, a3.size
-    keys = [*range(-n - 2, n + 3), *_odd_keys(a3)]
-    partners = [x for x in a3.elements()
-                if type(kl_a3.h[x]) is _RelabelledColumn]
-    assert partners
-    for x in partners:
-        _assert_reads_like(kl_a3.h[x], _relabel(kl_a3.h[inv[x]], inv), keys)
+@pytest.mark.parametrize("label", ["D4", "B4", "F4"])
+def test_point_lookups_read_like_the_copied_dicts(label):
+    # h_poly and mu_coeff at every (y, x) answer as the dicts the kernel
+    # copied the columns and mu rows into: a built column's own items, and
+    # a relabelled one's items read through any g with g(w) = x.  D4's
+    # automorphisms of order 3 catch a view that reads through g in place
+    # of g^-1
+    system = _system(FULL_COLUMN_GROUPS[label])
+    h, mu, built = _kl_columns(system)
+    table = KLTable(system, h, mu)
+    cols = {0: (dict(h[0].items()), mu[0])}
+    for w in built:
+        for g in [list(system.elements()), *_relabellings(system)]:
+            cols.setdefault(g[w], (_relabel(h[w], g), _relabel(mu[w], g)))
+    assert sorted(cols) == list(system.elements())
+    for x, (col, row) in cols.items():
+        # the same objects: the shared values, and ZERO for the rest
+        assert all(table.h_poly(y, x) is col.get(y, ZERO)
+                   for y in system.elements())
+        assert [table.mu_coeff(y, x) for y in system.elements()] \
+            == [row.get(y, 0) for y in system.elements()]
+
+
+def test_point_accessors_reject_ids_outside_the_group(a2, kl_a2):
+    # a negative id indexed the lists from their end: h_poly(0, -1) read
+    # the column of w0, and kl_element(-1) was C at w0
+    n = a2.size
+    for bad in (-1, -n, n, n + 1):
+        for read in (kl_a2.h_poly, kl_a2.mu_coeff):
+            with pytest.raises(IndexError):
+                read(0, bad)
+            with pytest.raises(IndexError):
+                read(bad, n - 1)
+        with pytest.raises(IndexError):
+            kl_a2.kl_element(bad)
+    assert kl_a2.h_poly(0, n - 1) == LaurentPoly.v(3)
+    assert kl_a2.h_poly(n - 1, n - 1) == ONE
+    assert kl_a2.mu_coeff(0, 1) == 1
+    assert kl_a2.kl_element(n - 1).coeffs[0] == LaurentPoly.v(3)
 
 
 @pytest.mark.parametrize("label", ["A4", "B2", "G2", "D4"])
 def test_relabelled_columns_are_views_through_the_first_relabelling(label):
     # each column not built is the view of its orbit's built column w
-    # through the first relabelling g with g(w) = x, inversion first; it
-    # reads every int key and unhashable keys as the copied dict would
+    # through the first relabelling g with g(w) = x, inversion first
     system = _system(AUTOMORPHISM_GROUPS[label])
     h, mu, built = _kl_columns(system)
-    n = system.size
-    keys = [*range(-n - 2, n + 3), *_odd_keys(system)]
     seen = set(built) | {0}
     for w in built:
         for g in _relabellings(system):
@@ -592,17 +596,14 @@ def test_relabelled_columns_are_views_through_the_first_relabelling(label):
                 continue
             seen.add(x)
             view, oracle = h[x], _relabel(h[w], g)
-            assert type(view) is _RelabelledColumn
+            assert type(view) is _Relabelled and view._base is h[w]
+            assert view._pair[0] == list(g)
             assert list(view.items()) == list(oracle.items())
             assert list(view) == list(oracle)
-            assert all(a is b for a, b in zip(view.values(), oracle.values()))
-            assert mu[x] == _relabel(mu[w], g)
-            _assert_reads_like(view, oracle, keys)
-            for bad in ([], {}, {1}):
-                with pytest.raises(TypeError):
-                    view.get(bad)
-                with pytest.raises(TypeError):
-                    bad in view
+            assert all(a is b for (_, a), b in zip(view.items(),
+                                                   oracle.values()))
+            assert dict(mu[x].items()) == _relabel(mu[w], g)
+            assert all(view.get(y, None) is c for y, c in oracle.items())
     assert seen == set(system.elements())
 
 
@@ -621,28 +622,21 @@ def test_relabelled_mu_rows_read_like_the_copied_dict(label):
             assert type(mu[x]) is dict
             continue
         view, col = mu[x], h[x]
-        assert type(view) is _RelabelledRow and type(col) is _RelabelledColumn
+        assert type(view) is _Relabelled and type(col) is _Relabelled
         w = built_at[id(col._base)]
         assert view._base is mu[w]
-        assert view._g is col._g
-        oracle = _relabel(mu[w], col._g.perm)
+        assert view._pair is col._pair
+        oracle = _relabel(mu[w], col._pair[0])
         assert not hasattr(view, "__setitem__")
         with pytest.raises(TypeError):
             view[x] = 1
-        assert view == oracle and len(view) == len(oracle)
+        assert len(view) == len(oracle)
         assert list(view) == list(oracle)
         assert list(view.items()) == list(oracle.items())
-        assert list(view.keys()) == list(oracle.keys())
-        assert all(a is b for a, b in zip(view.values(), oracle.values(),
-                                          strict=True))
-        keys = [*_odd_keys(system), *list(oracle)[:3], x, n - 1,
-                *(y for y in range(-3, 3))]
-        _assert_reads_like(view, oracle, keys)
-        for bad in ([], {}, {1}):
-            with pytest.raises(TypeError):
-                view.get(bad)
-            with pytest.raises(TypeError):
-                bad in view
+        assert all(a is b for (_, a), b in zip(view.items(), oracle.values(),
+                                               strict=True))
+        assert all(view.get(y, None) is m for y, m in oracle.items())
+        assert view.get(x, None) is None and view.get(n - 1, 0) == 0
         rows += 1
     assert rows == n - 1 - len(built)
 
@@ -657,7 +651,7 @@ def test_p_canonical_tables_are_not_graph_invariant(b2, kl_b2, b2_p2):
                     for s in range(2))
     assert swapped == ((2, -1), (-2, 2)) != b2.cartan
     for x in b2.elements():
-        assert kl_b2.h[swap[x]] == _relabel(kl_b2.h[x], swap)
+        assert dict(kl_b2.h[swap[x]].items()) == _relabel(kl_b2.h[x], swap)
     moved = {swap[x]: _relabel(row, swap) for x, row in b2_p2.rows.items()}
     assert b2_p2.rows and moved != b2_p2.rows
     assert b2.digits_to_id("212") in moved
@@ -672,8 +666,6 @@ def _built(table):
 def test_built_columns_are_read_only_and_read_like_a_dict(label):
     system = _system(FULL_COLUMN_GROUPS[label])
     table = compute_kl_table(system)
-    keys = [*range(-3, 3), *range(system.size - 3, system.size),
-            *_odd_keys(system)]
     built = _built(table)
     assert type(table.h[0]) is MappingProxyType
     assert not any(isinstance(col, dict) for col in table.h)
@@ -682,15 +674,10 @@ def test_built_columns_are_read_only_and_read_like_a_dict(label):
         assert not hasattr(col, "__setitem__")
         with pytest.raises(TypeError):
             col[0] = ONE
-        assert col == oracle and len(col) == len(oracle)
+        assert len(col) == len(oracle)
         assert list(col) == list(oracle)
-        assert list(col.keys()) == list(oracle.keys())
-        assert all(a is b for a, b in zip(col.values(), oracle.values()))
-        _assert_reads_like(col, oracle, keys + list(col)[:3])
-        with pytest.raises(TypeError):
-            col.get([])
-        with pytest.raises(TypeError):
-            [] in col
+        assert all(col.get(y, None) is oracle.get(y)
+                   for y in system.elements())
 
 
 @pytest.mark.parametrize("label", ["F4", "D5"])
@@ -729,8 +716,6 @@ def test_built_columns_store_the_tops_only(label):
             assert b == rs[t] and d is shifted[i] and d == V * c
         assert dict(items) == full[w]
         assert list(col) == [y for y, _ in items]
-        assert all(a is b for a, b in zip(col.values(), [c for _, c in items],
-                                          strict=True))
 
 
 def test_value_indexes_widen_past_two_bytes(a2, kl_a2):
@@ -752,46 +737,45 @@ def test_value_indexes_widen_past_two_bytes(a2, kl_a2):
     moved = _BuiltColumn(col._tops, _indexes(far), vals, shifted, col._rs)
     assert max(far) > 65535 and moved._idx.typecode == "I"
     assert list(moved.items()) == list(col.items())
-    assert all(a is b for a, b in zip(moved.values(), col.values(),
-                                      strict=True))
-    _assert_reads_like(moved, dict(col.items()),
-                       [*a2.elements(), *_odd_keys(a2)])
+    assert all(a is b for (_, a), (_, b) in zip(moved.items(), col.items(),
+                                                strict=True))
+    oracle = dict(col.items())
+    assert all(moved.get(y, None) is oracle.get(y) for y in a2.elements())
 
 
 def test_iterating_a_column_builds_no_lookup_index(b3):
+    # a column and a view hold their fields and nothing else: iteration,
+    # change_basis and point lookups leave no index behind in them
     table = compute_kl_table(b3)
     built = _built(table)
-    for col in table.h:
-        list(col.items()), list(col.keys()), list(col.values()), list(col)
-        len(col), len(col.items()), len(col.values())
-    # the kernel and change_basis iterate columns and look nothing up
+    views = [view for view in [*table.h, *table.mu]
+             if type(view) is _Relabelled]
+    assert built and views
+    assert _BuiltColumn.__slots__ == ("_tops", "_idx", "_vals", "_shifted",
+                                      "_rs")
+    assert _Relabelled.__slots__ == ("_base", "_pair")
+    assert not any(hasattr(col, "__dict__") for col in [*built, *views])
+    fields = [(col._tops, col._idx) for col in built]
     c = HeckeElt(b3, KL, {x: ONE for x in b3.elements()})
     change_basis(change_basis(c, STD, kl=table), KL, kl=table)
-    assert all(col._index is None for col in built)
-    # nor the inverse index of a relabelling, which views share
-    relabelled = [view for view in [*table.h, *table.mu]
-                  if isinstance(view, _RelabelledRow)]
-    assert relabelled and all(view._g._index is None for view in relabelled)
     longest = b3.longest_element()
-    table.h_poly(0, longest)
-    indexed = [col for col in built if col._index is not None]
-    assert len(indexed) == 1 and indexed[0]._index == dict(indexed[0].items())
+    assert table.h_poly(0, longest) == LaurentPoly.v(b3.length[longest])
+    assert [(col._tops, col._idx) for col in built] == fields
 
 
 def test_first_lookup_from_threads_reads_like_the_dict():
-    # every thread looks up in every column of a fresh table at once, so
-    # first lookups race to build the same index
+    # every thread looks up in every column of a fresh table at once; a
+    # lookup keeps no state, so each answers as the copied dict
     system = _system(FULL_COLUMN_GROUPS["B4"])
     table = compute_kl_table(system)
     n = system.size
-    keys = [-1, 0, n - 1, n, True, 1.0, None,
-            *random.Random(8).sample(range(n), 40)]
+    keys = [0, n - 1, *random.Random(8).sample(range(n), 40)]
     want = [[dict(col.items()).get(y) for y in keys] for col in table.h]
     start = threading.Barrier(8, timeout=60)
 
     def read(_):
         start.wait()
-        return [[col.get(y) for y in keys] for col in table.h]
+        return [[col.get(y, None) for y in keys] for col in table.h]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -804,17 +788,12 @@ def test_first_lookup_from_threads_reads_like_the_dict():
         assert len(answers) == len(want)
         assert all(p is q for a, b in zip(answers, want)
                    for p, q in zip(a, b, strict=True))
-    assert all(col._index == dict(col.items()) for col in _built(table))
-    relabellings = {col._g for col in table.h
-                    if type(col) is _RelabelledColumn}
-    assert relabellings and all(g._index == dict(zip(g.perm, range(n)))
-                                for g in relabellings)
 
 
 def test_kl_table_shares_equal_polynomials(a3, kl_a3):
     seen = {}
     for col in kl_a3.h:
-        for c in col.values():
+        for _, c in col.items():
             assert seen.setdefault(c, c) is c
 
 
@@ -834,7 +813,7 @@ def test_every_table_value_passes_the_overflow_guard(monkeypatch):
     with pytest.raises(OverflowError):
         compute_kl_table(a4)
     monkeypatch.setattr(hecke, "_LIMIT", 3)
-    assert compute_kl_table(a4).h == want.h
+    assert _dicts(compute_kl_table(a4).h) == _dicts(want.h)
     # every stored value, top, bottom or relabelled, comes from one call of
     # _unpack, and no packed int is decoded twice
     decoded = []
@@ -845,7 +824,7 @@ def test_every_table_value_passes_the_overflow_guard(monkeypatch):
 
     monkeypatch.setattr(hecke, "_unpack", counting)
     table = compute_kl_table(a4)
-    values = {id(c) for col in table.h for c in col.values()}
+    values = {id(c) for col in table.h for _, c in col.items()}
     assert values == {id(c) for _, c in decoded}
     assert len({p for p, _ in decoded}) == len(decoded) == len(values)
 
@@ -986,7 +965,7 @@ def test_change_basis_memo_reads_values_not_objects():
     fresh = KLTable(system, [
         {y: LaurentPoly.from_pairs(c.to_pairs()) for y, c in col.items()}
         for col in table.h], table.mu)
-    assert fresh.h == table.h
+    assert fresh.h == _dicts(table.h)
     assert len({id(c) for col in fresh.h for c in col.values()}) \
         == sum(map(len, fresh.h))
     _check_change_basis_against_oracles(system, fresh, seed=22)

@@ -14,8 +14,10 @@ elements, and the star-relation checkers evaluate one relation system per
 x-string, never one per pair of strings.  Tau on a simply-laced group
 builds no string neighbours.  The enumerated B5 keeps under
 100 bytes per element, as tracemalloc counts them: no word tuples and no
-row list per element.  F4's KL table keeps under 7 bytes per entry: no
-slot for the bottom of a built column.
+row list per element.  F4's KL table keeps under 4.1 bytes per entry: no
+slot for the bottom of a built column.  A point lookup in it keeps
+nothing, and each of its columns and mu rows yields len() items, each y
+once, which the benchmark's digests and entry counts read.
 The parabolic suite reads its coset products off the columns and walks
 no word through CoxeterSystem.mult, and verify all reports, name by name,
 the check counts and verdicts pinned in tests/verify_all_reports.json.
@@ -40,7 +42,7 @@ from pcells import stars, verify
 from pcells.cells import (CellPartition, compute_cells, inverse_duality_check,
                           left_cells_from_right)
 from pcells.coxeter import CoxeterSystem
-from pcells.hecke import compute_kl_table
+from pcells.hecke import _BuiltColumn, _Relabelled, compute_kl_table
 from pcells.pcanonical import identity_table
 from pcells.stars import (DihedralStrings, check_base_change_relations,
                           check_structure_coefficient_relations,
@@ -155,8 +157,6 @@ KNOBS = {
         "element cap 10^6",
     ("coxeter._Words.index", "start"): "the Sequence.index protocol",
     ("coxeter._Words.index", "stop"): "the Sequence.index protocol",
-    ("hecke._BuiltColumn.get", "default"): "the Mapping.get protocol",
-    ("hecke._RelabelledRow.get", "default"): "the Mapping.get protocol",
     ("hecke.change_basis", "kl"): "a conversion reads only the tables on its "
                                   "path: pcan <-> kl reads no KL table",
     ("hecke.change_basis", "pcan"): "a conversion reads only the tables on "
@@ -312,6 +312,40 @@ def test_kl_table_keeps_no_bottoms():
     entries = sum(map(len, table.h))
     assert entries == 396809
     assert retained / entries < 4.1
+
+
+def test_point_lookups_keep_nothing():
+    # the first point lookup in a column built a dict of its entries, and
+    # the first through a relabelling its inverse dict, and kept them
+    f4 = CoxeterSystem.from_cartan(CARTAN["F4"])
+    table = compute_kl_table(f4)
+    kinds = [[x for x, col in enumerate(table.h) if type(col) is kind][:25]
+             for kind in (_BuiltColumn, _Relabelled)]
+    xs = kinds[0] + kinds[1]
+    assert len(xs) == 50
+    tracemalloc.start()
+    try:
+        for x in xs:
+            for y in f4.elements():
+                table.h_poly(y, x)
+                table.mu_coeff(y, x)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1024
+
+
+def test_kl_columns_and_rows_count_their_items():
+    # the benchmark's table_digests reads items() of every column and mu
+    # row, and its trace counts h entries and nonzero mu by len()
+    f4 = CoxeterSystem.from_cartan(CARTAN["F4"])
+    table = compute_kl_table(f4)
+    kinds = set()
+    for col in [*table.h, *table.mu]:
+        ys = [y for y, _ in col.items()]
+        assert len(col) == len(ys) == len(set(ys))
+        kinds.add(type(col).__name__)
+    assert kinds == {"mappingproxy", "dict", "_BuiltColumn", "_Relabelled"}
 
 
 def test_cell_level_checks_compare_no_element_pairs(monkeypatch):

@@ -340,9 +340,26 @@ def test_parse_one_line():
 
 def test_cell_theorem_small():
     for n in (3, 4):
-        label = f"A{n - 1}"
-        rep = verify.verify_typea(n)[0]
-        assert rep.ok, rep
+        counts = [len(involutions(k)) for k in range(1, n + 1)]
+        theorem, invs = verify.verify_typea(n, counts)
+        assert theorem.ok, theorem
+        assert (invs.ok, invs.checked) == (True, n)
+
+
+def test_typea_suite_counts_each_involution_set_once(monkeypatch):
+    # verify_typea(n) recounted S_1 .. S_n for every n = 3 .. typea_n;
+    # the suite counts each S_k once, and none past S_6, whose count is
+    # the last one checked
+    calls = []
+    monkeypatch.setattr(verify, "involutions", lambda k: (
+        calls.append(k), involutions(k))[1])
+    reports = verify.run_suite("typea", 7)
+    assert calls == [1, 2, 3, 4, 5, 6]
+    assert all(rep.ok for rep in reports)
+    # a wrong count is reported at every n that checks it
+    bad = verify.verify_typea(5, [1, 2, 4, 9, 26])[1]
+    assert (bad.violations, bad.checked) == (
+        ["involution count of S_4 is not 10"], 5)
 
 
 RULE = "left/right intersection rule fails"
