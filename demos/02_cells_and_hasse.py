@@ -25,7 +25,7 @@ print("  " + ", ".join(f"{i}->{j}" for i, j in sorted(right.hasse_edges)))
 two = compute_cells(table, kl, "two-sided")
 print(f"\n{len(two.cells)} two-sided cells; each right cell lies in exactly one:")
 for i, cell in enumerate(right.cells):
-    print(f"  right cell {i} -> two-sided cell {two.cell_of[next(iter(cell))]}")
+    print(f"  right cell {i} -> two-sided cell {two.cell_of[cell[0]]}")
 
 out = Path("c3_right_cells.dot")
 out.write_text(right.to_dot(c3))

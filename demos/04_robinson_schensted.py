@@ -33,6 +33,6 @@ for cell in left.cells:
 two = compute_cells(identity_table(s4), kl, "two-sided")
 print("\ntwo-sided cells are shape fibers, of size (hook count)^2:")
 for cell in two.cells:
-    shape = shape_of(rs_correspondence(perm_of_element(s4, next(iter(cell))))[0])
+    shape = shape_of(rs_correspondence(perm_of_element(s4, cell[0]))[0])
     f = hook_length_count(shape)
     print(f"  shape {shape}: {len(cell)} elements = {f}^2")

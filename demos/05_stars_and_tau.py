@@ -49,4 +49,4 @@ s4 = CoxeterSystem.from_type("A3")
 kl4 = compute_kl_table(s4)
 left4 = compute_cells(identity_table(s4), kl4, "left")
 print("\nS_4: tau classes equal the left cells:",
-      tau_partition(s4).as_sets() == left4.as_sets())
+      tau_partition(s4).class_of == left4.cell_of)

@@ -33,8 +33,9 @@ each partition once; partitions of parabolic subgroups are computed inside.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from collections import defaultdict
+from itertools import chain, count
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .coxeter import CoxeterSystem
 from .hecke import KLTable, _acc, compute_kl_table
@@ -113,12 +114,15 @@ def transitive_reduction(children: Sequence[Iterable[int]],
 
 class CellPartition:
     """A partition of the group into cells plus the condensation of the
-    preorder.  Cells are ordered by minimum id, which is the order of
-    (minimum element length, minimum id): ids are in length order.
-    downsets give full reachability, hasse_edges the reduced diagram."""
+    preorder, in the shape of stars.TauPartition: cells[i] lists the ids
+    of cell i in increasing order, and cell_of[x] is the cell of id x.
+    Cells are numbered by first occurrence in id order, that is by minimum
+    id, which is the order of (minimum element length, minimum id): ids
+    are in length order.  downsets give full reachability, hasse_edges the
+    reduced diagram, both over cell indices."""
 
     def __init__(self, side: str, prime: int,
-                 cells: tuple[frozenset[int], ...], cell_of: dict[int, int],
+                 cells: tuple[tuple[int, ...], ...], cell_of: tuple[int, ...],
                  hasse_edges: frozenset[tuple[int, int]],
                  downsets: tuple[frozenset[int], ...]):
         self.side = side
@@ -143,19 +147,12 @@ class CellPartition:
                 f"downsets={self.downsets!r})")
 
     def leq(self, x: int, y: int) -> bool:
-        """x <= y in the element preorder."""
+        """x <= y in the element preorder.  An id outside 0..|W|-1 raises
+        IndexError: cell_of is a tuple, which would read a negative id
+        from its end."""
+        if x < 0 or y < 0:
+            raise IndexError(f"element ids {x}, {y}: ids are non-negative")
         return self.cell_of[x] in self.downsets[self.cell_of[y]]
-
-    def cell_index_of(self, elements: Iterable[int]) -> int:
-        """Index of the cell equal to the given element set (KeyError if none)."""
-        target = frozenset(elements)
-        for i, c in enumerate(self.cells):
-            if c == target:
-                return i
-        raise KeyError(f"no cell equals {sorted(target)}")
-
-    def as_sets(self) -> set[frozenset[int]]:
-        return set(self.cells)
 
     def to_json_obj(self, system: CoxeterSystem) -> dict:
         digits = system.digit_strings()
@@ -230,19 +227,44 @@ def elementary_relations(table: PCanTable, kl: KLTable, side: str
     return succ
 
 
+def _renumber(labels: Iterable[Hashable]) -> list[int]:
+    """The labels, one per element id in id order, replaced by class ids
+    numbered by first occurrence."""
+    # a new label takes the next id, at C speed
+    ids: defaultdict[Hashable, int] = defaultdict(count().__next__)
+    return list(map(ids.__getitem__, labels))
+
+
+def _classes(class_of: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The classes of a class id per element id: class i lists its ids in
+    increasing order."""
+    classes: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
+    for x, i in enumerate(class_of):
+        classes[i].append(x)
+    return tuple(map(tuple, classes))
+
+
 def _partition_from_graph(system: CoxeterSystem,
                           succ: Mapping[int, Iterable[int]], side: str,
                           prime: int) -> CellPartition:
+    """Condense a successor map over the group's ids: cells are its
+    strongly connected components, numbered by minimum id, and each
+    cell's downset is filled from its children as Tarjan's algorithm
+    returns the components, sinks first."""
     comps = strongly_connected_components(list(system.elements()), succ)
-    cells = tuple(sorted((frozenset(c) for c in comps), key=min))
-    cell_of = {w: i for i, c in enumerate(cells) for w in c}
-    children: list[set[int]] = [set() for _ in cells]
-    reach: list[frozenset[int]] = [frozenset()] * len(cells)
+    label = [0] * system.size
+    for k, comp in enumerate(comps):
+        for w in comp:
+            label[w] = k
+    cell_of = _renumber(label)
+    children: list[set[int]] = [set() for _ in comps]
+    reach: list[frozenset[int]] = [frozenset()] * len(comps)
     for comp in comps:  # sinks first, so each child's reach is complete
         i = cell_of[comp[0]]
         children[i] = {cell_of[x] for y in comp for x in succ.get(y, ())} - {i}
         reach[i] = frozenset({i}).union(*(reach[j] for j in children[i]))
-    return CellPartition(side=side, prime=prime, cells=cells, cell_of=cell_of,
+    return CellPartition(side=side, prime=prime, cells=_classes(cell_of),
+                         cell_of=tuple(cell_of),
                          hasse_edges=frozenset(
                              transitive_reduction(children, reach)),
                          downsets=tuple(reach))
@@ -263,28 +285,28 @@ def two_sided_cells(system: CoxeterSystem, left: CellPartition,
       * the transitive reduction of a DAG is its covering relation,
         whichever edges generate the order.
     """
-    elements = set(system.elements())
     if ((left.side, right.side) != ("left", "right")
             or left.prime != right.prime
-            or not left.cell_of.keys() == elements == right.cell_of.keys()):
+            or not len(left.cell_of) == system.size == len(right.cell_of)):
         raise ValueError("two_sided_cells needs a left and a right partition "
                          "of the group at the same prime")
-    succ: dict[int, list[int]] = {w: [] for w in elements}
+    succ: dict[int, list[int]] = {w: [] for w in system.elements()}
     for part in (left, right):
         for cell in part.cells:
-            ring = sorted(cell)
-            for a, b in zip(ring, ring[1:] + ring[:1]):
+            for a, b in zip(cell, cell[1:] + cell[:1]):
                 succ[a].append(b)
         for (i, j) in part.hasse_edges:
-            succ[min(part.cells[i])].append(min(part.cells[j]))
+            succ[part.cells[i][0]].append(part.cells[j][0])
     return _partition_from_graph(system, succ, "two-sided", left.prime)
 
 
 def left_cells_from_right(table: PCanTable, right: CellPartition
                           ) -> CellPartition:
     """The left cells of an inverse-symmetric table, read off its right
-    cells: the inverse image of each right cell, re-sorted by minimum id,
-    with cell_of, Hasse edges and downsets carried along.
+    cells: the left cell of x is the image of the right cell of x^-1, so
+    cell_of is right.cell_of read through the inverse map and renumbered
+    by first occurrence, and the Hasse edges and downsets are carried
+    along through that renumbering.
 
     When m(y, x) = m(y^-1, x^-1) for all y, x, the anti-involution iota
     sends B_x to B_{x^-1} and B_y C_s to C_s B_{y^-1}, so y -> x is a right
@@ -306,16 +328,16 @@ def left_cells_from_right(table: PCanTable, right: CellPartition
                     f"the table is not inverse-symmetric: m({digits(y)}, "
                     f"{digits(x)}) = {m} but m({digits(inv[y])}, "
                     f"{digits(inv[x])}) = {partner}")
-    images = [frozenset(map(inv.__getitem__, c)) for c in right.cells]
-    order = sorted(range(len(images)), key=lambda i: min(images[i]))
-    new = {i: k for k, i in enumerate(order)}
-    cells = tuple(images[i] for i in order)
+    cell_of = tuple(_renumber(map(right.cell_of.__getitem__, inv)))
+    # new[i] is the left cell of the image of right cell i, old inverts it
+    new = [cell_of[inv[c[0]]] for c in right.cells]
+    old = sorted(range(len(new)), key=new.__getitem__)
     return CellPartition(
-        side="left", prime=right.prime, cells=cells,
-        cell_of={w: k for k, c in enumerate(cells) for w in c},
+        side="left", prime=right.prime, cells=_classes(cell_of),
+        cell_of=cell_of,
         hasse_edges=frozenset((new[i], new[j]) for i, j in right.hasse_edges),
         downsets=tuple(frozenset(map(new.__getitem__, right.downsets[i]))
-                       for i in order))
+                       for i in old))
 
 
 def compute_cells(table: PCanTable, kl: KLTable, side: str) -> CellPartition:
@@ -454,6 +476,13 @@ def right_minimal_elements(system: CoxeterSystem, subset: Iterable[int]
     )
 
 
+def _is_union(partition: CellPartition, touched: set[int], size: int) -> bool:
+    """Whether a set of `size` elements is the union of the cells it
+    touches, the cell indices `touched`.  Those cells cover the set and are
+    disjoint, so it is their union iff their sizes add up to its size."""
+    return sum(len(partition.cells[i]) for i in touched) == size
+
+
 def decomposition_criterion(table: PCanTable, kl_right: CellPartition,
                             p_right: CellPartition) -> dict[int, Report]:
     """For each KL right cell C, check the right-minimal hypothesis: every
@@ -483,9 +512,8 @@ def decomposition_criterion(table: PCanTable, kl_right: CellPartition,
         if not all(hypothesis[j] for j in kl_right.downsets[i]):
             continue
         pieces = {p_right.cell_of[w] for w in cell}
-        union = frozenset().union(*(p_right.cells[j] for j in pieces))
         out[i].checked += 1
-        if union != cell:
+        if not _is_union(p_right, pieces, len(cell)):
             out[i].violations.append(
                 "criterion applies below this cell but the cell is not a "
                 "union of p-cells")
@@ -553,9 +581,13 @@ def subquotient_wgraph(table: PCanTable, kl: KLTable, elements: Iterable[int],
 
 def extract_wgraph(partition: CellPartition, cell_index: int, table: PCanTable,
                    kl: KLTable) -> ColouredWGraph:
-    """The coloured W-graph of one cell (side taken from the partition)."""
+    """The coloured W-graph of one cell (side taken from the partition).
+    A cell_index outside 0..len(partition.cells)-1 raises IndexError."""
     if partition.side not in ("left", "right"):
         raise ValueError("W-graphs come from one-sided cells")
+    if not 0 <= cell_index < len(partition.cells):
+        raise IndexError(f"cell index {cell_index} is outside "
+                         f"0..{len(partition.cells) - 1}")
     return subquotient_wgraph(table, kl, partition.cells[cell_index],
                               partition.side)
 
@@ -701,10 +733,9 @@ def propagate_nondecomposition(table: PCanTable, kl_right: CellPartition,
             [emb.to_parent[y] for y in c], x_reps).values()))
         induced.append(cx)
         touched = {kl_right.cell_of[w] for w in cx}
-        union = frozenset().union(*(kl_right.cells[i] for i in touched))
         checked += 1
-        if union != cx:
-            bad.append(f"C.X for H-cell {sorted(c)} is not a union of W-cells")
+        if not _is_union(kl_right, touched, len(cx)):
+            bad.append(f"C.X for H-cell {list(c)} is not a union of W-cells")
 
     lifted_cell: dict[int, int] = {}
     for i, c in enumerate(sub_p_cells.cells):
@@ -722,7 +753,7 @@ def propagate_nondecomposition(table: PCanTable, kl_right: CellPartition,
         big = p_right.cells[lifted_cell[i]]
         for j in kl_indices:
             checked += 1
-            if not (big & induced[j]):
+            if induced[j].isdisjoint(big):
                 bad.append(
                     f"witness cell {i} misses the induced union of H-cell {j}")
     return Report(f"nondecomposition-propagation I={sorted(gens)}", bad, checked)

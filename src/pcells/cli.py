@@ -108,6 +108,13 @@ def _emit(text: str, args) -> None:
         print(text)
 
 
+def _word_list(digits: list[str], elements: tuple[int, ...]) -> str:
+    """The words of the elements, "e" for the identity, shortest first and
+    then in lexicographic order, joined by commas."""
+    return ", ".join(sorted((digits[w] or "e" for w in elements),
+                            key=lambda d: (len(d), d)))
+
+
 def cmd_cells(args) -> int:
     system = _build_system(args)
     table = _build_table(args, system)
@@ -122,10 +129,7 @@ def cmd_cells(args) -> int:
         lines = [f"{len(partition.cells)} {side} cells at p = {table.prime}:"]
         digits = system.digit_strings()
         for i, cell in enumerate(partition.cells):
-            words = ", ".join(sorted(
-                (digits[w] or "e" for w in cell),
-                key=lambda d: (len(d), d)))
-            lines.append(f"  [{i}] {{{words}}}")
+            lines.append(f"  [{i}] {{{_word_list(digits, cell)}}}")
         lines.append("Hasse edges: " + ", ".join(
             f"{i}->{j}" for (i, j) in sorted(partition.hasse_edges)))
         _emit("\n".join(lines), args)
@@ -175,9 +179,7 @@ def cmd_tau(args) -> int:
         lines = [f"{len(part.classes)} {kind} classes "
                  f"(stable after {part.stabilized_at} rounds):"]
         for c in part.classes:
-            words = ", ".join(sorted((digits[w] or "e" for w in c),
-                                     key=lambda d: (len(d), d)))
-            lines.append(f"  {{{words}}}")
+            lines.append(f"  {{{_word_list(digits, c)}}}")
         _emit("\n".join(lines), args)
     return 0
 

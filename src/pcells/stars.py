@@ -29,13 +29,13 @@ through star images for every finite m >= 3.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict, deque
+from collections import deque
 from functools import cache, cached_property, partial
-from itertools import count
 from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .cells import CellPartition, transport_preorder
+from .cells import (CellPartition, _classes, _is_union, _renumber,
+                    transport_preorder)
 from .coxeter import CoxeterSystem
 from .hecke import KLTable
 from .laurent import ONE, ZERO, LaurentPoly
@@ -491,7 +491,6 @@ def star_closure_check(left: CellPartition, right: CellPartition,
         raise PBoundError(
             f"p = {prime} is below the bound for bond order {pair.m}")
     star = pair.star
-    dr = frozenset(star)
     phi, bad, checked = transport_preorder(left, left, star)
 
     for s in pair.strings:
@@ -501,18 +500,18 @@ def star_closure_check(left: CellPartition, right: CellPartition,
                        "crosses right cells")
 
     for i, cell in enumerate(left.cells):
-        if not cell <= dr:
+        if not all(map(star.__contains__, cell)):
             continue
         checked += 1
         if i not in phi or len(left.cells[phi[i]]) != len(cell):
             bad.append(f"star image of left cell {i} is not a left cell")
         completion = frozenset(
             y for x in cell
-            for y in pair.strings[pair.positions[x][0]].elements) - cell
+            for y in pair.strings[pair.positions[x][0]].elements
+        ).difference(cell)
         touched = {left.cell_of[y] for y in completion}
-        union = frozenset().union(*(left.cells[j] for j in touched)) if touched else frozenset()
         checked += 2
-        if union != completion:
+        if not _is_union(left, touched, len(completion)):
             bad.append(f"string completion of left cell {i} is not a union "
                        "of left cells")
         if len(touched) > pair.m - 2:
@@ -527,22 +526,13 @@ def star_closure_check(left: CellPartition, right: CellPartition,
 class TauPartition(NamedTuple):
     """The limit of the refinement sequence, with the iteration count at
     which it stabilized: classes[i] lists the ids of class i in increasing
-    order, and class_of[x] is the class of id x."""
+    order, and class_of[x] is the class of id x, numbered by first
+    occurrence in id order as cells.CellPartition numbers its cells.  So
+    tau equals a left partition exactly when class_of == left.cell_of."""
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     stabilized_at: int
-
-    def as_sets(self) -> set[frozenset[int]]:
-        return set(map(frozenset, self.classes))
-
-
-def _refine(columns: Iterable[Iterable]) -> list[int]:
-    """Class ids by element id of the partition into equal rows of the
-    columns (iterables in element id order), numbered by first occurrence."""
-    # a new row takes the next id, at C speed
-    ids: defaultdict[tuple, int] = defaultdict(count().__next__)
-    return list(map(ids.__getitem__, zip(*columns)))
 
 
 def _fixpoint(system: CoxeterSystem, stars: list[array],
@@ -550,9 +540,10 @@ def _fixpoint(system: CoxeterSystem, stars: list[array],
     """Refine the partition by right descent sets until no class splits by
     the class of each star image (stars) or the class multiset of each
     pair of string neighbours (bonds), all arrays over element ids, and
-    return its class ids by element id and the number of rounds.  Ids
-    increase with length, so the numbering by first occurrence is already
-    the order of the classes by least length, then least id.
+    return its class ids by element id and the number of rounds.  Each
+    round renumbers the rows of its columns by first occurrence
+    (cells._renumber).  Ids increase with length, so that numbering is
+    already the order of the classes by least length, then least id.
 
     The arrays send an element outside D_R(r, t) to itself: its class,
     refined from right descent sets, already sets it apart from D_R(r, t),
@@ -571,10 +562,10 @@ def _fixpoint(system: CoxeterSystem, stars: list[array],
             yield map(add, map(get, before), map(get, after))
             yield map(abs, map(sub, map(get, before), map(get, after)))
 
-    cls = _refine([system.right_descents])
+    cls = _renumber(system.right_descents)
     iterations = 0
     while True:
-        nxt = _refine(columns(cls))
+        nxt = _renumber(zip(*columns(cls)))
         iterations += 1
         if nxt == cls:
             break
@@ -582,15 +573,11 @@ def _fixpoint(system: CoxeterSystem, stars: list[array],
     return cls, iterations
 
 
-def _partition(system: CoxeterSystem, cls: list[int],
-               iterations: int) -> TauPartition:
+def _partition(cls: list[int], iterations: int) -> TauPartition:
     """The record of _fixpoint's result.  The callers build it once
     _fixpoint has returned, so the arrays it read are freed by then."""
-    classes: list[list[int]] = [[] for _ in range(max(cls) + 1)]
-    for x, i in zip(system.elements(), cls):
-        classes[i].append(x)
-    return TauPartition(classes=tuple(map(tuple, classes)),
-                        class_of=tuple(cls), stabilized_at=iterations)
+    return TauPartition(classes=_classes(cls), class_of=tuple(cls),
+                        stabilized_at=iterations)
 
 
 def tau_partition(system: CoxeterSystem,
@@ -618,7 +605,7 @@ def tau_partition(system: CoxeterSystem,
              for t in range(r + 1, system.rank)
              if (m := system.coxeter_matrix[r][t]) in orders]
     # each pair's walk is freed once its arrays are written
-    return _partition(system, *_fixpoint(
+    return _partition(*_fixpoint(
         system,
         [col for r, t, m in pairs if m == 3
          for col in DihedralStrings(system, r, t)._columns(_star_targets)],
@@ -629,7 +616,7 @@ def tau_partition(system: CoxeterSystem,
 def tau_tilde_partition(system: CoxeterSystem) -> TauPartition:
     """Same fixpoint scheme, refining by star images over every pair with
     finite bond order at least 3."""
-    return _partition(system, *_fixpoint(
+    return _partition(*_fixpoint(
         system,
         [col for r in range(system.rank) for t in range(r + 1, system.rank)
          if system.coxeter_matrix[r][t] >= 3

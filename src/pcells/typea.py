@@ -21,7 +21,7 @@ from collections import Counter
 from math import factorial
 from typing import Iterable, Sequence
 
-from .cells import CellPartition
+from .cells import CellPartition, _renumber
 from .coxeter import CoxeterSystem
 from .report import Report
 
@@ -230,12 +230,12 @@ def _perms_of_elements(system: CoxeterSystem) -> list[tuple[int, ...]]:
     return perms
 
 
-def _intersection_failures(system: CoxeterSystem, left: CellPartition,
-                           right: CellPartition, two: CellPartition) -> int:
+def _intersection_failures(left: CellPartition, right: CellPartition,
+                           two: CellPartition) -> int:
     """The number of pairs (left cell, right cell) that break the rule: a
     left and a right cell meet in exactly one element if they lie in one
     two-sided cell, and in none otherwise.  Each cell's two-sided cell is
-    read at one of its elements.
+    read at its least element.
 
     One pass over W counts the elements of each pair that meets, so no pair
     of cells is intersected.  Start from the pairs inside one two-sided
@@ -244,11 +244,9 @@ def _intersection_failures(system: CoxeterSystem, left: CellPartition,
     comes off that count; one that meets more often fails, and stays on it.
     A pair that meets across two two-sided cells fails."""
     two_of = two.cell_of
-    left_two = [two_of[next(iter(c))] for c in left.cells]
-    right_two = [two_of[next(iter(c))] for c in right.cells]
-    ids = system.elements()
-    met = Counter(zip(map(left.cell_of.__getitem__, ids),
-                      map(right.cell_of.__getitem__, ids)))
+    left_two = [two_of[c[0]] for c in left.cells]
+    right_two = [two_of[c[0]] for c in right.cells]
+    met = Counter(zip(left.cell_of, right.cell_of))
     lefts_in, rights_in = Counter(left_two), Counter(right_two)
     failures = sum(lefts_in[t] * rights_in[t] for t in lefts_in)
     for (i, j), k in met.items():
@@ -269,27 +267,20 @@ def verify_typea_cell_theorem(system: CoxeterSystem,
                         for side in ("left", "right", "two-sided"))
     # counted before the RS symbols are built, so that the pair counter and
     # the tableaux are not held at once
-    failures = _intersection_failures(system, left, right, two)
+    failures = _intersection_failures(left, right, two)
     perms = _perms_of_elements(system)
-    rs = {w: rs_correspondence(p) for w, p in enumerate(perms)}
+    rs = list(map(rs_correspondence, perms))
 
     bad: list[str] = []
     checked = 0
 
-    def fibers(key) -> set[frozenset[int]]:
-        groups: dict[object, set[int]] = {}
-        for w in system.elements():
-            groups.setdefault(key(w), set()).add(w)
-        return {frozenset(g) for g in groups.values()}
-
-    expected = {
-        "left": fibers(lambda w: rs[w][1]),
-        "right": fibers(lambda w: rs[w][0]),
-        "two-sided": fibers(lambda w: shape_of(rs[w][0])),
-    }
+    # each side's RS fibers as class ids by element id, numbered by first
+    # occurrence in id order as the cells are
+    keys = {"left": [q for _, q in rs], "right": [p for p, _ in rs],
+            "two-sided": [shape_of(p) for p, _ in rs]}
     for side, part in partitions.items():
         checked += 1
-        if part.as_sets() != expected[side]:
+        if part.cell_of != tuple(_renumber(keys[side])):
             bad.append(f"{side} cells do not match the RS fibers")
 
     inverse = system.inverse
@@ -299,14 +290,15 @@ def verify_typea_cell_theorem(system: CoxeterSystem,
         bad.append("left cell count differs from the involution count")
     for i, cell in enumerate(left.cells):
         checked += 1
-        if len(cell & invs) != 1:
-            bad.append(f"left cell {i} contains {len(cell & invs)} involutions")
+        held = sum(map(invs.__contains__, cell))
+        if held != 1:
+            bad.append(f"left cell {i} contains {held} involutions")
 
     checked += len(left.cells) * len(right.cells)
     bad += ["left/right intersection rule fails"] * failures
 
     for i, two_cell in enumerate(two.cells):
-        shape = shape_of(rs[next(iter(two_cell))][0])
+        shape = shape_of(rs[two_cell[0]][0])
         f_pi = hook_length_count(shape)
         lefts = {left.cell_of[w] for w in two_cell}
         checked += 2

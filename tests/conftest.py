@@ -88,14 +88,14 @@ def _mutants(partition, system, i, j):
     minima of cells i and j: the two cells merged, cell i split with a
     strictly above the rest of it, and a moved into cell j, with b's
     relations."""
-    a, b = min(partition.cells[i]), min(partition.cells[j])
+    a, b = partition.cells[i][0], partition.cells[j][0]
 
     def merge(succ):
         succ[a].add(b)
         succ[b].add(a)
 
     def split(succ):
-        for y in partition.cells[i] - {a}:
+        for y in partition.cells[i][1:]:
             succ[y].discard(a)
 
     def move(succ):
@@ -116,8 +116,8 @@ def _left_mutants(label):
     system = verify.get_system(label)
     left = verify.get_cells(label, 0, "left")
     star = DihedralStrings(system, 0, 1).star
-    image = {i: left.cell_of[star[min(c)]] for i, c in enumerate(left.cells)
-             if c <= star.keys()}
+    image = {i: left.cell_of[star[c[0]]] for i, c in enumerate(left.cells)
+             if all(x in star for x in c)}
     i = next(i for i in image if image[i] != i and len(left.cells[i]) > 1)
     j = next(j for j in image
              if j != i and not {image[i], image[j]} & {i, j})

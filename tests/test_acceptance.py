@@ -108,8 +108,9 @@ def test_criterion_9_negative_tests():
     kl_b2 = verify.get_kl("B2")
     tab = identity_table(b2)
     left = compute_cells(tab, kl_b2, "left")
-    cell = frozenset(b2.digits_to_id(w) for w in ("1", "21", "121"))
-    g = extract_wgraph(left, left.cell_index_of(cell), tab, kl_b2)
+    cell = [b2.digits_to_id(w) for w in ("1", "21", "121")]
+    assert left.cells[left.cell_of[min(cell)]] == tuple(sorted(cell))
+    g = extract_wgraph(left, left.cell_of[min(cell)], tab, kl_b2)
     (a, b), labels = next(iter(sorted(g.edges.items())))
     labels[next(iter(labels))] = LaurentPoly(7)
     rep = verify_wgraph_relations(g, b2)

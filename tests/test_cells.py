@@ -37,6 +37,18 @@ from pcells import verify
 from test_coxeter import REDUCIBLE
 
 
+def _sets(partition):
+    """The cells of a partition as a set of frozensets."""
+    return set(map(frozenset, partition.cells))
+
+
+def _index_of(partition, elements):
+    """The index of the cell whose elements are the given ones."""
+    i = partition.cell_of[min(elements)]
+    assert partition.cells[i] == tuple(sorted(elements))
+    return i
+
+
 def test_scc_utility():
     graph = {1: [2], 2: [3], 3: [1, 4], 4: [5], 5: [4], 6: []}
     comps = {frozenset(c) for c in
@@ -160,7 +172,7 @@ def test_a1_cells():
     assert graph[0] == {1}               # B_e C_s = B_s
     assert graph[1] == {1}               # descent self-loop
     part = compute_cells(tab, kl, "right")
-    assert part.as_sets() == {frozenset({0}), frozenset({1})}
+    assert part.cells == ((0,), (1,)) and part.cell_of == (0, 1)
 
 
 def _mu_graph_cells(system, kl, side):
@@ -187,7 +199,7 @@ def test_p0_cells_match_mu_graph_oracle(label):
     kl = verify.get_kl(label)
     tab = identity_table(system)
     for side in ("left", "right"):
-        assert compute_cells(tab, kl, side).as_sets() == \
+        assert _sets(compute_cells(tab, kl, side)) == \
             _mu_graph_cells(system, kl, side)
 
 
@@ -213,7 +225,7 @@ def _partition_by_recursive_fill(system, graph, side, prime):
     succ = {y: [x for x in row if x != y] for y, row in graph.items()}
     comps = strongly_connected_components(list(system.elements()), succ)
     comps.sort(key=lambda c: (min(system.length[w] for w in c), min(c)))
-    cells = tuple(frozenset(c) for c in comps)
+    cells = tuple(tuple(sorted(c)) for c in comps)
     cell_of = {w: i for i, c in enumerate(cells) for w in c}
 
     n = len(cells)
@@ -240,7 +252,8 @@ def _partition_by_recursive_fill(system, graph, side, prime):
     for i in range(n):
         fill(i)
     hasse = transitive_reduction(children, reach)
-    return CellPartition(side=side, prime=prime, cells=cells, cell_of=cell_of,
+    return CellPartition(side=side, prime=prime, cells=cells,
+                         cell_of=tuple(cell_of[w] for w in system.elements()),
                          hasse_edges=frozenset(hasse),
                          downsets=tuple(frozenset(r) for r in reach))
 
@@ -450,7 +463,7 @@ def test_identity_cell_and_coarsening(b3, kl_b3):
     parts = {side: compute_cells(tab, kl_b3, side)
              for side in ("left", "right", "two-sided")}
     for part in parts.values():
-        assert frozenset({0}) in part.as_sets()
+        assert part.cells[0] == (0,) and part.cell_of[0] == 0
     for side in ("left", "right"):
         for cell in parts[side].cells:
             assert len({parts["two-sided"].cell_of[w] for w in cell}) == 1
@@ -461,11 +474,12 @@ def test_descent_invariant(b3, kl_b3):
     right = compute_cells(tab, kl_b3, "right")
     assert check_descent_invariant(right, b3).ok
     # corrupting the partition by merging {e} into another cell fails
-    cells = [c for c in right.cells if c != frozenset({0})]
-    cells[0] = cells[0] | {0}
+    cells = [c for c in right.cells if c != (0,)]
+    cells[0] = (0,) + cells[0]
+    cell_of = dict(sorted((w, i) for i, c in enumerate(cells) for w in c))
     fake = CellPartition(
         side="right", prime=0, cells=tuple(cells),
-        cell_of={w: i for i, c in enumerate(cells) for w in c},
+        cell_of=tuple(cell_of.values()),
         hasse_edges=frozenset(), downsets=tuple(frozenset({i}) for i in range(len(cells))))
     assert not check_descent_invariant(fake, b3).ok
 
@@ -575,23 +589,23 @@ def test_decomposition_criterion(c3, kl_c3, c3_p2):
                decomposition_criterion(tab0, kl_right, kl_right).values())
     reports = decomposition_criterion(c3_p2, kl_right,
                                       compute_cells(c3_p2, kl_c3, "right"))
-    c12 = kl_right.cell_index_of(frozenset(
-        c3.digits_to_id(w) for w in ("232123", "232121", "2321213", "23212132")))
-    c6 = kl_right.cell_index_of(frozenset(
-        c3.digits_to_id(w) for w in ("232", "2321", "23212")))
+    c12 = _index_of(kl_right, [
+        c3.digits_to_id(w) for w in ("232123", "232121", "2321213", "23212132")])
+    c6 = _index_of(kl_right, [
+        c3.digits_to_id(w) for w in ("232", "2321", "23212")])
     assert not reports[c12].ok
     assert reports[c6].ok
     # where the criterion applies downward, the conclusion was verified:
     # e.g. the cell of 13 is not above the failing cells, so it decomposes
-    c4 = kl_right.cell_index_of(frozenset(
-        c3.digits_to_id(w) for w in ("13", "132", "1321")))
+    c4 = _index_of(kl_right, [
+        c3.digits_to_id(w) for w in ("13", "132", "1321")])
     assert reports[c4].ok and reports[c4].checked > 0
 
 
 def test_extract_wgraph_identity_cell(a2, kl_a2):
     tab = identity_table(a2)
     left = compute_cells(tab, kl_a2, "left")
-    idx = left.cell_index_of({0})
+    idx = _index_of(left, [0])
     g = extract_wgraph(left, idx, tab, kl_a2)
     assert g.vertices == (0,) and not g.edges
     assert verify_wgraph_relations(g, a2).ok
@@ -602,8 +616,8 @@ def test_b2_string_cell_wgraph(b2, kl_b2):
     # three-vertex path with unit labels
     tab = identity_table(b2)
     left = compute_cells(tab, kl_b2, "left")
-    cell = frozenset(b2.digits_to_id(w) for w in ("1", "21", "121"))
-    g = extract_wgraph(left, left.cell_index_of(cell), tab, kl_b2)
+    cell = [b2.digits_to_id(w) for w in ("1", "21", "121")]
+    g = extract_wgraph(left, _index_of(left, cell), tab, kl_b2)
     assert len(g.vertices) == 3
     assert all(c == ONE for labels in g.edges.values() for c in labels.values())
     assert verify_wgraph_relations(g, b2).ok
@@ -620,8 +634,8 @@ def test_all_a3_cell_wgraphs_are_modules(a3, kl_a3):
 def test_perturbed_wgraph_fails(b2, kl_b2):
     tab = identity_table(b2)
     left = compute_cells(tab, kl_b2, "left")
-    cell = frozenset(b2.digits_to_id(w) for w in ("1", "21", "121"))
-    g = extract_wgraph(left, left.cell_index_of(cell), tab, kl_b2)
+    cell = [b2.digits_to_id(w) for w in ("1", "21", "121")]
+    g = extract_wgraph(left, _index_of(left, cell), tab, kl_b2)
     (a, b), labels = next(iter(sorted(g.edges.items())))
     labels[next(iter(labels))] = LaurentPoly(2)
     assert not verify_wgraph_relations(g, b2).ok
@@ -728,29 +742,29 @@ def test_wgraphs_with_a_changed_edge_label_fail_both_checks(label, prime):
 def test_two_sided_cells_are_inverse_closed(c3, kl_c3, c3_p2):
     two = compute_cells(c3_p2, kl_c3, "two-sided")
     for cell in two.cells:
-        assert frozenset(c3.inverse[w] for w in cell) == cell
+        assert sorted(c3.inverse[w] for w in cell) == list(cell)
 
 
 def test_b2_p2_cells(b2, kl_b2, b2_p2):
     # the reference 2-cells of type B2: the cell of s splits off {s}
     right = compute_cells(b2_p2, kl_b2, "right")
     D = b2.digits_to_id
-    assert right.as_sets() == {
+    assert _sets(right) == {
         frozenset({0}), frozenset({D("1")}),
         frozenset({D("12"), D("121")}),
         frozenset({D("2"), D("21"), D("212")}),
         frozenset({D("1212")}),
     }
     two = compute_cells(b2_p2, kl_b2, "two-sided")
-    assert two.as_sets() == {
+    assert _sets(two) == {
         frozenset({0}), frozenset({D("1")}),
         frozenset({D(w) for w in ("2", "12", "21", "121", "212")}),
         frozenset({D("1212")}),
     }
     # the two-sided order is the reference chain
-    chain = [two.cell_index_of({0}), two.cell_index_of({D("1")}),
-             two.cell_index_of({D(w) for w in ("2", "12", "21", "121", "212")}),
-             two.cell_index_of({D("1212")})]
+    chain = [_index_of(two, [0]), _index_of(two, [D("1")]),
+             _index_of(two, [D(w) for w in ("2", "12", "21", "121", "212")]),
+             _index_of(two, [D("1212")])]
     assert two.hasse_edges == frozenset(zip(chain, chain[1:]))
 
 
@@ -846,6 +860,39 @@ def test_propagate_nondecomposition(c3, kl_c3, c3_p2):
     assert rep.ok
 
 
+def test_union_checks_reject_the_c3_right_mutants(c3_p2, right_mutants):
+    # a mutant as the p = 0 right cells: moving a cell's minimum cuts the
+    # induced sets C.X, and splitting a cell leaves cells 1 and 4 no union
+    # of p = 2 cells
+    p_right = verify.get_cells("C3", 2, "right")
+    mutants = right_mutants("C3")
+    rep = propagate_nondecomposition(c3_p2, mutants["move"], p_right, [0, 1])
+    assert rep.violations == [
+        "C.X for H-cell [1, 3, 5] is not a union of W-cells",
+        "C.X for H-cell [2, 4, 6] is not a union of W-cells"]
+    reports = decomposition_criterion(c3_p2, mutants["split"], p_right)
+    union = ("criterion applies below this cell but the cell is not a union "
+             "of p-cells")
+    assert [i for i, r in reports.items() if union in r.violations] == [1, 4]
+
+
+def test_out_of_range_ids_and_cell_indices_are_rejected(a2, kl_a2):
+    # a tuple reads a negative index from its end: leq(-1, y) read the
+    # longest element, and extract_wgraph(partition, -1, ...) the last cell
+    tab = identity_table(a2)
+    left = compute_cells(tab, kl_a2, "left")
+    n, last = a2.size, len(left.cells) - 1
+    assert left.leq(n - 1, 0) and not left.leq(0, n - 1)
+    for x, y in ((-1, 0), (0, -1), (-n, 0), (0, -n), (n, 0), (0, n)):
+        with pytest.raises(IndexError):
+            left.leq(x, y)
+    assert extract_wgraph(left, 0, tab, kl_a2).vertices == left.cells[0]
+    assert extract_wgraph(left, last, tab, kl_a2).vertices == left.cells[last]
+    for i in (-1, -last - 1, last + 1, last + 2):
+        with pytest.raises(IndexError, match="cell index"):
+            extract_wgraph(left, i, tab, kl_a2)
+
+
 @pytest.mark.parametrize("label", ["A3", "B2", "B3", "G2", "C3"])
 def test_kl_right_cells_are_right_connected(label):
     # tested, not assumed: on these finite groups every KL right cell is
@@ -884,7 +931,7 @@ def test_partitions_and_wgraphs_compare_field_by_field(a2, kl_a2):
     with pytest.raises(TypeError):
         hash(right)
     left = compute_cells(tab, kl_a2, "left")
-    g = extract_wgraph(left, left.cell_index_of({0}), tab, kl_a2)
+    g = extract_wgraph(left, _index_of(left, [0]), tab, kl_a2)
     assert ColouredWGraph(g.side, g.vertices, g.descent_sets, g.edges) == g
     assert ColouredWGraph("right", g.vertices, g.descent_sets, g.edges) != g
     assert repr(g) == (

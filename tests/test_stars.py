@@ -221,6 +221,17 @@ def test_star_invariance_matches_the_pairwise_oracle(label, prime):
             assert star_closure_check(left, right, system, r, t, prime).ok
 
 
+# the left cells of each mutant whose string completion for (1, 2) is not
+# a union of left cells
+_BROKEN_COMPLETIONS = {
+    "A3": {"merge": [2, 5], "split": [1, 5], "move": [1, 2, 4, 6]},
+    "B3": {"merge": [5, 7, 8, 10], "split": [4, 6],
+           "move": [4, 5, 6, 8, 9, 11]},
+    "C3": {"merge": [5, 7, 8, 10], "split": [4, 6],
+           "move": [4, 5, 6, 8, 9, 11]},
+}
+
+
 @pytest.mark.parametrize("label", ["A3", "B3", "C3"])
 def test_star_closure_rejects_broken_partitions(label, left_mutants):
     system = verify.get_system(label)
@@ -229,7 +240,12 @@ def test_star_closure_rejects_broken_partitions(label, left_mutants):
     for name, mutant in left_mutants(label).items():
         assert transport_preorder(mutant, mutant, star)[1], name
         assert _pairwise_star_invariance(mutant, star), name
-        assert not star_closure_check(mutant, right, system, 0, 1, 0).ok, name
+        rep = star_closure_check(mutant, right, system, 0, 1, 0)
+        assert not rep.ok, name
+        assert [v for v in rep.violations if v.endswith(" union of left cells")
+                ] == [f"string completion of left cell {i} is not a union "
+                      "of left cells"
+                      for i in _BROKEN_COMPLETIONS[label][name]], name
 
 
 def _pairwise_relations(m, get, label, bad):
@@ -378,20 +394,20 @@ def test_corrupted_tables_fail_checkers_and_oracles_alike():
 def test_tau_s3(a2, kl_a2):
     part = tau_partition(a2)
     left = compute_cells(identity_table(a2), kl_a2, "left")
-    assert part.as_sets() == left.as_sets()
-    assert tau_tilde_partition(a2).as_sets() == part.as_sets()
+    assert part.class_of == left.cell_of
+    assert tau_tilde_partition(a2).class_of == part.class_of
 
 
 def test_tau_a1():
     a1 = verify.get_system("A1")
     part = tau_partition(a1)
-    assert part.as_sets() == {frozenset({0}), frozenset({1})}
+    assert part.classes == ((0,), (1,)) and part.class_of == (0, 1)
 
 
 def test_tau_s4(a3, kl_a3):
     part = tau_partition(a3)
     left = compute_cells(identity_table(a3), kl_a3, "left")
-    assert part.as_sets() == left.as_sets()
+    assert part.class_of == left.cell_of
 
 
 def test_tau_tilde_b3(b3, kl_b3):
@@ -399,6 +415,17 @@ def test_tau_tilde_b3(b3, kl_b3):
     left = compute_cells(identity_table(b3), kl_b3, "left")
     for cell in left.cells:
         assert len({part.class_of[w] for w in cell}) == 1
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "B2", "B3", "C3", "G2"])
+def test_tau_has_the_shape_of_the_left_cells(label):
+    # both number their classes by first occurrence in id order, so where
+    # tau and tau-tilde give the left cells the records agree as tuples
+    left = verify.get_cells(label, 0, "left")
+    for part in (tau_partition(verify.get_system(label)),
+                 tau_tilde_partition(verify.get_system(label))):
+        assert part.classes == left.cells
+        assert part.class_of == left.cell_of
 
 
 def test_tau_restricted_to_valid_pairs_at_p2(c3, kl_c3, c3_p2):

@@ -11,7 +11,9 @@ module level, where they are seen at once and resolve once, a fresh
 interpreter's import of pcells loads neither dataclasses nor inspect, and
 the inverse-duality and star-closure checks compare cells, never pairs of
 elements, and the star-relation checkers evaluate one relation system per
-x-string, never one per pair of strings.  Tau on a simply-laced group
+x-string, never one per pair of strings.  Cell partitions and tau
+results share one shape, checked on B3: each class an increasing tuple of
+ints, and a tuple of class ids by element id.  Tau on a simply-laced group
 builds no string neighbours.  The enumerated B5 keeps under
 100 bytes per element, as tracemalloc counts them: no word tuples and no
 row list per element.  F4's KL table keeps under 4.1 bytes per entry: no
@@ -241,6 +243,24 @@ def test_a6_tau_matches_the_benchmark_class_counts():
     a6 = CoxeterSystem.from_type("A6")
     assert len(tau_partition(a6).classes) == want["tau"] == 232
     assert len(tau_tilde_partition(a6).classes) == want["tau-tilde"] == 232
+
+
+def test_cells_and_tau_are_tuples_over_ids():
+    # every side's cells and both tau kinds' classes: so a tau result is
+    # compared with cells, or printed by the cells printers, as it is
+    b3 = verify.get_system("B3")
+    records = [(part.cells, part.cell_of) for part in (
+        verify.get_cells("B3", 0, side)
+        for side in ("left", "right", "two-sided"))]
+    records += [(part.classes, part.class_of)
+                for part in (tau_partition(b3), tau_tilde_partition(b3))]
+    for classes, class_of in records:
+        assert type(classes) is tuple and type(class_of) is tuple
+        assert len(class_of) == b3.size
+        assert all(type(i) is int for i in class_of)
+        for c in classes:
+            assert type(c) is tuple and all(type(x) is int for x in c)
+            assert list(c) == sorted(set(c))
 
 
 def test_simply_laced_tau_builds_no_string_neighbours(monkeypatch):

@@ -375,9 +375,9 @@ def _intersection_rule_by_pairs(partitions):
     checked = 0
     for cl in partitions["left"].cells:
         for cr in partitions["right"].cells:
-            same_two = two_of[next(iter(cl))] == two_of[next(iter(cr))]
+            same_two = two_of[cl[0]] == two_of[cr[0]]
             checked += 1
-            if len(cl & cr) != (1 if same_two else 0):
+            if len(set(cl).intersection(cr)) != (1 if same_two else 0):
                 bad.append(RULE)
     return bad, checked
 
@@ -395,7 +395,7 @@ def _theorem_against_pairs(label, partitions):
     left, two = partitions["left"], partitions["two-sided"]
     assert rep.checked == (len(partitions) + 1 + len(left.cells) + pairs
                            + 2 * len(two.cells))
-    assert _intersection_failures(system, left, partitions["right"],
+    assert _intersection_failures(left, partitions["right"],
                                   two) == len(lines)
     return lines
 
