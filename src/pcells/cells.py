@@ -38,8 +38,8 @@ from itertools import chain, count
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .coxeter import CoxeterSystem
-from .hecke import KLTable, _acc, compute_kl_table
-from .laurent import GAUSS, V, LaurentPoly
+from .hecke import KLTable, compute_kl_table
+from .laurent import LaurentPoly
 from .pcanonical import (PCanTable, identity_table, require_same_group,
                          restrict_to_parabolic, structure_coefficients)
 from .report import Report
@@ -598,32 +598,82 @@ def verify_wgraph_relations(graph: ColouredWGraph, system: CoxeterSystem
     tau_s satisfies tau^2 = (v + v^-1) tau, and the shifted operators
     T_s = tau_s - v satisfy the braid relations.  Two operators are equal
     iff they agree on every vertex, so each side is applied to each vertex
-    as a sparse vector."""
-    tau: list[dict[int, dict[int, LaurentPoly]]] = [
-        {x: {x: GAUSS} if s in graph.descent_sets[x] else {}
-         for x in graph.vertices} for s in range(system.rank)]
-    for (a, b), labels in graph.edges.items():
-        for s, c in labels.items():
-            if s not in graph.descent_sets[a] and s in graph.descent_sets[b]:
-                _acc(tau[s][a], b, c)
-    shifted = [{x: dict(col) for x, col in columns.items()}
-               for columns in tau]
-    for columns in shifted:
-        for x, col in columns.items():
-            _acc(col, x, -V)
+    as a sparse vector.
 
-    def apply(columns: dict[int, dict[int, LaurentPoly]],
-              vec: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-        out: dict[int, LaurentPoly] = {}
+    The quadratic relation holds by construction: every column of tau_s
+    lands in the span of the vertices with s in their descent set, where
+    tau_s is v + v^-1.  It is checked all the same, at one product per
+    column.
+
+    The arithmetic is on Python ints.  Let L >= 1 be the least shift that
+    clears every negative exponent of the labels that tau reads and of
+    v^-1.  Then P_s = v^L tau_s and Q_s = v^L T_s = P_s - v^(L+1) have
+    entries in Z[v], and the relations read P_s^2 = v^L (v + v^-1) P_s and
+    Q_s Q_t Q_s ... = Q_t Q_s Q_t ... (m factors each), with v^L (v + v^-1)
+    = v^(L+1) + v^(L-1) in Z[v].  Each entry is evaluated at v = 2^K once;
+    evaluation is a ring homomorphism Z[v] -> Z, so each side of each
+    relation, applied to a vertex, is computed exactly at 2^K.
+
+    The bound.  Write |f| for the sum of the absolute values of the
+    coefficients of f in Z[v]; |fg| <= |f| |g|.  The column norm of a
+    matrix over Z[v], the largest sum of |entry| down a column, is then
+    submultiplicative, and bounds every coefficient of every entry.  Let N
+    be the largest column norm of any P_s (at least 2, that of the column
+    v^(L+1) + v^(L-1) of a descent).  Each Q_s has column norm at most
+    N + 1, so a word of m factors has coefficients at most (N + 1)^m;
+    P_s^2 at most N^2 and v^L (v + v^-1) P_s at most 2N.  With M the
+    largest finite bond order (2 when there is none), every coefficient
+    that either side of any relation reaches is at most B = (N + 1)^M.
+
+    Exactness.  K is the bit length of 2B, so B < 2^(K-1).  Two sides f
+    and g with coefficients of absolute value at most B differ by h whose
+    coefficients have absolute value below 2^K.  If h != 0 has degree d,
+    its top term has absolute value at least 2^(Kd) at 2^K, and the rest
+    at most (2^K - 1)(1 + 2^K + ... + 2^(K(d-1))) = 2^(Kd) - 1, so
+    h(2^K) != 0.  Hence f = g iff f(2^K) = g(2^K), and the vectors compare
+    exactly as dicts of ints (zero entries aside).  K is read off the
+    graph, so no coefficient can overflow it.
+    """
+    desc = graph.descent_sets
+    # the labels that tau reads: column a of tau_s has entry b
+    entries = [(s, a, b, c.to_pairs()) for (a, b), labels in graph.edges.items()
+               for s, c in labels.items() if s not in desc[a] and s in desc[b]]
+    shift = max([1] + [-e for *_, pairs in entries for e, _ in pairs])
+    norms: defaultdict[tuple[int, int], int] = defaultdict(int)
+    for s, a, _, pairs in entries:
+        norms[s, a] += sum(abs(c) for _, c in pairs)
+    norm = max([2, *norms.values()])
+    order = max([2, *(m for row in system.coxeter_matrix for m in row
+                      if m > 1)])
+    width = (2 * (norm + 1) ** order).bit_length()
+    # v^L (v + v^-1) and v^(L+1) at 2^K
+    gauss = (1 << width * (shift + 1)) + (1 << width * (shift - 1))
+    vee = 1 << width * (shift + 1)
+    tau: list[dict[int, dict[int, int]]] = [
+        {x: {x: gauss} if s in desc[x] else {} for x in graph.vertices}
+        for s in range(system.rank)]
+    for s, a, b, pairs in entries:
+        tau[s][a][b] = sum(c << width * (e + shift) for e, c in pairs)
+    shifted = [{x: {**col, x: col.get(x, 0) - vee}
+                for x, col in columns.items()} for columns in tau]
+
+    def apply(columns: dict[int, dict[int, int]], vec: dict[int, int]
+              ) -> dict[int, int]:
+        out: dict[int, int] = {}
+        get = out.get
         for x, c in vec.items():
             for y, d in columns[x].items():
-                _acc(out, y, d * c)
+                out[y] = get(y, 0) + d * c
         return out
 
-    def braid_word(x: int, first: int, second: int, m: int
-                   ) -> dict[int, LaurentPoly]:
+    def same(u: dict[int, int], w: dict[int, int]) -> bool:
+        # sums that cancel leave zero entries
+        return u == w or ({y: c for y, c in u.items() if c}
+                          == {y: c for y, c in w.items() if c})
+
+    def braid_word(x: int, first: int, second: int, m: int) -> dict[int, int]:
         # the first operator sends x to its column
-        vec = dict(shifted[first][x])
+        vec = shifted[first][x]
         for k in range(1, m):
             vec = apply(shifted[(first, second)[k % 2]], vec)
         return vec
@@ -632,8 +682,9 @@ def verify_wgraph_relations(graph: ColouredWGraph, system: CoxeterSystem
     checked = 0
     for s, columns in enumerate(tau):
         checked += 1
-        if any(apply(columns, col) != {y: GAUSS * c for y, c in col.items()}
-               for col in columns.values()):
+        if not all(same(apply(columns, col),
+                        {y: gauss * c for y, c in col.items()})
+                   for col in columns.values()):
             bad.append(f"tau_{s + 1}^2 != (v + v^-1) tau_{s + 1}")
     for s in range(system.rank):
         for t in range(s + 1, system.rank):
@@ -641,8 +692,8 @@ def verify_wgraph_relations(graph: ColouredWGraph, system: CoxeterSystem
             if m == 0:
                 continue
             checked += 1
-            if any(braid_word(x, s, t, m) != braid_word(x, t, s, m)
-                   for x in graph.vertices):
+            if not all(same(braid_word(x, s, t, m), braid_word(x, t, s, m))
+                       for x in graph.vertices):
                 bad.append(f"braid relation fails for pair ({s + 1}, {t + 1})")
     return Report("wgraph-relations", bad, checked)
 
@@ -715,6 +766,12 @@ def propagate_nondecomposition(table: PCanTable, kl_right: CellPartition,
     cell of W; and (c) if some cell of H meets two KL cells of H, the
     containing W-cell meets the two disjoint induced unions, so the KL
     cells of W do not decompose either.
+
+    Check (c) cannot fail once (b) has lifted the cell.  For each KL index
+    j of an H p-cell, some y of the cell lies in the KL cell C_j, and e is
+    a minimal coset representative, so emb.to_parent[y] = y e lies in
+    induced[j]; (b) put it in big.  So (c) holds by construction, and can
+    fail only through wrong coset products.
     """
     system = table.system
     emb = system.parabolic_subsystem(gens)

@@ -739,6 +739,62 @@ def test_wgraphs_with_a_changed_edge_label_fail_both_checks(label, prime):
     assert rep == _dense_wgraph_relations(g, table.system)
 
 
+@functools.cache
+def _left_cell_wgraphs(label):
+    table, kl = _table_and_kl(label, 0)
+    left = compute_cells(table, kl, "left")
+    graphs = [extract_wgraph(left, i, table, kl) for i in range(len(left.cells))]
+    return table.system, [g for g in graphs if g.edges]
+
+
+# exponents -3..3 make the shift L up to 3, and coefficients near 2^40 put
+# the evaluation point 2^K far above 2^64
+_LABELS = st.dictionaries(st.integers(-3, 3),
+                          st.integers(-2 ** 40, 2 ** 40)).map(LaurentPoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_wgraph_relations_with_random_labels_match_the_dense_oracle(data):
+    system, graphs = _left_cell_wgraphs(
+        data.draw(st.sampled_from(["A3", "B3", "G2"])))
+    g = data.draw(st.sampled_from(graphs))
+    edges = {e: {s: data.draw(_LABELS) for s in labels}
+             for e, labels in g.edges.items()}
+    g = ColouredWGraph(g.side, g.vertices, g.descent_sets, edges)
+    assert verify_wgraph_relations(g, system) == _dense_wgraph_relations(
+        g, system)
+
+
+def test_zero_labels_leave_a_wgraph_a_module():
+    # a zero label that the action reads puts a zero entry into tau_s; the
+    # words built from it keep zeros that the other side may not have
+    system, graphs = _left_cell_wgraphs("B3")
+    g = max(graphs, key=lambda g: len(g.vertices))
+    edges = {e: dict(labels) for e, labels in g.edges.items()}
+    for a in g.vertices:
+        for b in g.vertices:
+            for s in g.descent_sets[b] - g.descent_sets[a]:
+                edges.setdefault((a, b), {}).setdefault(s, LaurentPoly())
+    assert edges != g.edges
+    g = ColouredWGraph(g.side, g.vertices, g.descent_sets, edges)
+    rep = verify_wgraph_relations(g, system)
+    assert rep.ok and rep == _dense_wgraph_relations(g, system)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_labels_equal_at_a_fixed_power_of_two_still_differ(bits):
+    # T_1 T_2 - T_2 T_1 sends the bottom vertex to (p - q)(v + v^-1) times
+    # the top one; p = 2^bits and q = v agree at v = 2^bits, so an
+    # evaluation point that is not read off the labels passes the graph
+    a1a1 = CoxeterSystem.from_cartan([[2, 0], [0, 2]])
+    g = ColouredWGraph("left", (0, 1), {0: frozenset(), 1: frozenset({0, 1})},
+                       {(0, 1): {0: LaurentPoly(2 ** bits), 1: LaurentPoly.v(1)}})
+    rep = verify_wgraph_relations(g, a1a1)
+    assert rep.violations == ["braid relation fails for pair (1, 2)"]
+    assert rep == _dense_wgraph_relations(g, a1a1)
+
+
 def test_two_sided_cells_are_inverse_closed(c3, kl_c3, c3_p2):
     two = compute_cells(c3_p2, kl_c3, "two-sided")
     for cell in two.cells:

@@ -428,6 +428,22 @@ def test_tau_has_the_shape_of_the_left_cells(label):
         assert part.class_of == left.cell_of
 
 
+def test_verify_tau_reports_classes_that_differ_from_the_left_cells(
+        monkeypatch, left_mutants):
+    # tau on A3 is replaced by the left cells with two of them merged
+    merged = left_mutants("A3")["merge"]
+    a3 = verify.get_system("A3")
+    real = verify.tau_partition
+    monkeypatch.setattr(verify, "tau_partition", lambda system: (
+        real(system)._replace(classes=merged.cells, class_of=merged.cell_of)
+        if system is a3 else real(system)))
+    reports = {rep.name: rep for rep in verify.verify_tau()}
+    assert reports["A3: tau classes = left cells"].violations == [
+        "tau classes differ from the p=0 left cells"]
+    assert reports["A2: tau classes = left cells"].ok
+    assert reports["A4: tau classes = left cells"].ok
+
+
 def test_tau_restricted_to_valid_pairs_at_p2(c3, kl_c3, c3_p2):
     # at p = 2 only the order-3 pair of C3 is above the bound; the left
     # p-cells refine the tau classes built from that pair alone

@@ -21,7 +21,9 @@ slot for the bottom of a built column.  A point lookup in it keeps
 nothing, and each of its columns and mu rows yields len() items, each y
 once, which the benchmark's digests and entry counts read.
 The parabolic suite reads its coset products off the columns and walks
-no word through CoxeterSystem.mult, and verify all reports, name by name,
+no word through CoxeterSystem.mult.  The W-graph relations of B3's left
+cells are checked on ints at v = 2^K, with no LaurentPoly product, sum or
+difference.  verify all reports, name by name,
 the check counts and verdicts pinned in tests/verify_all_reports.json.
 Every function and class that pcells exports is reached from the CLI,
 verify or a demo, or is listed with the reason it stays; likewise every
@@ -41,10 +43,12 @@ from pathlib import Path
 
 import pcells
 from pcells import stars, verify
-from pcells.cells import (CellPartition, compute_cells, inverse_duality_check,
-                          left_cells_from_right)
+from pcells.cells import (CellPartition, compute_cells, extract_wgraph,
+                          inverse_duality_check, left_cells_from_right,
+                          verify_wgraph_relations)
 from pcells.coxeter import CoxeterSystem
 from pcells.hecke import _BuiltColumn, _Relabelled, compute_kl_table
+from pcells.laurent import ONE, LaurentPoly
 from pcells.pcanonical import identity_table
 from pcells.stars import (DihedralStrings, check_base_change_relations,
                           check_structure_coefficient_relations,
@@ -425,3 +429,21 @@ def test_relation_checkers_evaluate_no_pairs_of_strings(monkeypatch):
         assert check_structure_coefficient_relations(table, kl, r, t).ok
         assert 0 < len(calls) <= bound
         calls.clear()
+
+
+def test_wgraph_relations_do_no_laurent_arithmetic(monkeypatch):
+    # the relation loops multiplied and added LaurentPoly dicts term by
+    # term: every left cell of B3 is checked on ints at v = 2^K
+    b3 = verify.get_system("B3")
+    table, kl = verify.get_table("B3", 0), verify.get_kl("B3")
+    left = verify.get_cells("B3", 0, "left")
+    graphs = [extract_wgraph(left, i, table, kl)
+              for i in range(len(left.cells))]
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__sub__"):
+        monkeypatch.setattr(LaurentPoly, name, lambda self, other, name=name,
+                            op=getattr(LaurentPoly, name): (
+                                calls.append(name), op(self, other))[1])
+    assert all(verify_wgraph_relations(g, b3).ok for g in graphs)
+    assert calls == []
+    assert ONE + ONE == 2 and calls == ["__add__"]  # the counter is live
