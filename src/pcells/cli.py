@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_group_args(p):
-        p.add_argument("--type", help="type label, e.g. A3, B2, C3, G2")
+        p.add_argument("--type", help="type label: An, Bn, Cn, Dn, E6-E8, "
+                                      "F4 or G2, e.g. A3, C3, F4")
         p.add_argument("--cartan", help="Cartan matrix as JSON (inline or file)")
         p.add_argument("--cap", type=_cap, default=10**6,
                        help="element cap for the group closure")

@@ -78,6 +78,7 @@ import gc
 from array import array
 from collections.abc import Iterable, Sequence
 from itertools import compress
+from math import factorial, inf
 from typing import NamedTuple
 
 Word = tuple[int, ...]
@@ -186,16 +187,25 @@ def _infinite_reason(cartan: Sequence[Sequence[int]]) -> str | None:
     return None
 
 
-def cartan_matrix_of_type(label: str) -> list[list[int]]:
-    """Cartan matrix for a type label like "A3", "B2", "C3" or "G2".
+# The finite Weyl types by family: the least and largest rank a label may
+# carry, and the order of the group of rank n.
+_FAMILIES = {
+    "A": (1, inf, lambda n: factorial(n + 1)),
+    "B": (2, inf, lambda n: 2**n * factorial(n)),
+    "C": (2, inf, lambda n: 2**n * factorial(n)),
+    "D": (4, inf, lambda n: 2**(n - 1) * factorial(n)),
+    "E": (6, 8, {6: 51_840, 7: 2_903_040, 8: 696_729_600}.get),
+    "F": (4, 4, lambda n: 1_152),
+    "G": (2, 2, lambda n: 12),
+}
+# the one entry (0-based) of a family that is not -1 on its chain
+_UNEQUAL_BOND = {"B": (0, 1, -2), "C": (1, 0, -2), "F": (1, 2, -2),
+                 "G": (1, 0, -3)}
 
-    The fixed small-rank matrices follow the conventions used throughout
-    the shipped reference tables; in particular C3 has a(2,1) = -2 under
-    1-based row/column labels, i.e. generator 1 is attached to the double
-    bond and is the long root.  A label that is not a string, or that is
-    not a letter followed by an ASCII rank without leading zeros, raises
-    ValueError.
-    """
+
+def _named_type(label: str) -> tuple[str, list[list[int]], int]:
+    """The normalised label, the Cartan matrix and the group order of a
+    type label (see cartan_matrix_of_type)."""
     if not isinstance(label, str):
         raise ValueError(f"type label {label!r} is not a string")
     name = label.strip().upper()
@@ -204,20 +214,47 @@ def cartan_matrix_of_type(label: str) -> list[list[int]]:
             and rank == str(int(rank))):
         raise ValueError(f"bad type label {label!r}")
     n = int(rank)
-    if family == "A" and n >= 1:
-        c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(n - 1):
-            c[i][i + 1] = c[i + 1][i] = -1
-        return c
-    fixed = {
-        "B2": [[2, -2], [-1, 2]],
-        "G2": [[2, -1], [-3, 2]],
-        "B3": [[2, -2, 0], [-1, 2, -1], [0, -1, 2]],
-        "C3": [[2, -1, 0], [-2, 2, -1], [0, -1, 2]],
-    }
-    if name in fixed:
-        return fixed[name]
-    raise ValueError(f"unsupported type label {label!r}")
+    least, largest, order = _FAMILIES.get(family, (1, 0, None))
+    if not least <= n <= largest:
+        raise ValueError(f"unsupported type label {label!r}")
+    bonds = [(i, i + 1) for i in range(n - 1)]
+    if family == "D":
+        bonds[-1] = (n - 3, n - 1)
+    elif family == "E":
+        bonds[:2] = [(0, 2), (1, 3)]
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for s, t in bonds:
+        cartan[s][t] = cartan[t][s] = -1
+    if family in _UNEQUAL_BOND:
+        s, t, a = _UNEQUAL_BOND[family]
+        cartan[s][t] = a
+    return name, cartan, order(n)
+
+
+def cartan_matrix_of_type(label: str) -> list[list[int]]:
+    """Cartan matrix for a type label: A_n (n >= 1), B_n and C_n (n >= 2),
+    D_n (n >= 4), E6, E7, E8, F4 or G2.
+
+    Each family is a chain of -1 bonds, generator i joined to i + 1 under
+    1-based labels, with one change:
+    - B_n has a(1,2) = -2 and C_n is its transpose, a(2,1) = -2;
+    - D_n joins generator n to generator n-2 instead of n-1, so n-2 is the
+      branch node;
+    - E_n is the chain 1-3-4-5-6(-7-8) with generator 2 joined to 4;
+    - F4 has a(2,3) = -2, and G2 has a(2,1) = -3.
+    Under s(alpha_t) = alpha_t - a(s,t) alpha_s, a(s,t) = -2 or -3 makes
+    alpha_t the long root of the bond.  So generator 1 is B_n's one short
+    simple root and C_n's one long one, F4's generators 3 and 4 are long,
+    and G2's generator 1 is long.  A_n, D_n and E_n follow the numbering
+    of Bourbaki's plates (Lie Groups and Lie Algebras, ch. VI); B_n, C_n,
+    F4 and G2 reverse it, generator i being Bourbaki's alpha_(n+1-i).  The
+    shipped tables and every id rest on these matrices.
+
+    A label that is not a string, or that is not a letter followed by an
+    ASCII rank without leading zeros, raises ValueError, as does a family
+    or rank outside the list above.
+    """
+    return _named_type(label)[1]
 
 
 def parse_digits(digits: str) -> Word:
@@ -268,8 +305,12 @@ class CoxeterSystem:
 
     @classmethod
     def from_type(cls, label: str, cap: int = 10**6) -> "CoxeterSystem":
-        return cls(cartan_matrix_of_type(label), cap=cap,
-                   label=label.strip().upper())
+        """The group of a type label; a group of more than cap elements is
+        refused by its order, before it is enumerated."""
+        name, cartan, order = _named_type(label)
+        if order > cap:
+            raise _over_cap(cap)
+        return cls(cartan, cap=cap, label=name)
 
     @classmethod
     def from_spec(cls, spec: dict, cap: int) -> "CoxeterSystem":
@@ -335,10 +376,8 @@ class CoxeterSystem:
                     up = found.get(k)
                     if up is None:
                         ws = hi + len(found)
-                        if ws > cap:
-                            raise GroupTooLargeError(
-                                f"group exceeds cap of {cap} elements; "
-                                "raise the cap or check the input matrix")
+                        if ws >= cap:  # ws is the id of element ws + 1
+                            raise _over_cap(cap)
                         new = h.copy()
                         for t, a in bonds[s]:
                             new[t] -= a * hs
@@ -504,7 +543,7 @@ class CoxeterSystem:
         """The standard parabolic as its own system, with the id embedding."""
         gens = sorted(set(gens))
         sub_cartan = [[self.cartan[i][j] for j in gens] for i in gens]
-        sub = CoxeterSystem(sub_cartan, cap=self.size + 1)
+        sub = CoxeterSystem(sub_cartan, cap=self.size)
         # w = (w s) s with s = sub.last[w], and ids are in length order
         cols, sub_cols = self.right_by_gen, sub.right_by_gen
         to_parent = [0] * sub.size
@@ -512,6 +551,11 @@ class CoxeterSystem:
             s = sub.last[w]
             to_parent[w] = cols[gens[s]][to_parent[sub_cols[s][w]]]
         return ParabolicEmbedding(sub=sub, gens=tuple(gens), to_parent=to_parent)
+
+
+def _over_cap(cap: int) -> GroupTooLargeError:
+    return GroupTooLargeError(f"group exceeds cap of {cap} elements; "
+                              "raise the cap or check the input matrix")
 
 
 def _check_id(w: int, size: int) -> int:

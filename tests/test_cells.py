@@ -274,15 +274,6 @@ def _merged_two_sided_cells(table, kl):
                                         table.prime)
 
 
-F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
-D5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
-      [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]]
-# the reducible group has its generators shuffled, so the oracles'
-# (minimum length, minimum id) order of cells checks the order by minimum id
-CARTAN = {"F4": F4, "D4": D4, "D5": D5, "reducible": REDUCIBLE}
-
-
 _ORACLE_CASES = [
     ("A2", 0), ("A3", 0), ("A4", 0), ("A5", 0), ("B2", 0), ("B3", 0),
     ("C3", 0), ("G2", 0), ("B2", 2), ("C3", 2), ("F4", 0), ("reducible", 0)]
@@ -290,8 +281,11 @@ _ORACLE_CASES = [
 
 @functools.cache
 def _table_and_kl(label, prime):
-    if label in CARTAN:
-        system = CoxeterSystem.from_cartan(CARTAN[label])
+    # the reducible group has its generators shuffled, so the oracles'
+    # (minimum length, minimum id) order of cells checks the order by
+    # minimum id
+    if label == "reducible":
+        system = CoxeterSystem.from_cartan(REDUCIBLE)
         return identity_table(system), compute_kl_table(system)
     return verify.get_table(label, prime), verify.get_kl(label)
 

@@ -259,6 +259,28 @@ def test_cap_below_1_is_a_usage_error(capsys, command, cap):
     assert run(capsys, command, "--type", "B2", "--cap", "8")[0] == 0
 
 
+@pytest.mark.parametrize("option,group", [
+    ("--type", "B2"), ("--cartan", json.dumps(cartan_matrix_of_type("B2")))])
+def test_a_group_one_element_over_the_cap_exits_1(capsys, option, group):
+    # B2 has 8 elements; at --cap 7 it printed 4 right cells
+    code, out, err = run(capsys, "cells", option, group, "--cap", "7")
+    assert (code, out) == (1, "")
+    assert _one_error_line(err).startswith(
+        "error: group exceeds cap of 7 elements")
+
+
+def test_cells_of_f4(capsys):
+    code, out, _ = run(capsys, "cells", "--type", "F4", "--side", "right")
+    assert code == 0 and out.startswith("72 right cells at p = 0:")
+
+
+@pytest.mark.parametrize("label", ["D3", "E9", "F5", "G3", "B1", "H3"])
+def test_types_outside_the_families_are_usage_errors(capsys, label):
+    code, out, err = run(capsys, "cells", "--type", label)
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) == f"error: unsupported type label {label!r}"
+
+
 def test_table_of_another_type_is_rejected(capsys):
     # c3_p2 names type C3; B3 has as many elements, and words of C3 are
     # words of B3, so without the check it would load

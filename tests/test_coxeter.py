@@ -17,9 +17,9 @@ from pcells.coxeter import (
 
 
 def test_cartan_to_coxeter_rule():
-    assert cartan_to_coxeter([[2, -1], [-1, 2]])[0][1] == 3
-    assert cartan_to_coxeter([[2, -1], [-2, 2]])[0][1] == 4
-    assert cartan_to_coxeter([[2, -1], [-3, 2]])[0][1] == 6
+    # a(1,2) a(2,1) = 1, 2, 3
+    for label, m in (("A2", 3), ("C2", 4), ("G2", 6)):
+        assert cartan_to_coxeter(cartan_matrix_of_type(label))[0][1] == m
     assert cartan_to_coxeter([[2, 0], [0, 2]])[0][1] == 2
     assert cartan_to_coxeter([[2, -2], [-2, 2]])[0][1] == 0  # infinite
 
@@ -61,19 +61,104 @@ def test_enumeration_sizes():
     assert c3.length[c3.longest_element()] == 9
 
 
-# Cartan matrices beyond the from_type labels; B5 is the benchmark's.
-CARTAN = {
-    # generator 1 (0-based) is the branch node, in three m = 3 pairs
-    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
-    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-    "D5": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
-           [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
-    "B4": [[2, -2, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-    "B5": [[2, -2, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
-           [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]],
-    "D6": [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, 0],
-           [0, 0, -1, 2, -1, -1], [0, 0, 0, -1, 2, 0], [0, 0, 0, -1, 0, 2]],
+# |W| by family: (n+1)!, 2^n n!, 2^n n!, 2^(n-1) n!, and E6, F4, G2
+GROUP_ORDERS = {
+    "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720, "A6": 5_040,
+    "B2": 8, "B3": 48, "B4": 384, "B5": 3_840,
+    "C2": 8, "C3": 48, "C4": 384, "C5": 3_840,
+    "D4": 192, "D5": 1_920, "D6": 23_040,
+    "E6": 51_840, "F4": 1_152, "G2": 12,
 }
+
+
+@pytest.mark.parametrize("label", GROUP_ORDERS)
+def test_named_types_enumerate_to_their_orders(label, monkeypatch):
+    order = GROUP_ORDERS[label]
+    assert CoxeterSystem.from_type(label, cap=order).size == order
+    # one element fewer is refused by the order, before enumerating
+    monkeypatch.setattr(CoxeterSystem, "_enumerate", _unreachable)
+    with pytest.raises(GroupTooLargeError,
+                       match=f"^group exceeds cap of {order - 1} elements"):
+        CoxeterSystem.from_type(label, cap=order - 1)
+
+
+def _unreachable(*args):
+    raise AssertionError("the group was enumerated")
+
+
+def _coxeter_of_graph(n, edges):
+    """The Coxeter matrix of a graph on generators 1..n: m(s,t) from
+    edges[(s, t)], 3 by default, on the listed edges and 2 off them."""
+    m = [[1 if s == t else 2 for t in range(n)] for s in range(n)]
+    for (s, t), bond in edges.items():
+        m[s - 1][t - 1] = m[t - 1][s - 1] = bond
+    return m
+
+
+def _chain(*gens):
+    return {(s, t): 3 for s, t in zip(gens, gens[1:])}
+
+
+# the Coxeter graph of each family: A, D and E in Bourbaki's numbering,
+# B and C in its reverse, and F4 and G2, whose graphs read alike either way
+COXETER_GRAPHS = {
+    "A4": (4, _chain(1, 2, 3, 4)),
+    "B4": (4, {**_chain(1, 2, 3, 4), (1, 2): 4}),
+    "C4": (4, {**_chain(1, 2, 3, 4), (1, 2): 4}),
+    "D4": (4, {**_chain(1, 2, 3), (2, 4): 3}),
+    "D6": (6, {**_chain(1, 2, 3, 4, 5), (4, 6): 3}),
+    "E6": (6, {**_chain(1, 3, 4, 5, 6), (2, 4): 3}),
+    "E7": (7, {**_chain(1, 3, 4, 5, 6, 7), (2, 4): 3}),
+    "E8": (8, {**_chain(1, 3, 4, 5, 6, 7, 8), (2, 4): 3}),
+    "F4": (4, {**_chain(1, 2, 3, 4), (2, 3): 4}),
+    "G2": (2, {(1, 2): 6}),
+}
+
+
+@pytest.mark.parametrize("label", COXETER_GRAPHS)
+def test_type_labels_follow_the_coxeter_graphs(label):
+    n, edges = COXETER_GRAPHS[label]
+    assert cartan_to_coxeter(cartan_matrix_of_type(label)) == \
+        _coxeter_of_graph(n, edges)
+
+
+def test_unequal_bonds_and_c_as_the_transpose_of_b():
+    def a(label, s, t):
+        return cartan_matrix_of_type(label)[s - 1][t - 1]
+
+    # s(alpha_t) = alpha_t - a(s,t) alpha_s, so a(s,t) = -2 or -3 makes
+    # alpha_t the long root of its bond: generator 1 is B_n's short root,
+    # C_n's long root and G2's long root, and F4's generator 3 is long
+    assert (a("B3", 1, 2), a("B3", 2, 1)) == (-2, -1)
+    assert (a("C3", 1, 2), a("C3", 2, 1)) == (-1, -2)
+    assert (a("F4", 2, 3), a("F4", 3, 2)) == (-2, -1)
+    assert (a("G2", 1, 2), a("G2", 2, 1)) == (-1, -3)
+    for n in range(2, 10):
+        b, c = cartan_matrix_of_type(f"B{n}"), cartan_matrix_of_type(f"C{n}")
+        assert c == [list(row) for row in zip(*b)]
+
+
+def test_e7_and_e8_are_refused_at_the_default_cap(monkeypatch):
+    # 2 903 040 and 696 729 600 elements; enumerated up to the cap, E7's
+    # matrix fails there after about 4.6 s (Python 3.11, a 2-core host)
+    monkeypatch.setattr(CoxeterSystem, "_enumerate", _unreachable)
+    for label in ("E7", "E8"):
+        with pytest.raises(GroupTooLargeError) as err:
+            CoxeterSystem.from_type(label)
+        assert str(err.value) == ("group exceeds cap of 1000000 elements; "
+                                  "raise the cap or check the input matrix")
+    for label in ("E7", "E8", "D7", "B9", "C9", "A9"):
+        assert _infinite_reason(cartan_matrix_of_type(label)) is None
+
+
+@pytest.mark.parametrize("label", ["D3", "E5", "E9", "F5", "G3", "B1", "C1",
+                                   "A0", "H3", "I2"])
+def test_types_outside_the_families_are_unsupported(label):
+    with pytest.raises(ValueError,
+                       match=f"^unsupported type label '{label}'$"):
+        CoxeterSystem.from_type(label)
+
+
 ORACLE_GROUPS = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "C3", "G2",
                  "D4", "F4", "D5", "B5"]
 AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
@@ -130,9 +215,8 @@ def _enumerate_by_matrices(cartan):
 
 @pytest.mark.parametrize("label", ORACLE_GROUPS)
 def test_enumeration_matches_matrix_oracle(label):
-    cartan = CARTAN.get(label) or cartan_matrix_of_type(label)
-    system = CoxeterSystem.from_cartan(cartan)
-    want = _enumerate_by_matrices(cartan)
+    system = CoxeterSystem.from_type(label)
+    want = _enumerate_by_matrices(cartan_matrix_of_type(label))
     assert system.size == len(want["words"])
     for key, value in want.items():
         got = getattr(system, key)
@@ -145,11 +229,6 @@ def test_enumeration_matches_matrix_oracle(label):
         [row[s] for row in want["right"]] for s in range(system.rank)]
 
 
-def _system(label):
-    return CoxeterSystem.from_cartan(CARTAN.get(label)
-                                     or cartan_matrix_of_type(label))
-
-
 def _inverse_by_word_walk(system):
     """Each id's inverse read by walking its reversed word through the
     right table, O(|W| l): the pass the tail recursion replaced."""
@@ -158,13 +237,13 @@ def _inverse_by_word_walk(system):
 
 @pytest.mark.parametrize("label", ORACLE_GROUPS + ["D6"])
 def test_inverse_matches_the_word_walk(label):
-    system = _system(label)
+    system = CoxeterSystem.from_type(label)
     assert list(system.inverse) == _inverse_by_word_walk(system)
 
 
 @pytest.mark.parametrize("label", ORACLE_GROUPS)
 def test_descent_sets_and_ids_are_shared_objects(label):
-    system = _system(label)
+    system = CoxeterSystem.from_type(label)
     right = system.right_descents
     assert len({id(d) for d in right}) == len(set(right))
     assert all(d is right[u]
@@ -185,6 +264,17 @@ def test_cap_exceeded():
     # an infinite group hits the cap instead of hanging
     with pytest.raises(GroupTooLargeError):
         CoxeterSystem.from_cartan([[2, -2], [-2, 2]], cap=50)
+
+
+def test_the_cap_counts_elements():
+    # B2 passed at cap 7: the check compared the cap with the 0-based id of
+    # the new element, so a group of cap + 1 elements closed.  A label is
+    # refused by its order first (test_named_types_enumerate_to_their_orders)
+    b2 = cartan_matrix_of_type("B2")
+    with pytest.raises(GroupTooLargeError,
+                       match="^group exceeds cap of 7 elements;"):
+        CoxeterSystem.from_cartan(b2, cap=7)
+    assert CoxeterSystem.from_cartan(b2, cap=8).size == 8
 
 
 def test_affine_a2_hits_the_cap():
@@ -234,8 +324,6 @@ def test_infinite_group_is_rejected_before_enumerating():
         with pytest.raises(GroupTooLargeError) as err:
             CoxeterSystem.from_cartan(cartan, cap=10**9)
         assert str(err.value) == f"the group is infinite: {reason}"
-    for cartan in CARTAN.values():
-        assert _infinite_reason(cartan) is None
 
 
 def test_length_changes_by_one(a3, b3):
@@ -334,8 +422,7 @@ def test_word_digits_name_generators_0_to_8_only():
 
 @pytest.mark.parametrize("label", ["A1", "B3", "C3", "G2", "D4", "F4"])
 def test_digit_strings_equal_id_to_digits(label):
-    system = CoxeterSystem.from_cartan(CARTAN[label]) if label in CARTAN \
-        else CoxeterSystem.from_type(label)
+    system = CoxeterSystem.from_type(label)
     assert system.digit_strings() == [system.id_to_digits(w)
                                       for w in system.elements()]
 
@@ -378,7 +465,7 @@ def test_parabolic_subsystem(c3):
     ("B5", [0, 1, 3])])
 def test_parabolic_embedding_matches_the_translated_words(label, gens):
     # oracle: the id of each subgroup word with its letters renamed
-    system = _system(label)
+    system = CoxeterSystem.from_type(label)
     emb = system.parabolic_subsystem(gens)
     assert emb.to_parent == [
         system.word_to_id(tuple(gens[s] for s in word))
@@ -390,7 +477,7 @@ def test_coset_products_match_mult(label):
     # x y for x in W^I and y in W_I, with y by increasing id and in the
     # subgroup's id order, and y x for x a minimal representative of
     # W_I \ W, against one word walk each, for every subset I
-    system = _system(label)
+    system = CoxeterSystem.from_type(label)
     for k in range(system.rank + 1):
         for gens in itertools.combinations(range(system.rank), k):
             reps = system.minimal_coset_representatives(gens, "right")
@@ -434,12 +521,13 @@ REDUCIBLE = shuffled(block_sum(cartan_matrix_of_type("A2"),
                                cartan_matrix_of_type("G2")), seed=7)
 
 
-@pytest.mark.parametrize("label", ORACLE_GROUPS + ["reducible"])
-def test_ids_are_in_length_order(label):
+@pytest.mark.parametrize("cartan", [
+    *map(cartan_matrix_of_type, ORACLE_GROUPS), REDUCIBLE],
+    ids=[*ORACLE_GROUPS, "reducible"])
+def test_ids_are_in_length_order(cartan):
     # cells are numbered by minimum id, and coset products walk ids upward,
     # both because the length never drops as the id grows
-    system = (CoxeterSystem.from_cartan(REDUCIBLE) if label == "reducible"
-              else _system(label))
+    system = CoxeterSystem.from_cartan(cartan)
     length = system.length
     assert all(a <= b for a, b in zip(length, length[1:]))
 
@@ -519,7 +607,7 @@ def test_from_spec_rejects_malformed_specs():
         with pytest.raises(ValueError, match="unknown key '(extra|rank)'"):
             CoxeterSystem.from_spec(spec, 10**6)
     assert CoxeterSystem.from_spec({"type": "B2"}, 10**6).size == 8
-    assert CoxeterSystem.from_spec({"cartan": [[2, -1], [-1, 2]]},
+    assert CoxeterSystem.from_spec({"cartan": cartan_matrix_of_type("A2")},
                                    10**6).size == 6
 
 

@@ -44,7 +44,6 @@ from pcells.hecke import (
 )
 from pcells.laurent import GAUSS, ONE, V, V_INV, ZERO, LaurentPoly
 from pcells.pcanonical import identity_table
-from test_coxeter import CARTAN
 
 
 def H(system, digits):
@@ -216,19 +215,13 @@ def _kl_by_recursion(system):
     return h, mu
 
 
-ORACLE_GROUPS = {"A4": "A4", "C3": "C3", "G2": "G2",
-                 "B4": CARTAN["B4"], "D4": CARTAN["D4"]}
-FULL_COLUMN_GROUPS = {**ORACLE_GROUPS, "F4": CARTAN["F4"]}
-
-
-def _system(cartan):
-    return (CoxeterSystem.from_type(cartan) if isinstance(cartan, str)
-            else CoxeterSystem.from_cartan(cartan))
+ORACLE_GROUPS = ["A4", "C3", "G2", "B4", "D4"]
+FULL_COLUMN_GROUPS = [*ORACLE_GROUPS, "F4"]
 
 
 @pytest.mark.parametrize("label", ORACLE_GROUPS)
 def test_packed_kernel_matches_recursion_oracle(label):
-    system = _system(ORACLE_GROUPS[label])
+    system = CoxeterSystem.from_type(label)
     table = compute_kl_table(system)
     h, mu = _kl_by_recursion(system)
     assert _dicts(table.h) == h
@@ -266,7 +259,7 @@ def _kl_by_full_columns(system):
 
 @pytest.mark.parametrize("label", FULL_COLUMN_GROUPS)
 def test_kl_table_matches_the_full_column_oracle(label):
-    system = _system(FULL_COLUMN_GROUPS[label])
+    system = CoxeterSystem.from_type(label)
     table = compute_kl_table(system)
     h, mu = _kl_by_full_columns(system)
     assert _dicts(table.h) == h
@@ -319,22 +312,18 @@ def _kl_by_min_descent(system):
     return [{w: decoded[c] for w, c in col.items()} for col in packed], mu
 
 
-MIN_DESCENT_GROUPS = {
-    **FULL_COLUMN_GROUPS,
-    "D5": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
-           [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
-}
+MIN_DESCENT_GROUPS = [*FULL_COLUMN_GROUPS, "D5"]
 
 
 @pytest.fixture(scope="module")
 def f4_kl():
-    system = _system(FULL_COLUMN_GROUPS["F4"])
+    system = CoxeterSystem.from_type("F4")
     return system, compute_kl_table(system)
 
 
 @pytest.mark.parametrize("label", MIN_DESCENT_GROUPS)
 def test_kl_table_matches_the_min_descent_oracle(label):
-    system = _system(MIN_DESCENT_GROUPS[label])
+    system = CoxeterSystem.from_type(label)
     table = compute_kl_table(system)
     h, mu = _kl_by_min_descent(system)
     assert _dicts(table.h) == h
@@ -354,18 +343,6 @@ def test_kl_table_is_iota_symmetric(f4_kl):
     for x in system.elements():
         assert _relabel(table.h[x], inv) == dict(table.h[inv[x]].items())
         assert _relabel(table.mu[x], inv) == dict(table.mu[inv[x]].items())
-
-
-AUTOMORPHISM_GROUPS = {
-    **MIN_DESCENT_GROUPS, "A2": "A2", "A3": "A3", "A5": "A5", "B2": "B2",
-    "B3": "B3",
-}
-
-
-def _coxeter(label):
-    cartan = AUTOMORPHISM_GROUPS[label]
-    return cartan_to_coxeter(cartan_matrix_of_type(cartan)
-                             if isinstance(cartan, str) else cartan)
 
 
 def _automorphisms_by_brute_force(coxeter):
@@ -402,7 +379,7 @@ def _orbit_count(system):
     ("A2", 2), ("A3", 2), ("A4", 2), ("A5", 2), ("B2", 2), ("G2", 2),
     ("F4", 2), ("D5", 2), ("B3", 1), ("C3", 1), ("D4", 6)])
 def test_graph_automorphisms_match_brute_force(label, order):
-    coxeter = _coxeter(label)
+    coxeter = cartan_to_coxeter(cartan_matrix_of_type(label))
     found = _graph_automorphisms(coxeter, math.factorial(len(coxeter)))
     assert found == _automorphisms_by_brute_force(coxeter)
     assert len(found) == order and found[0] == tuple(range(len(coxeter)))
@@ -435,7 +412,7 @@ def test_kernel_drops_the_automorphisms_beyond_the_group_order(n):
 
 @pytest.mark.parametrize("label", ["A4", "B2", "G2", "C3", "D4", "F4"])
 def test_lifts_match_the_action_on_reduced_words(label):
-    system = _system(AUTOMORPHISM_GROUPS[label])
+    system = CoxeterSystem.from_type(label)
     want = _relabellings(system)[1::2]
     assert [_lift(system, sigma) for sigma
             in _graph_automorphisms(system.coxeter_matrix,
@@ -449,7 +426,7 @@ BUILT_COUNTS = {"D4": 42, "F4": 344, "D5": 653}
 @pytest.mark.parametrize("label", ["A2", "A4", "B2", "G2", "C3", "B4", "D4",
                                    "F4"])
 def test_kernel_builds_one_column_per_orbit(label):
-    system = _system(AUTOMORPHISM_GROUPS[label])
+    system = CoxeterSystem.from_type(label)
     h, _, built = _kl_columns(system)
     # the identity's orbit is itself, and its column is a read-only dict
     assert type(h[0]) is MappingProxyType
@@ -502,7 +479,7 @@ def test_kl_columns_build_the_cheapest_candidate(f4_kl):
 def test_kl_columns_hold_one_int_per_distinct_value(label):
     # each distinct h(y, x) is one object, shared by every column that
     # holds it, relabelled partner columns and bottoms included
-    h, _, _ = _kl_columns(_system(FULL_COLUMN_GROUPS[label]))
+    h, _, _ = _kl_columns(CoxeterSystem.from_type(label))
     values = [c for col in h for _, c in col.items()]
     assert len({id(c) for c in values}) == len(set(values))
 
@@ -515,7 +492,7 @@ def _relabel(col, perm):
 
 @pytest.mark.parametrize("label", ["D4", "B4", "F4"])
 def test_partner_columns_are_read_only_views(label):
-    system = _system(FULL_COLUMN_GROUPS[label])
+    system = CoxeterSystem.from_type(label)
     inv = system.inverse
     h, mu, built = _kl_columns(system)
     table = KLTable(system, h, mu)
@@ -548,7 +525,7 @@ def test_point_lookups_read_like_the_copied_dicts(label):
     # a relabelled one's items read through any g with g(w) = x.  D4's
     # automorphisms of order 3 catch a view that reads through g in place
     # of g^-1
-    system = _system(FULL_COLUMN_GROUPS[label])
+    system = CoxeterSystem.from_type(label)
     h, mu, built = _kl_columns(system)
     table = KLTable(system, h, mu)
     cols = {0: (dict(h[0].items()), mu[0])}
@@ -586,7 +563,7 @@ def test_point_accessors_reject_ids_outside_the_group(a2, kl_a2):
 def test_relabelled_columns_are_views_through_the_first_relabelling(label):
     # each column not built is the view of its orbit's built column w
     # through the first relabelling g with g(w) = x, inversion first
-    system = _system(AUTOMORPHISM_GROUPS[label])
+    system = CoxeterSystem.from_type(label)
     h, mu, built = _kl_columns(system)
     seen = set(built) | {0}
     for w in built:
@@ -612,7 +589,7 @@ def test_relabelled_mu_rows_read_like_the_copied_dict(label):
     # the mu row at each x not built is a read-only view of the built row
     # at w through the relabelling g of the column at x, and reads as the
     # dict {g[y]: m for y, m in mu[w].items()} that it replaces
-    system = _system(MIN_DESCENT_GROUPS[label])
+    system = CoxeterSystem.from_type(label)
     h, mu, built = _kl_columns(system)
     n = system.size
     built_at = {id(h[w]): w for w in built}
@@ -664,7 +641,7 @@ def _built(table):
 
 @pytest.mark.parametrize("label", ["B4", "F4"])
 def test_built_columns_are_read_only_and_read_like_a_dict(label):
-    system = _system(FULL_COLUMN_GROUPS[label])
+    system = CoxeterSystem.from_type(label)
     table = compute_kl_table(system)
     built = _built(table)
     assert type(table.h[0]) is MappingProxyType
@@ -687,7 +664,7 @@ def test_built_columns_store_the_tops_only(label):
     # distinct top values; items() yields the tops, then each bottom ts
     # with v h(t, w), the shared object that the parallel list shifted
     # holds at the same index
-    system = _system(MIN_DESCENT_GROUPS[label])
+    system = CoxeterSystem.from_type(label)
     h, _, built = _kl_columns(system)
     assert len(built) == BUILT_COUNTS[label]
     full, _ = _kl_by_full_columns(system)
@@ -766,7 +743,7 @@ def test_iterating_a_column_builds_no_lookup_index(b3):
 def test_first_lookup_from_threads_reads_like_the_dict():
     # every thread looks up in every column of a fresh table at once; a
     # lookup keeps no state, so each answers as the copied dict
-    system = _system(FULL_COLUMN_GROUPS["B4"])
+    system = CoxeterSystem.from_type("B4")
     table = compute_kl_table(system)
     n = system.size
     keys = [0, n - 1, *random.Random(8).sample(range(n), 40)]
@@ -946,7 +923,7 @@ def _check_change_basis_against_oracles(system, table, seed):
 
 @pytest.fixture(scope="module")
 def d5_kl():
-    system = _system(MIN_DESCENT_GROUPS["D5"])
+    system = CoxeterSystem.from_type("D5")
     return system, compute_kl_table(system)
 
 
@@ -960,7 +937,7 @@ def test_change_basis_memo_reads_values_not_objects():
     # a table holding a fresh copy of each polynomial in each entry, and a
     # lower row yielding temporaries (whose ids get reused), give the same
     # results as the per-entry oracles
-    system = _system(ORACLE_GROUPS["B4"])
+    system = CoxeterSystem.from_type("B4")
     table = compute_kl_table(system)
     fresh = KLTable(system, [
         {y: LaurentPoly.from_pairs(c.to_pairs()) for y, c in col.items()}

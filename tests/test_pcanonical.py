@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcells import verify
-from pcells.coxeter import CoxeterSystem
+from pcells.coxeter import CoxeterSystem, cartan_matrix_of_type
 from pcells.hecke import (KL, PCAN, STD, HeckeElt, change_basis,
                           kl_multiply_by_generator, std_multiply)
 from pcells.laurent import GAUSS, ONE, V, ZERO, LaurentPoly
@@ -196,9 +196,13 @@ def test_load_checks_the_tables_type(b2, b3, c3):
     with pytest.raises(PCanValidationError) as err:
         load_table(obj, CoxeterSystem.from_cartan(b3.cartan))
     assert err.value.violations == [
-        "table is for type 'C3', not [[2, -2, 0], [-1, 2, -1], [0, -1, 2]]"]
+        f"table is for type 'C3', not {cartan_matrix_of_type('B3')}"]
     with pytest.raises(PCanValidationError, match="unsupported type label"):
+        load_table({**obj, "type": "H3"}, unlabelled)
+    with pytest.raises(PCanValidationError) as err:
         load_table({**obj, "type": "F4"}, unlabelled)
+    assert err.value.violations == [
+        f"table is for type 'F4', not {cartan_matrix_of_type('C3')}"]
 
 
 def test_load_raises_the_violations_of_validate_table(c3):

@@ -31,7 +31,6 @@ from pcells.stars import (
     tau_tilde_partition,
 )
 from pcells import verify
-from test_coxeter import CARTAN
 
 
 def _in_d_r(system, x, r, t):
@@ -457,12 +456,6 @@ def test_tau_restricted_to_valid_pairs_at_p2(c3, kl_c3, c3_p2):
 TAU_GROUPS = ["A3", "B3", "C3", "G2", "D4", "F4", "A5", "B4", "D5"]
 
 
-def _system(label):
-    if label in CARTAN:
-        return CoxeterSystem.from_cartan(CARTAN[label])
-    return verify.get_system(label)
-
-
 def _tau_by_strings(system, orders=(3, 4), tilde=False):
     """The tau (or tau-tilde) fixpoint with each signature read per element
     and per round from _t_neighbors (or _star_right): the implementation the
@@ -514,7 +507,7 @@ def _tau_by_strings(system, orders=(3, 4), tilde=False):
 
 @pytest.mark.parametrize("label", TAU_GROUPS + ["A4"])
 def test_tau_matches_string_oracle(label):
-    system = _system(label)
+    system = CoxeterSystem.from_type(label)
     parts = [(tau_partition(system), _tau_by_strings(system)),
              (tau_partition(system, orders=(3,)), _tau_by_strings(system, (3,))),
              (tau_tilde_partition(system), _tau_by_strings(system, tilde=True))]
@@ -565,7 +558,7 @@ def _t_neighbors(system, x, r, t):
 
 @pytest.mark.parametrize("label", TAU_GROUPS)
 def test_string_maps_match_star_right_and_t_neighbors(label):
-    system = _system(label)
+    system = CoxeterSystem.from_type(label)
     for r in range(system.rank):
         for t in range(system.rank):
             if r == t:
@@ -604,7 +597,7 @@ def _strings_one_by_one(system, r, t, m, minima):
 
 @pytest.mark.parametrize("label", TAU_GROUPS)
 def test_strings_match_the_one_by_one_walk(label):
-    system = _system(label)
+    system = CoxeterSystem.from_type(label)
     for r in range(system.rank):
         for t in range(system.rank):
             if r == t:
@@ -641,7 +634,7 @@ def test_strings_match_the_one_by_one_walk(label):
 
 @pytest.mark.parametrize("label", TAU_GROUPS)
 def test_a_generator_paired_with_itself_is_rejected(label):
-    system = _system(label)
+    system = CoxeterSystem.from_type(label)
     for r in range(system.rank):
         with pytest.raises(ValueError, match="two distinct generators"):
             DihedralStrings(system, r, r)
@@ -688,7 +681,7 @@ def test_tau_reads_star_at_m3_and_neighbours_at_m4_and_tau_tilde_only_star(
 @pytest.mark.parametrize("label", TAU_GROUPS)
 def test_string_columns_read_like_the_views(label):
     # each array is the dict view's map, the identity outside D_R(r, t)
-    system = _system(label)
+    system = CoxeterSystem.from_type(label)
     for r in range(system.rank):
         for t in range(r + 1, system.rank):
             if system.coxeter_matrix[r][t] < 3:
@@ -730,7 +723,7 @@ def test_neighbour_classes_are_keyed_as_a_multiset():
 def test_d6_tau_and_tau_tilde_agree_at_scale():
     # every bonded pair of D6 has m = 3, where tau reads the star images
     # just as tau-tilde does
-    d6 = CoxeterSystem.from_cartan(CARTAN["D6"])
+    d6 = CoxeterSystem.from_type("D6")
     tau, tilde = tau_partition(d6), tau_tilde_partition(d6)
     assert len(tau.classes) == 568
     assert tau == tilde

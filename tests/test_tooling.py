@@ -6,7 +6,9 @@ runs only.  The
 file is read as source, not imported, so this test runs nothing of the
 benchmark; likewise perfbench/expected.json is read as JSON for the report
 count that the benchmark's verify-all workload expects and the A6 tau class
-counts that its tau-rs workload expects.  Imports in src/pcells sit at
+counts that its tau-rs workload expects, and the Cartan matrices that
+perfbench/workloads.py types out are read as source and must be those of
+their type labels.  Imports in src/pcells sit at
 module level, where they are seen at once and resolve once, a fresh
 interpreter's import of pcells loads neither dataclasses nor inspect, and
 the inverse-duality and star-closure checks compare cells, never pairs of
@@ -46,7 +48,7 @@ from pcells import stars, verify
 from pcells.cells import (CellPartition, compute_cells, extract_wgraph,
                           inverse_duality_check, left_cells_from_right,
                           verify_wgraph_relations)
-from pcells.coxeter import CoxeterSystem
+from pcells.coxeter import CoxeterSystem, cartan_matrix_of_type
 from pcells.hecke import _BuiltColumn, _Relabelled, compute_kl_table
 from pcells.laurent import ONE, LaurentPoly
 from pcells.pcanonical import identity_table
@@ -54,24 +56,37 @@ from pcells.stars import (DihedralStrings, check_base_change_relations,
                           check_structure_coefficient_relations,
                           star_closure_check, tau_partition,
                           tau_tilde_partition)
-from test_coxeter import CARTAN
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pcells"
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 EXPECTED = ROOT / "perfbench" / "expected.json"
 REPORTS = ROOT / "tests" / "verify_all_reports.json"
 
 
-def _tracing_targets(name: str) -> list[tuple[str, str]]:
-    tree = ast.parse(TRACING.read_text())
-    for node in tree.body:
+def _assigned(path: Path, name: str) -> ast.expr:
+    """The value a top-level statement of the source file assigns to name."""
+    for node in ast.parse(path.read_text()).body:
         if (isinstance(node, ast.Assign)
                 and [getattr(t, "id", None) for t in node.targets] == [name]):
-            return [(ast.literal_eval(entry.elts[0]),
-                     ast.literal_eval(entry.elts[1]))
-                    for entry in node.value.elts]
-    raise AssertionError(f"no {name} list in {TRACING}")
+            return node.value
+    raise AssertionError(f"no {name} assignment in {path}")
+
+
+def _tracing_targets(name: str) -> list[tuple[str, str]]:
+    return [(ast.literal_eval(entry.elts[0]), ast.literal_eval(entry.elts[1]))
+            for entry in _assigned(TRACING, name).elts]
+
+
+def test_benchmark_matrices_are_the_labelled_ones():
+    # perfbench/workloads.py types F4, D5 and B5 out; each must stay the
+    # matrix of its label, or the benchmark's ids and digests part from
+    # the groups the CLI builds
+    cartan = ast.literal_eval(_assigned(WORKLOADS, "CARTAN"))
+    assert sorted(cartan) == ["B5", "D5", "F4"]
+    for label, matrix in cartan.items():
+        assert matrix == cartan_matrix_of_type(label), label
 
 
 def _resolve(module: str, path: str):
@@ -271,8 +286,7 @@ def test_simply_laced_tau_builds_no_string_neighbours(monkeypatch):
     # every bonded pair of A5 and D4 has m = 3, where tau keys each element
     # by the class of its star image: the neighbour maps, two arrays per
     # pair (or the dict view, a tuple per element), are never built
-    groups = {"A5": CoxeterSystem.from_type("A5"),
-              "D4": CoxeterSystem.from_cartan(CARTAN["D4"])}
+    groups = {label: CoxeterSystem.from_type(label) for label in ("A5", "D4")}
     want = {label: tau_partition(system) for label, system in groups.items()}
     assert [(len(p.classes), p.stabilized_at) for p in want.values()] == [
         (76, 4), (36, 3)]
@@ -293,7 +307,7 @@ def test_group_layer_keeps_no_word_tuples():
     # row list per element; the tau-rs workload's peak holds B5 and A6
     tracemalloc.start()
     try:
-        b5 = CoxeterSystem.from_cartan(CARTAN["B5"])
+        b5 = CoxeterSystem.from_type("B5")
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -308,7 +322,7 @@ def test_tau_keeps_element_ids_in_arrays():
     # and frozenset classes, and peaked at 342 B with a list of int objects
     # per pair; with each pair's maps as arrays over ids, read as iterators
     # each round, and the record as tuples, it keeps 56 B and peaks at 77 B
-    d5 = CoxeterSystem.from_cartan(CARTAN["D5"])
+    d5 = CoxeterSystem.from_type("D5")
     tracemalloc.start()
     try:
         part = tau_partition(d5)
@@ -326,7 +340,7 @@ def test_kl_table_keeps_no_bottoms():
     # each bottom read off its top, and 3.8 B with the values as 2-byte
     # indexes into the table's list of distinct values and the relabelled
     # mu rows as views
-    f4 = CoxeterSystem.from_cartan(CARTAN["F4"])
+    f4 = CoxeterSystem.from_type("F4")
     tracemalloc.start()
     try:
         table = compute_kl_table(f4)
@@ -341,7 +355,7 @@ def test_kl_table_keeps_no_bottoms():
 def test_point_lookups_keep_nothing():
     # the first point lookup in a column built a dict of its entries, and
     # the first through a relabelling its inverse dict, and kept them
-    f4 = CoxeterSystem.from_cartan(CARTAN["F4"])
+    f4 = CoxeterSystem.from_type("F4")
     table = compute_kl_table(f4)
     kinds = [[x for x, col in enumerate(table.h) if type(col) is kind][:25]
              for kind in (_BuiltColumn, _Relabelled)]
@@ -362,7 +376,7 @@ def test_point_lookups_keep_nothing():
 def test_kl_columns_and_rows_count_their_items():
     # the benchmark's table_digests reads items() of every column and mu
     # row, and its trace counts h entries and nonzero mu by len()
-    f4 = CoxeterSystem.from_cartan(CARTAN["F4"])
+    f4 = CoxeterSystem.from_type("F4")
     table = compute_kl_table(f4)
     kinds = set()
     for col in [*table.h, *table.mu]:
@@ -375,7 +389,7 @@ def test_kl_columns_and_rows_count_their_items():
 def test_cell_level_checks_compare_no_element_pairs(monkeypatch):
     # on F4 the pairwise loops compared all 1 327 104 pairs of elements
     # for inverse duality, and every pair in D_R(r, t) for each star closure
-    f4 = CoxeterSystem.from_cartan(CARTAN["F4"])
+    f4 = CoxeterSystem.from_type("F4")
     table = identity_table(f4)
     right = compute_cells(table, compute_kl_table(f4), "right")
     left = left_cells_from_right(table, right)
@@ -412,7 +426,7 @@ def test_relation_checkers_evaluate_no_pairs_of_strings(monkeypatch):
     # on F4 the pairwise loops evaluated one system per pair of strings:
     # 147 456 for base change on (1, 2), and as many per raising generator
     # for structure coefficients
-    f4 = CoxeterSystem.from_cartan(CARTAN["F4"])
+    f4 = CoxeterSystem.from_type("F4")
     table, kl = identity_table(f4), compute_kl_table(f4)
     calls = []
     check = stars._check_relation_system
