@@ -13,7 +13,7 @@ from pcells import (
     knuth_moves,
     rs_correspondence,
 )
-from pcells.typea import perm_of_element, shape_of
+from pcells.typea import perms_of_elements, shape_of
 
 p, q = rs_correspondence((3, 1, 2))
 print("RS(312): P =", [list(r) for r in p], " Q =", [list(r) for r in q])
@@ -22,10 +22,11 @@ print("Knuth moves of 312:", knuth_moves((3, 1, 2)))
 s4 = CoxeterSystem.from_type("A3")
 kl = compute_kl_table(s4)
 left = compute_cells(identity_table(s4), kl, "left")
+perm_of = perms_of_elements(s4)
 
 print(f"\nS_4 has {len(left.cells)} left cells; each is a Q-symbol fiber:")
 for cell in left.cells:
-    perms = sorted(perm_of_element(s4, w) for w in cell)
+    perms = sorted(perm_of[w] for w in cell)
     q_symbol = rs_correspondence(perms[0])[1]
     print(f"  Q = {[list(r) for r in q_symbol]}: "
           f"{[''.join(map(str, w)) for w in perms]}")
@@ -33,6 +34,6 @@ for cell in left.cells:
 two = compute_cells(identity_table(s4), kl, "two-sided")
 print("\ntwo-sided cells are shape fibers, of size (hook count)^2:")
 for cell in two.cells:
-    shape = shape_of(rs_correspondence(perm_of_element(s4, cell[0]))[0])
+    shape = shape_of(rs_correspondence(perm_of[cell[0]])[0])
     f = hook_length_count(shape)
     print(f"  shape {shape}: {len(cell)} elements = {f}^2")

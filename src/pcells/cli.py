@@ -1,15 +1,20 @@
 """Command line: cell computation, verification suites, RS tools, tau.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed or a
-computation raised (a table failing validation, an infinite or too large
+computation raised (a table failing validation, such as one whose p is
+not a prime below pcanonical._PRIME_LIMIT, an infinite or too large
 group, a KL coefficient beyond the packed kernel), 2 usage or input error
-(argparse errors, a malformed Cartan matrix, type label, table file or
+(argparse errors, both options of --type/--cartan or of
+--table/--fixture, a malformed Cartan matrix, type label, table file or
 permutation, a group of rank above 9, whose elements no digit string
-names, a --p that is neither 0 nor a prime below _PRIME_LIMIT or differs
-from the table's, a --cap below 1).  A file that cannot be read or
-written, such as a directory given as --out, --cartan or --table, exits 1.
-A reader that closes the output pipe early (`| head`) gets exit code 1 and
-one error line, not a traceback.
+names, a --cap below 1).  A file that cannot be read or written, such as
+a directory given as --out, --cartan or --table, exits 1.  A reader that
+closes the output pipe early (`| head`) gets exit code 1 and one error
+line, not a traceback.
+
+Each input has one form.  A group is a type label (--type) or a Cartan
+matrix (--cartan, inline JSON or a file holding it).  The prime of cells
+is the table's (--table or --fixture), or 0 when no table is given.
 """
 
 from __future__ import annotations
@@ -54,51 +59,35 @@ def _reading_input():
 
 def _build_system(args) -> CoxeterSystem:
     with _reading_input():
-        if args.type:
-            spec = {"type": args.type}
-        elif args.cartan:
-            # os.path.exists is False, not an error, for text that cannot
-            # name a file, such as an inline matrix over 255 bytes
-            spec = json.loads(Path(args.cartan).read_text()
-                              if os.path.exists(args.cartan) else args.cartan)
-            if isinstance(spec, list):
-                spec = {"cartan": spec}
-        else:
-            raise SystemExit2("one of --type or --cartan is required")
-        _check_rank(spec)
-        return CoxeterSystem.from_spec(spec, cap=args.cap)
+        if args.type is not None:
+            _check_rank(cartan_matrix_of_type(args.type))
+            return CoxeterSystem.from_type(args.type, cap=args.cap)
+        # os.path.exists is False, not an error, for text that cannot name a
+        # file, such as an inline matrix over 255 bytes
+        cartan = json.loads(Path(args.cartan).read_text()
+                            if os.path.exists(args.cartan) else args.cartan)
+        _check_rank(cartan)
+        return CoxeterSystem.from_cartan(cartan, cap=args.cap)
 
 
-def _check_rank(spec) -> None:
+def _check_rank(cartan) -> None:
     """Elements print as words in the digits 1-9, one per generator, so a
-    spec of rank above 9 is refused before its group is enumerated.  A
-    spec that from_spec rejects is left to it."""
-    if not (isinstance(spec, dict) and len(spec) == 1):
-        return
-    cartan = spec.get("cartan")
-    if isinstance(spec.get("type"), str):
-        cartan = cartan_matrix_of_type(spec["type"])
+    matrix of rank above 9 is refused before its group is enumerated.  A
+    matrix that CoxeterSystem rejects is left to it."""
     if isinstance(cartan, list) and len(cartan) > 9:
         raise SystemExit2(f"rank {len(cartan)} is above 9: elements print "
                           "as words in the digits 1-9, one per generator")
 
 
 def _build_table(args, system):
-    if args.p == 0:
-        if args.table or args.fixture:
-            raise SystemExit2("p = 0 needs no table")
-        return identity_table(system)
-    if args.table:
+    """The table of --table or --fixture, which fixes p, or the p = 0
+    table when neither is given."""
+    if args.table is not None:
         with _reading_input():
-            table = load_table(args.table, system)
-    elif args.fixture:
-        table = load_fixture(args.fixture, system)
-    else:
-        raise SystemExit2(f"p = {args.p} needs --table FILE or --fixture NAME")
-    if table.prime != args.p:
-        raise SystemExit2(
-            f"--p {args.p} differs from the table's p = {table.prime}")
-    return table
+            return load_table(args.table, system)
+    if args.fixture is not None:
+        return load_fixture(args.fixture, system)
+    return identity_table(system)
 
 
 def _emit(text: str, args) -> None:
@@ -119,14 +108,14 @@ def cmd_cells(args) -> int:
     system = _build_system(args)
     table = _build_table(args, system)
     kl = compute_kl_table(system)
-    side = {"2": "two-sided", "lr": "two-sided"}.get(args.side, args.side)
-    partition = compute_cells(table, kl, side)
+    partition = compute_cells(table, kl, args.side)
     if args.format == "json":
         _emit(json.dumps(partition.to_json_obj(system), indent=2), args)
     elif args.format == "dot":
         _emit(partition.to_dot(system), args)
     else:
-        lines = [f"{len(partition.cells)} {side} cells at p = {table.prime}:"]
+        lines = [f"{len(partition.cells)} {args.side} cells at p = "
+                 f"{table.prime}:"]
         digits = system.digit_strings()
         for i, cell in enumerate(partition.cells):
             lines.append(f"  [{i}] {{{_word_list(digits, cell)}}}")
@@ -200,38 +189,6 @@ def _cap(text: str) -> int:
     return n
 
 
-# Miller-Rabin in these bases decides primality exactly below the limit
-# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-# Math. Comp. 86, 2017).
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIME_LIMIT = 318665857834031151167461
-
-
-def _is_prime(n: int) -> bool:
-    """Whether n is prime, exactly for n < _PRIME_LIMIT, by the strong
-    probable-prime test in each of _PRIME_BASES: O(log n) multiplications
-    per base."""
-    if n < 2 or n in _PRIME_BASES:
-        return n in _PRIME_BASES
-    d, k = n - 1, 0
-    while d % 2 == 0:
-        d, k = d // 2, k + 1
-    return all(pow(b, d, n) == 1
-               or any(pow(b, d << i, n) == n - 1 for i in range(k))
-               for b in _PRIME_BASES)
-
-
-def _prime_or_zero(text: str) -> int:
-    """The --p of cells: 0 for the KL basis, else a prime below
-    _PRIME_LIMIT."""
-    p = _int_arg(text)
-    if p != 0 and not (p < _PRIME_LIMIT and _is_prime(p)):
-        raise argparse.ArgumentTypeError(
-            f"{p} is neither 0 nor a prime below {_PRIME_LIMIT}, the bound "
-            "up to which primality is decided")
-    return p
-
-
 def _typea_n(text: str) -> int:
     """The --n of verify: the typea suite checks S_3 to S_n, so n >= 3."""
     n = _int_arg(text)
@@ -249,20 +206,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_group_args(p):
-        p.add_argument("--type", help="type label: An, Bn, Cn, Dn, E6-E8, "
-                                      "F4 or G2, e.g. A3, C3, F4")
-        p.add_argument("--cartan", help="Cartan matrix as JSON (inline or file)")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--type", help="type label: An, Bn, Cn, Dn, "
+                                          "E6-E8, F4 or G2, e.g. A3, C3, F4")
+        group.add_argument("--cartan", help="Cartan matrix as a JSON list of "
+                                            "lists (inline or file)")
         p.add_argument("--cap", type=_cap, default=10**6,
                        help="element cap for the group closure")
 
-    p = sub.add_parser("cells", help="compute a cell partition")
+    p = sub.add_parser("cells", help="compute a cell partition",
+                       description="Cells at the prime of the table given by "
+                                   "--table or --fixture, or at p = 0 (the "
+                                   "KL basis) without one.")
     add_group_args(p)
-    p.add_argument("--p", type=_prime_or_zero, default=0,
-                   help="prime of the table (0 = KL basis)")
-    p.add_argument("--fixture", help="name of a shipped table (e.g. c3_p2)")
-    p.add_argument("--table", help="path to a table JSON file")
+    table = p.add_mutually_exclusive_group()
+    table.add_argument("--fixture", help="name of a shipped table (e.g. c3_p2)")
+    table.add_argument("--table", help="path to a table JSON file")
     p.add_argument("--side", default="right",
-                   choices=["left", "right", "two-sided", "2", "lr"])
+                   choices=["left", "right", "two-sided"])
     p.add_argument("--format", default="text", choices=["text", "json", "dot"])
     p.add_argument("--out", help="write output to this file")
     p.set_defaults(fn=cmd_cells)

@@ -280,6 +280,9 @@ class CoxeterSystem:
 
     def __init__(self, cartan: Sequence[Sequence[int]], cap: int,
                  label: str | None = None):
+        if not (isinstance(cartan, (list, tuple))
+                and all(isinstance(row, (list, tuple)) for row in cartan)):
+            raise ValueError(f"Cartan matrix {cartan!r} is not a list of lists")
         self.cartan = tuple(tuple(row) for row in cartan)
         self.coxeter_matrix = tuple(tuple(row) for row in cartan_to_coxeter(self.cartan))
         self.rank = len(self.cartan)
@@ -311,30 +314,6 @@ class CoxeterSystem:
         if order > cap:
             raise _over_cap(cap)
         return cls(cartan, cap=cap, label=name)
-
-    @classmethod
-    def from_spec(cls, spec: dict, cap: int) -> "CoxeterSystem":
-        """Build from a JSON-style spec: {"type": "C3"} or {"cartan": [[..]]}.
-
-        Raises ValueError for a spec that is not an object, has neither key
-        or both, has any other key, has a type that is not a string, or a
-        "cartan" that is not a list of lists."""
-        if not isinstance(spec, dict):
-            raise ValueError(f"group spec {spec!r} is not an object")
-        if "type" in spec and "cartan" in spec:
-            raise ValueError("group spec has both a 'type' and a 'cartan' key")
-        if "type" not in spec and "cartan" not in spec:
-            raise ValueError("group spec needs a 'type' or 'cartan' key")
-        other = [key for key in spec if key not in ("type", "cartan")]
-        if other:
-            raise ValueError(f"group spec has an unknown key {other[0]!r}")
-        if "type" in spec:
-            return cls.from_type(spec["type"], cap=cap)
-        cartan = spec["cartan"]
-        if not (isinstance(cartan, list)
-                and all(isinstance(row, list) for row in cartan)):
-            raise ValueError(f"Cartan matrix {cartan!r} is not a list of lists")
-        return cls.from_cartan(cartan, cap=cap)
 
     # -- enumeration -------------------------------------------------------
 

@@ -131,17 +131,40 @@ def validate_table(table: PCanTable) -> list[str]:
     return bad
 
 
+# Miller-Rabin in these bases decides primality exactly below the limit
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, exactly for n < _PRIME_LIMIT, by the strong
+    probable-prime test in each of _PRIME_BASES: O(log n) multiplications
+    per base."""
+    if n < 2 or n in _PRIME_BASES:
+        return n in _PRIME_BASES
+    d, k = n - 1, 0
+    while d % 2 == 0:
+        d, k = d // 2, k + 1
+    return all(pow(b, d, n) == 1
+               or any(pow(b, d << i, n) == n - 1 for i in range(k))
+               for b in _PRIME_BASES)
+
+
 def load_table(source: str | Path | dict, system: CoxeterSystem
                ) -> PCanTable:
     """Load a table from a path or a parsed JSON dict, and validate it.
 
-    Malformed input raises PCanValidationError: a "type" that is not a
-    supported type label, or whose Cartan matrix is not the system's; a
-    missing key or bad value; and, naming the offending entry, a p or word
-    letter that is not a JSON integer, a non-reduced word, a repeated x
-    entry or y term, or a diagonal coefficient other than 1.  A table that
-    breaks an invariant raises PCanValidationError whose violations are
-    validate_table's, naming the offending pairs.
+    Malformed input raises PCanValidationError: a p that is not a JSON
+    integer, or not a prime below _PRIME_LIMIT, up to which primality is
+    decided; a "type" that is not a supported type label, or whose Cartan
+    matrix is not the system's; a missing key or bad value; and, naming
+    the offending entry, a word letter that is not a JSON integer, a
+    non-reduced word, a repeated x entry or y term, or a diagonal
+    coefficient other than 1.  A table that breaks an invariant raises
+    PCanValidationError whose violations are validate_table's, naming the
+    offending pairs.
     """
     obj = source if isinstance(source, dict) else json.loads(
         Path(source).read_text())
@@ -165,6 +188,10 @@ def load_table(source: str | Path | dict, system: CoxeterSystem
         prime = obj["p"]
         if isinstance(prime, bool) or not isinstance(prime, int):
             raise PCanValidationError([f"p = {prime!r} is not an integer"])
+        if not (prime < _PRIME_LIMIT and _is_prime(prime)):
+            raise PCanValidationError(
+                [f"p = {prime} is not a prime below {_PRIME_LIMIT}, the "
+                 "bound up to which primality is decided"])
         label = obj.get("type")
         if label is not None:
             try:

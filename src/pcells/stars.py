@@ -470,9 +470,9 @@ def classify_string_relation(left: CellPartition, sx: StringDecomposition,
 # cells versus stars
 
 def star_closure_check(left: CellPartition, right: CellPartition,
-                       system: CoxeterSystem, r: int, t: int,
-                       prime: int) -> Report:
-    """Star compatibility of cells for one pair (r, t):
+                       system: CoxeterSystem, r: int, t: int) -> Report:
+    """Star compatibility of cells for one pair (r, t), at the prime of the
+    two partitions (ValueError if they differ):
 
     (a) every right string lies inside one right cell;
     (b) the star image of a left cell contained in D_R(r, t) is a left cell;
@@ -486,10 +486,13 @@ def star_closure_check(left: CellPartition, right: CellPartition,
     one; star is injective, so (b) holds for the cell iff phi names a cell
     of the same size.
     """
+    if left.prime != right.prime:
+        raise ValueError(f"the left cells are at p = {left.prime} and the "
+                         f"right cells at p = {right.prime}")
     pair = DihedralStrings(system, r, t)
-    if not p_bound_ok(prime, pair.m):
+    if not p_bound_ok(left.prime, pair.m):
         raise PBoundError(
-            f"p = {prime} is below the bound for bond order {pair.m}")
+            f"p = {left.prime} is below the bound for bond order {pair.m}")
     star = pair.star
     phi, bad, checked = transport_preorder(left, left, star)
 

@@ -19,7 +19,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cells import CellPartition, _renumber
 from .coxeter import CoxeterSystem
@@ -31,15 +31,6 @@ Shape = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # permutations in one-line notation
-
-def perm_from_word(n: int, word: Iterable[int]) -> tuple[int, ...]:
-    """The permutation of the word's product: right multiplication by s_i
-    swaps positions i, i+1 (0-based index i)."""
-    line = list(range(1, n + 1))
-    for s in word:
-        line[s], line[s + 1] = line[s + 1], line[s]
-    return tuple(line)
-
 
 def perm_inverse(perm: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(perm)
@@ -212,14 +203,11 @@ def standard_tableaux_count(shape: Sequence[int], memo: dict[Shape, int]
 # ---------------------------------------------------------------------------
 # the cell theorem in type A
 
-def perm_of_element(system: CoxeterSystem, w: int) -> tuple[int, ...]:
-    return perm_from_word(system.rank + 1, system.words[w])
-
-
-def _perms_of_elements(system: CoxeterSystem) -> list[tuple[int, ...]]:
-    """perm_of_element of every id, in one pass: w = (w s) s for s the last
-    letter of w, and right multiplication by s swaps positions s, s + 1.
-    Ids are in length order, so w s is done before w."""
+def perms_of_elements(system: CoxeterSystem) -> list[tuple[int, ...]]:
+    """The one-line permutation of every id of a type A system, in one
+    pass: w = (w s) s for s the last letter of w, and right multiplication
+    by s (0-based) swaps positions s, s + 1.  Ids are in length order, so
+    w s is done before w."""
     cols, last = system.right_by_gen, system.last
     perms = [tuple(range(1, system.rank + 2))]
     for w in range(1, system.size):
@@ -268,7 +256,7 @@ def verify_typea_cell_theorem(system: CoxeterSystem,
     # counted before the RS symbols are built, so that the pair counter and
     # the tableaux are not held at once
     failures = _intersection_failures(left, right, two)
-    perms = _perms_of_elements(system)
+    perms = perms_of_elements(system)
     rs = list(map(rs_correspondence, perms))
 
     bad: list[str] = []

@@ -365,7 +365,7 @@ def _star_reports(label: str, prime: int) -> list[Report]:
         out.append(check_base_change_relations(table, r, t))
         out.append(check_structure_coefficient_relations(table, kl, r, t))
         out.append(check_string_vanishing(table, kl, r, t))
-        out.append(star_closure_check(left, right, system, r, t, prime))
+        out.append(star_closure_check(left, right, system, r, t))
         out.append(_wgraph_star_isomorphism(system, left, graphs, r, t))
     out.append(_all_cell_wgraphs_satisfy_relations(system, graphs))
     for rep in out:

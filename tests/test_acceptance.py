@@ -126,7 +126,7 @@ def test_criterion_9_negative_tests():
             "terms": [{"y": [2, 1, 2], "coeff": [[0, 1]]},
                       {"y": [2], "coeff": [[1, 1]]}]}]}, fh)
         path = fh.name
-    assert main(["cells", "--type", "C3", "--p", "2", "--table", path]) == 1
+    assert main(["cells", "--type", "C3", "--table", path]) == 1
     dt = time.monotonic() - t0
     print(f"[PASS] criterion 9: corrupted tables and perturbed W-graphs are "
           f"rejected with located violations ({dt:.2f}s)")

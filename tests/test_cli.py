@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pcells.cli import _PRIME_LIMIT, main
+from pcells.cli import main
 from pcells.coxeter import cartan_matrix_of_type
 from pcells.stars import PBoundError
 
@@ -21,28 +21,23 @@ def run(capsys, *argv):
 
 
 def test_cells_b2(capsys):
-    code, out, _ = run(capsys, "cells", "--type", "B2", "--p", "0",
-                       "--side", "right")
+    code, out, _ = run(capsys, "cells", "--type", "B2", "--side", "right")
     assert code == 0
     assert "4 right cells" in out
 
 
 def test_cells_c3_p2(capsys):
-    code, out, _ = run(capsys, "cells", "--type", "C3", "--p", "2",
-                       "--fixture", "c3_p2", "--side", "right")
+    # the prime is the table's
+    code, out, _ = run(capsys, "cells", "--type", "C3", "--fixture", "c3_p2",
+                       "--side", "right")
     assert code == 0
-    assert "17 right cells" in out
+    assert out.startswith("17 right cells at p = 2:")
 
 
 def test_cells_two_sided_a2(capsys):
-    code, out, _ = run(capsys, "cells", "--type", "A2", "--p", "0",
-                       "--side", "two-sided")
+    code, out, _ = run(capsys, "cells", "--type", "A2", "--side", "two-sided")
     assert code == 0
     assert "3 two-sided cells" in out
-    # the CLI maps its "lr" and "2" aliases to "two-sided"
-    for alias in ("lr", "2"):
-        assert run(capsys, "cells", "--type", "A2", "--p", "0",
-                   "--side", alias) == (code, out, "")
 
 
 def test_cells_json_and_dot_formats(capsys, tmp_path):
@@ -55,11 +50,6 @@ def test_cells_json_and_dot_formats(capsys, tmp_path):
     assert out1 == out2 and out1.startswith("digraph")
 
 
-def test_cells_missing_table_is_usage_error(capsys):
-    code, _, err = run(capsys, "cells", "--type", "C3", "--p", "2")
-    assert code == 2
-
-
 def test_cells_corrupt_table_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -68,8 +58,7 @@ def test_cells_corrupt_table_file(capsys, tmp_path):
                      "terms": [{"y": [2, 1, 2], "coeff": [[0, 1]]},
                                {"y": [2], "coeff": [[1, 1]]}]}],
     }))
-    code, _, err = run(capsys, "cells", "--type", "C3", "--p", "2",
-                       "--table", str(bad))
+    code, _, err = run(capsys, "cells", "--type", "C3", "--table", str(bad))
     assert code == 1
     assert "self-dual" in err
 
@@ -147,7 +136,7 @@ def test_verify_suite(capsys):
 
 
 def test_usage_error(capsys):
-    assert main(["cells"]) == 2  # no group spec
+    assert main(["cells"]) == 2  # neither --type nor --cartan
 
 
 @pytest.mark.parametrize("error", [
@@ -198,55 +187,52 @@ def _one_error_line(err: str) -> str:
     return lines[0]
 
 
-@pytest.mark.parametrize("p", ["3", "5"])
-def test_p_other_than_the_tables_is_a_usage_error(capsys, p):
-    # the table is c3_p2: its prime is 2, whatever --p says
-    code, out, err = run(capsys, "cells", "--type", "C3", "--p", p,
-                         "--fixture", "c3_p2")
-    assert (code, out) == (2, "")
-    assert _one_error_line(err) == \
-        f"error: --p {p} differs from the table's p = 2"
+def _table_file(tmp_path, p):
+    path = tmp_path / f"p{p}.json"
+    path.write_text(json.dumps({"p": p, "entries": []}))
+    return str(path)
 
 
-@pytest.mark.parametrize("p", ["4", "-2", "1", "-3", "9", "two"])
-def test_p_neither_0_nor_prime_is_a_usage_error(capsys, p):
-    code, out, err = run(capsys, "cells", "--type", "C3", "--p", p,
-                         "--fixture", "c3_p2")
-    assert (code, out) == (2, "")
-    assert "--p" in _one_error_line(err)
-
-
-def test_large_primes_are_accepted(capsys):
-    assert run(capsys, "cells", "--type", "C3", "--p", "2",
-               "--fixture", "c3_p2")[0] == 0
-    for p in ("3", "1000000007", str(2 ** 61 - 1)):
-        # the argument parses; only the table's prime rejects it
-        code, out, err = run(capsys, "cells", "--type", "C3", "--p", p,
-                             "--fixture", "c3_p2")
-        assert (code, out) == (2, "")
-        assert _one_error_line(err) == \
-            f"error: --p {p} differs from the table's p = 2"
+def test_large_primes_are_accepted(capsys, tmp_path):
+    # a table's p needs only to be prime: the cells are printed at it
+    for p in (3, 1000000007, 2 ** 61 - 1):
+        code, out, _ = run(capsys, "cells", "--type", "A2",
+                           "--table", _table_file(tmp_path, p))
+        assert code == 0 and out.startswith(f"4 right cells at p = {p}:")
 
 
 @pytest.mark.parametrize("p", ["1", "4", "561", "3215031751",
                                str(2 ** 61 + 1)])
-def test_composites_are_rejected_at_once(capsys, p):
+def test_composites_are_rejected_at_once(capsys, tmp_path, p):
     # 561 is a Carmichael number and 3215031751 a strong pseudoprime to
     # the bases 2, 3, 5 and 7; trial division up to sqrt(2^61 + 1) would
-    # take minutes
+    # take minutes.  load_table took each of them.
+    path = _table_file(tmp_path, int(p))
     start = time.perf_counter()
-    code, out, err = run(capsys, "cells", "--type", "A2", "--p", p)
+    code, out, err = run(capsys, "cells", "--type", "A2", "--table", path)
     assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert f"{p} is neither 0 nor a prime" in _one_error_line(err)
+    assert (code, out) == (1, "")
+    assert _one_error_line(err).startswith(f"error: p = {p} is not a prime")
 
 
-def test_p_beyond_the_decided_range_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "cells", "--type", "A2", "--p",
-                         str(_PRIME_LIMIT))
+@pytest.mark.parametrize("argv,message", [
+    (("--type", "A2", "--cartan", json.dumps(cartan_matrix_of_type("A3"))),
+     "argument --cartan: not allowed with argument --type"),
+    (("--type", "C3", "--table", "{table}", "--fixture", "b2_p2"),
+     "argument --fixture: not allowed with argument --table"),
+    (("--type", "A2", "--side", "lr"), "argument --side: invalid choice: 'lr'"),
+    (("--type", "A2", "--side", "2"), "argument --side: invalid choice: '2'"),
+])
+def test_conflicting_and_aliased_options_are_usage_errors(capsys, argv,
+                                                          message):
+    # --type A2 with A3's matrix printed A2's 4 right cells, a table file
+    # with a fixture ignored the fixture, and "lr" and "2" named two-sided
+    table = str(ROOT / "src" / "pcells" / "data" / "c3_p2.json")
+    code, out, err = run(capsys, "cells",
+                         *(a.format(table=table) for a in argv))
     assert (code, out) == (2, "")
-    assert f"is neither 0 nor a prime below {_PRIME_LIMIT}" in \
-        _one_error_line(err)
+    # argparse words the list of choices differently across versions
+    assert _one_error_line(err).startswith(f"pcells cells: error: {message}")
 
 
 @pytest.mark.parametrize("command", ["cells", "tau"])
@@ -284,17 +270,17 @@ def test_types_outside_the_families_are_usage_errors(capsys, label):
 def test_table_of_another_type_is_rejected(capsys):
     # c3_p2 names type C3; B3 has as many elements, and words of C3 are
     # words of B3, so without the check it would load
-    code, out, err = run(capsys, "cells", "--type", "B3", "--p", "2",
+    code, out, err = run(capsys, "cells", "--type", "B3",
                          "--fixture", "c3_p2")
     assert (code, out) == (1, "")
     assert _one_error_line(err) == "error: table is for type 'C3', not B3"
     # a group given by its Cartan matrix is checked through that matrix
     b3, c3 = (json.dumps(cartan_matrix_of_type(t)) for t in ("B3", "C3"))
-    code, out, err = run(capsys, "cells", "--cartan", b3, "--p", "2",
+    code, out, err = run(capsys, "cells", "--cartan", b3,
                          "--fixture", "c3_p2")
     assert (code, out) == (1, "")
     assert _one_error_line(err).startswith("error: table is for type 'C3'")
-    code, out, _ = run(capsys, "cells", "--cartan", c3, "--p", "2",
+    code, out, _ = run(capsys, "cells", "--cartan", c3,
                        "--fixture", "c3_p2")
     assert code == 0 and out.startswith("17 right cells at p = 2:")
 
@@ -303,7 +289,7 @@ def test_table_of_another_type_is_rejected(capsys):
     ("cells", "--type", "A2", "--out", "{dir}"),
     ("tau", "--type", "A2", "--out", "{dir}"),
     ("cells", "--cartan", "{dir}"),
-    ("cells", "--type", "C3", "--p", "2", "--table", "{dir}"),
+    ("cells", "--type", "C3", "--table", "{dir}"),
 ])
 def test_directory_at_a_file_option_exits_1(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
@@ -337,8 +323,7 @@ def test_cells_of_a1_9(capsys):
 @pytest.mark.parametrize("command", ["cells", "tau"])
 @pytest.mark.parametrize("option,group,rank", [
     ("--cartan", "{a10}", 10), ("--cartan", "{a12}", 12),
-    ("--cartan", '{{"cartan": {a12}}}', 12), ("--type", "A10", 10),
-    ("--cartan", '{{"type": "A12"}}', 12)])
+    ("--type", "A10", 10)])
 def test_a_rank_above_9_is_a_usage_error(capsys, command, option, group,
                                          rank):
     # at rank 12, s12 and s1 s2 both printed as "12": A1^12 gave 4 096
@@ -357,8 +342,7 @@ def test_a_rank_above_9_is_a_usage_error(capsys, command, option, group,
 def test_unparsable_table_file_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"p\": 2, ")
-    code, _, err = run(capsys, "cells", "--type", "C3", "--p", "2",
-                       "--table", str(bad))
+    code, _, err = run(capsys, "cells", "--type", "C3", "--table", str(bad))
     assert code == 2
     assert err.startswith("error: ")
 
@@ -389,23 +373,20 @@ def test_demo_runs(demo, tmp_path):
 
 @pytest.mark.parametrize("command", ["cells", "tau"])
 @pytest.mark.parametrize("spec,message", [
-    ('{"type": 3}', "type label 3 is not a string"),
-    ('{"type": ["A", 2]}', "type label ['A', 2] is not a string"),
     ("[1]", "Cartan matrix [1] is not a list of lists"),
-    ('{"cartan": 5}', "Cartan matrix 5 is not a list of lists"),
-    ("5", "group spec 5 is not an object"),
-    ("null", "group spec None is not an object"),
-    ('{"cartan": [[2, -1], [-1, 2]], "type": "B2"}',
-     "group spec has both a 'type' and a 'cartan' key"),
-    ('{"type": "  "}', "bad type label '  '"),
-    ('{"type": "A\uff12"}', "bad type label 'A\uff12'"),
-    ('{"type": "A3", "extra": 1}', "group spec has an unknown key 'extra'"),
+    ("5", "Cartan matrix 5 is not a list of lists"),
+    ("null", "Cartan matrix None is not a list of lists"),
+    ('"ab"', "Cartan matrix 'ab' is not a list of lists"),
+    ("[[2, -1], 5]", "Cartan matrix [[2, -1], 5] is not a list of lists"),
+    ('{"type": "C3"}', "Cartan matrix {'type': 'C3'} is not a list of lists"),
+    ('{"cartan": [[2]]}',
+     "Cartan matrix {'cartan': [[2]]} is not a list of lists"),
 ])
 def test_malformed_group_specs_are_usage_errors(capsys, command, spec,
                                                 message):
-    # each of these ended in an AttributeError, TypeError or IndexError
-    # traceback, or built a group the spec does not name: B2 without
-    # reading the matrix, A2 from a fullwidth rank, A3 ignoring a key
+    # --cartan holds a matrix only: the objects {"type": ...} and
+    # {"cartan": ...}, which named a group another way, are refused like
+    # any other JSON that is not a list of lists
     code, out, err = run(capsys, command, "--cartan", spec)
     assert (code, out) == (2, "")
     assert _one_error_line(err) == f"error: {message}"

@@ -587,28 +587,19 @@ def test_type_label_must_be_a_string():
             CoxeterSystem.from_type(label)
 
 
-def test_from_spec_rejects_malformed_specs():
-    for spec in (5, None, "A3", [[2, -1], [-1, 2]]):
-        with pytest.raises(ValueError, match="is not an object"):
-            CoxeterSystem.from_spec(spec, 10**6)
-    for spec in ({"type": 3}, {"type": ["A", 2]}):
-        with pytest.raises(ValueError, match="is not a string"):
-            CoxeterSystem.from_spec(spec, 10**6)
-    for cartan in (5, [1], [[2, -1], 3], "[[2]]", ((2, -1), (-1, 2))):
-        with pytest.raises(ValueError, match="is not a list of lists"):
-            CoxeterSystem.from_spec({"cartan": cartan}, 10**6)
-    with pytest.raises(ValueError, match="both"):
-        CoxeterSystem.from_spec(
-            {"cartan": [[2, -1], [-1, 2]], "type": "B2"}, 10**6)
-    with pytest.raises(ValueError, match="needs a 'type' or 'cartan' key"):
-        CoxeterSystem.from_spec({"rank": 2}, 10**6)
-    # any other key is an input error, not ignored
-    for spec in ({"type": "A3", "extra": 1}, {"cartan": [[2]], "rank": 1}):
-        with pytest.raises(ValueError, match="unknown key '(extra|rank)'"):
-            CoxeterSystem.from_spec(spec, 10**6)
-    assert CoxeterSystem.from_spec({"type": "B2"}, 10**6).size == 8
-    assert CoxeterSystem.from_spec({"cartan": cartan_matrix_of_type("A2")},
-                                   10**6).size == 6
+def test_from_cartan_rejects_malformed_matrices():
+    # 5, None, [1] and [[2, -1], 5] raised TypeError tracebacks, "ab" was
+    # read as two rows and {"a": 1} as one row 'a'
+    for cartan in (5, None, [1], [[2, -1], 5], "ab", "[[2]]", {"a": 1},
+                   [[2, -1], "ab"]):
+        with pytest.raises(ValueError) as err:
+            CoxeterSystem.from_cartan(cartan)
+        assert str(err.value) == \
+            f"Cartan matrix {cartan!r} is not a list of lists"
+    # lists and tuples both hold a matrix
+    a2 = cartan_matrix_of_type("A2")
+    for cartan in (a2, tuple(map(tuple, a2)), [tuple(row) for row in a2]):
+        assert CoxeterSystem.from_cartan(cartan).size == 6
 
 
 def test_type_labels_are_validated_before_parsing():

@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from pcells.hecke import (KL, PCAN, STD, HeckeElt, change_basis,
                           kl_multiply_by_generator, std_multiply)
 from pcells.laurent import GAUSS, ONE, V, ZERO, LaurentPoly
 from pcells.pcanonical import (
+    _PRIME_LIMIT,
     PCanTable,
     PCanValidationError,
     fixture_path,
@@ -168,6 +170,28 @@ def test_load_rejects_non_integers(c3):
         with pytest.raises(PCanValidationError) as err:
             load_table(obj, c3)
         assert err.value.violations == [message]
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, -1, -2, -3, 561, 3215031751,
+                               2 ** 61 + 1, _PRIME_LIMIT])
+def test_load_rejects_a_p_that_is_not_a_prime(c3, p):
+    # each of these loaded; 561 is a Carmichael number and 3215031751 a
+    # strong pseudoprime to the bases 2, 3, 5 and 7, and trial division up
+    # to sqrt(2^61 + 1) would take minutes.  Primality is decided below
+    # _PRIME_LIMIT only.
+    obj = json.loads(fixture_path("c3_p2").read_text())
+    start = time.perf_counter()
+    with pytest.raises(PCanValidationError) as err:
+        load_table({**obj, "p": p}, c3)
+    assert time.perf_counter() - start < 1
+    assert err.value.violations == [
+        f"p = {p} is not a prime below {_PRIME_LIMIT}, the bound up to which "
+        "primality is decided"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000000007, 2 ** 61 - 1])
+def test_load_accepts_large_primes(c3, p):
+    assert load_table({"p": p, "entries": []}, c3).prime == p
 
 
 def test_load_checks_the_tables_type(b2, b3, c3):

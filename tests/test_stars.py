@@ -188,7 +188,7 @@ def test_star_closure(label):
     for r in range(system.rank):
         for t in range(r + 1, system.rank):
             if system.coxeter_matrix[r][t] >= 3:
-                assert star_closure_check(left, right, system, r, t, 0).ok
+                assert star_closure_check(left, right, system, r, t).ok
 
 
 def _pairwise_star_invariance(partition, star):
@@ -217,7 +217,22 @@ def test_star_invariance_matches_the_pairwise_oracle(label, prime):
             star = DihedralStrings(system, r, t).star
             assert transport_preorder(left, left, star)[1] == []
             assert not _pairwise_star_invariance(left, star)
-            assert star_closure_check(left, right, system, r, t, prime).ok
+            assert star_closure_check(left, right, system, r, t).ok
+
+
+def test_star_closure_reads_the_prime_of_its_partitions():
+    system = verify.get_system("C3")
+    left, right = (verify.get_cells("C3", 2, side)
+                   for side in ("left", "right"))
+    # the m = 4 pair of C3 is below the bound at p = 2, the m = 3 pair not
+    with pytest.raises(PBoundError,
+                       match="^p = 2 is below the bound for bond order 4$"):
+        star_closure_check(left, right, system, 0, 1)
+    assert star_closure_check(left, right, system, 1, 2).ok
+    with pytest.raises(ValueError, match="left cells are at p = 2 and the "
+                                         "right cells at p = 0"):
+        star_closure_check(left, verify.get_cells("C3", 0, "right"),
+                           system, 1, 2)
 
 
 # the left cells of each mutant whose string completion for (1, 2) is not
@@ -239,7 +254,7 @@ def test_star_closure_rejects_broken_partitions(label, left_mutants):
     for name, mutant in left_mutants(label).items():
         assert transport_preorder(mutant, mutant, star)[1], name
         assert _pairwise_star_invariance(mutant, star), name
-        rep = star_closure_check(mutant, right, system, 0, 1, 0)
+        rep = star_closure_check(mutant, right, system, 0, 1)
         assert not rep.ok, name
         assert [v for v in rep.violations if v.endswith(" union of left cells")
                 ] == [f"string completion of left cell {i} is not a union "

@@ -30,9 +30,11 @@ the check counts and verdicts pinned in tests/verify_all_reports.json.
 Every function and class that pcells exports is reached from the CLI,
 verify or a demo, or is listed with the reason it stays; likewise every
 parameter with a default in src/pcells is listed with the reason for its
-default.
+default, and every option of the command line, with its choices, with the
+reason it exists.
 """
 
+import argparse
 import ast
 import importlib
 import json
@@ -44,7 +46,7 @@ import types
 from pathlib import Path
 
 import pcells
-from pcells import stars, verify
+from pcells import cli, stars, verify
 from pcells.cells import (CellPartition, compute_cells, extract_wgraph,
                           inverse_duality_check, left_cells_from_right,
                           verify_wgraph_relations)
@@ -172,7 +174,7 @@ KNOBS = {
         "parabolic_subsystem build groups without one",
     ("coxeter.CoxeterSystem.from_cartan", "cap"):
         "the benchmark builds its groups under the element cap 10^6; the "
-        "CLI's --cap passes another through from_spec",
+        "CLI's --cap passes another",
     ("coxeter.CoxeterSystem.from_type", "cap"):
         "verify, the demos and the benchmark build their groups under the "
         "element cap 10^6",
@@ -190,6 +192,57 @@ KNOBS = {
         "the paper's p = 2 bound excludes the m = 4 pairs: orders=(3,) "
         "keeps tau to the pairs valid at p = 2",
 }
+
+
+# every (subcommand, option, choices) of the command line, positionals by
+# name, and why it exists
+_GROUP = "--type and --cartan are a required exclusive pair"
+_CAP = ("the element cap of the closure: --type refuses a group over it by "
+        "its order, --cartan while enumerating")
+_OUT = "the output as a file, for another tool to read"
+CLI_OPTIONS = {
+    ("cells", "--type", None): "the group by type label; " + _GROUP,
+    ("cells", "--cartan", None): "the group by Cartan matrix, for groups no "
+                                 "label names; " + _GROUP,
+    ("cells", "--cap", None): _CAP,
+    ("cells", "--fixture", None): "a shipped table; it fixes p (an exclusive "
+                                  "pair with --table, neither is p = 0)",
+    ("cells", "--table", None): "a table file; it fixes p (an exclusive pair "
+                                "with --fixture, neither is p = 0)",
+    ("cells", "--side", ("left", "right", "two-sided")):
+        "the three preorders whose cells the paper defines",
+    ("cells", "--format", ("text", "json", "dot")):
+        "text to read, JSON for programs, dot for the Hasse diagram",
+    ("cells", "--out", None): _OUT,
+    ("verify", "suite", (*verify.SUITES, "all")):
+        "each suite runs alone in seconds; all is the full check",
+    ("verify", "--n", None): "the largest S_n of the typea suite: S_5 by "
+                             "default, S_6 for the acceptance check",
+    ("rs", "permutation", None): "the input of the RS correspondence",
+    ("rs", "--format", ("text", "json")): "text to read, JSON for programs",
+    ("tau", "--type", None): "the group by type label; " + _GROUP,
+    ("tau", "--cartan", None): "the group by Cartan matrix, for groups no "
+                               "label names; " + _GROUP,
+    ("tau", "--cap", None): _CAP,
+    ("tau", "--tilde", None): "the star-image variant over every finite bond, "
+                              "besides the classic invariant",
+    ("tau", "--format", ("text", "json")): "text to read, JSON for programs",
+    ("tau", "--out", None): _OUT,
+}
+
+
+def test_every_cli_option_is_listed():
+    found = set()
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            name = (action.option_strings or [action.dest])[0]
+            found.add((command, name, action.choices and tuple(action.choices)))
+    assert found == set(CLI_OPTIONS)
 
 
 def _defaults(tree: ast.AST, prefix: str) -> set[tuple[str, str]]:
@@ -402,7 +455,7 @@ def test_cell_level_checks_compare_no_element_pairs(monkeypatch):
              if f4.coxeter_matrix[r][t] >= 3]
     assert len(pairs) == 3
     for r, t in pairs:
-        assert star_closure_check(left, right, f4, r, t, 0).ok
+        assert star_closure_check(left, right, f4, r, t).ok
     assert calls == []
     assert left.leq(0, 0) and calls == [(0, 0)]  # the counter is live
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from pcells.stars import DihedralStrings
 from pcells.typea import (
     _intersection_failures,
-    _perms_of_elements,
     all_permutations,
     hook_length_count,
     inverse_rs,
@@ -13,13 +12,28 @@ from pcells.typea import (
     knuth_moves,
     parse_one_line,
     perm_inverse,
-    perm_of_element,
+    perms_of_elements,
     rs_correspondence,
     shape_of,
     standard_tableaux_count,
     verify_typea_cell_theorem,
 )
 from pcells import verify
+
+
+def perm_from_word(n, word):
+    """The permutation of the word's product: right multiplication by s_i
+    swaps positions i, i+1 (0-based index i)."""
+    line = list(range(1, n + 1))
+    for s in word:
+        line[s], line[s + 1] = line[s + 1], line[s]
+    return tuple(line)
+
+
+def perm_of_element(system, w):
+    """The permutation of id w, by one walk of its word: the oracle of
+    perms_of_elements."""
+    return perm_from_word(system.rank + 1, system.words[w])
 
 
 def perm_to_word(perm):
@@ -324,7 +338,7 @@ def test_one_pass_permutations_match_perm_of_element():
     # ids instead of one word walk per element
     for n in range(2, 7):
         system = verify.get_system(f"A{n - 1}")
-        assert _perms_of_elements(system) == [
+        assert perms_of_elements(system) == [
             perm_of_element(system, w) for w in system.elements()]
 
 
