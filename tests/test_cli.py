@@ -374,8 +374,12 @@ def test_demo_runs(demo, tmp_path):
 @pytest.mark.parametrize("command", ["cells", "tau"])
 @pytest.mark.parametrize("spec,message", [
     ("[1]", "Cartan matrix [1] is not a list of lists"),
-    ("5", "Cartan matrix 5 is not a list of lists"),
-    ("null", "Cartan matrix None is not a list of lists"),
+    # these two cases keep the ids they had when --cartan also read spec
+    # objects and refused a scalar as "not an object"
+    pytest.param("5", "Cartan matrix 5 is not a list of lists",
+                 id="5-group spec 5 is not an object"),
+    pytest.param("null", "Cartan matrix None is not a list of lists",
+                 id="null-group spec None is not an object"),
     ('"ab"', "Cartan matrix 'ab' is not a list of lists"),
     ("[[2, -1], 5]", "Cartan matrix [[2, -1], 5] is not a list of lists"),
     ('{"type": "C3"}', "Cartan matrix {'type': 'C3'} is not a list of lists"),
