@@ -193,14 +193,13 @@ def elementary_relations(table: PCanTable, kl: KLTable, side: str
     union has a row either, each C_z in it is B_z.  That is the rule by
     which structure_coefficients skips its back-substitution, applied to
     the union, so the union is the answer.  Any other y is multiplied out
-    one generator at a time; at p = 0 there is none.  Raises ValueError if
-    the two tables live over different groups.
+    one generator at a time; at p = 0 there is none.  Raises ValueError
+    for a side other than left or right, or if the two tables live over
+    different groups.
     """
     sys_ = table.system
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
+    descents = sys_.descents(side)
     require_same_group(table, kl)
-    descents = sys_.right_descents if side == "right" else sys_.left_descents
     cols, inv, mu, rows = sys_.right_by_gen, sys_.inverse, kl.mu, table.rows
     gens = range(sys_.rank)
     succ: dict[int, set[int]] = {}
@@ -367,13 +366,11 @@ def check_descent_invariant(partition: CellPartition, system: CoxeterSystem
                             ) -> Report:
     """Right-preorder relations shrink left descent sets: y <= x implies
     the left descents of x are contained in those of y (mirror for left);
-    consequently each fixed-descent-set stratum is a union of cells."""
-    if partition.side == "right":
-        desc = system.left_descents
-    elif partition.side == "left":
-        desc = system.right_descents
-    else:
-        raise ValueError("descent check applies to one-sided partitions")
+    consequently each fixed-descent-set stratum is a union of cells.  A
+    partition that is not one-sided raises ValueError."""
+    # the right preorder keeps left descent sets, the left one right ones
+    desc = system.descents({"right": "left", "left": "right"}.get(
+        partition.side, partition.side))
     bad: list[str] = []
     checked = 0
     cell_desc: list[frozenset[int] | None] = []
@@ -557,14 +554,13 @@ def subquotient_wgraph(table: PCanTable, kl: KLTable, elements: Iterable[int],
                        side: str) -> ColouredWGraph:
     """The coloured W-graph of the generator action on a subquotient
     spanned by canonical basis elements indexed by the given set.  Raises
-    ValueError if the two tables live over different groups."""
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
-    require_same_group(table, kl)
+    ValueError for a side other than left or right, or if the two tables
+    live over different groups."""
     sys_ = table.system
+    desc = sys_.descents(side)
+    require_same_group(table, kl)
     vertex_set = frozenset(elements)
     vertices = tuple(sorted(vertex_set, key=lambda w: (sys_.length[w], w)))
-    desc = sys_.left_descents if side == "left" else sys_.right_descents
     descent_sets = {v: desc[v] for v in vertices}
     edges: dict[tuple[int, int], dict[int, LaurentPoly]] = {}
     for x in vertices:
@@ -582,9 +578,9 @@ def subquotient_wgraph(table: PCanTable, kl: KLTable, elements: Iterable[int],
 def extract_wgraph(partition: CellPartition, cell_index: int, table: PCanTable,
                    kl: KLTable) -> ColouredWGraph:
     """The coloured W-graph of one cell (side taken from the partition).
-    A cell_index outside 0..len(partition.cells)-1 raises IndexError."""
-    if partition.side not in ("left", "right"):
-        raise ValueError("W-graphs come from one-sided cells")
+    A cell_index outside 0..len(partition.cells)-1 raises IndexError, and
+    a partition that is not one-sided ValueError, as subquotient_wgraph
+    refuses its side."""
     if not 0 <= cell_index < len(partition.cells):
         raise IndexError(f"cell index {cell_index} is outside "
                          f"0..{len(partition.cells) - 1}")

@@ -502,6 +502,16 @@ class CoxeterSystem:
                     stack.append(ws)
         return frozenset(seen)
 
+    def descents(self, side: str) -> list[frozenset[int]]:
+        """The descent set of each element on one side: right_descents for
+        side="right", left_descents for side="left".  Any other side raises
+        ValueError; every caller that takes a side reads it through here."""
+        if side == "right":
+            return self.right_descents
+        if side == "left":
+            return self.left_descents
+        raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
+
     def minimal_coset_representatives(self, gens: Iterable[int],
                                       side: str) -> tuple[int, ...]:
         """Minimal-length coset representatives, by increasing id.
@@ -509,14 +519,8 @@ class CoxeterSystem:
         side="right" gives W^I for W / W_I (no right descents in I);
         side="left" the mirror for W_I \\ W.
         """
-        if side == "right":
-            descents = self.right_descents
-        elif side == "left":
-            descents = self.left_descents
-        else:
-            raise ValueError("side must be 'left' or 'right'")
-        return tuple(compress(self.elements(),
-                              map(frozenset(gens).isdisjoint, descents)))
+        return tuple(compress(self.elements(), map(
+            frozenset(gens).isdisjoint, self.descents(side))))
 
     def parabolic_subsystem(self, gens: Sequence[int]) -> "ParabolicEmbedding":
         """The standard parabolic as its own system, with the id embedding."""

@@ -41,8 +41,13 @@ each top's value as a 2-byte index into that list, and change_basis
 multiplies each distinct polynomial once per coefficient.
 
 HeckeElt values are tagged with the basis they are expressed in ("std",
-"kl", or "pcan"); arithmetic across different bases is a hard error, and
-change_basis performs the exact unitriangular conversions.
+"kl", or "pcan"); arithmetic across different bases is a hard error.  The
+bases form the chain std - kl - pcan, each unitriangular over the one
+before it, and change_basis walks it one link at a time: towards pcan by
+unitriangular_solve, back towards std by unitriangular_apply, reading the
+columns kl.h[x] and PCanTable.column(x).  The structure coefficients and
+star-operation checks of the canonical basis read the same columns
+through the same two routines.
 """
 
 from __future__ import annotations
@@ -57,6 +62,9 @@ from .coxeter import CoxeterSystem
 from .laurent import GAUSS, ONE, ZERO, LaurentPoly
 
 STD, KL, PCAN = "std", "kl", "pcan"
+# the bases in the order change_basis walks them: each is unitriangular
+# over the one before it
+_CHAIN = (STD, KL, PCAN)
 
 _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 _V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
@@ -82,11 +90,18 @@ class HeckeElt:
     """A finitely supported Z[v,v^-1]-combination of basis elements.
 
     Construction copies coeffs into a dict of its own and drops the zero
-    terms.
+    terms.  A basis other than "std", "kl" or "pcan" raises ValueError,
+    and a key outside 0 .. |W| - 1 IndexError: a negative one would read
+    a table's columns from their end.
     """
 
     def __init__(self, system: CoxeterSystem, basis: str,
                  coeffs: dict[int, LaurentPoly]):
+        if basis not in _CHAIN:
+            raise ValueError(f"unknown basis {basis!r}: use 'std', 'kl' or "
+                             "'pcan'")
+        if coeffs and not (0 <= min(coeffs) and max(coeffs) < system.size):
+            _require_ids(system, min(coeffs), max(coeffs))
         self.system = system
         self.basis = basis
         self.coeffs = {w: c for w, c in coeffs.items() if c}
@@ -676,22 +691,32 @@ def _pairs(col):
     return zip(tops, bottoms, col._idx)
 
 
+def require_generator(system: CoxeterSystem, x: int, s: int) -> None:
+    """Raise IndexError unless x is an element id and s a generator: a
+    negative one would index the group's lists from their end.  Callers
+    compare inline and call this only to raise."""
+    _require_ids(system, x)
+    if not 0 <= s < system.rank:
+        raise IndexError(f"{s} is not a generator of a group of rank "
+                         f"{system.rank}")
+
+
 def kl_multiply_by_generator(table: KLTable, x: int, s: int,
                              side: str) -> dict[int, LaurentPoly]:
     """C_x C_s (or C_s C_x) expanded in the Kazhdan-Lusztig basis.
 
     Returns (v + v^-1) C_x in the descent case, otherwise C_{xs} plus
-    mu(z, x) C_z over z with s in the relevant descent set.
+    mu(z, x) C_z over z with s in the relevant descent set.  An x or s
+    outside the group raises IndexError.
     """
     system = table.system
-    if side == "right":
-        descents, xs = system.right_descents, system.right_by_gen[s][x]
-    elif side == "left":
-        descents, xs = system.left_descents, system.left_mult(s, x)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+    if not (0 <= x < system.size and 0 <= s < system.rank):
+        require_generator(system, x, s)
+    descents = system.descents(side)
     if s in descents[x]:
         return {x: GAUSS}
+    xs = (system.right_by_gen[s][x] if side == "right"
+          else system.left_mult(s, x))
     out = {xs: ONE}
     for z, m in table.mu[x].items():
         if s in descents[z]:
@@ -746,54 +771,64 @@ def unitriangular_solve(system: CoxeterSystem,
     return out
 
 
-def _kl_to_std(coeffs: dict[int, LaurentPoly], table: KLTable
-               ) -> dict[int, LaurentPoly]:
-    """The sum of c h(y, x) H_y over the terms c C_x, added in one loop:
-    each distinct h(y, x) of a column is multiplied by c once, as in
-    unitriangular_solve.  A sum that cancels is kept as zero; the HeckeElt
-    that change_basis builds drops it."""
+def unitriangular_apply(coeffs: dict[int, LaurentPoly], column
+                        ) -> dict[int, LaurentPoly]:
+    """Apply a base change: given coefficients in the source basis and a
+    function yielding the (element, coefficient) terms of each source
+    basis element in the target basis, its diagonal term included, the
+    sum of c column(x) over the terms c of x, in the target basis.
+
+    Each column is added in one loop, each distinct m multiplied by c once
+    per column, as in unitriangular_solve.  A sum that cancels is
+    dropped."""
     out: dict[int, LaurentPoly] = {}
     get = out.get
     for x, c in coeffs.items():
         memo: dict[LaurentPoly, LaurentPoly] = {}
-        for y, m in table.h[x].items():
+        for y, m in column(x):
             p = memo.get(m)
             if p is None:
                 p = memo[m] = m * c
             s = get(y)
             out[y] = p if s is None else s + p
-    return out
+    return {y: c for y, c in out.items() if c}
 
 
 def change_basis(a: HeckeElt, target: str, kl: KLTable | None = None,
                  pcan=None) -> HeckeElt:
     """Convert between the standard, Kazhdan-Lusztig and canonical bases.
 
-    Conversions through "pcan" need a PCanTable (pcan argument); all paths
-    are exact unitriangular substitutions, so round trips are identities.
-    A table built on another group than the element's raises ValueError,
-    by the identity test that HeckeElt arithmetic uses.
+    The bases form the chain std - kl - pcan, each unitriangular over the
+    one before it: C_x is the column kl.h[x] over the H_y, and B_x the
+    column pcan.column(x) (a PCanTable) over the C_y.  A conversion walks
+    the chain one link at a time, solving towards pcan
+    (unitriangular_solve) and applying the columns back towards std
+    (unitriangular_apply), so it reads only the tables of the links it
+    crosses, and a missing one raises ValueError naming it.  All steps are
+    exact, so round trips are identities.  A table built on another group
+    than the element's raises ValueError, by the identity test that
+    HeckeElt arithmetic uses.
     """
-    if target not in (STD, KL, PCAN):
+    if target not in _CHAIN:
         raise ValueError(f"unknown basis {target!r}")
-    for table in (kl, pcan):
-        if table is not None and table.system is not a.system:
+    start, end = _CHAIN.index(a.basis), _CHAIN.index(target)
+    # link k joins _CHAIN[k] and _CHAIN[k + 1] through table k
+    links = range(min(start, end), max(start, end))
+    for k, table in enumerate((kl, pcan)):
+        if table is None:
+            if k in links:
+                raise ValueError(f"table missing: converting {a.basis!r} to "
+                                 f"{target!r} needs a "
+                                 f"{('KLTable', 'PCanTable')[k]}")
+        elif table.system is not a.system:
             raise ValueError("the element and the table live over different "
                              "groups")
-    if a.basis == target:
-        return HeckeElt(a.system, target, dict(a.coeffs))
-    if a.basis in (STD, KL) and target in (STD, KL):
-        if kl is None:
-            raise ValueError("table missing: conversions need a KLTable")
-        if target == KL:
-            return HeckeElt(a.system, KL, unitriangular_solve(
-                a.system, a.coeffs, lambda x: kl.h[x].items()))
-        return HeckeElt(a.system, STD, _kl_to_std(a.coeffs, kl))
-    if pcan is None:
-        raise ValueError("table missing: conversions involving the canonical "
-                         "basis need a PCanTable")
-    if a.basis == PCAN:
-        as_kl = HeckeElt(a.system, KL, pcan.expand_to_kl_coeffs(a.coeffs))
-        return as_kl if target == KL else change_basis(as_kl, target, kl=kl)
-    as_kl = a if a.basis == KL else change_basis(a, KL, kl=kl)
-    return HeckeElt(a.system, PCAN, pcan.kl_to_pcan_coeffs(as_kl.coeffs))
+    columns = (lambda x: kl.h[x].items(), lambda x: pcan.column(x).items())
+    coeffs = a.coeffs
+    if end > start:
+        for k in links:
+            coeffs = unitriangular_solve(a.system, coeffs, columns[k])
+    else:
+        for k in reversed(links):
+            coeffs = unitriangular_apply(coeffs, columns[k])
+    return HeckeElt(a.system, target, coeffs)

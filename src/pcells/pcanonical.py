@@ -33,9 +33,9 @@ from typing import Mapping, Sequence
 
 from .coxeter import (CoxeterSystem, ParabolicEmbedding,
                       cartan_matrix_of_type)
-from .hecke import (PCAN, STD, HeckeElt, KLTable, _acc, change_basis,
-                    kl_multiply_by_generator, std_multiply,
-                    unitriangular_solve)
+from .hecke import (PCAN, STD, HeckeElt, KLTable, change_basis,
+                    kl_multiply_by_generator, require_generator,
+                    std_multiply, unitriangular_apply, unitriangular_solve)
 from .laurent import GAUSS, ONE, ZERO, LaurentPoly
 from .report import Report
 
@@ -85,21 +85,11 @@ class PCanTable:
     def nontrivial_elements(self) -> list[int]:
         return sorted(self.rows)
 
-    # -- conversions -------------------------------------------------------
-
-    def expand_to_kl_coeffs(self, coeffs: Mapping[int, LaurentPoly]
-                            ) -> dict[int, LaurentPoly]:
-        out: dict[int, LaurentPoly] = {}
-        for x, c in coeffs.items():
-            _acc(out, x, c)
-            for y, m in self.rows.get(x, {}).items():
-                _acc(out, y, m * c)
-        return out
-
-    def kl_to_pcan_coeffs(self, coeffs: Mapping[int, LaurentPoly]
-                          ) -> dict[int, LaurentPoly]:
-        return unitriangular_solve(self.system, coeffs,
-                                   lambda x: self.rows.get(x, {}).items())
+    def column(self, x: int) -> dict[int, LaurentPoly]:
+        """B_x in the KL basis as a fresh dict of its nonzero m(y, x): 1 at
+        y = x, then rows[x].  change_basis, structure_coefficients and the
+        star checks read the table through here."""
+        return {x: ONE, **self.rows.get(x, {})}
 
 
 # ---------------------------------------------------------------------------
@@ -271,29 +261,35 @@ def structure_coefficients(table: PCanTable, kl: KLTable, x: int, s: int,
                            side: str) -> dict[int, LaurentPoly]:
     """The coefficients mu^z in B_x C_s = sum_z mu^z B_z (mirror on the left).
 
-    Descent case: {x: v + v^-1}.  Otherwise the product is expanded in the
-    KL basis through the table, multiplied by the generator there, and
-    back-substituted.  The back-substitution is skipped when no term of the
-    product has a table row: each such C_z is then B_z, so the KL
-    coefficients are already the answer.  At p = 0 that is every call; a
-    p > 0 table solves exactly when a rowed element appears.  Every call
-    returns a fresh dict.  Raises ValueError if the two tables live over
-    different groups.
+    Descent case: {x: v + v^-1}.  Otherwise B_x, the table's column of x
+    over the KL basis, is multiplied by the generator there, one C_z at a
+    time (unitriangular_apply over the products C_z C_s; for an x without
+    a row, B_x = C_x and the product is C_x C_s), and back-substituted
+    (unitriangular_solve over the table's columns).  The
+    back-substitution is skipped when no term of the product has a table
+    row: each such C_z is then B_z, so the KL coefficients are already
+    the answer.  At p = 0 that is every call; a p > 0 table solves
+    exactly when a rowed element appears.  Every call returns a fresh
+    dict.
+    Raises ValueError for a side other than left or right or if the two
+    tables live over different groups, and IndexError for an x or s
+    outside the group.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown side {side!r}: use 'left' or 'right'")
-    require_same_group(table, kl)
     sys_ = table.system
-    descents = sys_.right_descents if side == "right" else sys_.left_descents
+    if not (0 <= x < sys_.size and 0 <= s < sys_.rank):
+        require_generator(sys_, x, s)
+    descents = sys_.descents(side)
+    require_same_group(table, kl)
     if s in descents[x]:
         return {x: GAUSS}
-    acc = kl_multiply_by_generator(kl, x, s, side)
-    for z, c in table.rows.get(x, {}).items():
-        for w, d in kl_multiply_by_generator(kl, z, s, side).items():
-            _acc(acc, w, c * d)
+    if x in table.rows:
+        acc = unitriangular_apply(table.column(x), lambda z: (
+            kl_multiply_by_generator(kl, z, s, side).items()))
+    else:
+        acc = kl_multiply_by_generator(kl, x, s, side)
     if table.rows.keys().isdisjoint(acc):
         return acc
-    return table.kl_to_pcan_coeffs(acc)
+    return unitriangular_solve(sys_, acc, lambda z: table.column(z).items())
 
 
 def pcan_general_product(table: PCanTable, kl: KLTable, x: int, w: int

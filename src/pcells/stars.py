@@ -37,8 +37,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 from .cells import (CellPartition, _classes, _is_union, _renumber,
                     transport_preorder)
 from .coxeter import CoxeterSystem
-from .hecke import KLTable
-from .laurent import ONE, ZERO, LaurentPoly
+from .hecke import KLTable, unitriangular_apply
+from .laurent import ZERO, LaurentPoly
 from .pcanonical import PCanTable, structure_coefficients
 from .report import Report
 
@@ -272,11 +272,6 @@ def _check_relation_system(pair: DihedralStrings,
     return len(coeffs) * len(_RELATIONS[pair.m])
 
 
-def _column(table: PCanTable, x: int) -> dict[int, LaurentPoly]:
-    """The nonzero m(z, x) by z: 1 at z = x, then table.rows[x]."""
-    return {x: ONE, **table.rows.get(x, {})}
-
-
 def _check_star_symmetry(pair: DihedralStrings, xs: list[int],
                          column: Callable[[int], Mapping[int, LaurentPoly]],
                          label: str, bad: list[str]) -> int:
@@ -302,25 +297,24 @@ def check_base_change_relations(table: PCanTable, r: int, t: int) -> Report:
     all pairs of full strings, plus the star symmetry m(z, x) = m(z*, x*)
     for all z, x in D_R(r, t).
 
-    Both read the column of x (_column), whose values are nonzero: the
-    relation systems on the z-strings it meets (_check_relation_system),
-    and the symmetry as one comparison per x (_check_star_symmetry).  The
-    symmetry covers every pair, where a loop over pairs with l(z) <= l(x)
-    only would skip some; on a table unitriangular by length, which
-    validate_table enforces, the verdict is the same.  There m(z, x) = 0
-    whenever l(z) > l(x), and then either l(z*) > l(x*) too, so
-    m(z*, x*) = 0, or the identity is the one of the pair (z*, x*), which
-    that loop compares."""
+    Both read the column of x (PCanTable.column), whose values are
+    nonzero: the relation systems on the z-strings it meets
+    (_check_relation_system), and the symmetry as one comparison per x
+    (_check_star_symmetry).  The symmetry covers every pair, where a loop
+    over pairs with l(z) <= l(x) only would skip some; on a table
+    unitriangular by length, which validate_table enforces, the verdict
+    is the same.  There m(z, x) = 0 whenever l(z) > l(x), and then either
+    l(z*) > l(x*) too, so m(z*, x*) = 0, or the identity is the one of
+    the pair (z*, x*), which that loop compares."""
     sys_ = table.system
     pair = DihedralStrings(sys_, r, t)
     _require_bound(table, pair.m)
     bad: list[str] = []
-    checked = _check_star_symmetry(pair, sorted(pair.star),
-                                   partial(_column, table),
+    checked = _check_star_symmetry(pair, sorted(pair.star), table.column,
                                    "m(z, x) = m(z*, x*)", bad)
     for sx in pair.strings:
         checked += _check_relation_system(
-            pair, [_column(table, x) for x in sx.elements],
+            pair, [table.column(x) for x in sx.elements],
             f"m-relations x-string {sys_.id_to_digits(sx.elements[0])}", bad)
     return Report(f"base-change-relations (r={r + 1}, t={t + 1})", bad, checked)
 
@@ -389,10 +383,12 @@ def check_coefficient_sliding(table: PCanTable, kl: KLTable, r: int, t: int
     B_x C_b equals m(za, x) [za in D_R] + m(zb, x) [zb in D_R] for every
     z in D_R(r, t).
 
-    Only the z in the support of the left side, or in {ua, ub} for some u
-    with m(u, x) != 0 (the column of x, _column), are compared.  Every other z reads
-    0 on both sides: the right side needs za or zb in the column, and
-    since a and b are involutions, z = (za)a and z = (zb)b."""
+    The left side is B_x C_b expanded over the KL basis through the
+    table's columns (unitriangular_apply).  Only the z in its support, or
+    in {ua, ub} for some u with m(u, x) != 0 (the column of x,
+    PCanTable.column), are compared.  Every other z reads 0 on both
+    sides: the right side needs za or zb in the column, and since a and b
+    are involutions, z = (za)a and z = (zb)b."""
     sys_ = table.system
     pair = DihedralStrings(sys_, r, t)
     _require_bound(table, pair.m)
@@ -402,9 +398,10 @@ def check_coefficient_sliding(table: PCanTable, kl: KLTable, r: int, t: int
     for x in sorted(in_dr):
         a, b = (r, t) if r in sys_.right_descents[x] else (t, r)
         col_a, col_b = sys_.right_by_gen[a], sys_.right_by_gen[b]
-        acc = table.expand_to_kl_coeffs(
-            structure_coefficients(table, kl, x, b, "right"))
-        column = _column(table, x)
+        acc = unitriangular_apply(
+            structure_coefficients(table, kl, x, b, "right"),
+            lambda u: table.column(u).items())
+        column = table.column(x)
         support = set(acc).union(*((col_a[u], col_b[u]) for u in column))
         for z in sorted(support & in_dr.keys()):
             got = acc.get(z, ZERO)

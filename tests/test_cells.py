@@ -27,7 +27,7 @@ from pcells.cells import (
     ColouredWGraph,
 )
 from pcells.coxeter import CoxeterSystem
-from pcells.hecke import compute_kl_table
+from pcells.hecke import compute_kl_table, kl_multiply_by_generator
 from pcells.laurent import GAUSS, ONE, LaurentPoly
 from pcells.pcanonical import (PCanTable, identity_table,
                                restrict_to_parabolic, structure_coefficients)
@@ -826,6 +826,24 @@ def test_subquotient_wgraph_rejects_unknown_side(a2, kl_a2):
         for side in ("Left", "right ", "two-sided"):
             with pytest.raises(ValueError):
                 subquotient_wgraph(tab, kl_a2, elements, side=side)
+
+
+def test_every_one_sided_function_refuses_another_side_alike(a2, kl_a2):
+    # each reads its descent sets through CoxeterSystem.descents, the one
+    # place that maps a side to them; before, three error texts differed
+    tab = identity_table(a2)
+    two = verify.get_cells("A2", 0, "two-sided")
+    calls = [lambda: a2.minimal_coset_representatives([0], "up"),
+             lambda: kl_multiply_by_generator(kl_a2, 0, 0, "up"),
+             lambda: structure_coefficients(tab, kl_a2, 0, 0, "up"),
+             lambda: elementary_relations(tab, kl_a2, "up"),
+             lambda: subquotient_wgraph(tab, kl_a2, [0], "up"),
+             lambda: check_descent_invariant(two, a2),
+             lambda: extract_wgraph(two, 0, tab, kl_a2)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^unknown side '(up|two-sided)'"
+                                             ": use 'left' or 'right'$"):
+            call()
 
 
 def test_c6_c12_subquotient_is_a_module(c3, kl_c3, c3_p2):

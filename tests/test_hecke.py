@@ -40,6 +40,7 @@ from pcells.hecke import (
     kl_multiply_by_generator,
     std_basis_element,
     std_multiply,
+    unitriangular_apply,
     unitriangular_solve,
 )
 from pcells.laurent import GAUSS, ONE, V, V_INV, ZERO, LaurentPoly
@@ -518,13 +519,14 @@ def test_partner_columns_are_read_only_views(label):
         == _orbit_count(system)
 
 
-@pytest.mark.parametrize("label", ["D4", "B4", "F4"])
+@pytest.mark.parametrize("label", ["D4", "B4", "A4"])
 def test_point_lookups_read_like_the_copied_dicts(label):
     # h_poly and mu_coeff at every (y, x) answer as the dicts the kernel
     # copied the columns and mu rows into: a built column's own items, and
     # a relabelled one's items read through any g with g(w) = x.  D4's
     # automorphisms of order 3 catch a view that reads through g in place
-    # of g^-1
+    # of g^-1; A4's one automorphism gives inversion, sigma and sigma
+    # followed by inversion, and B4 has inversion alone
     system = CoxeterSystem.from_type(label)
     h, mu, built = _kl_columns(system)
     table = KLTable(system, h, mu)
@@ -539,6 +541,29 @@ def test_point_lookups_read_like_the_copied_dicts(label):
                    for y in system.elements())
         assert [table.mu_coeff(y, x) for y in system.elements()] \
             == [row.get(y, 0) for y in system.elements()]
+
+
+@pytest.mark.parametrize("basis, coeffs, error, named", [
+    ("foo", {1: ONE}, ValueError, "'foo'"),
+    (KL, {-1: ONE, 0: ONE}, IndexError, "-1"),
+    (KL, {7: ONE}, IndexError, "7")])
+def test_elements_reject_an_unknown_basis_or_id(a2, basis, coeffs, error,
+                                                named):
+    # "foo" failed only later, in str() and change_basis; in change_basis
+    # id -1 read the column of w0 and id 7 raised a bare IndexError
+    with pytest.raises(error, match=f"^{named} |{named}:"):
+        HeckeElt(a2, basis, coeffs)
+
+
+@pytest.mark.parametrize("x, s, named", [(-3, 1, -3), (6, 0, 6),
+                                         (0, -1, -1), (1, 2, 2)])
+def test_generator_product_rejects_ids_outside_the_group(a2, kl_a2, x, s,
+                                                         named):
+    # on the right, x = -3 read the element 3 from the end and s = -1
+    # multiplied by the last generator
+    for side in ("left", "right"):
+        with pytest.raises(IndexError, match=f"^{named} is not"):
+            kl_multiply_by_generator(kl_a2, x, s, side)
 
 
 def test_point_accessors_reject_ids_outside_the_group(a2, kl_a2):
@@ -869,14 +894,19 @@ def test_change_basis_round_trip(a3, kl_a3):
         assert back == elt
 
 
-def _kl_to_std_per_entry(coeffs, table):
-    """Oracle: kl -> std as change_basis ran it before the product memo,
-    one multiply per table entry."""
+def _apply_per_entry(coeffs, column):
+    """Oracle: unitriangular_apply before the product memo, one multiply
+    per entry of each column."""
     out = {}
     for x, c in coeffs.items():
-        for y, hyx in table.h[x].items():
-            _acc(out, y, hyx * c)
+        for y, m in column(x):
+            _acc(out, y, m * c)
     return out
+
+
+def _kl_to_std_per_entry(coeffs, table):
+    """Oracle: kl -> std as change_basis ran it before the product memo."""
+    return _apply_per_entry(coeffs, lambda x: table.h[x].items())
 
 
 def _solve_per_entry(system, coeffs, lower_row):
@@ -997,15 +1027,67 @@ def test_base_changes_match_per_entry_oracles(label, basis, terms):
 @settings(max_examples=100, deadline=None)
 @given(_TERMS)
 def test_kl_to_pcan_matches_per_entry_oracle(c3, c3_p2, terms):
+    # the two routines over the p-table's columns, which hold their
+    # diagonal, against the per-entry oracles over its rows, which do not
     def row(x):
         return c3_p2.rows.get(x, {}).items()
 
+    def column(x):
+        return c3_p2.column(x).items()
+
     # mostly rowed elements, so that the solve subtracts
     coeffs = _summed(c3, terms, sorted(c3_p2.rows) + [0, c3.size - 1])
-    got = c3_p2.kl_to_pcan_coeffs(coeffs)
+    got = unitriangular_solve(c3, coeffs, column)
     assert got == _solve_per_entry(c3, coeffs, row)
-    assert c3_p2.expand_to_kl_coeffs(got) == {
-        x: c for x, c in coeffs.items() if c}
+    assert change_basis(HeckeElt(c3, KL, coeffs), PCAN, pcan=c3_p2).coeffs \
+        == got
+    back = unitriangular_apply(got, column)
+    assert back == _apply_per_entry(
+        got, lambda x: itertools.chain([(x, ONE)], row(x)))
+    assert back == {x: c for x, c in coeffs.items() if c}
+
+
+def test_conversions_read_only_the_tables_on_their_links(c3, kl_c3, c3_p2):
+    x = min(c3_p2.rows)
+    b = HeckeElt(c3, PCAN, {x: V})
+    c = change_basis(b, KL, pcan=c3_p2)
+    assert c.coeffs == {y: m * V for y, m in c3_p2.column(x).items()}
+    assert change_basis(c, PCAN, pcan=c3_p2) == b
+    h = change_basis(c, STD, kl=kl_c3)
+    assert change_basis(h, KL, kl=kl_c3) == c
+    # std <-> pcan crosses both links and names the table it lacks
+    for elt, target in ((h, PCAN), (b, STD)):
+        with pytest.raises(ValueError, match="needs a KLTable"):
+            change_basis(elt, target, pcan=c3_p2)
+        with pytest.raises(ValueError, match="needs a PCanTable"):
+            change_basis(elt, target, kl=kl_c3)
+    assert change_basis(b, STD, kl=kl_c3, pcan=c3_p2) == h
+    assert change_basis(h, PCAN, kl=kl_c3, pcan=c3_p2) == b
+
+
+def test_each_conversion_runs_one_routine_per_link(c3, kl_c3, c3_p2,
+                                                   monkeypatch):
+    # a solve towards pcan and an apply towards std per link crossed, and
+    # nothing else: a second conversion path would add to or skip these
+    calls = []
+    for name in ("unitriangular_solve", "unitriangular_apply"):
+        monkeypatch.setattr(hecke, name, lambda *args, name=name,
+                            f=getattr(hecke, name): (calls.append(name),
+                                                     f(*args))[1])
+    bases = [STD, KL, PCAN]
+    x = min(c3_p2.rows)
+    for i, source in enumerate(bases):
+        for j, target in enumerate(bases):
+            calls.clear()
+            elt = HeckeElt(c3, source, {x: ONE, 0: V})
+            back = change_basis(change_basis(elt, target, kl=kl_c3,
+                                             pcan=c3_p2),
+                                source, kl=kl_c3, pcan=c3_p2)
+            assert back == elt
+            towards, away = ["unitriangular_solve"], ["unitriangular_apply"]
+            if j < i:
+                towards, away = away, towards
+            assert calls == towards * abs(j - i) + away * abs(j - i)
 
 
 def test_change_basis_rejects_a_table_of_another_group(a3, b3, kl_b3, kl_a2,

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from pcells import verify
 from pcells.coxeter import CoxeterSystem, cartan_matrix_of_type
 from pcells.hecke import (KL, PCAN, STD, HeckeElt, change_basis,
-                          kl_multiply_by_generator, std_multiply)
+                          kl_multiply_by_generator, std_multiply,
+                          unitriangular_solve)
 from pcells.laurent import GAUSS, ONE, V, ZERO, LaurentPoly
 from pcells.pcanonical import (
     _PRIME_LIMIT,
@@ -332,7 +333,19 @@ def _structure_by_back_substitution(table, kl, x, s, side):
     for z, c in [(x, ONE), *table.rows.get(x, {}).items()]:
         for w, d in kl_multiply_by_generator(kl, z, s, side).items():
             acc[w] = acc.get(w, LaurentPoly()) + c * d
-    return table.kl_to_pcan_coeffs({w: c for w, c in acc.items() if c})
+    return _solve_rows(table, {w: c for w, c in acc.items() if c})
+
+
+def _solve_rows(table, coeffs):
+    """Oracle: KL coefficients solved into the canonical basis over the
+    rows of the table, which hold no diagonal term."""
+    return unitriangular_solve(table.system, coeffs,
+                               lambda x: table.rows.get(x, {}).items())
+
+
+def _b_in_kl(table, x):
+    """Oracle: B_x in the KL basis, C_x plus its row of the table."""
+    return {x: ONE, **table.rows.get(x, {})}
 
 
 def test_structure_coefficients_match_back_substitution_oracle(
@@ -351,6 +364,17 @@ def test_structure_coefficients_match_back_substitution_oracle(
                     touched += (x not in table.rows
                                 and not table.rows.keys().isdisjoint(product))
     assert touched > 0
+
+
+@pytest.mark.parametrize("x, s, named", [(-1, 0, -1), (6, 0, 6),
+                                         (0, -1, -1), (1, 2, 2)])
+def test_structure_coefficients_reject_ids_outside_the_group(a2, kl_a2, x, s,
+                                                             named):
+    # x = -1 returned {-1: v^-1 + v}, and s = -1 the product with the last
+    # generator
+    for side in ("left", "right"):
+        with pytest.raises(IndexError, match=f"^{named} is not"):
+            structure_coefficients(identity_table(a2), kl_a2, x, s, side)
 
 
 def test_structure_coefficients_returns_fresh_dicts(b2, kl_b2, c3, kl_c3,
@@ -379,15 +403,14 @@ def _product_by_kl_round_trip(table, kl, x, w):
     of B_x, via the standard basis, then solved back through the table.
     The oracle of pcan_general_product."""
     sys_ = table.system
-    left = change_basis(HeckeElt(sys_, KL, table.expand_to_kl_coeffs({x: ONE})),
-                        STD, kl=kl)
+    left = change_basis(HeckeElt(sys_, KL, _b_in_kl(table, x)), STD, kl=kl)
     acc = {}
-    for u, d in table.expand_to_kl_coeffs({w: ONE}).items():
+    for u, d in _b_in_kl(table, w).items():
         right = change_basis(HeckeElt(sys_, KL, {u: ONE}), STD, kl=kl)
         prod = change_basis(std_multiply(left, right), KL, kl=kl)
         for b, cb in prod.coeffs.items():
             acc[b] = acc.get(b, LaurentPoly()) + cb * d
-    return table.kl_to_pcan_coeffs({b: c for b, c in acc.items() if c})
+    return _solve_rows(table, {b: c for b, c in acc.items() if c})
 
 
 def test_general_product_matches_kl_round_trip_oracle(b2, kl_b2, b2_p2, c3,

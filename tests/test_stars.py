@@ -336,8 +336,10 @@ def _pairwise_sliding(table, kl, r, t):
     for x in dr:
         a = r if r in sys_.right_descents[x] else t
         b = t if a == r else r
-        acc = table.expand_to_kl_coeffs(
-            structure_coefficients(table, kl, x, b, "right"))
+        acc = {}
+        for u, c in structure_coefficients(table, kl, x, b, "right").items():
+            for w, m in [(u, ONE), *table.rows.get(u, {}).items()]:
+                acc[w] = acc.get(w, LaurentPoly()) + m * c
         for z in dr:
             want = sum((table.m(w, x) for w in (sys_.right_by_gen[a][z],
                                                  sys_.right_by_gen[b][z])
